@@ -9,8 +9,9 @@ conditions prove closed-loop decay at rate delta:
 
 where Theta2/Theta3 couple the finite design to the spectral tail through
 the measurement tail constant.  P is constructed from the shifted Lyapunov
-equation F'P + PF + 2 delta P = -I; full P freedom is delegated to the SDPA
-export for external solvers.
+equation F'P + PF + 2 delta P = -I, which reduces the search over (beta, gamma)
+to one concave scalar problem per alpha; full P freedom is delegated to the
+SDPA export for external solvers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import DimensionMismatch, NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
@@ -34,30 +36,16 @@ _DEFAULT_ALPHA_GRID = (1.1, 2.0, 10.0)
 
 @dataclass(frozen=True)
 class CertificateQuery:
-    """Search policy for (beta, gamma) at fixed alpha (and eps).
-
-    The grid is logarithmic over grid_range with points_per_decade_triple
-    points per three decades, seeded at the proof scalings; the best cell is
-    then refined by coordinate bisection.
-    """
+    """Search policy at fixed alpha (and eps); (beta, gamma) are chosen exactly."""
 
     alpha: float
     eps: float = 0.125
-    grid_range: tuple[float, float] = (1e-6, 1e6)
-    points_per_decade_triple: int = 13
-    refine_steps: int = 60
 
     def __post_init__(self):
         if not self.alpha > 1.0:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         if not 0.0 < self.eps <= 0.5:
             raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
-
-    def grid(self) -> np.ndarray:
-        lo, hi = math.log10(self.grid_range[0]), math.log10(self.grid_range[1])
-        decades = hi - lo
-        n = int(round(decades / 3.0 * (self.points_per_decade_triple - 1))) + 1
-        return np.logspace(lo, hi, n)
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ class Certificate:
 def lyapunov_solve(F: np.ndarray, delta: float) -> np.ndarray:
     """Unique P > 0 with F'P + PF + 2 delta P = -I.
 
-    Solved as the dense vectorized linear system in the entries of P;
+    Solved by the Bartels-Stewart method (Schur form of F + delta I);
     requires the spectral abscissa of F + delta I to be negative.  The
     residual is checked against 1e-9 before returning.
     """
@@ -121,8 +109,7 @@ def lyapunov_solve(F: np.ndarray, delta: float) -> np.ndarray:
         raise NotHurwitzShifted(
             f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
     eye = np.eye(n)
-    M = np.kron(eye, A.T) + np.kron(A.T, eye)
-    P = np.linalg.solve(M, -eye.reshape(-1)).reshape(n, n)
+    P = solve_continuous_lyapunov(A.T, -eye)
     P = 0.5 * (P + P.T)
     residual = float(np.max(np.abs(F.T @ P + P @ F + 2 * delta * P + eye)))
     if residual > 1e-9:
@@ -206,82 +193,90 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        N=model.N, N0=model.N0)
 
 
-def _scaled_margin(cert: Certificate, model: ClosedLoopMatrices) -> float:
-    """Signed worst margin (negative = feasible) used to rank search points."""
-    s1 = max(1.0, float(np.max(np.abs(cert.P))) * float(np.max(np.abs(model.F))))
-    parts = [cert.theta1_max_eig / s1,
-             cert.theta2 / max(1.0, abs(cert.theta2) + 1.0)]
-    if math.isfinite(cert.theta3):
-        parts.append(-cert.theta3 / max(1.0, abs(cert.theta3) + 1.0))
-    return max(parts)
+def _beta_slope(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
+                eps: float) -> float:
+    """Largest beta/gamma with Theta2 <= 0 (and Theta3 >= 0 for the left flux)."""
+    lam_next = float(reduced.spectrum.lambdas[model.N])
+    k = 2.0 * ((1.0 - 1.0 / alpha) * lam_next - reduced.q_c - reduced.delta) \
+        / _tail_factor(model, reduced, eps)
+    if reduced.plant.measurement.kind == NEUMANN_AT_0:
+        k = min(k, 2.0 * (1.0 - 1.0 / alpha) * lam_next ** (0.5 - eps)
+                / reduced.tail_constant)
+    return k
 
 
-def _proof_seeds(kind: str, N: int) -> tuple[float, float]:
-    """(beta, gamma) scalings used in the feasibility proofs."""
-    if kind == BOUNDED:
-        return float(N), N ** -0.5
-    if kind == NEUMANN_AT_0:
-        return N ** 0.125, N ** -0.1875
-    return math.sqrt(N), 1.0 / N
+def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarray,
+                  query: CertificateQuery) -> tuple[Certificate, float]:
+    """Best (beta, gamma) for a Lyapunov P at fixed alpha, and its margin.
+
+    With F'P + PF + 2 delta P = -I, the Schur complement turns Theta1 <= 0
+    into beta >= h(gamma) = v'(I - alpha gamma G)^-1 v, while Theta2/Theta3
+    read beta <= k gamma.  G is a nonnegative sum of two outer products, so
+    G = sum g_i u_i u_i' with g_i >= 0 (clipped against rounding), and with
+    c_i = (u_i'v)^2, h = |v|^2 + sum c_i s g_i/(1 - s g_i) for s = alpha gamma.  A certificate exists iff the concave
+    phi(gamma) = k gamma - h(gamma) is positive somewhere on
+    (0, 1/(alpha max g)); its maximiser is found by bisection on phi'.
+    The margin -phi/h at the maximiser is negative iff feasible; an
+    infeasible result carries the Theta values at (gamma*, beta = h(gamma*)).
+    """
+    alpha = query.alpha
+    v = P @ model.Lcal
+    g, U = np.linalg.eigh(model.G)
+    g = np.clip(g, 0.0, None)
+    v2, c = float(v @ v), (U.T @ v) ** 2
+    k = _beta_slope(model, reduced, alpha, query.eps)
+
+    def h(gamma: float) -> float:
+        s = alpha * gamma * g
+        return v2 + float(np.sum(c * s / (1.0 - s)))
+
+    def dphi(gamma: float) -> float:
+        return k - alpha * float(np.sum(c * g / (1.0 - alpha * gamma * g) ** 2))
+
+    g_max = float(g[-1])
+    if dphi(0.0) <= 0.0:  # includes k <= 0: the supremum sits at gamma -> 0
+        gamma = 0.0
+    elif g_max == 0.0:  # G = 0: h is constant and phi grows without bound
+        gamma = 2.0 * v2 / k
+    else:
+        lo, hi = 0.0, 1.0 / (alpha * g_max)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if dphi(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        gamma = lo
+    h_star = h(gamma)
+    phi = k * gamma - h_star
+    beta = 0.5 * (h_star + k * gamma) if phi > 0.0 else h_star
+    cert = verify_certificate(model, reduced, P, alpha, beta, gamma, query.eps)
+    return cert, -phi / h_star
 
 
 def search_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        query: CertificateQuery) -> Certificate:
     """Constructive certificate search at fixed alpha.
 
-    P is fixed from the shifted Lyapunov equation; (beta, gamma) run over
-    the proof-scaling seed and a deterministic log grid, with coordinate
-    bisection refinement of the best cell.  Returns the first verified
-    certificate, else the best-margin infeasible one.
+    P is fixed from the shifted Lyapunov equation and (beta, gamma) come from
+    the exact scalar reduction of the remaining conditions.  The result is
+    verified; an infeasible one proves that this P fails at this alpha.
     """
-    delta = reduced.delta
-    P = lyapunov_solve(model.F, delta)
-    kind = reduced.plant.measurement.kind
-
-    def evaluate(beta: float, gamma: float) -> Certificate:
-        return verify_certificate(model, reduced, P, query.alpha, beta, gamma, query.eps)
-
-    candidates = [_proof_seeds(kind, model.N)]
-    grid = query.grid()
-    best: Certificate | None = None
-    best_margin = math.inf
-    for beta, gamma in candidates + [(b, g) for b in grid for g in grid]:
-        cert = evaluate(beta, gamma)
-        if cert.feasible:
-            return cert
-        m = _scaled_margin(cert, model)
-        if m < best_margin:
-            best_margin, best = m, cert
-    # coordinate bisection around the best grid cell, in log10 space
-    lb, lg = math.log10(best.beta), math.log10(best.gamma)
-    step_b = step_g = 3.0 / (query.points_per_decade_triple - 1)
-    for _ in range(query.refine_steps):
-        moved = False
-        for db, dg in ((step_b, 0.0), (-step_b, 0.0), (0.0, step_g), (0.0, -step_g)):
-            cert = evaluate(10.0 ** (lb + db), 10.0 ** (lg + dg))
-            if cert.feasible:
-                return cert
-            m = _scaled_margin(cert, model)
-            if m < best_margin:
-                best_margin, best = m, cert
-                lb, lg = lb + db, lg + dg
-                moved = True
-                break
-        if not moved:
-            step_b *= 0.5
-            step_g *= 0.5
-            if max(step_b, step_g) < 1e-4:
-                break
-    return best
+    P = lyapunov_solve(model.F, reduced.delta)
+    return _exact_search(model, reduced, P, query)[0]
 
 
 def minimal_N(plant, spectrum: Spectrum, gains_rule=None, N_max: int = 10,
               alpha_grid=_DEFAULT_ALPHA_GRID, eps: float = 0.125):
     """Smallest N <= N_max with a verified certificate over the alpha grid.
 
-    Every N from N0+1 up is tested (monotonicity in N is not assumed).
-    gains_rule maps a ReducedPlant to a GainSet; defaults to the package
-    pole rule.  Raises NoFeasibleN carrying per-N best margins.
+    Every N from N0+1 up is tested (monotonicity in N is not assumed); the
+    Lyapunov P is solved once per N and shared across alpha.  gains_rule
+    maps a ReducedPlant to a GainSet; defaults to the package pole rule.
+    Raises NoFeasibleN carrying, per N, the smallest exact margin over the
+    alpha grid (positive: the constructive P provably fails at that N).
     """
     if gains_rule is None:
         gains_rule = design_gains
@@ -293,14 +288,15 @@ def minimal_N(plant, spectrum: Spectrum, gains_rule=None, N_max: int = 10,
         reduced = reduce(plant, spectrum, N, eps=eps)
         gains = gains_rule(reduced)
         model = assemble_closed_loop(reduced, gains, N)
+        P = lyapunov_solve(model.F, reduced.delta)
         best_for_N = None
         for alpha in alpha_grid:
-            cert = search_certificate(model, reduced, CertificateQuery(alpha=alpha, eps=eps))
+            cert, margin = _exact_search(model, reduced, P,
+                                         CertificateQuery(alpha=alpha, eps=eps))
             if cert.feasible:
                 return N, cert
-            m = _scaled_margin(cert, model)
-            if best_for_N is None or m < best_for_N[0]:
-                best_for_N = (m, alpha, cert)
+            if best_for_N is None or margin < best_for_N[0]:
+                best_for_N = (margin, alpha, cert)
         margins[N] = {
             "margin": best_for_N[0], "alpha": best_for_N[1],
             "theta1_max_eig": best_for_N[2].theta1_max_eig,

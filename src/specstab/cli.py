@@ -89,6 +89,10 @@ _DEFAULTS = {
 }
 
 
+#: keys are case-insensitive; these two are spelled in upper case internally
+_UPPER_KEYS = {"n": "N", "t": "T"}
+
+
 def _parse_value(text: str):
     text = text.strip()
     parts = text.replace(",", " ").split()
@@ -128,7 +132,8 @@ def parse_config(path) -> dict:
         if current is None:
             raise err.ConfigParse(f"{path}:{lineno}: key outside any [section]")
         key, value = line.split("=", 1)
-        sections[current][key.strip().lower()] = _parse_value(value)
+        key = key.strip().lower()
+        sections[current][_UPPER_KEYS.get(key, key)] = _parse_value(value)
     for section, keys in _REQUIRED.items():
         if section not in sections:
             raise err.ConfigParse(f"{path}: missing [{section}] section")

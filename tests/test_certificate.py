@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import specstab as ss
 from specstab.errors import NoFeasibleN, NotHurwitzShifted, OrderTooSmall
@@ -34,6 +35,20 @@ def test_lyapunov_residual_small(dirichlet_pipeline):
     residual = model.F.T @ P + P @ model.F + 2 * 0.5 * P + np.eye(n)
     assert np.max(np.abs(residual)) < 1e-9
     assert np.linalg.eigvalsh(P)[0] > 0
+
+
+def test_lyapunov_matches_kronecker_reference(dirichlet_pipeline):
+    # dense vectorized solve of (I x A' + A' x I) vec(P) = -vec(I) at n = 21
+    red = dirichlet_pipeline.reduced
+    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 10)
+    n = model.dim
+    assert n == 21
+    A = model.F + red.delta * np.eye(n)
+    eye = np.eye(n)
+    M = np.kron(eye, A.T) + np.kron(A.T, eye)
+    P_ref = np.linalg.solve(M, -eye.reshape(-1)).reshape(n, n)
+    P = ss.lyapunov_solve(model.F, red.delta)
+    assert np.linalg.norm(P - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
 
 
 def test_lyapunov_not_hurwitz_shifted(dirichlet_pipeline):
@@ -123,10 +138,41 @@ def test_query_validation():
         ss.CertificateQuery(alpha=1.0)
     with pytest.raises(ValueError):
         ss.CertificateQuery(alpha=2.0, eps=0.7)
-    grid = ss.CertificateQuery(alpha=2.0).grid()
-    assert grid.size == 49  # 13 points per decade triple over 12 decades
-    assert grid[0] == pytest.approx(1e-6)
-    assert grid[-1] == pytest.approx(1e6)
+
+
+def _scan_finds_feasible(model, red, alpha):
+    """Dense (beta, gamma) scan with the Lyapunov P: strict signs, full Theta1 spectrum."""
+    P = ss.lyapunov_solve(model.F, red.delta)
+    n = model.dim
+    # Theta1's top-left block -I + alpha gamma G must stay negative definite
+    gamma_max = 1.0 / (alpha * np.linalg.eigvalsh(model.G)[-1])
+    gamma, beta = (a.ravel() for a in np.meshgrid(gamma_max * np.logspace(-4, -1e-4, 40),
+                                                  np.logspace(-1, 4, 80)))
+    T1 = np.zeros((gamma.size, n + 1, n + 1))
+    T1[:, :n, :n] = model.F.T @ P + P @ model.F + 2 * red.delta * P
+    T1[:, :n, :n] += alpha * gamma[:, None, None] * model.G
+    T1[:, :n, n] = T1[:, n, :n] = P @ model.Lcal
+    T1[:, n, n] = -beta
+    theta2, theta3 = ss.certificate._theta_scalars(model, red, alpha, beta, gamma, 0.125)
+    feasible = (np.linalg.eigvalsh(T1)[:, -1] < 0) & (theta2 < 0) & (theta3 > 0)
+    return bool(feasible.any())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 2), N=st.integers(2, 8),
+       alpha=st.floats(1.0, 20.0, exclude_min=True))
+# near the ends of the certified alpha ranges, where the margins are small
+@example(which=0, N=6, alpha=1.5)
+@example(which=0, N=6, alpha=3.5)
+@example(which=2, N=3, alpha=12.0)
+def test_exact_search_never_misses_a_scanned_certificate(
+        dirichlet_pipeline, neumann_pipeline, bounded_pipeline, which, N, alpha):
+    pipe = (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)[which]
+    red = pipe.reduced
+    model = ss.assemble_closed_loop(red, pipe.gains, N)
+    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=alpha))
+    if not cert.feasible:
+        assert not _scan_finds_feasible(model, red, alpha)
 
 
 # ---------------------------------------------------------------- minimal_N
@@ -134,9 +180,23 @@ def test_query_validation():
 def test_minimal_n_dirichlet(dirichlet_pipeline):
     n_star, cert = ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
                                 N_max=10)
-    assert n_star == 8
+    assert n_star == 6
     assert cert.feasible
-    assert cert.N == 8
+    assert cert.N == 6
+    red = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, 6)
+    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 6)
+    again = ss.verify_certificate(model, red, cert.P, cert.alpha, cert.beta,
+                                  cert.gamma, cert.eps)
+    assert again.feasible
+
+
+@pytest.mark.parametrize("alpha", [1.1, 2.0, 10.0])
+def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
+    with pytest.raises(NoFeasibleN) as exc:
+        ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, N_max=5,
+                     alpha_grid=(alpha,))
+    assert exc.value.margins[5]["margin"] > 0
+    assert exc.value.margins[5]["alpha"] == alpha
 
 
 def test_minimal_n_bounded(bounded_pipeline):
@@ -153,6 +213,32 @@ def test_minimal_n_reports_margins_when_exhausted(neumann_pipeline):
     assert sorted(exc.value.margins) == [2, 3, 4]
     for rec in exc.value.margins.values():
         assert rec["margin"] > 0
+
+
+def test_minimal_n_nonpositive_beta_slope_reports_finite_margins(neumann_pipeline):
+    # at alpha = 1.1, (1 - 1/alpha) lambda_3 < q_c + delta, so Theta2 <= 0
+    # leaves no beta > 0 for any gamma: the margin is 1 and stays finite
+    with pytest.raises(NoFeasibleN) as exc:
+        ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=2,
+                     alpha_grid=(1.1,))
+    rec = exc.value.margins[2]
+    assert rec["margin"] == pytest.approx(1.0)
+    assert all(math.isfinite(rec[key]) for key in ("theta1_max_eig", "theta2", "theta3"))
+
+
+def test_neumann_first_certified_order_on_long_spectrum():
+    # the left-flux example needs N in the hundreds with the constructive P:
+    # first verified at N = 123 (alpha = 2), proved infeasible at N = 122
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.neumann(), delta=0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 202, 2000)
+    verdicts = {}
+    for N in (122, 123):
+        red = ss.reduce(plant, spectrum, N)
+        model = ss.assemble_closed_loop(red, ss.design_gains(red), N)
+        cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+        verdicts[N] = cert.feasible
+    assert verdicts == {122: False, 123: True}
 
 
 # ---------------------------------------------------------------- norm sweep

@@ -155,6 +155,15 @@ def test_explicit_observer_order(tmp_path):
     assert report["simulation"]["N"] == 3
 
 
+def test_config_keys_n_and_t_reach_the_simulation(tmp_path):
+    cfg = write_config(tmp_path, N=3, T=0.5)
+    out = tmp_path / "upper"
+    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 0
+    report = load_report(out)
+    assert report["simulation"]["N"] == 3
+    assert report["simulation"]["T"] == 0.5
+
+
 def test_export_sdpa_flag(tmp_path):
     cfg = write_config(tmp_path)
     target = tmp_path / "problem.dat-s"
