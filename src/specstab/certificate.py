@@ -8,10 +8,11 @@ conditions prove closed-loop decay at rate delta:
     Theta2 <= 0, and (left-flux measurement only) Theta3 >= 0,
 
 where Theta2/Theta3 couple the finite design to the spectral tail through
-the measurement tail constant.  P is constructed from the shifted Lyapunov
-equation F'P + PF + 2 delta P = -I, which reduces the search over (beta, gamma)
-to one concave scalar problem per alpha.  With P free the conditions form an
-LMI in (P, beta, gamma): export_sdpa writes it in SDPA format, and
+the measurement tail constant; optimal_alpha gives the best alpha in closed
+form.  P is constructed from the shifted Lyapunov equation
+F'P + PF + 2 delta P = -I, which reduces the search over (beta, gamma) to one
+concave scalar problem.  With P free the conditions form an LMI in
+(P, beta, gamma): export_sdpa writes it in SDPA format, and
 free_p_certificate solves it with a dense log-barrier method.
 """
 
@@ -31,8 +32,6 @@ from .synthesis import ClosedLoopMatrices, assemble_closed_loop, design_gains
 
 #: absolute feasibility tolerance, scaled by each quantity's magnitude
 _FEAS_TOL = 1e-9
-
-_DEFAULT_ALPHA_GRID = (1.1, 2.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,9 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        eps: float = 0.125) -> Certificate:
     """Evaluate all certificate margins for the given data; never mutates inputs.
 
-    Feasibility is the conjunction of P > 0, max eig Theta1 <= 0, Theta2 <= 0,
-    and Theta3 >= 0 where applicable, each within 1e-9 scaled by the
-    quantity's magnitude.
+    Feasibility is the conjunction of P > 0, max eig Theta1 < 0, Theta2 < 0,
+    and Theta3 > 0 where applicable, each with a strict margin of 1e-9 scaled
+    by the quantity's magnitude, so no value at rounding level is accepted.
     """
     P = np.asarray(P, dtype=float)
     n = model.dim
@@ -184,10 +183,10 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(model, reduced, eps))
     tol2 = _FEAS_TOL * scale2
     tolP = _FEAS_TOL * max(1.0, float(np.max(np.abs(P))))
-    feasible = (p_min > tolP) and (theta1_max <= tol1) and (theta2 <= tol2)
+    feasible = (p_min > tolP) and (theta1_max < -tol1) and (theta2 < -tol2)
     if math.isfinite(theta3):
         tol3 = _FEAS_TOL * max(1.0, 2 * gamma, beta * reduced.tail_constant)
-        feasible = feasible and (theta3 >= -tol3)
+        feasible = feasible and (theta3 > tol3)
     return Certificate(P=P.copy(), alpha=alpha, beta=beta, gamma=gamma, eps=eps,
                        theta1_max_eig=theta1_max, theta2=theta2, theta3=theta3,
                        p_min_eig=p_min, feasible=bool(feasible),
@@ -204,6 +203,28 @@ def _beta_slope(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
         k = min(k, 2.0 * (1.0 - 1.0 / alpha) * lam_next ** (0.5 - eps)
                 / reduced.tail_constant)
     return k
+
+
+def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
+    """The alpha > 1 maximising k(alpha)/alpha, in closed form.
+
+    Theta1 depends on alpha only through s = alpha gamma and the other
+    conditions read beta <= (k/alpha) s, so feasibility, with P constructed or
+    free, grows with k/alpha.  With u = 1/alpha, c = q_c + delta and
+    lambda = lambda_{N+1}, Theta2 <= 0 reads beta <= a s u (lambda (1 - u) - c);
+    the left flux's Theta3 >= 0 reads beta <= a s u lambda (1 - u) for every
+    eps, binding only when c <= 0 (then u = 1/2).  Otherwise the vertex
+    u = (lambda - c)/(2 lambda) maximises; lambda > c holds beyond N0.
+    """
+    lam_next = float(reduced.spectrum.lambdas[model.N])
+    c = reduced.q_c + reduced.delta
+    if reduced.plant.measurement.kind == NEUMANN_AT_0 and c <= 0.0:
+        return 2.0
+    if lam_next + c <= 0.0:
+        raise ValueError(
+            f"lambda_(N+1) + q_c + delta = {lam_next + c:.6g} <= 0: k(alpha)/alpha "
+            f"increases towards alpha = 1, so no alpha > 1 maximises it")
+    return 2.0 * lam_next / (lam_next - c)
 
 
 def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarray,
@@ -364,41 +385,46 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: 
     return cert if y[-1] > tol_abs else replace(cert, feasible=False)
 
 
-def minimal_N(plant, spectrum: Spectrum, gains_rule=None, N_max: int = 10,
-              alpha_grid=_DEFAULT_ALPHA_GRID, eps: float = 0.125):
-    """Smallest N <= N_max with a verified constructive certificate over the alpha grid.
+def _lyapunov_model(plant, spectrum: Spectrum, N: int, gains_rule=None, eps: float = 0.125):
+    """Reduced plant, closed loop and Lyapunov P at order N, gains by gains_rule."""
+    reduced = reduce(plant, spectrum, N, eps=eps)
+    model = assemble_closed_loop(reduced, (gains_rule or design_gains)(reduced), N)
+    return reduced, model, lyapunov_solve(model.F, reduced.delta)
 
-    Every N from N0+1 up is tested (monotonicity in N is not assumed); the
-    Lyapunov P is solved once per N and shared across alpha.  gains_rule
-    maps a ReducedPlant to a GainSet; defaults to the package pole rule.
-    Raises NoFeasibleN carrying, per N, the smallest exact margin over the
-    alpha grid (positive: the constructive P provably fails at that N).
+
+def certify_order(plant, spectrum: Spectrum, N: int, gains_rule=None,
+                  eps: float = 0.125) -> tuple[Certificate, dict]:
+    """Constructive certificate at order N and alpha = optimal_alpha, and its record.
+
+    gains_rule maps the ReducedPlant to a GainSet (default: the package pole
+    rule).  The record holds the exact margin (negative when the scalar
+    problem has room), alpha and the Theta values of the returned point.
     """
-    if gains_rule is None:
-        gains_rule = design_gains
+    reduced, model, P = _lyapunov_model(plant, spectrum, N, gains_rule, eps)
+    alpha = optimal_alpha(model, reduced)
+    cert, margin = _exact_search(model, reduced, P, CertificateQuery(alpha=alpha, eps=eps))
+    record = {"margin": margin, "alpha": alpha,
+              "theta1_max_eig": cert.theta1_max_eig, "theta2": cert.theta2,
+              "theta3": None if math.isinf(cert.theta3) else cert.theta3}
+    return cert, record
+
+
+def minimal_N(plant, spectrum: Spectrum, gains_rule=None, N_max: int = 10,
+              eps: float = 0.125):
+    """Smallest N <= N_max with a verified constructive certificate.
+
+    Every N from N0+1 up goes through certify_order (monotonicity in N is not
+    assumed).  Raises NoFeasibleN carrying each N's record; a positive margin
+    at optimal_alpha proves the constructive P fails at that N for every alpha.
+    """
     margins: dict[int, dict] = {}
     reduced0 = reduce(plant, spectrum, min(N_max + 1, spectrum.n_modes - 1), eps=eps)
     if N_max < reduced0.N0 + 1:
         raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {reduced0.N0 + 1}")
     for N in range(reduced0.N0 + 1, N_max + 1):
-        reduced = reduce(plant, spectrum, N, eps=eps)
-        gains = gains_rule(reduced)
-        model = assemble_closed_loop(reduced, gains, N)
-        P = lyapunov_solve(model.F, reduced.delta)
-        best_for_N = None
-        for alpha in alpha_grid:
-            cert, margin = _exact_search(model, reduced, P,
-                                         CertificateQuery(alpha=alpha, eps=eps))
-            if cert.feasible:
-                return N, cert
-            if best_for_N is None or margin < best_for_N[0]:
-                best_for_N = (margin, alpha, cert)
-        margins[N] = {
-            "margin": best_for_N[0], "alpha": best_for_N[1],
-            "theta1_max_eig": best_for_N[2].theta1_max_eig,
-            "theta2": best_for_N[2].theta2,
-            "theta3": None if math.isinf(best_for_N[2].theta3) else best_for_N[2].theta3,
-        }
+        cert, margins[N] = certify_order(plant, spectrum, N, gains_rule, eps)
+        if cert.feasible:
+            return N, cert
     raise NoFeasibleN(
         f"no verified certificate for N <= {N_max} (best margins per N recorded)",
         margins)
@@ -410,18 +436,10 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains_rule=None, N_list=None)
     With fixed gains the coupling blocks have N-independent norm bounds, so
     the sequence should stay bounded; this sweep records it empirically.
     """
-    if gains_rule is None:
-        gains_rule = design_gains
     if N_list is None:
         N_list = range(2, 13)
-    norms = []
-    for N in N_list:
-        reduced = reduce(plant, spectrum, N)
-        gains = gains_rule(reduced)
-        model = assemble_closed_loop(reduced, gains, N)
-        P = lyapunov_solve(model.F, reduced.delta)
-        norms.append(float(np.linalg.norm(P, 2)))
-    return np.array(norms)
+    return np.array([np.linalg.norm(_lyapunov_model(plant, spectrum, N, gains_rule)[2], 2)
+                     for N in N_list])
 
 
 def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,

@@ -58,16 +58,14 @@ PRESETS = {
     "dirichlet-example": {
         "scenario": {"name": "dirichlet-example"},
         "plant": {"p": [1.0], "q": [0.0], "q_c": 3.0, "measurement": "dirichlet"},
-        "design": {"delta": 0.5, "N": "auto", "n_max": 10,
-                   "alpha_grid": [1.1, 2.0, 10.0], "eps": 0.125},
+        "design": {"delta": 0.5, "N": "auto", "n_max": 10, "eps": 0.125},
         "sim": {"n_sim": 50, "dt": 1e-3, "T": 3.0, "z0": [1.0, 0.0, 1.0], "u0": "auto"},
         "output": {},
     },
     "neumann-example": {
         "scenario": {"name": "neumann-example"},
         "plant": {"p": [1.0], "q": [0.0], "q_c": 10.0, "measurement": "neumann"},
-        "design": {"delta": 0.5, "N": "auto", "n_max": 10,
-                   "alpha_grid": [1.1, 2.0, 10.0], "eps": 0.125},
+        "design": {"delta": 0.5, "N": "auto", "n_max": 10, "eps": 0.125},
         "sim": {"n_sim": 50, "dt": 1e-3, "T": 3.0,
                 "z0": [0.0, -2.0 / 3.0, 1.0], "u0": "auto"},
         "output": {},
@@ -81,13 +79,17 @@ _REQUIRED = {
 }
 
 _DEFAULTS = {
-    "design": {"N": "auto", "n_max": 10, "alpha_grid": [1.1, 2.0, 10.0], "eps": 0.125,
+    "design": {"N": "auto", "n_max": 10, "eps": 0.125,
                "controller_poles": "auto", "observer_poles": "auto"},
     "sim": {"n_sim": 50, "dt": 1e-3, "T": 3.0, "u0": "auto"},
     "output": {"dir": "specstab-out"},
     "scenario": {"name": "scenario"},
 }
 
+#: every key a config may set: the required and the defaulted ones, and plant.c
+_KEYS = {section: {*_REQUIRED.get(section, ()), *_DEFAULTS.get(section, {})}
+         for section in {*_REQUIRED, *_DEFAULTS}}
+_KEYS["plant"].add("c")
 
 #: keys are case-insensitive; these two are spelled in upper case internally
 _UPPER_KEYS = {"n": "N", "t": "T"}
@@ -125,6 +127,8 @@ def parse_config(path) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in _KEYS:
+                raise err.ConfigParse(f"{path}:{lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -133,7 +137,10 @@ def parse_config(path) -> dict:
             raise err.ConfigParse(f"{path}:{lineno}: key outside any [section]")
         key, value = line.split("=", 1)
         key = key.strip().lower()
-        sections[current][_UPPER_KEYS.get(key, key)] = _parse_value(value)
+        key = _UPPER_KEYS.get(key, key)
+        if key not in _KEYS[current]:
+            raise err.ConfigParse(f"{path}:{lineno}: unknown key {key!r} in [{current}]")
+        sections[current][key] = _parse_value(value)
     for section, keys in _REQUIRED.items():
         if section not in sections:
             raise err.ConfigParse(f"{path}: missing [{section}] section")
@@ -207,13 +214,12 @@ def _write_field(path: Path, x: np.ndarray, times, fields):
                 fh.write(f"{xi:.17g},{ti:.17g},{vi:.17g}\n")
 
 
-def run_scenario(name_or_path: str, n_max: int | None = None, alpha: float | None = None,
+def run_scenario(name_or_path: str, n_max: int | None = None,
                  eps: float | None = None, export_sdpa_path: str | None = None,
                  out_dir: str | None = None, quiet: bool = False) -> int:
     """Execute one scenario end to end; returns the process exit code."""
     try:
-        return _run_scenario(name_or_path, n_max, alpha, eps,
-                             export_sdpa_path, out_dir, quiet)
+        return _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet)
     except err.SpecstabError as exc:
         code = ERROR_EXIT_CODES.get(type(exc), EXIT_ERROR)
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
@@ -223,7 +229,7 @@ def run_scenario(name_or_path: str, n_max: int | None = None, alpha: float | Non
         return EXIT_ERROR
 
 
-def _run_scenario(name_or_path, n_max, alpha, eps, export_sdpa_path, out_dir, quiet) -> int:
+def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) -> int:
     if name_or_path in PRESETS:
         config = {k: dict(v) for k, v in PRESETS[name_or_path].items()}
     else:
@@ -234,8 +240,6 @@ def _run_scenario(name_or_path, n_max, alpha, eps, export_sdpa_path, out_dir, qu
     plant_cfg, design_cfg, sim_cfg = cfg["plant"], cfg["design"], cfg["sim"]
     if n_max is not None:
         design_cfg["n_max"] = int(n_max)
-    if alpha is not None:
-        design_cfg["alpha_grid"] = [float(alpha)]
     if eps is not None:
         design_cfg["eps"] = float(eps)
 
@@ -292,9 +296,6 @@ def _run_scenario(name_or_path, n_max, alpha, eps, export_sdpa_path, out_dir, qu
     say(f"  K = {np.array2string(gains.K, precision=6)}  "
         f"L = {np.array2string(gains.L, precision=6)}")
 
-    alpha_grid = [float(a) for a in
-                  (design_cfg["alpha_grid"] if isinstance(design_cfg["alpha_grid"], list)
-                   else [design_cfg["alpha_grid"]])]
     n_star = None
     certificate = None
     search_margins = None
@@ -302,30 +303,18 @@ def _run_scenario(name_or_path, n_max, alpha, eps, export_sdpa_path, out_dir, qu
     if n_requested == "auto":
         try:
             n_star, certificate = cert_mod.minimal_N(
-                plant, spectrum, gains_rule=lambda red: gains,
-                N_max=n_max_val, alpha_grid=alpha_grid, eps=eps_val)
+                plant, spectrum, gains_rule=lambda red: gains, N_max=n_max_val, eps=eps_val)
         except err.NoFeasibleN as exc:
             search_margins = exc.margins
     else:
         N_req = int(n_requested)
-        reduced_n = reduce_plant(plant, spectrum, N_req, eps=eps_val)
-        model_n = assemble_closed_loop(reduced_n, gains, N_req)
-        for a in alpha_grid:
-            cand = cert_mod.search_certificate(
-                model_n, reduced_n, cert_mod.CertificateQuery(alpha=a, eps=eps_val))
-            if cand.feasible:
-                certificate = cand
-                n_star = N_req
-                break
-            certificate = cand if certificate is None else certificate
-        if n_star is None:
-            search_margins = {N_req: {"theta1_max_eig": certificate.theta1_max_eig,
-                                      "theta2": certificate.theta2,
-                                      "theta3": None if math.isinf(certificate.theta3)
-                                      else certificate.theta3,
-                                      "alpha": certificate.alpha, "margin": None}}
-            certificate = None
-    feasible = certificate is not None and certificate.feasible
+        cand, record = cert_mod.certify_order(plant, spectrum, N_req,
+                                              lambda red: gains, eps_val)
+        if cand.feasible:
+            n_star, certificate = N_req, cand
+        else:
+            search_margins = {N_req: record}
+    feasible = certificate is not None
     if feasible:
         say(f"  certificate verified at N = {n_star} "
             f"(alpha = {certificate.alpha}, beta = {certificate.beta:.6g}, "
@@ -358,9 +347,9 @@ def _run_scenario(name_or_path, n_max, alpha, eps, export_sdpa_path, out_dir, qu
         N_exp = n_star if n_star is not None else min(n_max_val, reduced.N0 + 2)
         reduced_exp = reduce_plant(plant, spectrum, N_exp, eps=eps_val)
         model_exp = assemble_closed_loop(reduced_exp, gains, N_exp)
-        cert_mod.export_sdpa(model_exp, reduced_exp, alpha_grid[0], eps_val,
-                             export_sdpa_path)
-        say(f"  SDPA export (N = {N_exp}) -> {export_sdpa_path}")
+        alpha_exp = cert_mod.optimal_alpha(model_exp, reduced_exp)
+        cert_mod.export_sdpa(model_exp, reduced_exp, alpha_exp, eps_val, export_sdpa_path)
+        say(f"  SDPA export (N = {N_exp}, alpha = {alpha_exp:.6g}) -> {export_sdpa_path}")
 
     stride = max(1, result.times.size // 61)
     snap = list(range(0, result.times.size, stride))
@@ -433,18 +422,17 @@ def main(argv=None) -> int:
     runp.add_argument("scenario", help="preset name or path to a config file")
     runp.add_argument("--n-max", type=int, default=None,
                       help="cap for the minimal-N certificate search")
-    runp.add_argument("--alpha", type=float, default=None,
-                      help="use a single alpha instead of the default grid")
     runp.add_argument("--eps", type=float, default=None,
                       help="tail exponent for the left-flux measurement")
     runp.add_argument("--export-sdpa", dest="export_sdpa", default=None,
-                      metavar="PATH", help="write the fixed-alpha feasibility SDP")
+                      metavar="PATH",
+                      help="write the free-P feasibility SDP at the order's best alpha")
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
-    return run_scenario(args.scenario, n_max=args.n_max, alpha=args.alpha,
-                        eps=args.eps, export_sdpa_path=args.export_sdpa,
-                        out_dir=args.out, quiet=args.quiet)
+    return run_scenario(args.scenario, n_max=args.n_max, eps=args.eps,
+                        export_sdpa_path=args.export_sdpa, out_dir=args.out,
+                        quiet=args.quiet)
 
 
 if __name__ == "__main__":

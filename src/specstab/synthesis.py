@@ -46,23 +46,16 @@ class ClosedLoopMatrices:
     A0: np.ndarray
     A1: np.ndarray
     B1: np.ndarray
-    B0a: np.ndarray
-    B0b: np.ndarray
     A2: np.ndarray
-    B2a: np.ndarray
-    B2b: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
     F: np.ndarray
     Lcal: np.ndarray
     G: np.ndarray
     g: float
-    E_row: np.ndarray
-    Ktilde_row: np.ndarray
 
     def __post_init__(self):
-        for name in ("A0", "A1", "B1", "B0a", "B0b", "A2", "B2a", "B2b",
-                     "C0", "C1", "F", "Lcal", "G", "E_row", "Ktilde_row"):
+        for name in ("A0", "A1", "B1", "A2", "C0", "C1", "F", "Lcal", "G"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -133,6 +126,17 @@ def default_poles(N0: int, delta: float) -> tuple[tuple, tuple]:
     return controller, observer
 
 
+def _design_blocks(reduced: ReducedPlant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A0, A1, B1): the first N0 modes, and the state W_a = (u, w_1..w_N0)."""
+    N0 = reduced.N0
+    A0 = np.diag(-reduced.spectrum.lambdas[:N0] + reduced.q_c)
+    A1 = np.zeros((N0 + 1, N0 + 1))
+    A1[1:, 0] = reduced.a_coef[:N0]
+    A1[1:, 1:] = A0
+    B1 = np.concatenate([[1.0], reduced.b_coef[:N0]])
+    return A0, A1, B1
+
+
 def design_gains(reduced: ReducedPlant, controller_poles=None,
                  observer_poles=None) -> GainSet:
     """Place K on (A1, B1) and L on (A0, C0) built from the reduced plant.
@@ -151,12 +155,7 @@ def design_gains(reduced: ReducedPlant, controller_poles=None,
     for p in (*controller_poles, *observer_poles):
         if not p < -delta:
             raise ValueError(f"pole {p} is not strictly left of -delta = {-delta}")
-    lam = reduced.spectrum.lambdas
-    A0 = np.diag(-lam[:N0] + reduced.q_c)
-    A1 = np.zeros((N0 + 1, N0 + 1))
-    A1[1:, 0] = reduced.a_coef[:N0]
-    A1[1:, 1:] = A0
-    B1 = np.concatenate([[1.0], reduced.b_coef[:N0]])
+    A0, A1, B1 = _design_blocks(reduced)
     K = place_controller(A1, B1, controller_poles)
     L = place_observer(A0, reduced.out_coef[:N0], observer_poles)
     return GainSet(K=K, L=L, controller_poles=controller_poles,
@@ -179,17 +178,10 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     if gains.N0 != N0:
         raise ValueError(f"gains were placed for N0 = {gains.N0}, plant has N0 = {N0}")
     lam = reduced.spectrum.lambdas
-    q_c = reduced.q_c
     K, L = gains.K, gains.L
 
-    A0 = np.diag(-lam[:N0] + q_c)
-    A1 = np.zeros((N0 + 1, N0 + 1))
-    A1[1:, 0] = reduced.a_coef[:N0]
-    A1[1:, 1:] = A0
-    B1 = np.concatenate([[1.0], reduced.b_coef[:N0]])
-    A2 = np.diag(-lam[N0:N] + q_c)
-    B2a = reduced.a_coef[N0:N].copy()
-    B2b = reduced.b_coef[N0:N].copy()
+    A0, A1, B1 = _design_blocks(reduced)
+    A2 = np.diag(-lam[N0:N] + reduced.q_c)
     C0 = reduced.out_coef[:N0].copy()
     kind = reduced.plant.measurement.kind
     if kind == BOUNDED:
@@ -211,8 +203,8 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     F[i1, i4] = np.outer(Ltilde, C1)
     F[i2, i2] = A0 - np.outer(L, C0)
     F[i2, i4] = -np.outer(L, C1)
-    F[i3, i1] = np.outer(B2b, K)
-    F[i3, 0] += B2a
+    F[i3, i1] = np.outer(reduced.b_coef[N0:N], K)
+    F[i3, 0] += reduced.a_coef[N0:N]
     F[i3, i3] = A2
     F[i4, i4] = A2
 
@@ -226,9 +218,5 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     G = reduced.a_norm2 * np.outer(E_row, E_row) + reduced.b_norm2 * np.outer(Ktilde, Ktilde)
     g = reduced.a_norm2 + reduced.b_norm2 * float(K @ K)
 
-    return ClosedLoopMatrices(
-        N=N, N0=N0, A0=A0, A1=A1, B1=B1,
-        B0a=reduced.a_coef[:N0].copy(), B0b=reduced.b_coef[:N0].copy(),
-        A2=A2, B2a=B2a, B2b=B2b, C0=C0, C1=C1,
-        F=F, Lcal=Lcal, G=G, g=g, E_row=E_row, Ktilde_row=Ktilde,
-    )
+    return ClosedLoopMatrices(N=N, N0=N0, A0=A0, A1=A1, B1=B1, A2=A2, C0=C0, C1=C1,
+                              F=F, Lcal=Lcal, G=G, g=g)

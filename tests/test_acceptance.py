@@ -107,24 +107,22 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     assert again.theta1_max_eig <= 0 and again.theta2 <= 0
 
     # the Lyapunov-constructed P provably fails the left-flux example at every
-    # N <= 10 (Theta1 needs lambda_{N+1}^(3/8) to dominate |G| |P Lcal|^2 M2phi,
-    # i.e. N in the hundreds); its exact margins are recorded
+    # N <= 10 and every alpha (Theta1 needs lambda_{N+1}^(3/8) to dominate
+    # |G| |P Lcal|^2 M2phi, i.e. N in the hundreds); its exact margins are recorded
     with pytest.raises(NoFeasibleN) as exc:
         ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=10)
     neumann_margins = exc.value.margins
     constructive_fails = all(rec["margin"] > 0 for rec in neumann_margins.values())
 
-    # the free-P LMI solved in the repository, smallest N first over the alpha
-    # grid; the returned certificate independently re-verified
+    # the free-P LMI solved in the repository, smallest N first, each at its
+    # best alpha; the returned certificate independently re-verified
     n_star_n, cert_n = None, None
     for N in range(neumann_pipeline.reduced.N0 + 1, 11):
         model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
-        for alpha in (1.1, 2.0, 10.0):
-            cert = ss.free_p_certificate(model, neumann_pipeline.reduced, alpha)
-            if cert.feasible:
-                n_star_n, cert_n = N, cert
-                break
-        if cert_n is not None:
+        alpha = ss.optimal_alpha(model, neumann_pipeline.reduced)
+        cert = ss.free_p_certificate(model, neumann_pipeline.reduced, alpha)
+        if cert.feasible:
+            n_star_n, cert_n = N, cert
             break
     assert cert_n is not None, "free-P solve found no certificate for N <= 10"
     reduced_star_n = ss.reduce(neumann_pipeline.plant, neumann_pipeline.spectrum, n_star_n)
@@ -144,7 +142,7 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
               f"proved infeasible for N <= 10 (margins "
               f"{min(r['margin'] for r in neumann_margins.values()):.4f}.."
               f"{max(r['margin'] for r in neumann_margins.values()):.4f}), "
-              f"neumann free-P N* = {n_star_n} (alpha = {cert_n.alpha:g}, "
+              f"neumann free-P N* = {n_star_n} (alpha = {cert_n.alpha:.5g}, "
               f"max eig Theta1 = {again_n.theta1_max_eig:.3e}); {elapsed:.1f}s")
     report(3, ok, detail)
     assert elapsed < 30.0

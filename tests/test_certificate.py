@@ -75,6 +75,26 @@ def test_verify_limit_structure_small_beta_gamma(dirichlet_pipeline):
     assert c_lo.theta2 < 0 < c_hi.theta2
 
 
+def test_verify_rejects_theta1_at_its_crossing(dirichlet_pipeline):
+    # lower beta of the N = 6 certificate to the Schur-complement value where
+    # max eig Theta1 crosses 0: the eigenvalue is 0 up to rounding (either
+    # sign), Theta2 only improves, and the point must not count as verified
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    model = ss.assemble_closed_loop(red, gains, 6)
+    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+    assert cert.feasible
+    n = model.dim
+    S = model.F.T @ cert.P + cert.P @ model.F + 2 * red.delta * cert.P \
+        + cert.alpha * cert.gamma * model.G
+    v = cert.P @ model.Lcal
+    beta_cross = float(v @ np.linalg.solve(-S, v))
+    assert beta_cross == pytest.approx(43.0774, rel=1e-5)
+    crossing = ss.verify_certificate(model, red, cert.P, cert.alpha, beta_cross, cert.gamma)
+    assert abs(crossing.theta1_max_eig) < 1e-12 * n
+    assert crossing.theta2 < cert.theta2 < 0
+    assert not crossing.feasible
+
+
 def test_verify_dimension_mismatch(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 3)
@@ -138,6 +158,63 @@ def test_query_validation():
         ss.CertificateQuery(alpha=1.0)
     with pytest.raises(ValueError):
         ss.CertificateQuery(alpha=2.0, eps=0.7)
+
+
+def _optimal_alpha_cases(pipelines):
+    # the three fixtures, and the left flux with q_c + delta <= 0, where
+    # Theta3 binds instead of Theta2
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=-1.0,
+                         measurement=ss.MeasurementSpec.neumann(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 12, 2000), 10)
+    return [(p.reduced, p.gains) for p in pipelines] + [(red, ss.design_gains(red))]
+
+
+def test_optimal_alpha_maximises_slope_ratio(dirichlet_pipeline, neumann_pipeline,
+                                             bounded_pipeline):
+    alphas = np.linspace(1.0 + 1e-4, 20.0, 5001)
+    step = alphas[1] - alphas[0]
+    for red, gains in _optimal_alpha_cases(
+            (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)):
+        for N in range(2, 11):
+            model = ss.assemble_closed_loop(red, gains, N)
+            alpha = ss.optimal_alpha(model, red)
+            ratio = np.array([ss.certificate._beta_slope(model, red, a, 0.125)
+                              for a in alphas]) / alphas
+            best = ss.certificate._beta_slope(model, red, alpha, 0.125) / alpha
+            assert abs(alpha - alphas[np.argmax(ratio)]) <= step
+            assert best >= ratio.max() - 1e-12 * abs(ratio.max())
+    assert ss.optimal_alpha(model, red) == 2.0  # the q_c + delta <= 0 left flux
+
+
+def test_optimal_alpha_rejects_no_maximiser():
+    # lambda_(N+1) + q_c + delta <= 0: k/alpha grows towards alpha = 1
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=-100.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 12, 2000), 10)
+    model = ss.assemble_closed_loop(red, ss.design_gains(red), 2)
+    with pytest.raises(ValueError, match="lambda_\\(N\\+1\\) \\+ q_c \\+ delta"):
+        ss.optimal_alpha(model, red)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 2), N=st.integers(2, 8),
+       alpha=st.floats(1.0, 20.0, exclude_min=True))
+@example(which=0, N=6, alpha=1.5)
+@example(which=0, N=5, alpha=2.0)
+@example(which=1, N=2, alpha=1.1)
+def test_optimal_alpha_dominates_every_alpha(
+        dirichlet_pipeline, neumann_pipeline, bounded_pipeline, which, N, alpha):
+    pipe = (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)[which]
+    red = pipe.reduced
+    model = ss.assemble_closed_loop(red, pipe.gains, N)
+    P = ss.lyapunov_solve(model.F, red.delta)
+    star = ss.optimal_alpha(model, red)
+    cert, margin = ss.certificate._exact_search(model, red, P, ss.CertificateQuery(alpha))
+    cert_star, margin_star = ss.certificate._exact_search(
+        model, red, P, ss.CertificateQuery(star))
+    # equal up to rounding where alpha is alpha* itself
+    assert margin_star <= margin + 1e-12 * max(1.0, abs(margin))
+    assert cert_star.feasible or not cert.feasible
 
 
 def _scan_finds_feasible(model, red, alpha):
@@ -210,11 +287,17 @@ def test_minimal_n_dirichlet(dirichlet_pipeline):
 
 @pytest.mark.parametrize("alpha", [1.1, 2.0, 10.0])
 def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
+    # proved at the best alpha, whose margin is no larger than at any other
     with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, N_max=5,
-                     alpha_grid=(alpha,))
-    assert exc.value.margins[5]["margin"] > 0
-    assert exc.value.margins[5]["alpha"] == alpha
+        ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, N_max=5)
+    red = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, 5)
+    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 5)
+    rec = exc.value.margins[5]
+    assert rec["margin"] > 0
+    assert rec["alpha"] == ss.optimal_alpha(model, red)
+    P = ss.lyapunov_solve(model.F, red.delta)
+    _, margin = ss.certificate._exact_search(model, red, P, ss.CertificateQuery(alpha))
+    assert rec["margin"] <= margin
 
 
 def test_minimal_n_bounded(bounded_pipeline):
@@ -226,22 +309,26 @@ def test_minimal_n_bounded(bounded_pipeline):
 
 def test_minimal_n_reports_margins_when_exhausted(neumann_pipeline):
     with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=4,
-                     alpha_grid=(2.0,))
+        ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=4)
     assert sorted(exc.value.margins) == [2, 3, 4]
-    for rec in exc.value.margins.values():
+    for N, rec in exc.value.margins.items():
         assert rec["margin"] > 0
+        model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
+        assert rec["alpha"] == ss.optimal_alpha(model, neumann_pipeline.reduced)
 
 
-def test_minimal_n_nonpositive_beta_slope_reports_finite_margins(neumann_pipeline):
+def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipeline):
     # at alpha = 1.1, (1 - 1/alpha) lambda_3 < q_c + delta, so Theta2 <= 0
     # leaves no beta > 0 for any gamma: the margin is 1 and stays finite
-    with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=2,
-                     alpha_grid=(1.1,))
-    rec = exc.value.margins[2]
-    assert rec["margin"] == pytest.approx(1.0)
-    assert all(math.isfinite(rec[key]) for key in ("theta1_max_eig", "theta2", "theta3"))
+    red = neumann_pipeline.reduced
+    model = ss.assemble_closed_loop(red, neumann_pipeline.gains, 2)
+    query = ss.CertificateQuery(alpha=1.1)
+    assert ss.certificate._beta_slope(model, red, query.alpha, query.eps) < 0
+    cert = ss.search_certificate(model, red, query)
+    assert not cert.feasible
+    assert all(math.isfinite(v) for v in (cert.theta1_max_eig, cert.theta2, cert.theta3))
+    P = ss.lyapunov_solve(model.F, red.delta)
+    assert ss.certificate._exact_search(model, red, P, query)[1] == pytest.approx(1.0)
 
 
 def test_neumann_first_certified_order_on_long_spectrum():

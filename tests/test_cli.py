@@ -21,7 +21,6 @@ c = 1
 delta = 0.5
 N = auto
 n_max = 6
-alpha_grid = 2
 [sim]
 n_sim = 20
 dt = 0.001
@@ -64,7 +63,8 @@ def dirichlet_preset_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def neumann_preset_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("preset-n")
-    code = run_scenario("neumann-example", out_dir=out, quiet=True)
+    code = run_scenario("neumann-example", out_dir=out, quiet=True,
+                        export_sdpa_path=out / "problem.dat-s")
     return code, out
 
 
@@ -75,7 +75,10 @@ def test_dirichlet_preset_succeeds(dirichlet_preset_run):
     assert np.allclose(report["gains"]["K"], [-5.0058, -2.7748], atol=1e-3)
     assert report["gains"]["L"][0] == pytest.approx(1.4373, abs=1e-3)
     assert report["certificate_feasible"] is True
-    assert report["N_star"] <= 10
+    assert report["N_star"] == 6
+    lam7 = (6.5 * np.pi) ** 2  # lambda_{N*+1} of the pinned-at-1 Laplacian
+    assert report["certificate"]["alpha"] == pytest.approx(2 * lam7 / (lam7 - 3.5),
+                                                           rel=1e-14)
     assert report["simulation"]["fitted_decay_rate"] >= 0.5
     assert report["simulation"]["spectral_abscissa"] < -0.5
     for name in ("u", "v", "eta", "zeta", "l2_norm", "energy", "lyapunov"):
@@ -118,6 +121,23 @@ def test_neumann_preset_reports_infeasible_constructive_search(neumann_preset_ru
     assert report["simulation"]["spectral_abscissa"] < -0.5
 
 
+def test_neumann_preset_export_is_free_p_feasible(neumann_preset_run):
+    # the export is written at the order's best alpha, where the free-P LMI
+    # of that file is feasible (at alpha = 1.1 it is not)
+    _, out = neumann_preset_run
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 10.0,
+                         ss.MeasurementSpec.neumann(), 0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 51)
+    gains = ss.design_gains(ss.reduce(plant, spectrum, 50))
+    reduced = ss.reduce(plant, spectrum, 3)
+    model = ss.assemble_closed_loop(reduced, gains, 3)
+    alpha = ss.optimal_alpha(model, reduced)
+    again = out / "again.dat-s"
+    ss.export_sdpa(model, reduced, alpha, 0.125, again)
+    assert (out / "problem.dat-s").read_bytes() == again.read_bytes()
+    assert ss.free_p_certificate(model, reduced, alpha).feasible
+
+
 # ---------------------------------------------------------------- custom config
 
 def test_bounded_config_runs_and_is_deterministic(tmp_path):
@@ -154,6 +174,15 @@ def test_explicit_observer_order(tmp_path):
     report = load_report(out)
     assert report["N_star"] == 3
     assert report["simulation"]["N"] == 3
+
+
+def test_fixed_order_failure_reports_exact_margin(tmp_path):
+    cfg = write_config(tmp_path, N=2)
+    out = tmp_path / "fixed"
+    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 2
+    record = load_report(out)["search_margins"]["2"]
+    assert 0 < record["margin"] < 1
+    assert record["alpha"] > 1
 
 
 def test_config_keys_n_and_t_reach_the_simulation(tmp_path):
@@ -204,6 +233,14 @@ def test_missing_section_exit_code(tmp_path):
     bad.write_text("[plant]\np = 1\nq = 0\nq_c = 3\nmeasurement = dirichlet\n"
                    "[design]\ndelta = 0.5\n")
     assert run_scenario(str(bad), quiet=True) == 3
+
+
+@pytest.mark.parametrize("line", ["alpha_grid = 2", "[solver]"])
+def test_unknown_key_or_section_exit_code(tmp_path, capsys, line):
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("n_max = 6", f"n_max = 6\n{line}"))
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert line.strip("[]").split(" =")[0] in capsys.readouterr().err
 
 
 def test_unknown_measurement_exit_code(tmp_path):
