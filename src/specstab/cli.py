@@ -199,19 +199,24 @@ def _to_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _write_series(path: Path, t: np.ndarray, values: np.ndarray):
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for ti, vi in zip(t, values):
-            fh.write(f"{ti:.17g},{vi:.17g}\n")
+def _format_column(values) -> list[str]:
+    """Each value at 17 significant digits, as the CSV writers print it."""
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
-def _write_field(path: Path, x: np.ndarray, times, fields):
-    with open(path, "w") as fh:
-        fh.write("x,t,value\n")
-        for ti, field in zip(times, fields):
-            for xi, vi in zip(x, field):
-                fh.write(f"{xi:.17g},{ti:.17g},{vi:.17g}\n")
+def _write_series(path: Path, t_text: list[str], values: np.ndarray):
+    """`t,value` rows; t_text is the time column, formatted once per run."""
+    rows = [f"{ti},{vi:.17g}\n" for ti, vi in zip(t_text, values.tolist())]
+    path.write_text("t,value\n" + "".join(rows))
+
+
+def _write_field(path: Path, x: np.ndarray, t_text: list[str], fields: np.ndarray):
+    """`x,t,value` rows, one block per snapshot time."""
+    x_text = _format_column(x)
+    rows = ["x,t,value\n"]
+    for ti, field in zip(t_text, fields):
+        rows += [f"{xi},{ti},{vi:.17g}\n" for xi, vi in zip(x_text, field.tolist())]
+    path.write_text("".join(rows))
 
 
 def run_scenario(name_or_path: str, n_max: int | None = None,
@@ -352,19 +357,18 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
         say(f"  SDPA export (N = {N_exp}, alpha = {alpha_exp:.6g}) -> {export_sdpa_path}")
 
     stride = max(1, result.times.size // 61)
-    snap = list(range(0, result.times.size, stride))
-    _write_series(out / "u.csv", result.times, result.u)
-    _write_series(out / "v.csv", result.times, result.v)
-    _write_series(out / "eta.csv", result.times, result.eta)
-    _write_series(out / "zeta.csv", result.times, result.zeta)
-    _write_series(out / "l2_norm.csv", result.times, np.sqrt(result.l2_sq))
-    _write_series(out / "energy.csv", result.times, result.energy_sq)
+    snap = np.arange(0, result.times.size, stride)
+    t_text = _format_column(result.times)
+    series = {"u": result.u, "v": result.v, "eta": result.eta, "zeta": result.zeta,
+              "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}
     if lyap is not None:
-        _write_series(out / "lyapunov.csv", result.times, lyap.V)
-    _write_field(out / "state_field.csv", x_grid[::40], [result.times[i] for i in snap],
-                 [result.reconstruct_z(i)[::40] for i in snap])
-    _write_field(out / "error_field.csv", x_grid[::40], [result.times[i] for i in snap],
-                 [result.reconstruct_error(i)[::40] for i in snap])
+        series["lyapunov"] = lyap.V
+    for name, values in series.items():
+        _write_series(out / f"{name}.csv", t_text, values)
+    z_field, error_field = result.snapshot_fields(snap, 40)
+    snap_text = [t_text[i] for i in snap]
+    _write_field(out / "state_field.csv", x_grid[::40], snap_text, z_field)
+    _write_field(out / "error_field.csv", x_grid[::40], snap_text, error_field)
 
     report = {
         "name": cfg["scenario"]["name"],

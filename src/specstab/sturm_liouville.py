@@ -6,6 +6,13 @@ left-flux measurement path).  The operator is discretized in conservative
 flux form, which keeps the discrete problem symmetric tridiagonal; eigenvalues
 are Richardson-extrapolated over two grid levels and eigenfunctions are kept
 on the fine grid.
+
+Fine-grid eigenpairs: LAPACK stebz (bisection) gives the eigenvalues, called
+as scipy's eigh_tridiagonal calls it, so they are bit-identical to it; each
+eigenvector is one stein (inverse iteration) call, and one in-place
+Cholesky-QR (syrk, Cholesky, trsm) orthonormalizes them all.  A single stein
+call over all of them would Gram-Schmidt each vector against every earlier
+one, because on fine grids all wanted eigenvalues fall in one stein cluster.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, cholesky, eigh_tridiagonal
+from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import BoundViolation, GridMismatch, NonPositiveDiffusion, ResolutionTooCoarse
 
@@ -81,6 +90,49 @@ class BoundarySpec:
         return self.kind == NEUMANN_DIRICHLET
 
 
+def _sign_changes(coeffs) -> list[float]:
+    """Points of (0, 1) where the ascending-coefficient polynomial changes
+    sign, to rounding.
+
+    Between consecutive sign changes of its derivative the polynomial is
+    monotone, so each such piece holds at most one sign change, which
+    bisection finds; the derivative's come from the same recursion.
+    """
+    c = [float(v) for v in coeffs][::-1]
+    if len(c) < 2:
+        return []
+
+    def value(x):
+        acc = 0.0
+        for ck in c:
+            acc = acc * x + ck
+        return acc
+
+    knots = [0.0, *_sign_changes(np.polynomial.polynomial.polyder(coeffs)), 1.0]
+    roots = []
+    for a, b in zip(knots, knots[1:]):
+        fa, fb = value(a), value(b)
+        if not (fa < 0 < fb or fb < 0 < fa):
+            continue
+        m = 0.5 * (a + b)
+        while a < m < b:
+            if (value(m) < 0) == (fa < 0):
+                a = m
+            else:
+                b = m
+            m = 0.5 * (a + b)
+        roots.append(m)
+    return roots
+
+
+def _polynomial_range(coeffs) -> tuple[float, float]:
+    """Minimum and maximum on [0, 1] of the ascending-coefficient polynomial,
+    from its values at the endpoints and where its derivative changes sign."""
+    x = [0.0, 1.0, *_sign_changes(np.polynomial.polynomial.polyder(coeffs))]
+    values = np.polynomial.polynomial.polyval(np.array(x), coeffs)
+    return float(values.min()), float(values.max())
+
+
 @dataclass(frozen=True)
 class CoefficientPair:
     """Diffusion p and reaction q with their a-priori bounds.
@@ -125,20 +177,17 @@ class CoefficientPair:
 
     @classmethod
     def from_polynomials(cls, p_coeffs, q_coeffs) -> "CoefficientPair":
-        """Build from ascending-order polynomial coefficients."""
+        """Build from ascending-order polynomial coefficients, with exact bounds."""
         pc = np.atleast_1d(np.asarray(p_coeffs, dtype=float))
         qc = np.atleast_1d(np.asarray(q_coeffs, dtype=float))
-        dpc = pc[1:] * np.arange(1, len(pc))
-        x = np.linspace(0.0, 1.0, 4001)
-        pv = np.polynomial.polynomial.polyval(x, pc)
-        qv = np.polynomial.polynomial.polyval(x, qc)
+        dpc = np.polynomial.polynomial.polyder(pc)
+        p_star, p_sup = _polynomial_range(pc)
         return cls(
             p=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), pc),
             q=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), qc),
-            p_prime=lambda x: np.polynomial.polynomial.polyval(
-                np.asarray(x, dtype=float), dpc if len(dpc) else np.zeros(1)),
-            p_star=float(pv.min()), p_sup=float(pv.max()),
-            q_sup=float(max(qv.max(), 0.0)), smoothness="C2",
+            p_prime=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dpc),
+            p_star=p_star, p_sup=p_sup,
+            q_sup=max(_polynomial_range(qc)[1], 0.0), smoothness="C2",
         )
 
     def constant_values(self) -> tuple[float, float] | None:
@@ -261,18 +310,43 @@ def _solve_grid(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
         # unknowns f_1..f_{G-1}
         d = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
         e = -pmid[1:-1] / h ** 2
-    if want_vectors:
-        lam, V = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1))
-        phi = np.zeros((n_modes, G + 1))
-        if bspec.neumann_at_0:
-            phi[:, :-1] = V.T
-            phi[:, 0] *= np.sqrt(2.0)
-        else:
-            phi[:, 1:-1] = V.T
-        return lam, phi
-    lam = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1),
-                           eigvals_only=True)
-    return lam, None
+    if not want_vectors:
+        lam = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1),
+                               eigvals_only=True)
+        return lam, None
+    phi = np.zeros((n_modes, G + 1))
+    first = 0 if bspec.neumann_at_0 else 1
+    lam = _eigenpairs(d, e, n_modes, phi, first)
+    if bspec.neumann_at_0:
+        phi[:, 0] *= np.sqrt(2.0)
+    return lam, phi
+
+
+def _eigenpairs(d: np.ndarray, e: np.ndarray, n_modes: int, phi: np.ndarray,
+                first: int) -> np.ndarray:
+    """Lowest n_modes eigenpairs of the symmetric tridiagonal matrix (d, e).
+
+    Returns the eigenvalues in ascending order and writes the orthonormal
+    eigenvectors into the rows of phi, at columns first..first+d.size-1; the
+    other columns of phi must be zero.  The Cholesky-QR works on phi.T, a
+    Fortran-ordered view of the same buffer, so no second copy is made.
+    """
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, n_modes, 0.0, "B")
+    if info:
+        raise LinAlgError(f"stebz (bisection) failed with info = {info}")
+    order = np.argsort(w[:m])
+    block = np.empty_like(iblock)  # stein's wrapper wants n entries; one is read
+    for mode, i in enumerate(order, 1):
+        block[0] = iblock[i]
+        z, info = dstein(d, e, w[i:i + 1], block, isplit)
+        if info:
+            raise LinAlgError(
+                f"stein: inverse iteration for mode {mode} did not converge (info = {info})")
+        phi[mode - 1, first:first + d.size] = z[:, 0]
+    V = phi.T
+    R = cholesky(dsyrk(1.0, V, trans=1), overwrite_a=True, check_finite=False)
+    dtrsm(1.0, R, V, side=1, overwrite_b=1)
+    return w[order]
 
 
 def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import specstab as ss
+from specstab import cli
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import ConfigParse, DecayUnreachable
 from specstab.sdpa import read_sdpa
@@ -212,6 +213,52 @@ def test_variable_coefficient_config(tmp_path):
     report = load_report(out)
     assert report["plant"]["p"] == [1.0, 0.1]
     assert report["simulation"]["spectral_abscissa"] < -0.5
+
+
+def test_variable_coefficients_through_solve_spectrum(tmp_path):
+    # p = 1 + x/2, q = x^2: the finite-difference spectrum, not the closed form
+    cfg = write_config(tmp_path, p="1, 0.5", q="0, 0, 1")
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run_scenario(str(cfg), out_dir=out1, quiet=True) == 0
+    assert run_scenario(str(cfg), out_dir=out2, quiet=True) == 0
+    assert load_report(out1)["N_star"] == 2
+    written = sorted(f.name for f in out1.iterdir())
+    assert written == sorted(f.name for f in out2.iterdir())
+    assert "report.json" in written and "state_field.csv" in written
+    for name in written:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def reference_series(t, values):
+    lines = ["t,value\n"]
+    for ti, vi in zip(t, values):
+        lines.append(f"{ti:.17g},{vi:.17g}\n")
+    return "".join(lines)
+
+
+def reference_field(x, times, fields):
+    lines = ["x,t,value\n"]
+    for ti, field in zip(times, fields):
+        for xi, vi in zip(x, field):
+            lines.append(f"{xi:.17g},{ti:.17g},{vi:.17g}\n")
+    return "".join(lines)
+
+
+def test_csv_writers_match_per_line_formatting(tmp_path):
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0 ** 52, np.pi]
+    rng = np.random.default_rng(11)
+    t = np.concatenate([special, rng.normal(size=7) * 10.0 ** rng.integers(-20, 20, 7)])
+    values = rng.permutation(t) * -1.0
+    assert t.size % 2 == 1
+    t_text = cli._format_column(t)
+    cli._write_series(tmp_path / "s.csv", t_text, values)
+    assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
+    x = np.array([0.0, 0.025, 1 / 3, 1.0, 5e-324])
+    fields = rng.normal(size=(3, x.size)) * [[1e300], [-0.0], [1e-310]]
+    steps = [0, 5, 16]
+    cli._write_field(tmp_path / "f.csv", x, [t_text[i] for i in steps], fields)
+    expected = reference_field(x, t[steps], fields).encode()
+    assert (tmp_path / "f.csv").read_bytes() == expected
 
 
 # ---------------------------------------------------------------- errors & codes

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import specstab as ss
 from specstab.errors import (
@@ -88,6 +89,49 @@ def test_exact_stepping_dt_consistency(dirichlet_pipeline):
     assert diff < 1e-10 * scale
 
 
+def sequential_trajectory(A, state, dt, steps):
+    """Reference stepping: one matrix-vector product per step."""
+    E = expm(A * dt)
+    traj = np.empty((steps + 1, state.size))
+    traj[0] = state
+    for k in range(steps):
+        state = E @ state
+        traj[k + 1] = state
+    return traj
+
+
+def assert_matches_sequential(A, res, dt):
+    traj = np.column_stack([res.u, res.w_modes, res.what_modes])
+    ref = sequential_trajectory(A, traj[0], dt, res.times.size - 1)
+    assert traj.shape == ref.shape
+    assert np.max(np.abs(traj - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 3000])
+def test_blocked_stepping_matches_sequential(dirichlet_pipeline, neumann_pipeline, steps):
+    dt = 1e-3
+    for make in (dirichlet_run, neumann_run):
+        pipe = dirichlet_pipeline if make is dirichlet_run else neumann_pipeline
+        A, res = make(pipe, T=steps * dt, dt=dt)
+        assert res.times.size == steps + 1
+        assert_matches_sequential(A, res, dt)
+
+
+def test_blocked_stepping_matches_sequential_at_varcoef_size():
+    # a 203 x 203 closed loop, the size of the varcoef-fine benchmark's
+    # (N_sim = 200, N = 2), over 3000 steps
+    weight = lambda x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 3.0,
+                         ss.MeasurementSpec.bounded(weight), 0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 201, 4000)
+    reduced = ss.reduce(plant, spectrum, 200)
+    A = ss.assemble_sim(reduced, ss.design_gains(reduced), 2, 200)
+    assert A.shape == (203, 203)
+    x = spectrum.grid
+    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-3, T=3.0)
+    assert_matches_sequential(A, ss.run(A, config, spectrum, reduced), 1e-3)
+
+
 def test_open_loop_growth_rate(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
@@ -143,6 +187,22 @@ def test_reconstructed_boundary_conditions(dirichlet_pipeline, neumann_pipeline)
         w = resn.reconstruct_w(step)
         assert abs(w[-1]) <= 1e-8
         assert abs(w[0]) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_snapshot_fields_match_per_step_reconstructions(dirichlet_pipeline,
+                                                        neumann_pipeline, kind):
+    if kind == "dirichlet":
+        _, res = dirichlet_run(dirichlet_pipeline, T=0.5)
+    else:
+        _, res = neumann_run(neumann_pipeline, T=0.5)
+    steps = np.arange(0, res.times.size, 37)
+    z, error = res.snapshot_fields(steps, 40)
+    z_ref = np.array([res.reconstruct_z(i)[::40] for i in steps])
+    error_ref = np.array([res.reconstruct_error(i)[::40] for i in steps])
+    assert z.shape == error.shape == z_ref.shape == (steps.size, 51)
+    assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
+    assert np.max(np.abs(error - error_ref)) <= 1e-12 * np.max(np.abs(error_ref))
 
 
 def test_field_energy_matches_modal_sum(dirichlet_pipeline):

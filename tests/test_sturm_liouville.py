@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 import specstab as ss
 from specstab.errors import (
@@ -241,3 +243,100 @@ def test_solver_matches_dense_eigensolver_route():
     fine = _dense_pinned_eigenvalues(coeffs, 800, 6)
     lam_dense = (4.0 * fine - coarse) / 3.0
     assert np.allclose(lam_pkg, lam_dense, rtol=1e-10)
+
+
+# ---------------------------------------------------------------- fine-grid eigenpairs
+
+def _flux_form_tridiagonal(coeffs, bspec, G):
+    # the flux-form matrix as the module builds it: pinned at both ends, or
+    # flat at 0 with node 0 rescaled by 1/sqrt(2) to keep it symmetric
+    h = 1.0 / G
+    x = np.linspace(0.0, 1.0, G + 1)
+    pmid = coeffs.p(x[:-1] + h / 2)
+    qv = coeffs.q(x)
+    if bspec.neumann_at_0:
+        d = np.concatenate([[2 * pmid[0] / h ** 2 + qv[0]],
+                            (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]])
+        e = -pmid[:-1] / h ** 2
+        e[0] *= SQ2
+    else:
+        d = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
+        e = -pmid[1:-1] / h ** 2
+    return d, e
+
+
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_fine_grid_eigenpairs_match_eigh_tridiagonal(bspec):
+    # 60 modes on 4000 intervals: every wanted eigenvalue lies within stein's
+    # cluster threshold of its neighbours, the case eigh_tridiagonal handles
+    # by Gram-Schmidt inside stein
+    m = 60
+    d, e = _flux_form_tridiagonal(variable_coeffs(), bspec, 4000)
+    lam_ref, V_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
+    phi = np.zeros((m, d.size + 2))
+    lam = ss.sturm_liouville._eigenpairs(d, e, m, phi, 1)
+    assert np.array_equal(lam, lam_ref)
+    assert not np.any(phi[:, 0]) and not np.any(phi[:, -1])
+    V = phi[:, 1:-1].T
+    signs = np.sign(np.sum(V * V_ref, axis=0))
+    assert np.max(np.abs(V * signs - V_ref)) <= 1e-10
+    assert np.max(np.abs(V.T @ V - np.eye(m))) <= 1e-13
+    TV = d[:, None] * V
+    TV[:-1] += e[:, None] * V[1:]
+    TV[1:] += e[:, None] * V[:-1]
+    norm1 = np.max(np.abs(d) + np.concatenate([np.abs(e), [0]]) + np.concatenate([[0], np.abs(e)]))
+    assert np.max(np.abs(TV - V * lam)) <= 10 * np.finfo(float).eps * norm1
+
+
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_richardson_eigenvalues_bit_identical_to_eigh_tridiagonal(bspec):
+    coeffs = variable_coeffs()
+    sp = ss.solve_spectrum(coeffs, bspec, 50, 2000)
+    coarse, fine = (eigh_tridiagonal(*_flux_form_tridiagonal(coeffs, bspec, G),
+                                     select="i", select_range=(0, 49), eigvals_only=True)
+                    for G in (2000, 4000))
+    assert np.array_equal(sp.lambdas, (4.0 * fine - coarse) / 3.0)
+
+
+def test_stein_failure_names_the_mode(monkeypatch):
+    stein = ss.sturm_liouville.dstein
+    calls = []
+
+    def failing_third_call(*args):
+        calls.append(None)
+        z, info = stein(*args)
+        return z, (1 if len(calls) == 3 else info)
+
+    monkeypatch.setattr(ss.sturm_liouville, "dstein", failing_third_call)
+    with pytest.raises(LinAlgError, match="mode 3"):
+        ss.solve_spectrum(variable_coeffs(), DD, 5, 400)
+
+
+# ---------------------------------------------------------------- polynomial bounds
+
+def test_polynomial_bounds_are_exact_at_interior_extrema():
+    # interior extrema a 4001-point sample misses by 1.9e-9 and 8.2e-9
+    a, b = 0.123456789, 0.3141592653
+    p = ss.CoefficientPair.from_polynomials([1 + a * a, -2 * a, 1], [0.0])
+    assert p.p_star == pytest.approx(1.0, abs=4e-16)
+    assert p.p_sup == pytest.approx(1 + (1 - a) ** 2, rel=1e-15)
+    q = ss.CoefficientPair.from_polynomials([1.0], [0.5 - b * b, 2 * b, -1])
+    assert q.q_sup == pytest.approx(0.5, abs=4e-16)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+@example(coeffs=[0.0, 1.0, -1.0, 1.175494351e-38])  # companion-matrix roots lose x = 1/2
+@example(coeffs=[0.0, 1.625, -1.0, 1e-12])
+@example(coeffs=[0.0, 0.56, -1.5, 1.0])  # p' > 0 at both ends, two interior extrema
+def test_polynomial_range_brackets_dense_samples(coeffs):
+    lo, hi = ss.sturm_liouville._polynomial_range(np.asarray(coeffs))
+    h = 1.0 / 20000
+    values = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, 20001), coeffs)
+    tol = 1e-12 * max(1.0, np.max(np.abs(values)))
+    assert lo <= values.min() + tol and hi >= values.max() - tol
+    # attained: a sample lies within h/2 of an interior extremum, where the
+    # value differs by at most max|p''| h^2 / 8
+    curvature = sum(k * (k - 1) * abs(c) for k, c in enumerate(coeffs))
+    assert values.min() - lo <= curvature * h * h / 8 + tol
+    assert hi - values.max() <= curvature * h * h / 8 + tol
