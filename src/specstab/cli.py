@@ -356,8 +356,7 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
         cert_mod.export_sdpa(model_exp, reduced_exp, alpha_exp, eps_val, export_sdpa_path)
         say(f"  SDPA export (N = {N_exp}, alpha = {alpha_exp:.6g}) -> {export_sdpa_path}")
 
-    stride = max(1, result.times.size // 61)
-    snap = np.arange(0, result.times.size, stride)
+    snap = result.snapshot_steps
     t_text = _format_column(result.times)
     series = {"u": result.u, "v": result.v, "eta": result.eta, "zeta": result.zeta,
               "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}

@@ -4,12 +4,19 @@ The coupled system over (u, w_1..w_Nsim, what_1..what_N) is linear and
 time-invariant, so each run computes one matrix exponential E of A_cl*dt
 (scaling-and-squaring Pade) and steps exactly.  The steps are blocked: with
 b = ceil(sqrt(steps)), the block starts x_0, x_b, x_2b, ... come from E^b,
-and then all blocks advance together by matrix products with E, so a run
-takes about sqrt(steps) matrix-matrix and sqrt(steps) matrix-vector products
-in place of steps matrix-vector ones.
-Recorded series include the control, the tail output, modal norms, the
-composite decay witness eta, and field reconstructions, per step or for a set
-of snapshot steps on a subsampled grid in one product.
+and then all blocks advance together as one (blocks x dim) slab by matrix
+products with E, so a run takes about sqrt(steps) matrix-matrix and
+sqrt(steps) matrix-vector products in place of steps matrix-vector ones.
+
+The trajectory is never stored.  Each slab is reduced as it is produced: one
+product with a fixed matrix of linear outputs (u, v, zeta, the first N plant
+modes and the N observer modes) and one product of the squared slab with a
+matrix of diagonal quadratic weights (sum w_n^2, sum lambda_n w_n^2, eta^2,
+the tail sum_{n>N} lambda_n w_n^2 of the Lyapunov functional and its last two
+terms).  Only the current slab and the next one are alive, and the full
+state is copied at every snapshot_stride-th step.  A state between snapshots
+is recomputed from the snapshot before it, and the field reconstructions
+read these states.
 """
 
 from __future__ import annotations
@@ -33,11 +40,15 @@ from .sturm_liouville import Spectrum, derivative_at_0, derivative_field, projec
 from .synthesis import GainSet
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
+_SNAPSHOTS = 61        # a run stores the full state at about this many steps
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run settings: plant truncation, stepping, horizon, initial data."""
+    """Run settings: plant truncation, stepping, horizon, initial data.
+
+    z0 is kept as a private read-only 1-D float copy.
+    """
 
     z0: np.ndarray
     u0: float
@@ -48,22 +59,32 @@ class SimConfig:
     def __post_init__(self):
         if self.N_sim < 1 or self.dt <= 0 or self.T <= 0:
             raise ValueError("N_sim, dt, T must be positive")
-        self.z0.setflags(write=False)
+        z0 = np.array(self.z0, dtype=float)
+        if z0.ndim != 1:
+            raise ValueError(f"z0 must be one-dimensional, got shape {z0.shape}")
+        z0.setflags(write=False)
+        object.__setattr__(self, "z0", z0)
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Time series of one closed-loop run, plus field reconstruction."""
+    """Per-step series of one closed-loop run, the low-mode arrays, and the
+    full state at every snapshot_stride-th step."""
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    w_modes: np.ndarray       # (steps+1, N_sim)
-    what_modes: np.ndarray    # (steps+1, N)
+    w_low: np.ndarray           # (steps+1, N) plant modes w_1..w_N
+    what_modes: np.ndarray      # (steps+1, N)
     zeta: np.ndarray
-    l2_sq: np.ndarray         # sum w_n^2
-    energy_sq: np.ndarray     # sum lambda_n w_n^2
+    l2_sq: np.ndarray           # sum w_n^2
+    energy_sq: np.ndarray       # sum lambda_n w_n^2
     eta: np.ndarray
+    tail_energy_sq: np.ndarray  # sum_{N<n<=N_sim} lambda_n w_n^2
+    tail_last: np.ndarray       # (steps+1, 2) lambda_n w_n^2, n = N_sim-1, N_sim
+    snapshot_stride: int
+    snapshot_states: np.ndarray  # (snapshots, 1+N_sim+N) at steps 0, stride, ...
+    E: np.ndarray               # one-step matrix exp(A_cl dt)
     N: int
     N0: int
     N_sim: int
@@ -71,38 +92,58 @@ class SimResult:
     reduced: ReducedPlant
 
     def __post_init__(self):
-        for name in ("times", "u", "v", "w_modes", "what_modes", "zeta",
-                     "l2_sq", "energy_sq", "eta"):
+        for name in ("times", "u", "v", "w_low", "what_modes", "zeta", "l2_sq",
+                     "energy_sq", "eta", "tail_energy_sq", "tail_last",
+                     "snapshot_states", "E"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def snapshot_steps(self) -> np.ndarray:
+        """Steps whose full state is stored."""
+        return np.arange(0, self.times.size, self.snapshot_stride)
+
+    def state(self, step: int) -> np.ndarray:
+        """Full state (u, w_1..w_N_sim, what_1..what_N) at a step: the snapshot
+        at or before it, advanced by at most snapshot_stride - 1 products with E."""
+        j, r = divmod(range(self.times.size)[step], self.snapshot_stride)
+        x = self.snapshot_states[j]
+        for _ in range(r):
+            x = self.E @ x
+        return x
 
     def _lifting(self) -> np.ndarray:
         x = self.spectrum.grid
         return x ** self.reduced.plant.lifting_exponent
 
+    def _w_field(self, state: np.ndarray) -> np.ndarray:
+        return state[1: 1 + self.N_sim] @ self.spectrum.eigenfunctions[: self.N_sim]
+
     def reconstruct_w(self, step: int) -> np.ndarray:
         """Homogenized field w(t_step, x) on the spectrum grid."""
-        phi = self.spectrum.eigenfunctions[: self.N_sim]
-        return self.w_modes[step] @ phi
+        return self._w_field(self.state(step))
 
     def reconstruct_z(self, step: int) -> np.ndarray:
         """Physical field z = w + lifting * u on the spectrum grid."""
-        return self.reconstruct_w(step) + self._lifting() * self.u[step]
+        x = self.state(step)
+        return self._w_field(x) + self._lifting() * x[0]
 
     def reconstruct_error(self, step: int) -> np.ndarray:
         """Observation error w - sum_{n<=N} what_n phi_n on the spectrum grid."""
-        phi = self.spectrum.eigenfunctions[: self.N]
-        return self.reconstruct_w(step) - self.what_modes[step] @ phi
+        x = self.state(step)
+        return self._w_field(x) - x[1 + self.N_sim:] @ self.spectrum.eigenfunctions[: self.N]
 
     def snapshot_fields(self, steps, stride: int) -> tuple[np.ndarray, np.ndarray]:
         """z and the observation error at the given steps on every stride-th
         grid point, one row per step, from one product over the modes."""
-        steps = np.asarray(steps)
-        coef = np.vstack([self.w_modes[steps], self.w_modes[steps]])
-        coef[steps.size:, : self.N] -= self.what_modes[steps]
+        states = np.array([self.state(k) for k in np.asarray(steps).tolist()])
+        n = states.shape[0]
+        w = states[:, 1: 1 + self.N_sim]
+        coef = np.vstack([w, w])
+        coef[n:, : self.N] -= states[:, 1 + self.N_sim:]
         fields = coef @ self.spectrum.eigenfunctions[: self.N_sim, ::stride]
         lifting = self._lifting()[::stride]
-        z = fields[: steps.size] + np.outer(self.u[steps], lifting)
-        return z, fields[steps.size:]
+        z = fields[:n] + np.outer(states[:, 0], lifting)
+        return z, fields[n:]
 
 
 def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> np.ndarray:
@@ -149,7 +190,7 @@ def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> n
 
 
 def _check_compatibility(config: SimConfig, spectrum: Spectrum, reduced: ReducedPlant):
-    z0 = np.asarray(config.z0, dtype=float)
+    z0 = config.z0
     if z0.shape != (spectrum.grid_size + 1,):
         raise GridMismatch(
             f"z0 has {z0.shape[0]} samples, spectrum grid has {spectrum.grid_size + 1}")
@@ -167,23 +208,40 @@ def _check_compatibility(config: SimConfig, spectrum: Spectrum, reduced: Reduced
             raise ValueError(f"z0(0) = {z0[0]:.3e} violates the pinned-at-0 compatibility")
 
 
-def _propagate(E: np.ndarray, x0: np.ndarray, steps: int) -> np.ndarray:
-    """Rows x_k = E^k x0 for k = 0..steps, in blocks of b = ceil(sqrt(steps)).
+def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
+               quadratic: np.ndarray, stride: int):
+    """Reduce the rows x_k = E^k x0, k = 0..steps, without storing them.
 
-    Row j*b + r of the result is x_{jb} advanced r times by E; the block
-    starts x_{jb} are repeated products with E^b.  The buffer holds whole
-    blocks, and the rows past x_steps are cut off by the returned view.
+    Returns x_k @ linear, (x_k ** 2) @ quadratic (one row per step) and the
+    states x_0, x_stride, x_2stride, ...  The steps run in blocks of
+    b = ceil(sqrt(steps)): the slab of block starts x_{jb} comes from repeated
+    products with E^b, and slab r holds x_{jb+r} for every block j.  Its
+    reductions go to row r of each block in (blocks, b, .) buffers, so the
+    reshaped buffers are in step order; the rows past x_steps are cut off.
     """
     b = math.isqrt(max(steps - 1, 0)) + 1
     n_blocks = steps // b + 1
-    blocks = np.empty((n_blocks, b, x0.size))
-    blocks[0, 0] = x0
+    lin = np.empty((n_blocks, b, linear.shape[1]))
+    quad = np.empty((n_blocks, b, quadratic.shape[1]))
+    snap = np.arange(0, steps + 1, stride)
+    snap_block, snap_row = np.divmod(snap, b)
+    states = np.empty((snap.size, x0.size))
+    slab, nxt, sq = (np.empty((n_blocks, x0.size)) for _ in range(3))
+    slab[0] = x0
     Eb = np.linalg.matrix_power(E, b)
     for j in range(1, n_blocks):
-        blocks[j, 0] = Eb @ blocks[j - 1, 0]
-    for r in range(1, b):
-        np.matmul(blocks[:, r - 1], E.T, out=blocks[:, r])
-    return blocks.reshape(n_blocks * b, x0.size)[: steps + 1]
+        slab[j] = Eb @ slab[j - 1]
+    for r in range(b):
+        if r:
+            np.matmul(slab, E.T, out=nxt)
+            slab, nxt = nxt, slab
+        np.matmul(slab, linear, out=lin[:, r])
+        np.matmul(np.square(slab, out=sq), quadratic, out=quad[:, r])
+        at = snap_row == r
+        states[at] = slab[snap_block[at]]
+    rows = n_blocks * b
+    return (lin.reshape(rows, -1)[: steps + 1], quad.reshape(rows, -1)[: steps + 1],
+            states)
 
 
 def run(A_cl: np.ndarray, config: SimConfig, spectrum: Spectrum,
@@ -196,8 +254,7 @@ def run(A_cl: np.ndarray, config: SimConfig, spectrum: Spectrum,
     N_sim, N0 = config.N_sim, reduced.N0
     _check_compatibility(config, spectrum, reduced)
     x_grid = spectrum.grid
-    w0 = np.asarray(config.z0, dtype=float) \
-        - x_grid ** reduced.plant.lifting_exponent * config.u0
+    w0 = config.z0 - x_grid ** reduced.plant.lifting_exponent * config.u0
     state = np.zeros(dim)
     state[0] = config.u0
     for n in range(1, N_sim + 1):
@@ -210,21 +267,36 @@ def run(A_cl: np.ndarray, config: SimConfig, spectrum: Spectrum,
         raise StepRejected(
             f"one-step norm {step_norm:.3e} over {steps} steps would overflow")
 
-    traj = _propagate(E, state, steps)
-    times = np.arange(steps + 1) * config.dt
-
-    u = traj[:, 0]
-    w_modes = traj[:, 1: 1 + N_sim]
-    what_modes = traj[:, 1 + N_sim:]
-    Krow = np.concatenate([[A_cl[0, 0]], A_cl[0, 1 + N_sim: 1 + N_sim + N0]])
-    v = u * Krow[0] + what_modes[:, :N0] @ Krow[1:]
-    zeta = w_modes[:, N:] @ reduced.out_coef[N:N_sim]
+    # linear outputs: u, v = K (u, what_1..N0), zeta, w_1..w_N, what_1..what_N
+    w_idx = np.arange(1, N_sim + 1)
+    what_idx = np.arange(1 + N_sim, dim)
+    linear = np.zeros((dim, 3 + 2 * N))
+    linear[0, 0] = 1.0
+    linear[0, 1] = A_cl[0, 0]
+    linear[what_idx[:N0], 1] = A_cl[0, what_idx[:N0]]
+    linear[w_idx[N:], 2] = reduced.out_coef[N:N_sim]
+    linear[w_idx[:N], 3 + np.arange(N)] = 1.0
+    linear[what_idx, 3 + N + np.arange(N)] = 1.0
+    # quadratic weights: sum w^2, sum lambda w^2, eta^2, the tail of the
+    # Lyapunov functional and its last two terms
     lam = spectrum.lambdas[:N_sim]
-    l2_sq = np.sum(w_modes ** 2, axis=1)
-    energy_sq = w_modes ** 2 @ lam
-    eta = np.sqrt(u ** 2 + np.sum(what_modes ** 2, axis=1) + l2_sq + energy_sq)
-    return SimResult(times=times, u=u, v=v, w_modes=w_modes, what_modes=what_modes,
-                     zeta=zeta, l2_sq=l2_sq, energy_sq=energy_sq, eta=eta,
+    quadratic = np.zeros((dim, 6))
+    quadratic[w_idx, 0] = 1.0
+    quadratic[w_idx, 1] = lam
+    quadratic[:, 2] = 1.0
+    quadratic[w_idx, 2] += lam
+    quadratic[w_idx[N:], 3] = lam[N:]
+    if N_sim - N >= 2:
+        quadratic[w_idx[-2:], [4, 5]] = lam[-2:]
+
+    stride = max(1, (steps + 1) // _SNAPSHOTS)
+    lin, quad, states = _propagate(E, state, steps, linear, quadratic, stride)
+    return SimResult(times=np.arange(steps + 1) * config.dt,
+                     u=lin[:, 0], v=lin[:, 1], zeta=lin[:, 2],
+                     w_low=lin[:, 3: 3 + N], what_modes=lin[:, 3 + N:],
+                     l2_sq=quad[:, 0], energy_sq=quad[:, 1], eta=np.sqrt(quad[:, 2]),
+                     tail_energy_sq=quad[:, 3], tail_last=quad[:, 4:],
+                     snapshot_stride=stride, snapshot_states=states, E=E,
                      N=N, N0=N0, N_sim=N_sim, spectrum=spectrum, reduced=reduced)
 
 
@@ -264,7 +336,7 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
         scale = lam[N0:N]
     else:
         scale = np.ones(N - N0)
-    err = result.w_modes[:, :N] - result.what_modes
+    err = result.w_low - result.what_modes
     X = np.hstack([
         result.u[:, None],
         result.what_modes[:, :N0],
@@ -274,12 +346,11 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
     ])
     V = np.einsum("ki,ij,kj->k", X, certificate.P, X)
     gamma = certificate.gamma
-    tail_terms = result.w_modes[:, N:] ** 2 * lam[N:N_sim]
-    V = V + gamma * np.sum(tail_terms, axis=1)
+    V = V + gamma * result.tail_energy_sq
     # geometric estimate of the part beyond N_sim, from the last two terms
     if N_sim - N >= 2:
-        last = gamma * tail_terms[:, -1]
-        prev = gamma * tail_terms[:, -2]
+        last = gamma * result.tail_last[:, 1]
+        prev = gamma * result.tail_last[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(prev > 0, last / np.maximum(prev, 1e-300), 0.0)
         ratio = np.clip(ratio, 0.0, 0.9)

@@ -111,6 +111,23 @@ def test_reduce_norms_and_feedthrough(bounded_pipeline):
     assert red.tail_constant == pytest.approx(1.0, rel=1e-12)  # ||c||^2, c = 1
 
 
+def test_reduce_projections_bit_identical_to_whole_matrix_product():
+    # the varcoef-fine coefficients, grid (16080 intervals) and order
+    # (N = n_sim = 200), where reduce weights 32 rows at a time; the
+    # analytic eigenfunctions serve only as rows to project on
+    N = 200
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0])
+    weight = lambda x: 1.0 + np.sin(3.0 * np.asarray(x, dtype=float))  # noqa: E731
+    plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.bounded(weight), 0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 201, 16080)
+    red = ss.reduce(plant, spectrum, N)
+    x, w, phi = spectrum.grid, spectrum.weights, spectrum.eigenfunctions
+    a, b = ss.lifting_functions(plant, x)
+    assert np.array_equal(red.a_coef, (phi[:N] * w) @ a)
+    assert np.array_equal(red.b_coef, (phi[:N] * w) @ b)
+    assert np.array_equal(red.out_coef, (phi[:N] * w) @ weight(x))
+
+
 def test_reduce_requires_spare_mode():
     sp = ss.analytic_spectrum(ND, 4, 2000)
     plant = constant_plant(3.0, ss.MeasurementSpec.dirichlet())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -73,7 +75,7 @@ def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
     # without a tail the unestimated-gain errors decouple exactly:
     # e_n(t) = e_n(0) exp((-lambda_n+q_c) t) for n > N0
     N0 = pipe.reduced.N0
-    err = res.w_modes[:, N0:N] - res.what_modes[:, N0:]
+    err = res.w_low[:, N0:N] - res.what_modes[:, N0:]
     lam = pipe.spectrum.lambdas[N0:N]
     analytic = err[0] * np.exp(np.outer(res.times, -lam + pipe.reduced.q_c))
     assert np.max(np.abs(err - analytic)) < 1e-8 * max(1.0, np.max(np.abs(err[0])))
@@ -81,11 +83,17 @@ def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
 
 # ---------------------------------------------------------------- stepping
 
+def all_plant_modes(res):
+    """w_1..w_N_sim at every step, from the stored snapshots."""
+    return np.array([res.state(k)[1: 1 + res.N_sim] for k in range(res.times.size)])
+
+
 def test_exact_stepping_dt_consistency(dirichlet_pipeline):
     _, coarse = dirichlet_run(dirichlet_pipeline, T=0.2, dt=1e-3)
     _, fine = dirichlet_run(dirichlet_pipeline, T=0.2, dt=5e-4)
-    scale = np.max(np.abs(coarse.w_modes[0]))
-    diff = np.max(np.abs(fine.w_modes[::2] - coarse.w_modes))
+    coarse_w, fine_w = all_plant_modes(coarse), all_plant_modes(fine)
+    scale = np.max(np.abs(coarse_w[0]))
+    diff = np.max(np.abs(fine_w[::2] - coarse_w))
     assert diff < 1e-10 * scale
 
 
@@ -100,11 +108,41 @@ def sequential_trajectory(A, state, dt, steps):
     return traj
 
 
+def reference_series(A, res, ref):
+    """Every per-step series and mode array of a SimResult, from a stored
+    trajectory by direct formulas."""
+    N, N0, N_sim = res.N, res.N0, res.N_sim
+    u, w, what = ref[:, 0], ref[:, 1: 1 + N_sim], ref[:, 1 + N_sim:]
+    lam = res.spectrum.lambdas[:N_sim]
+    l2_sq = np.sum(w ** 2, axis=1)
+    energy_sq = w ** 2 @ lam
+    tail = w[:, N:] ** 2 * lam[N:]
+    last = tail[:, -2:] if N_sim - N >= 2 else np.zeros((ref.shape[0], 2))
+    return {
+        "u": u, "v": u * A[0, 0] + what[:, :N0] @ A[0, 1 + N_sim: 1 + N_sim + N0],
+        "zeta": w[:, N:] @ res.reduced.out_coef[N:N_sim],
+        "w_low": w[:, :N], "what_modes": what,
+        "l2_sq": l2_sq, "energy_sq": energy_sq,
+        "eta": np.sqrt(u ** 2 + np.sum(what ** 2, axis=1) + l2_sq + energy_sq),
+        "tail_energy_sq": np.sum(tail, axis=1), "tail_last": last,
+    }
+
+
 def assert_matches_sequential(A, res, dt):
-    traj = np.column_stack([res.u, res.w_modes, res.what_modes])
-    ref = sequential_trajectory(A, traj[0], dt, res.times.size - 1)
-    assert traj.shape == ref.shape
-    assert np.max(np.abs(traj - ref)) <= 1e-12 * np.max(np.abs(ref))
+    x0 = res.snapshot_states[0]
+    ref = sequential_trajectory(A, x0, dt, res.times.size - 1)
+    for name, expected in reference_series(A, res, ref).items():
+        got = getattr(res, name)
+        assert got.shape == expected.shape, name
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+    snap = res.snapshot_steps
+    assert snap[0] == 0 and np.all(np.diff(snap) == res.snapshot_stride)
+    assert snap[-1] + res.snapshot_stride > res.times.size - 1
+    assert np.max(np.abs(res.snapshot_states - ref[snap])) <= 1e-12 * np.max(np.abs(ref))
+    # states between snapshots are recomputed from the snapshot before them
+    between = [*range(min(res.times.size, 2 * res.snapshot_stride + 1)), res.times.size - 1]
+    states = np.array([res.state(k) for k in between])
+    assert np.max(np.abs(states - ref[between])) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 3000])
@@ -117,19 +155,46 @@ def test_blocked_stepping_matches_sequential(dirichlet_pipeline, neumann_pipelin
         assert_matches_sequential(A, res, dt)
 
 
-def test_blocked_stepping_matches_sequential_at_varcoef_size():
-    # a 203 x 203 closed loop, the size of the varcoef-fine benchmark's
-    # (N_sim = 200, N = 2), over 3000 steps
+def varcoef_size_loop():
+    """A 203 x 203 closed loop, the size of the varcoef-fine benchmark's
+    (N_sim = 200, N = 2), on an analytic spectrum."""
     weight = lambda x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 3.0,
                          ss.MeasurementSpec.bounded(weight), 0.5)
     spectrum = ss.analytic_spectrum(plant.boundary, 201, 4000)
     reduced = ss.reduce(plant, spectrum, 200)
-    A = ss.assemble_sim(reduced, ss.design_gains(reduced), 2, 200)
+    gains = ss.design_gains(reduced)
+    A = ss.assemble_sim(reduced, gains, 2, 200)
     assert A.shape == (203, 203)
+    return plant, spectrum, reduced, gains, A
+
+
+def test_blocked_stepping_matches_sequential_at_varcoef_size():
+    _, spectrum, reduced, _, A = varcoef_size_loop()
     x = spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-3, T=3.0)
     assert_matches_sequential(A, ss.run(A, config, spectrum, reduced), 1e-3)
+
+
+def test_run_and_trace_memory_independent_of_trajectory_size():
+    # the varcoef-fine horizon of 30000 steps, where a stored trajectory
+    # alone would be (steps+1)(1+N_sim+N) doubles; at 3000 steps the fixed
+    # cost of expm and of the step norm would dominate the bound
+    plant, spectrum, reduced, gains, _ = varcoef_size_loop()
+    n_star, cert = ss.minimal_N(plant, spectrum, lambda red: gains, N_max=10)
+    A = ss.assemble_sim(reduced, gains, n_star, 200)
+    x = spectrum.grid
+    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-4, T=3.0)
+    tracemalloc.start()
+    try:
+        res = ss.run(A, config, spectrum, reduced)
+        trace = ss.lyapunov_trace(res, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = res.times.size - 1
+    assert steps == 30000 and trace.V.size == steps + 1
+    assert peak < (steps + 1) * A.shape[0] * 8 / 4
 
 
 def test_open_loop_growth_rate(dirichlet_pipeline):
@@ -152,6 +217,25 @@ def test_step_rejected_on_overflow_horizon(dirichlet_pipeline):
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=0.1, T=1300.0)
     with pytest.raises(StepRejected):
         ss.run(A, config, pipe.spectrum, pipe.reduced)
+
+
+def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
+    pipe = dirichlet_pipeline
+    x = pipe.spectrum.grid
+    z0 = 1.0 + x ** 2
+    config = ss.SimConfig(z0=z0, u0=2.0, N_sim=50, dt=1e-3, T=0.01)
+    assert z0.flags.writeable and not config.z0.flags.writeable
+    z0[0] = 7.0
+    assert config.z0[0] == 1.0
+    from_list = ss.SimConfig(z0=(1.0 + x ** 2).tolist(), u0=2.0, N_sim=50, dt=1e-3, T=0.01)
+    assert from_list.z0.dtype == float and from_list.z0.shape == x.shape
+    A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
+    a = ss.run(A, config, pipe.spectrum, pipe.reduced)
+    b = ss.run(A, from_list, pipe.spectrum, pipe.reduced)
+    assert np.array_equal(a.eta, b.eta)
+    for bad in (np.ones((2, x.size)), 1.0):
+        with pytest.raises(ValueError):
+            ss.SimConfig(z0=bad, u0=1.0)
 
 
 def test_compatibility_checks(dirichlet_pipeline, neumann_pipeline):
@@ -223,7 +307,7 @@ def test_feedthrough_consistency_bounded(bounded_pipeline):
     c = np.ones_like(x)
     for step in (0, 150, 300):
         y_field = float(np.sum(w * c * res.reconstruct_z(step)))
-        y_tilde_modal = float(res.w_modes[step] @ pipe.reduced.out_coef[:50])
+        y_tilde_modal = float(res.state(step)[1:51] @ pipe.reduced.out_coef[:50])
         reconstructed = y_field - pipe.reduced.feedthrough * res.u[step]
         assert reconstructed == pytest.approx(y_tilde_modal, abs=1e-8)
 
