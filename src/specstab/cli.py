@@ -204,19 +204,29 @@ def _format_column(values) -> list[str]:
     return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
+#: rows formatted and written per chunk by the CSV writers, which bounds the
+#: text they hold at once
+_ROWS_PER_WRITE = 4096
+
+
 def _write_series(path: Path, t_text: list[str], values: np.ndarray):
     """`t,value` rows; t_text is the time column, formatted once per run."""
-    rows = [f"{ti},{vi:.17g}\n" for ti, vi in zip(t_text, values.tolist())]
-    path.write_text("t,value\n" + "".join(rows))
+    with path.open("w") as out:
+        out.write("t,value\n")
+        for start in range(0, len(t_text), _ROWS_PER_WRITE):
+            stop = start + _ROWS_PER_WRITE
+            rows = zip(t_text[start:stop], values[start:stop].tolist())
+            out.write("".join([f"{ti},{vi:.17g}\n" for ti, vi in rows]))
 
 
 def _write_field(path: Path, x: np.ndarray, t_text: list[str], fields: np.ndarray):
-    """`x,t,value` rows, one block per snapshot time."""
+    """`x,t,value` rows, one block (and one write) per snapshot time."""
     x_text = _format_column(x)
-    rows = ["x,t,value\n"]
-    for ti, field in zip(t_text, fields):
-        rows += [f"{xi},{ti},{vi:.17g}\n" for xi, vi in zip(x_text, field.tolist())]
-    path.write_text("".join(rows))
+    with path.open("w") as out:
+        out.write("x,t,value\n")
+        for ti, field in zip(t_text, fields):
+            rows = zip(x_text, field.tolist())
+            out.write("".join([f"{xi},{ti},{vi:.17g}\n" for xi, vi in rows]))
 
 
 def run_scenario(name_or_path: str, n_max: int | None = None,

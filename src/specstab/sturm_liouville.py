@@ -7,23 +7,35 @@ flux form, which keeps the discrete problem symmetric tridiagonal; eigenvalues
 are Richardson-extrapolated over two grid levels and eigenfunctions are kept
 on the fine grid.
 
-Fine-grid eigenpairs: LAPACK stebz (bisection) gives the eigenvalues, called
-as scipy's eigh_tridiagonal calls it, so they are bit-identical to it; each
+Both grids' eigenvalues come from LAPACK stebz (bisection), called as scipy's
+eigh_tridiagonal calls it, so they are bit-identical to it; each fine-grid
 eigenvector is one stein (inverse iteration) call, and one in-place
 Cholesky-QR (syrk, Cholesky, trsm) orthonormalizes them all.  A single stein
 call over all of them would Gram-Schmidt each vector against every earlier
 one, because on fine grids all wanted eigenvalues fall in one stein cluster.
+
+The work runs on two threads, the caller and one worker: the coarse grid's
+bisection overlaps the fine grid's, and the stein calls are split between
+the threads by alternate modes.  stebz and stein are called through the
+function pointers of scipy.linalg.cython_lapack, which release the GIL; the
+flux-form matrices and the Cholesky-QR stay on the caller.  Each thread has
+its own workspace and writes its own rows of the eigenvector buffer, and
+each call is the serial run's call on the same data, so the results are
+bit-identical to running them one after another.
 """
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ThreadPoolExecutor
+from ctypes import (CFUNCTYPE, PYFUNCTYPE, addressof, c_char, c_char_p, c_double, c_int,
+                    c_void_p, py_object, pythonapi)
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cholesky, cython_lapack
 from scipy.linalg.blas import dsyrk, dtrsm
-from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import BoundViolation, GridMismatch, NonPositiveDiffusion, ResolutionTooCoarse
 
@@ -286,9 +298,9 @@ def analytic_spectrum(bspec: BoundarySpec, n_modes: int,
                     weights=simpson_weights(grid_size))
 
 
-def _solve_grid(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
-                grid_size: int, want_vectors: bool):
-    """Eigenpairs of the flux-form discretization on one grid level."""
+def _flux_form(coeffs: CoefficientPair, bspec: BoundarySpec,
+               grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the flux-form discretization on one grid."""
     G = grid_size
     h = 1.0 / G
     x = np.linspace(0.0, 1.0, G + 1)
@@ -304,49 +316,108 @@ def _solve_grid(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
         d[0] = 2 * pmid[0] / h ** 2 + qv[0]
         d[1:] = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
         e = -pmid[:-1] / h ** 2
-        e = e.copy()
         e[0] *= np.sqrt(2.0)
     else:
         # unknowns f_1..f_{G-1}
         d = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
         e = -pmid[1:-1] / h ** 2
-    if not want_vectors:
-        lam = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1),
-                               eigvals_only=True)
-        return lam, None
-    phi = np.zeros((n_modes, G + 1))
-    first = 0 if bspec.neumann_at_0 else 1
-    lam = _eigenpairs(d, e, n_modes, phi, first)
-    if bspec.neumann_at_0:
-        phi[:, 0] *= np.sqrt(2.0)
-    return lam, phi
+    return d, e
+
+
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine `name` of scipy.linalg.cython_lapack as a ctypes
+    function; every argument is an address, and a call releases the GIL."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = PYFUNCTYPE(c_char_p, py_object)(("PyCapsule_GetName", pythonapi))
+    capsule_pointer = PYFUNCTYPE(c_void_p, py_object, c_char_p)(
+        ("PyCapsule_GetPointer", pythonapi))
+    signature = capsule_name(capsule)  # e.g. b"void (int *, double *, ...)"
+    prototype = CFUNCTYPE(None, *[c_void_p] * signature.count(b"*"))
+    return prototype(capsule_pointer(capsule, signature))
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest m eigenvalues of the symmetric tridiagonal matrix (d, e).
+
+    LAPACK dstebz by index range 1..m with tolerance 0, the call scipy's
+    eigh_tridiagonal makes.  Returns the eigenvalues in ascending order, their
+    block numbers in the same order, and the block ends, as stein reads them.
+    """
+    d = np.ascontiguousarray(d, dtype=float)
+    e = np.ascontiguousarray(e, dtype=float)
+    n = d.size
+    if e.size != n - 1:
+        raise ValueError(f"e needs {n - 1} entries for {n} diagonal entries, has {e.size}")
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.intc)
+    by_index, by_block = c_char(b"I"), c_char(b"B")
+    size, lowest, highest = c_int(n), c_int(1), c_int(m)
+    zero = c_double(0.0)  # the value bounds, unused by index, and the tolerance
+    found, nsplit, info = c_int(), c_int(), c_int()
+    _lapack("dstebz")(
+        addressof(by_index), addressof(by_block), addressof(size), addressof(zero),
+        addressof(zero), addressof(lowest), addressof(highest), addressof(zero),
+        d.ctypes.data, e.ctypes.data, addressof(found), addressof(nsplit), w.ctypes.data,
+        iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+        addressof(info))
+    if info.value:
+        raise LinAlgError(f"stebz (bisection) failed with info = {info.value}")
+    order = np.argsort(w[:found.value])
+    return w[order], iblock[order], isplit
+
+
+def _stein(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray,
+           isplit: np.ndarray, modes, phi: np.ndarray, first: int):
+    """Inverse iteration (LAPACK dstein, one eigenvalue per call) for each
+    1-indexed mode in modes; eigenvector `mode` goes to phi[mode - 1] at
+    columns first..first+d.size-1.  w, iblock and isplit are _stebz's."""
+    d = np.ascontiguousarray(d, dtype=float)
+    e = np.ascontiguousarray(e, dtype=float)
+    n = d.size
+    if not phi.flags.c_contiguous or phi.dtype != float or phi.shape[1] < first + n:
+        raise ValueError(f"phi must be C-contiguous float64 with {first + n} columns or more")
+    work = np.empty(5 * n)
+    iwork = np.empty(n, dtype=np.intc)
+    ifail = np.empty(1, dtype=np.intc)
+    size, one, info = c_int(n), c_int(1), c_int()
+    stein = _lapack("dstein")
+    for mode in modes:
+        i = mode - 1
+        stein(addressof(size), d.ctypes.data, e.ctypes.data, addressof(one),
+              w[i:].ctypes.data, iblock[i:].ctypes.data, isplit.ctypes.data,
+              phi[i, first:].ctypes.data, addressof(size), work.ctypes.data,
+              iwork.ctypes.data, ifail.ctypes.data, addressof(info))
+        if info.value:
+            raise LinAlgError(
+                f"stein: inverse iteration for mode {mode} did not converge "
+                f"(info = {info.value})")
 
 
 def _eigenpairs(d: np.ndarray, e: np.ndarray, n_modes: int, phi: np.ndarray,
-                first: int) -> np.ndarray:
+                first: int, pool: ThreadPoolExecutor) -> np.ndarray:
     """Lowest n_modes eigenpairs of the symmetric tridiagonal matrix (d, e).
 
     Returns the eigenvalues in ascending order and writes the orthonormal
     eigenvectors into the rows of phi, at columns first..first+d.size-1; the
-    other columns of phi must be zero.  The Cholesky-QR works on phi.T, a
+    other columns of phi must be zero.  The stein calls of the even modes run
+    on pool, the odd ones on the caller.  The Cholesky-QR works on phi.T, a
     Fortran-ordered view of the same buffer, so no second copy is made.
     """
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, n_modes, 0.0, "B")
-    if info:
-        raise LinAlgError(f"stebz (bisection) failed with info = {info}")
-    order = np.argsort(w[:m])
-    block = np.empty_like(iblock)  # stein's wrapper wants n entries; one is read
-    for mode, i in enumerate(order, 1):
-        block[0] = iblock[i]
-        z, info = dstein(d, e, w[i:i + 1], block, isplit)
-        if info:
-            raise LinAlgError(
-                f"stein: inverse iteration for mode {mode} did not converge (info = {info})")
-        phi[mode - 1, first:first + d.size] = z[:, 0]
+    w, iblock, isplit = _stebz(d, e, n_modes)
+    modes = range(1, w.size + 1)
+    even = pool.submit(_stein, d, e, w, iblock, isplit, modes[1::2], phi, first)
+    try:
+        _stein(d, e, w, iblock, isplit, modes[::2], phi, first)
+    finally:
+        even.result()
     V = phi.T
     R = cholesky(dsyrk(1.0, V, trans=1), overwrite_a=True, check_finite=False)
     dtrsm(1.0, R, V, side=1, overwrite_b=1)
-    return w[order]
+    return w
 
 
 def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
@@ -355,7 +426,9 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
 
     The problem is discretized in conservative flux form on grids of
     grid_size and 2*grid_size intervals; eigenvalues are Richardson
-    extrapolated, eigenfunctions and traces come from the fine grid.
+    extrapolated, eigenfunctions and traces come from the fine grid.  The
+    coarse grid's bisection runs on a worker thread while the caller
+    bisects the fine grid; see the module docstring.
 
     Parameters
     ----------
@@ -367,10 +440,19 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
         Base (coarse) grid intervals; must be even.
     """
     _require_resolution(n_modes, grid_size)
-    lam_coarse, _ = _solve_grid(coeffs, bspec, n_modes, grid_size, want_vectors=False)
-    lam_fine, phi = _solve_grid(coeffs, bspec, n_modes, 2 * grid_size, want_vectors=True)
-    lam = (4.0 * lam_fine - lam_coarse) / 3.0
     G = 2 * grid_size
+    coarse = _flux_form(coeffs, bspec, grid_size)
+    d, e = _flux_form(coeffs, bspec, G)
+    phi = np.zeros((n_modes, G + 1))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        coarse_bisection = pool.submit(_stebz, *coarse, n_modes)
+        try:
+            lam_fine = _eigenpairs(d, e, n_modes, phi, 0 if bspec.neumann_at_0 else 1, pool)
+        finally:
+            lam_coarse = coarse_bisection.result()[0]
+    if bspec.neumann_at_0:
+        phi[:, 0] *= np.sqrt(2.0)
+    lam = (4.0 * lam_fine - lam_coarse) / 3.0
     h = 1.0 / G
     w = simpson_weights(G)
     for i in range(n_modes):

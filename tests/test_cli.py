@@ -261,6 +261,15 @@ def test_csv_writers_match_per_line_formatting(tmp_path):
     assert (tmp_path / "f.csv").read_bytes() == expected
 
 
+def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
+    # 17 rows written 4 at a time: four full chunks and one single row
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+    t = np.linspace(0.0, 1.6, 17)
+    values = np.random.default_rng(5).normal(size=t.size)
+    cli._write_series(tmp_path / "s.csv", cli._format_column(t), values)
+    assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
+
+
 # ---------------------------------------------------------------- errors & codes
 
 def test_missing_file_is_config_parse(tmp_path):

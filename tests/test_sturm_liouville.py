@@ -1,7 +1,14 @@
+import ctypes
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cholesky, eigh_tridiagonal
+from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg.lapack import dstebz, dstein
 
 import specstab as ss
 from specstab.errors import (
@@ -274,7 +281,8 @@ def test_fine_grid_eigenpairs_match_eigh_tridiagonal(bspec):
     d, e = _flux_form_tridiagonal(variable_coeffs(), bspec, 4000)
     lam_ref, V_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
     phi = np.zeros((m, d.size + 2))
-    lam = ss.sturm_liouville._eigenpairs(d, e, m, phi, 1)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        lam = ss.sturm_liouville._eigenpairs(d, e, m, phi, 1, pool)
     assert np.array_equal(lam, lam_ref)
     assert not np.any(phi[:, 0]) and not np.any(phi[:, -1])
     V = phi[:, 1:-1].T
@@ -298,18 +306,112 @@ def test_richardson_eigenvalues_bit_identical_to_eigh_tridiagonal(bspec):
     assert np.array_equal(sp.lambdas, (4.0 * fine - coarse) / 3.0)
 
 
+def _serial_spectrum(coeffs, bspec, n_modes, grid_size):
+    # solve_spectrum's algorithm on one thread, through scipy's f2py stebz
+    # and stein: (lambdas, eigenfunctions, trace0, dtrace0)
+    coarse = eigh_tridiagonal(*_flux_form_tridiagonal(coeffs, bspec, grid_size), select="i",
+                              select_range=(0, n_modes - 1), eigvals_only=True)
+    G = 2 * grid_size
+    d, e = _flux_form_tridiagonal(coeffs, bspec, G)
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, n_modes, 0.0, "B")
+    assert m == n_modes and info == 0
+    order = np.argsort(w[:m])
+    first = 0 if bspec.neumann_at_0 else 1
+    phi = np.zeros((n_modes, G + 1))
+    block = np.empty_like(iblock)
+    for row, i in enumerate(order):
+        block[0] = iblock[i]
+        z, info = dstein(d, e, w[i:i + 1], block, isplit)
+        assert info == 0
+        phi[row, first:first + d.size] = z[:, 0]
+    V = phi.T
+    R = cholesky(dsyrk(1.0, V, trans=1), overwrite_a=True, check_finite=False)
+    dtrsm(1.0, R, V, side=1, overwrite_b=1)
+    if bspec.neumann_at_0:
+        phi[:, 0] *= SQ2
+    h = 1.0 / G
+    weights = ss.simpson_weights(G)
+    for i in range(n_modes):
+        phi[i] /= np.sqrt(np.sum(weights * phi[i] ** 2))
+        datum = phi[i, 0] if bspec.neumann_at_0 else ss.sturm_liouville.derivative_at_0(phi[i], h)
+        if datum < 0:
+            phi[i] = -phi[i]
+    dtrace0 = (np.zeros(n_modes) if bspec.neumann_at_0 else
+               np.array([ss.sturm_liouville.derivative_at_0(f, h) for f in phi]))
+    return (4.0 * w[order] - coarse) / 3.0, phi, phi[:, 0].copy(), dtrace0
+
+
+def _spectrum_arrays(sp):
+    return sp.lambdas, sp.eigenfunctions, sp.trace0, sp.dtrace0
+
+
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_threaded_spectrum_bit_identical_to_serial_f2py_route(bspec):
+    # 60 modes on a 4800-interval fine grid: every eigenvalue sits in one
+    # stein cluster, and the two threads' stein calls interleave by mode
+    coeffs = variable_coeffs()
+    got = _spectrum_arrays(ss.solve_spectrum(coeffs, bspec, 60, 2400))
+    for a, b in zip(got, _serial_spectrum(coeffs, bspec, 60, 2400)):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_solves_match_serial_solves():
+    # two solves at once, each with its own worker (four threads on at most
+    # two cores, switching often): the LAPACK bindings, built afresh on the
+    # first concurrent round, are shared; the workspaces are not
+    cases = [(variable_coeffs(), ND, 60, 2400),
+             (ss.CoefficientPair.constant(1.3, 0.5), DD, 40, 3200)]
+    serial = [_spectrum_arrays(ss.solve_spectrum(*case)) for case in cases]
+    start = threading.Barrier(len(cases), timeout=60)
+
+    def solve(case):
+        start.wait()
+        return _spectrum_arrays(ss.solve_spectrum(*case))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ss.sturm_liouville._lapack.cache_clear()
+        for _ in range(2):
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                concurrent = list(pool.map(solve, cases, timeout=120))
+            for got, want in zip(concurrent, serial):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _fail_stein_at(monkeypatch, mode, coeffs, bspec, n_modes, grid_size):
+    # LAPACK stein reports non-convergence (info = 1) for the fine-grid
+    # eigenvalue of `mode`; returns the list of threads that call ran on
+    lam = eigh_tridiagonal(*_flux_form_tridiagonal(coeffs, bspec, 2 * grid_size), select="i",
+                           select_range=(0, n_modes - 1), eigvals_only=True)
+    lapack = ss.sturm_liouville._lapack
+    threads = []
+
+    def dstein(*args):  # args are addresses: w is the 5th, info the last
+        lapack("dstein")(*args)
+        if ctypes.c_double.from_address(args[4]).value == lam[mode - 1]:
+            threads.append(threading.current_thread())
+            ctypes.c_int.from_address(args[-1]).value = 1
+
+    monkeypatch.setattr(ss.sturm_liouville, "_lapack",
+                        lambda name: dstein if name == "dstein" else lapack(name))
+    return threads
+
+
 def test_stein_failure_names_the_mode(monkeypatch):
-    stein = ss.sturm_liouville.dstein
-    calls = []
-
-    def failing_third_call(*args):
-        calls.append(None)
-        z, info = stein(*args)
-        return z, (1 if len(calls) == 3 else info)
-
-    monkeypatch.setattr(ss.sturm_liouville, "dstein", failing_third_call)
+    threads = _fail_stein_at(monkeypatch, 3, variable_coeffs(), DD, 5, 400)
     with pytest.raises(LinAlgError, match="mode 3"):
         ss.solve_spectrum(variable_coeffs(), DD, 5, 400)
+    assert threads == [threading.current_thread()]
+
+
+def test_stein_failure_on_the_worker_reaches_the_caller(monkeypatch):
+    threads = _fail_stein_at(monkeypatch, 4, variable_coeffs(), ND, 5, 400)
+    with pytest.raises(LinAlgError, match="mode 4"):
+        ss.solve_spectrum(variable_coeffs(), ND, 5, 400)
+    assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
 
 # ---------------------------------------------------------------- polynomial bounds
