@@ -8,14 +8,12 @@ with a scenario runner in cli.
 
 from .certificate import (
     Certificate,
-    CertificateQuery,
     export_sdpa,
     free_p_certificate,
     lyapunov_norm_sweep,
     lyapunov_solve,
     minimal_N,
     optimal_alpha,
-    search_certificate,
     verify_certificate,
 )
 from .homogenize import (
@@ -69,7 +67,6 @@ __all__ = [
     "BOUNDED",
     "BoundarySpec",
     "Certificate",
-    "CertificateQuery",
     "ClosedLoopMatrices",
     "CoefficientPair",
     "DIRICHLET_AT_0",
@@ -105,7 +102,6 @@ __all__ = [
     "reduce",
     "flux_consistency_residual",
     "run",
-    "search_certificate",
     "select_N0",
     "simpson_weights",
     "solve_spectrum",

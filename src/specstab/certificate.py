@@ -14,6 +14,11 @@ F'P + PF + 2 delta P = -I, which reduces the search over (beta, gamma) to one
 concave scalar problem.  With P free the conditions form an LMI in
 (P, beta, gamma): export_sdpa writes it in SDPA format, and
 free_p_certificate solves it with a dense log-barrier method.
+
+Every order is certified on the caller's one ReducedPlant and GainSet: the
+closed loop at order N is assembled from the first N modes of that
+reduction, and eps is the reduction's tail_eps, so the certificate is proved
+on the model whose gains were designed and which is simulated.
 """
 
 from __future__ import annotations
@@ -28,24 +33,10 @@ from .errors import DimensionMismatch, NoFeasibleN, NotHurwitzShifted, OrderTooS
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
 from .sdpa import SdpaProblem
 from .sturm_liouville import Spectrum
-from .synthesis import ClosedLoopMatrices, assemble_closed_loop, design_gains
+from .synthesis import ClosedLoopMatrices, GainSet, assemble_closed_loop, design_gains
 
 #: absolute feasibility tolerance, scaled by each quantity's magnitude
 _FEAS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CertificateQuery:
-    """Search policy at fixed alpha (and eps); (beta, gamma) are chosen exactly."""
-
-    alpha: float
-    eps: float = 0.125
-
-    def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if not 0.0 < self.eps <= 0.5:
-            raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +219,8 @@ def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
 
 
 def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarray,
-                  query: CertificateQuery) -> tuple[Certificate, float]:
-    """Best (beta, gamma) for a Lyapunov P at fixed alpha, and its margin.
+                  alpha: float) -> tuple[Certificate, float]:
+    """Best (beta, gamma) for a Lyapunov P at fixed alpha > 1, and its margin.
 
     With F'P + PF + 2 delta P = -I, the Schur complement turns Theta1 <= 0
     into beta >= h(gamma) = v'(I - alpha gamma G)^-1 v, while Theta2/Theta3
@@ -240,13 +231,14 @@ def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarra
     (0, 1/(alpha max g)); its maximiser is found by bisection on phi'.
     The margin -phi/h at the maximiser is negative iff feasible; an
     infeasible result carries the Theta values at (gamma*, beta = h(gamma*)).
+    eps is the reduction's tail_eps.
     """
-    alpha = query.alpha
+    eps = reduced.tail_eps
     v = P @ model.Lcal
     g, U = np.linalg.eigh(model.G)
     g = np.clip(g, 0.0, None)
     v2, c = float(v @ v), (U.T @ v) ** 2
-    k = _beta_slope(model, reduced, alpha, query.eps)
+    k = _beta_slope(model, reduced, alpha, eps)
 
     def h(gamma: float) -> float:
         s = alpha * gamma * g
@@ -274,20 +266,8 @@ def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarra
     h_star = h(gamma)
     phi = k * gamma - h_star
     beta = 0.5 * (h_star + k * gamma) if phi > 0.0 else h_star
-    cert = verify_certificate(model, reduced, P, alpha, beta, gamma, query.eps)
+    cert = verify_certificate(model, reduced, P, alpha, beta, gamma, eps)
     return cert, -phi / h_star
-
-
-def search_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
-                       query: CertificateQuery) -> Certificate:
-    """Constructive certificate search at fixed alpha.
-
-    P is fixed from the shifted Lyapunov equation and (beta, gamma) come from
-    the exact scalar reduction of the remaining conditions.  The result is
-    verified; an infeasible one proves that this P fails at this alpha.
-    """
-    P = lyapunov_solve(model.F, reduced.delta)
-    return _exact_search(model, reduced, P, query)[0]
 
 
 def _dense_blocks(prob: SdpaProblem) -> list[np.ndarray]:
@@ -385,44 +365,40 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: 
     return cert if y[-1] > tol_abs else replace(cert, feasible=False)
 
 
-def _lyapunov_model(plant, spectrum: Spectrum, N: int, gains_rule=None, eps: float = 0.125):
-    """Reduced plant, closed loop and Lyapunov P at order N, gains by gains_rule."""
-    reduced = reduce(plant, spectrum, N, eps=eps)
-    model = assemble_closed_loop(reduced, (gains_rule or design_gains)(reduced), N)
-    return reduced, model, lyapunov_solve(model.F, reduced.delta)
-
-
-def certify_order(plant, spectrum: Spectrum, N: int, gains_rule=None,
-                  eps: float = 0.125) -> tuple[Certificate, dict]:
+def certify_order(reduced: ReducedPlant, gains: GainSet,
+                  N: int) -> tuple[Certificate, dict]:
     """Constructive certificate at order N and alpha = optimal_alpha, and its record.
 
-    gains_rule maps the ReducedPlant to a GainSet (default: the package pole
-    rule).  The record holds the exact margin (negative when the scalar
-    problem has room), alpha and the Theta values of the returned point.
+    The closed loop is assembled from the first N modes of reduced with the
+    given gains; P solves the shifted Lyapunov equation and (beta, gamma)
+    come from the exact scalar problem.  The record holds the exact margin
+    (negative when the scalar problem has room), alpha and the Theta values
+    of the returned point; an infeasible result proves that this P fails at
+    this N for every alpha.
     """
-    reduced, model, P = _lyapunov_model(plant, spectrum, N, gains_rule, eps)
+    model = assemble_closed_loop(reduced, gains, N)
+    P = lyapunov_solve(model.F, reduced.delta)
     alpha = optimal_alpha(model, reduced)
-    cert, margin = _exact_search(model, reduced, P, CertificateQuery(alpha=alpha, eps=eps))
+    cert, margin = _exact_search(model, reduced, P, alpha)
     record = {"margin": margin, "alpha": alpha,
               "theta1_max_eig": cert.theta1_max_eig, "theta2": cert.theta2,
               "theta3": None if math.isinf(cert.theta3) else cert.theta3}
     return cert, record
 
 
-def minimal_N(plant, spectrum: Spectrum, gains_rule=None, N_max: int = 10,
-              eps: float = 0.125):
+def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = 10):
     """Smallest N <= N_max with a verified constructive certificate.
 
-    Every N from N0+1 up goes through certify_order (monotonicity in N is not
-    assumed).  Raises NoFeasibleN carrying each N's record; a positive margin
+    Every N from N0+1 up goes through certify_order on the same reduction
+    (monotonicity in N is not assumed); reduced must carry at least N_max
+    modes.  Raises NoFeasibleN carrying each N's record; a positive margin
     at optimal_alpha proves the constructive P fails at that N for every alpha.
     """
+    if N_max < reduced.N0 + 1:
+        raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {reduced.N0 + 1}")
     margins: dict[int, dict] = {}
-    reduced0 = reduce(plant, spectrum, min(N_max + 1, spectrum.n_modes - 1), eps=eps)
-    if N_max < reduced0.N0 + 1:
-        raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {reduced0.N0 + 1}")
-    for N in range(reduced0.N0 + 1, N_max + 1):
-        cert, margins[N] = certify_order(plant, spectrum, N, gains_rule, eps)
+    for N in range(reduced.N0 + 1, N_max + 1):
+        cert, margins[N] = certify_order(reduced, gains, N)
         if cert.feasible:
             return N, cert
     raise NoFeasibleN(
@@ -430,16 +406,22 @@ def minimal_N(plant, spectrum: Spectrum, gains_rule=None, N_max: int = 10,
         margins)
 
 
-def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains_rule=None, N_list=None) -> np.ndarray:
+def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains: GainSet | None = None,
+                        N_list=None) -> np.ndarray:
     """Spectral norms of the constructed P^N over a list of orders N.
 
-    With fixed gains the coupling blocks have N-independent norm bounds, so
-    the sequence should stay bounded; this sweep records it empirically.
+    One reduction at max(N_list) serves every order; gains default to the
+    package pole rule on it.  With fixed gains the coupling blocks have
+    N-independent norm bounds, so the sequence should stay bounded; this
+    sweep records it empirically.
     """
-    if N_list is None:
-        N_list = range(2, 13)
-    return np.array([np.linalg.norm(_lyapunov_model(plant, spectrum, N, gains_rule)[2], 2)
-                     for N in N_list])
+    N_list = list(range(2, 13) if N_list is None else N_list)
+    reduced = reduce(plant, spectrum, max(N_list))
+    gains = design_gains(reduced) if gains is None else gains
+    return np.array([
+        np.linalg.norm(lyapunov_solve(assemble_closed_loop(reduced, gains, N).F,
+                                      reduced.delta), 2)
+        for N in N_list])
 
 
 def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,

@@ -1,9 +1,11 @@
 """Scenario runner: parse a config, synthesize, certify, simulate, report.
 
 Configs are flat key-value text with [section] headers (grammar in the
-README); two presets reproduce the constant-coefficient examples.  Outputs
-are CSV series plus a deterministic report.json with floats printed at 17
-significant digits.
+README); two presets reproduce the constant-coefficient examples.  A run
+reduces the plant once, at max(n_sim, n_max) modes, and designs the gains,
+certifies every order, simulates and exports the SDP on that one
+ReducedPlant.  Outputs are CSV series plus a deterministic report.json with
+floats printed at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -158,6 +160,13 @@ def _merged(config: dict) -> dict:
     return merged
 
 
+def _integer(section: str, key: str, value) -> int:
+    """An integer config value; anything else is a ConfigParse naming the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise err.ConfigParse(f"[{section}] {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_coeff_list(value) -> list[float]:
     if isinstance(value, (int, float)):
         return [float(value)]
@@ -254,7 +263,7 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
     say = (lambda *a: None) if quiet else print
     plant_cfg, design_cfg, sim_cfg = cfg["plant"], cfg["design"], cfg["sim"]
     if n_max is not None:
-        design_cfg["n_max"] = int(n_max)
+        design_cfg["n_max"] = n_max
     if eps is not None:
         design_cfg["eps"] = float(eps)
 
@@ -285,11 +294,16 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
     plant = PlantSpec(coeffs=coeffs, q_c=float(plant_cfg["q_c"]),
                       measurement=measurement, delta=float(design_cfg["delta"]))
 
-    n_sim = int(sim_cfg["n_sim"])
-    n_max_val = int(design_cfg["n_max"])
+    n_sim = _integer("sim", "n_sim", sim_cfg["n_sim"])
+    n_max_val = _integer("design", "n_max", design_cfg["n_max"])
+    n_requested = design_cfg["N"]
+    auto = isinstance(n_requested, str) and n_requested.lower() == "auto"
+    if not auto:
+        n_requested = _integer("design", "N", n_requested)
     eps_val = float(design_cfg["eps"])
     n_modes = max(n_sim, n_max_val) + 1
-    is_laplacian = (p_coeffs == [1.0] and q_coeffs == [0.0])
+    trim = np.polynomial.polynomial.polytrim
+    is_laplacian = (trim(p_coeffs).tolist() == [1.0] and trim(q_coeffs).tolist() == [0.0])
     if is_laplacian:
         spectrum = analytic_spectrum(plant.boundary, n_modes)
     else:
@@ -297,7 +311,8 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
         grid += grid % 2
         spectrum = solve_spectrum(coeffs, plant.boundary, n_modes, grid)
 
-    reduced = reduce_plant(plant, spectrum, n_sim, eps=eps_val)
+    # one reduction serves the simulation (n_sim modes) and every order up to n_max
+    reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=eps_val)
     say(f"[{cfg['scenario']['name']}] N0 = {reduced.N0}, "
         f"tail constant = {reduced.tail_constant:.6g}")
 
@@ -311,25 +326,23 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
     say(f"  K = {np.array2string(gains.K, precision=6)}  "
         f"L = {np.array2string(gains.L, precision=6)}")
 
-    n_star = None
     certificate = None
     search_margins = None
-    n_requested = design_cfg["N"]
-    if n_requested == "auto":
+    if auto:
+        N_run = min(n_max_val, reduced.N0 + 2)  # simulated when no order certifies
         try:
-            n_star, certificate = cert_mod.minimal_N(
-                plant, spectrum, gains_rule=lambda red: gains, N_max=n_max_val, eps=eps_val)
+            N_run, certificate = cert_mod.minimal_N(reduced, gains, N_max=n_max_val)
         except err.NoFeasibleN as exc:
             search_margins = exc.margins
     else:
-        N_req = int(n_requested)
-        cand, record = cert_mod.certify_order(plant, spectrum, N_req,
-                                              lambda red: gains, eps_val)
+        N_run = n_requested
+        cand, record = cert_mod.certify_order(reduced, gains, N_run)
         if cand.feasible:
-            n_star, certificate = N_req, cand
+            certificate = cand
         else:
-            search_margins = {N_req: record}
+            search_margins = {N_run: record}
     feasible = certificate is not None
+    n_star = N_run if feasible else None
     if feasible:
         say(f"  certificate verified at N = {n_star} "
             f"(alpha = {certificate.alpha}, beta = {certificate.beta:.6g}, "
@@ -337,8 +350,6 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
     else:
         say(f"  no verified certificate for N <= {n_max_val} (constructive search)")
 
-    N_run = n_star if n_star is not None else min(
-        max(reduced.N0 + 1, 3), n_max_val if n_max_val >= reduced.N0 + 1 else reduced.N0 + 1)
     A_cl = assemble_sim(reduced, gains, N_run, n_sim)
     x_grid = spectrum.grid
     z0_coeffs = np.asarray(_as_coeff_list(sim_cfg["z0"]))
@@ -354,17 +365,15 @@ def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) ->
         f"fitted eta decay rate = {rate:.4f}")
 
     lyap = None
-    if feasible and certificate.N == N_run:
+    if feasible:
         lyap = lyapunov_trace(result, certificate)
         say(f"  V e^(2 delta t) max increment = {lyap.max_increment:.3e}")
 
     if export_sdpa_path:
-        N_exp = n_star if n_star is not None else min(n_max_val, reduced.N0 + 2)
-        reduced_exp = reduce_plant(plant, spectrum, N_exp, eps=eps_val)
-        model_exp = assemble_closed_loop(reduced_exp, gains, N_exp)
-        alpha_exp = cert_mod.optimal_alpha(model_exp, reduced_exp)
-        cert_mod.export_sdpa(model_exp, reduced_exp, alpha_exp, eps_val, export_sdpa_path)
-        say(f"  SDPA export (N = {N_exp}, alpha = {alpha_exp:.6g}) -> {export_sdpa_path}")
+        model = assemble_closed_loop(reduced, gains, N_run)
+        alpha_exp = cert_mod.optimal_alpha(model, reduced)
+        cert_mod.export_sdpa(model, reduced, alpha_exp, eps_val, export_sdpa_path)
+        say(f"  SDPA export (N = {N_run}, alpha = {alpha_exp:.6g}) -> {export_sdpa_path}")
 
     snap = result.snapshot_steps
     t_text = _format_column(result.times)

@@ -81,6 +81,14 @@ FREE_P_NEUMANN_N2 = dict(
 )
 
 
+def constructive_certificate(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant,
+                             alpha: float) -> ss.Certificate:
+    """The verified constructive certificate at fixed alpha: P from the shifted
+    Lyapunov equation, (beta, gamma) from the exact scalar problem."""
+    P = ss.lyapunov_solve(model.F, reduced.delta)
+    return ss.certificate._exact_search(model, reduced, P, alpha)[0]
+
+
 def verified_free_p_certificate(pipeline: Pipeline, frozen: dict) -> ss.Certificate:
     """Re-verify a frozen free-P tuple and return the resulting certificate."""
     model = ss.assemble_closed_loop(pipeline.reduced, pipeline.gains, frozen["N"])

@@ -13,7 +13,12 @@ from specstab.errors import NoFeasibleN
 from specstab.sdpa import read_sdpa
 from specstab.sturm_liouville import derivative_at_0
 
-from conftest import FREE_P_DIRICHLET_N3, FREE_P_NEUMANN_N2, verified_free_p_certificate
+from conftest import (
+    FREE_P_DIRICHLET_N3,
+    FREE_P_NEUMANN_N2,
+    constructive_certificate,
+    verified_free_p_certificate,
+)
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -87,17 +92,15 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     assert probs["neumann"].m_dim == 17 and probs["neumann"].block_sizes == [6, 5, -1, -1, -1, -1]
 
     # reference-order attempts with the constructive P, outcome recorded
-    attempt_d3 = ss.search_certificate(model_d3, dirichlet_pipeline.reduced,
-                                       ss.CertificateQuery(alpha=2.0))
-    attempt_n2 = ss.search_certificate(model_n2, neumann_pipeline.reduced,
-                                       ss.CertificateQuery(alpha=2.0))
+    attempt_d3 = constructive_certificate(model_d3, dirichlet_pipeline.reduced, 2.0)
+    attempt_n2 = constructive_certificate(model_n2, neumann_pipeline.reduced, 2.0)
     # the same orders carry verified free-P certificates (external solve, re-verified)
     verified_free_p_certificate(dirichlet_pipeline, FREE_P_DIRICHLET_N3)
     verified_free_p_certificate(neumann_pipeline, FREE_P_NEUMANN_N2)
 
     # constructive search up to N = 10, returned certificate independently re-verified
-    n_star_d, cert_d = ss.minimal_N(dirichlet_pipeline.plant,
-                                    dirichlet_pipeline.spectrum, N_max=10)
+    n_star_d, cert_d = ss.minimal_N(dirichlet_pipeline.reduced,
+                                    dirichlet_pipeline.gains, N_max=10)
     reduced_star = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
                              n_star_d)
     model_star = ss.assemble_closed_loop(reduced_star, dirichlet_pipeline.gains, n_star_d)
@@ -110,7 +113,7 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     # N <= 10 and every alpha (Theta1 needs lambda_{N+1}^(3/8) to dominate
     # |G| |P Lcal|^2 M2phi, i.e. N in the hundreds); its exact margins are recorded
     with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=10)
+        ss.minimal_N(neumann_pipeline.reduced, neumann_pipeline.gains, N_max=10)
     neumann_margins = exc.value.margins
     constructive_fails = all(rec["margin"] > 0 for rec in neumann_margins.values())
 
@@ -173,7 +176,7 @@ def test_criterion_04_closed_loop_decay(dirichlet_pipeline, neumann_pipeline):
 
 
 def test_criterion_05_lyapunov_monotonicity(dirichlet_pipeline, neumann_pipeline):
-    n_star, cert = ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
+    n_star, cert = ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains,
                                 N_max=10)
     _, res = preset_sim(dirichlet_pipeline, lambda x: 1.0 + x ** 2, N=n_star)
     trace = ss.lyapunov_trace(res, cert)

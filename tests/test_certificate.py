@@ -8,7 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 import specstab as ss
 from specstab.errors import NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 
-from conftest import FREE_P_DIRICHLET_N3, FREE_P_NEUMANN_N2, verified_free_p_certificate
+from conftest import (
+    FREE_P_DIRICHLET_N3,
+    FREE_P_NEUMANN_N2,
+    constructive_certificate,
+    verified_free_p_certificate,
+)
 
 
 def zero_gains(N0):
@@ -81,7 +86,7 @@ def test_verify_rejects_theta1_at_its_crossing(dirichlet_pipeline):
     # sign), Theta2 only improves, and the point must not count as verified
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 6)
-    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, red, 2.0)
     assert cert.feasible
     n = model.dim
     S = model.F.T @ cert.P + cert.P @ model.F + 2 * red.delta * cert.P \
@@ -127,7 +132,7 @@ def test_verify_free_p_neumann_reference_order(neumann_pipeline):
 def test_search_dirichlet_feasible_at_eight(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 8)
-    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, red, 2.0)
     assert cert.feasible
     # self-certifying: an independent re-verification reproduces the verdict
     again = ss.verify_certificate(model, red, cert.P, cert.alpha, cert.beta,
@@ -140,7 +145,7 @@ def test_search_at_n0_plus_one_reports_margins(dirichlet_pipeline):
     # no feasibility claim exists at N = N0+1 = 2; the search reports margins
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 2)
-    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, red, 2.0)
     assert not cert.feasible
     assert math.isfinite(cert.theta1_max_eig)
     assert math.isfinite(cert.theta2)
@@ -148,16 +153,8 @@ def test_search_at_n0_plus_one_reports_margins(dirichlet_pipeline):
 
 def test_search_propagates_not_hurwitz(dirichlet_pipeline):
     red = dirichlet_pipeline.reduced
-    model = ss.assemble_closed_loop(red, zero_gains(red.N0), 3)
     with pytest.raises(NotHurwitzShifted):
-        ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
-
-
-def test_query_validation():
-    with pytest.raises(ValueError):
-        ss.CertificateQuery(alpha=1.0)
-    with pytest.raises(ValueError):
-        ss.CertificateQuery(alpha=2.0, eps=0.7)
+        ss.certificate.certify_order(red, zero_gains(red.N0), 3)
 
 
 def _optimal_alpha_cases(pipelines):
@@ -209,9 +206,8 @@ def test_optimal_alpha_dominates_every_alpha(
     model = ss.assemble_closed_loop(red, pipe.gains, N)
     P = ss.lyapunov_solve(model.F, red.delta)
     star = ss.optimal_alpha(model, red)
-    cert, margin = ss.certificate._exact_search(model, red, P, ss.CertificateQuery(alpha))
-    cert_star, margin_star = ss.certificate._exact_search(
-        model, red, P, ss.CertificateQuery(star))
+    cert, margin = ss.certificate._exact_search(model, red, P, alpha)
+    cert_star, margin_star = ss.certificate._exact_search(model, red, P, star)
     # equal up to rounding where alpha is alpha* itself
     assert margin_star <= margin + 1e-12 * max(1.0, abs(margin))
     assert cert_star.feasible or not cert.feasible
@@ -247,7 +243,7 @@ def test_exact_search_never_misses_a_scanned_certificate(
     pipe = (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)[which]
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, N)
-    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=alpha))
+    cert = constructive_certificate(model, red, alpha)
     if not cert.feasible:
         assert not _scan_finds_feasible(model, red, alpha)
 
@@ -266,14 +262,14 @@ def test_free_p_never_misses_a_constructive_certificate(
     pipe = (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)[which]
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, N)
-    if ss.search_certificate(model, red, ss.CertificateQuery(alpha=alpha)).feasible:
+    if constructive_certificate(model, red, alpha).feasible:
         assert ss.free_p_certificate(model, red, alpha).feasible
 
 
 # ---------------------------------------------------------------- minimal_N
 
 def test_minimal_n_dirichlet(dirichlet_pipeline):
-    n_star, cert = ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
+    n_star, cert = ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains,
                                 N_max=10)
     assert n_star == 6
     assert cert.feasible
@@ -289,19 +285,19 @@ def test_minimal_n_dirichlet(dirichlet_pipeline):
 def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
     # proved at the best alpha, whose margin is no larger than at any other
     with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, N_max=5)
+        ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, N_max=5)
     red = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, 5)
     model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 5)
     rec = exc.value.margins[5]
     assert rec["margin"] > 0
     assert rec["alpha"] == ss.optimal_alpha(model, red)
     P = ss.lyapunov_solve(model.F, red.delta)
-    _, margin = ss.certificate._exact_search(model, red, P, ss.CertificateQuery(alpha))
+    _, margin = ss.certificate._exact_search(model, red, P, alpha)
     assert rec["margin"] <= margin
 
 
 def test_minimal_n_bounded(bounded_pipeline):
-    n_star, cert = ss.minimal_N(bounded_pipeline.plant, bounded_pipeline.spectrum,
+    n_star, cert = ss.minimal_N(bounded_pipeline.reduced, bounded_pipeline.gains,
                                 N_max=10)
     assert n_star == 3
     assert cert.feasible
@@ -309,7 +305,7 @@ def test_minimal_n_bounded(bounded_pipeline):
 
 def test_minimal_n_reports_margins_when_exhausted(neumann_pipeline):
     with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(neumann_pipeline.plant, neumann_pipeline.spectrum, N_max=4)
+        ss.minimal_N(neumann_pipeline.reduced, neumann_pipeline.gains, N_max=4)
     assert sorted(exc.value.margins) == [2, 3, 4]
     for N, rec in exc.value.margins.items():
         assert rec["margin"] > 0
@@ -322,13 +318,13 @@ def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipe
     # leaves no beta > 0 for any gamma: the margin is 1 and stays finite
     red = neumann_pipeline.reduced
     model = ss.assemble_closed_loop(red, neumann_pipeline.gains, 2)
-    query = ss.CertificateQuery(alpha=1.1)
-    assert ss.certificate._beta_slope(model, red, query.alpha, query.eps) < 0
-    cert = ss.search_certificate(model, red, query)
+    alpha = 1.1
+    assert ss.certificate._beta_slope(model, red, alpha, red.tail_eps) < 0
+    P = ss.lyapunov_solve(model.F, red.delta)
+    cert, margin = ss.certificate._exact_search(model, red, P, alpha)
     assert not cert.feasible
     assert all(math.isfinite(v) for v in (cert.theta1_max_eig, cert.theta2, cert.theta3))
-    P = ss.lyapunov_solve(model.F, red.delta)
-    assert ss.certificate._exact_search(model, red, P, query)[1] == pytest.approx(1.0)
+    assert margin == pytest.approx(1.0)
 
 
 def test_neumann_first_certified_order_on_long_spectrum():
@@ -341,7 +337,7 @@ def test_neumann_first_certified_order_on_long_spectrum():
     for N in (122, 123):
         red = ss.reduce(plant, spectrum, N)
         model = ss.assemble_closed_loop(red, ss.design_gains(red), N)
-        cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+        cert = constructive_certificate(model, red, 2.0)
         verdicts[N] = cert.feasible
     assert verdicts == {122: False, 123: True}
 
@@ -360,7 +356,8 @@ def test_lyapunov_norm_sweep_zero_gains_rejected(dirichlet_pipeline):
     # cannot be Hurwitz and the sweep must refuse rather than fabricate P
     with pytest.raises(NotHurwitzShifted):
         ss.lyapunov_norm_sweep(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
-                        gains_rule=lambda red: zero_gains(red.N0), N_list=[2, 3])
+                               gains=zero_gains(dirichlet_pipeline.reduced.N0),
+                               N_list=[2, 3])
 
 
 def test_lyapunov_diagonal_norm_constant_in_order():
@@ -444,7 +441,7 @@ def test_theta2_theta3_tail_dominance_neumann(neumann_pipeline):
 def test_certificate_round_trip(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 8)
-    cert = ss.search_certificate(model, red, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, red, 2.0)
     assert cert.feasible
     restored = ss.Certificate.from_dict(json.loads(json.dumps(cert.to_dict())))
     again = ss.verify_certificate(model, red, restored.P, restored.alpha,

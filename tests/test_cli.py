@@ -1,10 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import specstab as ss
-from specstab import cli
+from specstab import cli, homogenize
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import ConfigParse, DecayUnreachable
 from specstab.sdpa import read_sdpa
@@ -122,21 +123,84 @@ def test_neumann_preset_reports_infeasible_constructive_search(neumann_preset_ru
     assert report["simulation"]["spectral_abscissa"] < -0.5
 
 
+def preset_model(name):
+    """The run's one reduction of a preset (N_sim = 50 modes) and its gains."""
+    q_c, measurement = {"dirichlet-example": (3.0, ss.MeasurementSpec.dirichlet()),
+                        "neumann-example": (10.0, ss.MeasurementSpec.neumann())}[name]
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c, measurement, 0.5)
+    reduced = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
+    return reduced, ss.design_gains(reduced)
+
+
 def test_neumann_preset_export_is_free_p_feasible(neumann_preset_run):
-    # the export is written at the order's best alpha, where the free-P LMI
-    # of that file is feasible (at alpha = 1.1 it is not)
+    # the export is written at the order's best alpha on the run's own
+    # reduction, where the free-P LMI of that file is feasible (at
+    # alpha = 1.1 it is not)
     _, out = neumann_preset_run
-    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 10.0,
-                         ss.MeasurementSpec.neumann(), 0.5)
-    spectrum = ss.analytic_spectrum(plant.boundary, 51)
-    gains = ss.design_gains(ss.reduce(plant, spectrum, 50))
-    reduced = ss.reduce(plant, spectrum, 3)
+    reduced, gains = preset_model("neumann-example")
+    assert load_report(out)["simulation"]["N"] == 3
     model = ss.assemble_closed_loop(reduced, gains, 3)
     alpha = ss.optimal_alpha(model, reduced)
     again = out / "again.dat-s"
     ss.export_sdpa(model, reduced, alpha, 0.125, again)
     assert (out / "problem.dat-s").read_bytes() == again.read_bytes()
     assert ss.free_p_certificate(model, reduced, alpha).feasible
+
+
+def test_dirichlet_certificate_is_proved_on_the_run_model(dirichlet_preset_run):
+    # the reported P is the Lyapunov solution of the closed loop assembled
+    # from the run's own reduction and gains, bit for bit
+    _, out = dirichlet_preset_run
+    cert = ss.Certificate.from_dict(load_report(out)["certificate"])
+    reduced, gains = preset_model("dirichlet-example")
+    model = ss.assemble_closed_loop(reduced, gains, cert.N)
+    assert np.array_equal(ss.lyapunov_solve(model.F, reduced.delta), cert.P)
+    assert cert.to_dict() == ss.certificate.certify_order(reduced, gains, cert.N)[0].to_dict()
+
+
+def test_neumann_margins_are_computed_on_the_run_model(neumann_preset_run):
+    # no certificate exists: every reported margin is the run model's own
+    _, out = neumann_preset_run
+    margins = load_report(out)["search_margins"]
+    reduced, gains = preset_model("neumann-example")
+    assert sorted(margins, key=int) == [str(N) for N in range(2, 11)]
+    for N, record in margins.items():
+        assert record == ss.certificate.certify_order(reduced, gains, int(N))[1]
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """Orders of every homogenize.reduce call, through any specstab alias."""
+    calls = []
+    original = homogenize.reduce
+
+    def counting(plant, spectrum, N, *args, **kwargs):
+        calls.append(N)
+        return original(plant, spectrum, N, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "specstab" or name.startswith("specstab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("preset,export,code", [("dirichlet-example", False, 0),
+                                                ("neumann-example", True, 2)])
+def test_one_reduction_per_run(tmp_path, reduce_calls, preset, export, code):
+    sdpa = tmp_path / "problem.dat-s" if export else None
+    assert run_scenario(preset, out_dir=tmp_path, quiet=True,
+                        export_sdpa_path=sdpa) == code
+    assert reduce_calls == [50]
+
+
+def test_one_reduction_per_norm_sweep(reduce_calls):
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 10.0,
+                         ss.MeasurementSpec.neumann(), 0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 51)
+    assert ss.lyapunov_norm_sweep(plant, spectrum, N_list=(10, 20, 30, 40)).shape == (4,)
+    assert reduce_calls == [40]
 
 
 # ---------------------------------------------------------------- custom config
@@ -181,9 +245,11 @@ def test_fixed_order_failure_reports_exact_margin(tmp_path):
     cfg = write_config(tmp_path, N=2)
     out = tmp_path / "fixed"
     assert run_scenario(str(cfg), out_dir=out, quiet=True) == 2
-    record = load_report(out)["search_margins"]["2"]
+    report = load_report(out)
+    record = report["search_margins"]["2"]
     assert 0 < record["margin"] < 1
     assert record["alpha"] > 1
+    assert report["simulation"]["N"] == 2  # the requested order is simulated
 
 
 def test_config_keys_n_and_t_reach_the_simulation(tmp_path):
@@ -203,6 +269,17 @@ def test_export_sdpa_flag(tmp_path):
     prob = read_sdpa(target)
     assert prob.m_dim > 2
     assert prob.block_sizes[0] > 0
+
+
+def test_laplacian_written_with_trailing_zeros_uses_the_closed_form(tmp_path):
+    plain, padded = tmp_path / "plain", tmp_path / "padded"
+    assert run_scenario(str(write_config(tmp_path)), out_dir=plain, quiet=True) == 0
+    cfg = write_config(tmp_path, name="padded.cfg", p="1, 0", q="0, 0")
+    assert run_scenario(str(cfg), out_dir=padded, quiet=True) == 0
+    report = load_report(padded)
+    assert (report["plant"]["p"], report["plant"]["q"]) == ([1.0, 0.0], [0.0, 0.0])
+    report["plant"].update(p=[1.0], q=[0.0])
+    assert cli._to_json(report) + "\n" == (plain / "report.json").read_text()
 
 
 def test_variable_coefficient_config(tmp_path):
@@ -297,6 +374,22 @@ def test_unknown_key_or_section_exit_code(tmp_path, capsys, line):
     cfg.write_text(cfg.read_text().replace("n_max = 6", f"n_max = 6\n{line}"))
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
     assert line.strip("[]").split(" =")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("N", "2.5"), ("N", "Auto2"), ("n_max", "6.9"),
+                                       ("n_sim", "20.5"), ("n_sim", "many")])
+def test_non_integer_order_exit_code(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer" in err and value in err
+
+
+@pytest.mark.parametrize("value", ["Auto", "AUTO"])
+def test_auto_order_in_any_case(tmp_path, value):
+    out = tmp_path / "auto"
+    assert run_scenario(str(write_config(tmp_path, N=value)), out_dir=out, quiet=True) == 0
+    assert load_report(out)["N_star"] == 3
 
 
 def test_unknown_measurement_exit_code(tmp_path):

@@ -24,7 +24,7 @@ def variable_pipeline():
 def test_variable_coefficients_certify_at_minimal_order(variable_pipeline):
     plant, spectrum, reduced, gains = variable_pipeline
     assert reduced.N0 == 1
-    n_star, cert = ss.minimal_N(plant, spectrum, N_max=8)
+    n_star, cert = ss.minimal_N(reduced, gains, N_max=8)
     assert n_star == 2 and cert.feasible
     # independently re-verified at the returned data
     reduced2 = ss.reduce(plant, spectrum, 2)
@@ -36,7 +36,7 @@ def test_variable_coefficients_certify_at_minimal_order(variable_pipeline):
 
 def test_variable_coefficients_closed_loop_decay(variable_pipeline):
     plant, spectrum, reduced, gains = variable_pipeline
-    n_star, cert = ss.minimal_N(plant, spectrum, N_max=8)
+    n_star, cert = ss.minimal_N(reduced, gains, N_max=8)
     A = ss.assemble_sim(reduced, gains, n_star, 11)
     assert float(np.max(np.linalg.eigvals(A).real)) < -0.5
     x = spectrum.grid
@@ -63,7 +63,7 @@ def test_bounded_nonuniform_weight_pipeline():
     assert reduced.tail_constant == pytest.approx(1.0 / 3.0, rel=1e-10)  # ||x||^2
     assert reduced.feedthrough == pytest.approx(0.25, rel=1e-10)  # int x^3
     gains = ss.design_gains(reduced)
-    n_star, cert = ss.minimal_N(plant, spectrum, N_max=10)
+    n_star, cert = ss.minimal_N(reduced, gains, N_max=10)
     assert cert.feasible and n_star <= 10
 
 

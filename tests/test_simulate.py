@@ -14,7 +14,7 @@ from specstab.errors import (
 from specstab.simulate import field_energy
 from specstab.sturm_liouville import derivative_at_0
 
-from conftest import FREE_P_NEUMANN_N2, verified_free_p_certificate
+from conftest import FREE_P_NEUMANN_N2, constructive_certificate, verified_free_p_certificate
 
 
 def zero_gains(N0):
@@ -180,8 +180,8 @@ def test_run_and_trace_memory_independent_of_trajectory_size():
     # the varcoef-fine horizon of 30000 steps, where a stored trajectory
     # alone would be (steps+1)(1+N_sim+N) doubles; at 3000 steps the fixed
     # cost of expm and of the step norm would dominate the bound
-    plant, spectrum, reduced, gains, _ = varcoef_size_loop()
-    n_star, cert = ss.minimal_N(plant, spectrum, lambda red: gains, N_max=10)
+    _, spectrum, reduced, gains, _ = varcoef_size_loop()
+    n_star, cert = ss.minimal_N(reduced, gains, N_max=10)
     A = ss.assemble_sim(reduced, gains, n_star, 200)
     x = spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-4, T=3.0)
@@ -335,7 +335,7 @@ def test_fit_decay_rejects_nonpositive():
 def test_lyapunov_trace_monotone_dirichlet(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
-    cert = ss.search_certificate(model, pipe.reduced, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, pipe.reduced, 2.0)
     assert cert.feasible
     _, res = dirichlet_run(pipe, N=8)
     trace = ss.lyapunov_trace(res, cert)
@@ -354,7 +354,7 @@ def test_lyapunov_trace_monotone_neumann_free_p(neumann_pipeline):
 def test_lyapunov_trace_zero_initial_data(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
-    cert = ss.search_certificate(model, pipe.reduced, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, pipe.reduced, 2.0)
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 8, 50)
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=np.zeros_like(x), u0=0.0, N_sim=50, dt=1e-3, T=0.2)
@@ -366,7 +366,7 @@ def test_lyapunov_trace_zero_initial_data(dirichlet_pipeline):
 def test_lyapunov_trace_requires_feasible_certificate(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 2)
-    infeasible = ss.search_certificate(model, pipe.reduced, ss.CertificateQuery(alpha=2.0))
+    infeasible = constructive_certificate(model, pipe.reduced, 2.0)
     assert not infeasible.feasible
     _, res = dirichlet_run(pipe, N=2, T=0.1)
     with pytest.raises(CertificateRequired):
@@ -376,7 +376,7 @@ def test_lyapunov_trace_requires_feasible_certificate(dirichlet_pipeline):
 def test_lyapunov_trace_flags_corrupted_p(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
-    cert = ss.search_certificate(model, pipe.reduced, ss.CertificateQuery(alpha=2.0))
+    cert = constructive_certificate(model, pipe.reduced, 2.0)
     corrupted = ss.Certificate(
         P=-cert.P.copy(), alpha=cert.alpha, beta=cert.beta, gamma=cert.gamma,
         eps=cert.eps, theta1_max_eig=cert.theta1_max_eig, theta2=cert.theta2,
