@@ -109,29 +109,25 @@ def lyapunov_solve(F: np.ndarray, delta: float) -> np.ndarray:
     return P
 
 
-def _tail_factor(model: ClosedLoopMatrices, reduced: ReducedPlant, eps: float) -> float:
+def _tail_factor(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
     """Coefficient of beta in Theta2 for the relevant measurement kind."""
     lam_next = float(reduced.spectrum.lambdas[model.N])
     kind = reduced.plant.measurement.kind
     if kind == BOUNDED:
         return reduced.tail_constant / lam_next
     if kind == NEUMANN_AT_0:
-        if abs(eps - reduced.tail_eps) > 1e-12:
-            raise ValueError(
-                f"eps = {eps} does not match the reduced plant's tail constant "
-                f"(built with eps = {reduced.tail_eps})")
-        return reduced.tail_constant * lam_next ** (0.5 + eps)
+        return reduced.tail_constant * lam_next ** (0.5 + reduced.tail_eps)
     return reduced.tail_constant
 
 
 def _theta_scalars(model: ClosedLoopMatrices, reduced: ReducedPlant,
-                   alpha: float, beta: float, gamma: float, eps: float) -> tuple[float, float]:
+                   alpha: float, beta: float, gamma: float) -> tuple[float, float]:
     lam_next = float(reduced.spectrum.lambdas[model.N])
     theta2 = 2.0 * gamma * (-(1.0 - 1.0 / alpha) * lam_next + reduced.q_c + reduced.delta) \
-        + beta * _tail_factor(model, reduced, eps)
+        + beta * _tail_factor(model, reduced)
     if reduced.plant.measurement.kind == NEUMANN_AT_0:
         theta3 = 2.0 * gamma * (1.0 - 1.0 / alpha) \
-            - beta * reduced.tail_constant / lam_next ** (0.5 - eps)
+            - beta * reduced.tail_constant / lam_next ** (0.5 - reduced.tail_eps)
     else:
         theta3 = math.inf
     return theta2, theta3
@@ -151,13 +147,18 @@ def _theta1(model: ClosedLoopMatrices, P: np.ndarray, alpha: float,
 
 def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        P: np.ndarray, alpha: float, beta: float, gamma: float,
-                       eps: float = 0.125) -> Certificate:
+                       eps: float | None = None) -> Certificate:
     """Evaluate all certificate margins for the given data; never mutates inputs.
 
     Feasibility is the conjunction of P > 0, max eig Theta1 < 0, Theta2 < 0,
     and Theta3 > 0 where applicable, each with a strict margin of 1e-9 scaled
     by the quantity's magnitude, so no value at rounding level is accepted.
+    eps is the reduction's tail_eps; any other value is a ValueError.
     """
+    if eps is None:
+        eps = reduced.tail_eps
+    elif eps != reduced.tail_eps:
+        raise ValueError(f"eps = {eps} is not the reduction's tail_eps = {reduced.tail_eps}")
     P = np.asarray(P, dtype=float)
     n = model.dim
     if P.shape != (n, n):
@@ -167,11 +168,11 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     T1 = _theta1(model, P, alpha, beta, gamma, reduced.delta)
     T1 = 0.5 * (T1 + T1.T)
     theta1_max = float(np.linalg.eigvalsh(T1)[-1])
-    theta2, theta3 = _theta_scalars(model, reduced, alpha, beta, gamma, eps)
+    theta2, theta3 = _theta_scalars(model, reduced, alpha, beta, gamma)
     p_min = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
     tol1 = _FEAS_TOL * max(1.0, float(np.max(np.abs(T1))))
     lam_next = float(reduced.spectrum.lambdas[model.N])
-    scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(model, reduced, eps))
+    scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(model, reduced))
     tol2 = _FEAS_TOL * scale2
     tolP = _FEAS_TOL * max(1.0, float(np.max(np.abs(P))))
     feasible = (p_min > tolP) and (theta1_max < -tol1) and (theta2 < -tol2)
@@ -184,14 +185,13 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        N=model.N, N0=model.N0)
 
 
-def _beta_slope(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
-                eps: float) -> float:
+def _beta_slope(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float) -> float:
     """Largest beta/gamma with Theta2 <= 0 (and Theta3 >= 0 for the left flux)."""
     lam_next = float(reduced.spectrum.lambdas[model.N])
     k = 2.0 * ((1.0 - 1.0 / alpha) * lam_next - reduced.q_c - reduced.delta) \
-        / _tail_factor(model, reduced, eps)
+        / _tail_factor(model, reduced)
     if reduced.plant.measurement.kind == NEUMANN_AT_0:
-        k = min(k, 2.0 * (1.0 - 1.0 / alpha) * lam_next ** (0.5 - eps)
+        k = min(k, 2.0 * (1.0 - 1.0 / alpha) * lam_next ** (0.5 - reduced.tail_eps)
                 / reduced.tail_constant)
     return k
 
@@ -231,14 +231,12 @@ def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarra
     (0, 1/(alpha max g)); its maximiser is found by bisection on phi'.
     The margin -phi/h at the maximiser is negative iff feasible; an
     infeasible result carries the Theta values at (gamma*, beta = h(gamma*)).
-    eps is the reduction's tail_eps.
     """
-    eps = reduced.tail_eps
     v = P @ model.Lcal
     g, U = np.linalg.eigh(model.G)
     g = np.clip(g, 0.0, None)
     v2, c = float(v @ v), (U.T @ v) ** 2
-    k = _beta_slope(model, reduced, alpha, eps)
+    k = _beta_slope(model, reduced, alpha)
 
     def h(gamma: float) -> float:
         s = alpha * gamma * g
@@ -266,7 +264,7 @@ def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarra
     h_star = h(gamma)
     phi = k * gamma - h_star
     beta = 0.5 * (h_star + k * gamma) if phi > 0.0 else h_star
-    cert = verify_certificate(model, reduced, P, alpha, beta, gamma, eps)
+    cert = verify_certificate(model, reduced, P, alpha, beta, gamma)
     return cert, -phi / h_star
 
 
@@ -279,8 +277,8 @@ def _dense_blocks(prob: SdpaProblem) -> list[np.ndarray]:
     return blocks
 
 
-def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
-                       eps: float = 0.125) -> Certificate:
+def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
+                       alpha: float) -> Certificate:
     """Free-P certificate at fixed alpha by a log-barrier SDP solve.
 
     Solves the LMI that export_sdpa writes, with P, beta and gamma all free:
@@ -296,7 +294,7 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: 
     verify_certificate; it is reported infeasible, with its margins, unless t
     exceeds that 1e-9 floor, so no margin at rounding level is claimed.
     """
-    prob = _free_p_sdp(model, reduced, alpha, eps)
+    prob = _free_p_sdp(model, reduced, alpha)
     n = model.dim
     rows, cols = np.triu_indices(n)
     k_beta = rows.size  # 0-based index of beta; gamma follows it
@@ -361,7 +359,7 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: 
     P[rows, cols] = x[:k_beta]
     P[cols, rows] = x[:k_beta]
     cert = verify_certificate(model, reduced, P, alpha, float(x[k_beta]),
-                              float(x[k_beta + 1]), eps)
+                              float(x[k_beta + 1]))
     return cert if y[-1] > tol_abs else replace(cert, feasible=False)
 
 
@@ -372,16 +370,17 @@ def certify_order(reduced: ReducedPlant, gains: GainSet,
     The closed loop is assembled from the first N modes of reduced with the
     given gains; P solves the shifted Lyapunov equation and (beta, gamma)
     come from the exact scalar problem.  The record holds the exact margin
-    (negative when the scalar problem has room), alpha and the Theta values
-    of the returned point; an infeasible result proves that this P fails at
-    this N for every alpha.
+    (negative when the scalar problem has room), alpha and Theta2/Theta3 of
+    the returned point; an infeasible result proves that this P fails at this
+    N for every alpha.  An infeasible point sits at beta = h(gamma*), where
+    Theta1 is singular by construction, so its max eig Theta1 is rounding
+    noise and the record leaves it out; a verified Certificate keeps it.
     """
     model = assemble_closed_loop(reduced, gains, N)
     P = lyapunov_solve(model.F, reduced.delta)
     alpha = optimal_alpha(model, reduced)
     cert, margin = _exact_search(model, reduced, P, alpha)
-    record = {"margin": margin, "alpha": alpha,
-              "theta1_max_eig": cert.theta1_max_eig, "theta2": cert.theta2,
+    record = {"margin": margin, "alpha": alpha, "theta2": cert.theta2,
               "theta3": None if math.isinf(cert.theta3) else cert.theta3}
     return cert, record
 
@@ -424,8 +423,8 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains: GainSet | None = None,
         for N in N_list])
 
 
-def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
-                eps: float) -> SdpaProblem:
+def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant,
+                alpha: float) -> SdpaProblem:
     """The fixed-alpha free-P LMI that export_sdpa writes and free_p_certificate solves."""
     if model.N < model.N0 + 1:
         raise OrderTooSmall(f"N must be >= N0+1 = {model.N0 + 1}, got {model.N}")
@@ -478,21 +477,21 @@ def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
     prob.add(0, 4, 1, 1, mu)
     # block 5: -Theta2 >= 0
     prob.add(k_gamma, 5, 1, 1, 2.0 * ((1.0 - 1.0 / alpha) * lam_next - reduced.q_c - delta))
-    prob.add(k_beta, 5, 1, 1, -_tail_factor(model, reduced, eps))
+    prob.add(k_beta, 5, 1, 1, -_tail_factor(model, reduced))
     if neumann:
         prob.add(k_gamma, 6, 1, 1, 2.0 * (1.0 - 1.0 / alpha))
-        prob.add(k_beta, 6, 1, 1, -reduced.tail_constant / lam_next ** (0.5 - eps))
+        prob.add(k_beta, 6, 1, 1, -reduced.tail_constant / lam_next ** (0.5 - reduced.tail_eps))
     return prob
 
 
 def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
-                eps: float, path) -> None:
+                path) -> None:
     """Write the fixed-alpha feasibility SDP in SDPA sparse format.
 
     Decision variables: the (2N+1)(2N+2)/2 upper-triangle entries of P
     (row-major), then beta, then gamma.  Blocks: -Theta1 >= 0, P - mu I >= 0,
     beta - mu >= 0, gamma - mu >= 0, -Theta2 >= 0, and Theta3 >= 0 for the
     left-flux measurement; every block is affine in the variables because
-    alpha and eps are fixed.
+    alpha and eps (the reduction's tail_eps) are fixed.
     """
-    _free_p_sdp(model, reduced, alpha, eps).write(path)
+    _free_p_sdp(model, reduced, alpha).write(path)

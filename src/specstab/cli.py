@@ -1,11 +1,11 @@
 """Scenario runner: parse a config, synthesize, certify, simulate, report.
 
-Configs are flat key-value text with [section] headers (grammar in the
-README); two presets reproduce the constant-coefficient examples.  A run
-reduces the plant once, at max(n_sim, n_max) modes, and designs the gains,
-certifies every order, simulates and exports the SDP on that one
-ReducedPlant.  Outputs are CSV series plus a deterministic report.json with
-floats printed at 17 significant digits.
+Configs, presets included, are flat key-value text with [section] headers
+(grammar in the README); _KEYS converts every value once.  solve() reduces
+the plant once, at max(n_sim, n_max) modes, designs the gains, certifies and
+simulates on that ReducedPlant, and returns a RunRecord with no I/O.
+run_scenario prints it and writes the SDPA export, CSV series and a
+deterministic report.json with floats printed at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -14,23 +14,21 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import certificate as cert_mod
 from . import errors as err
-from .homogenize import (
-    BOUNDED,
-    DIRICHLET_AT_0,
-    NEUMANN_AT_0,
-    MeasurementSpec,
-    PlantSpec,
-    reduce as reduce_plant,
-)
-from .simulate import SimConfig, assemble_sim, fit_decay, lyapunov_trace, run as run_sim
-from .sturm_liouville import CoefficientPair, analytic_spectrum, solve_spectrum
-from .synthesis import assemble_closed_loop, design_gains
+from .certificate import Certificate
+from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
+                         ReducedPlant, reduce as reduce_plant)
+from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim, fit_decay,
+                       lyapunov_trace, run as run_sim)
+from .sturm_liouville import CoefficientPair, Spectrum, analytic_spectrum, solve_spectrum
+from .synthesis import GainSet, assemble_closed_loop, design_gains
 
 OUT_ENV_VAR = "SPECSTAB_OUT"
 
@@ -56,123 +54,205 @@ ERROR_EXIT_CODES = {
     err.IoFailure: 16,
 }
 
-PRESETS = {
-    "dirichlet-example": {
-        "scenario": {"name": "dirichlet-example"},
-        "plant": {"p": [1.0], "q": [0.0], "q_c": 3.0, "measurement": "dirichlet"},
-        "design": {"delta": 0.5, "N": "auto", "n_max": 10, "eps": 0.125},
-        "sim": {"n_sim": 50, "dt": 1e-3, "T": 3.0, "z0": [1.0, 0.0, 1.0], "u0": "auto"},
-        "output": {},
-    },
-    "neumann-example": {
-        "scenario": {"name": "neumann-example"},
-        "plant": {"p": [1.0], "q": [0.0], "q_c": 10.0, "measurement": "neumann"},
-        "design": {"delta": 0.5, "N": "auto", "n_max": 10, "eps": 0.125},
-        "sim": {"n_sim": 50, "dt": 1e-3, "T": 3.0,
-                "z0": [0.0, -2.0 / 3.0, 1.0], "u0": "auto"},
-        "output": {},
-    },
+_EXAMPLE = """[scenario]
+name = {0}-example
+[plant]
+p = 1
+q = 0
+q_c = {1}
+measurement = {0}
+[design]
+delta = 0.5
+[sim]
+z0 = {2}
+"""
+
+#: the constant-coefficient examples as config text; other keys take their defaults
+PRESETS = {f"{kind}-example": _EXAMPLE.format(kind, q_c, z0) for kind, q_c, z0 in (
+    ("dirichlet", 3, "1, 0, 1"), ("neumann", 10, "0, -0.6666666666666666, 1"))}
+
+
+class _Type(NamedTuple):
+    """What a value's text must hold, and its conversion (ValueError if it cannot)."""
+
+    what: str
+    convert: Callable[[str], object]
+
+    def or_auto(self) -> _Type:
+        """The same type, with auto in any case read as None."""
+        return _Type(f"{self.what} or auto",
+                     lambda text: None if text.lower() == "auto" else self.convert(text))
+
+
+def _numbers(text: str) -> list[float]:
+    values = [float(v) for v in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("no numbers")
+    return values
+
+
+def _measurement(text: str) -> str:
+    if text.lower() not in (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0):
+        raise ValueError(text)
+    return text.lower()
+
+
+_TEXT = _Type("text", str)
+_INTEGER = _Type("an integer", int)
+_NUMBER = _Type("a number", float)
+_NUMBERS = _Type("a list of numbers", _numbers)
+
+#: marks a key without a default; a default of None lets the key be left out
+_REQUIRED = object()
+
+#: the config schema: section -> key -> (type, default text or _REQUIRED)
+_KEYS = {
+    "scenario": {"name": (_TEXT, "scenario")},
+    "plant": {"p": (_NUMBERS, _REQUIRED), "q": (_NUMBERS, _REQUIRED),
+              "q_c": (_NUMBER, _REQUIRED),
+              "measurement": (_Type("bounded, dirichlet or neumann", _measurement),
+                              _REQUIRED),
+              "c": (_NUMBERS, None)},
+    "design": {"delta": (_NUMBER, _REQUIRED), "N": (_INTEGER.or_auto(), "auto"),
+               "n_max": (_INTEGER, "10"), "eps": (_NUMBER, "0.125"),
+               "controller_poles": (_NUMBERS.or_auto(), "auto"),
+               "observer_poles": (_NUMBERS.or_auto(), "auto")},
+    "sim": {"n_sim": (_INTEGER, "50"), "dt": (_NUMBER, "0.001"), "T": (_NUMBER, "3.0"),
+            "z0": (_NUMBERS, _REQUIRED), "u0": (_NUMBER.or_auto(), "auto")},
+    "output": {"dir": (_TEXT, "specstab-out")},
 }
 
-_REQUIRED = {
-    "plant": ("p", "q", "q_c", "measurement"),
-    "design": ("delta",),
-    "sim": ("z0",),
-}
 
-_DEFAULTS = {
-    "design": {"N": "auto", "n_max": 10, "eps": 0.125,
-               "controller_poles": "auto", "observer_poles": "auto"},
-    "sim": {"n_sim": 50, "dt": 1e-3, "T": 3.0, "u0": "auto"},
-    "output": {"dir": "specstab-out"},
-    "scenario": {"name": "scenario"},
-}
-
-#: every key a config may set: the required and the defaulted ones, and plant.c
-_KEYS = {section: {*_REQUIRED.get(section, ()), *_DEFAULTS.get(section, {})}
-         for section in {*_REQUIRED, *_DEFAULTS}}
-_KEYS["plant"].add("c")
-
-#: keys are case-insensitive; these two are spelled in upper case internally
-_UPPER_KEYS = {"n": "N", "t": "T"}
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    parts = text.replace(",", " ").split()
-    if len(parts) > 1:
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            return text
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_config(path) -> dict:
-    """Parse the flat sectioned key-value grammar into nested dicts."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise err.ConfigParse(f"cannot read config {path}: {exc}") from exc
-    sections: dict[str, dict] = {}
+def _read(text: str, source) -> dict[str, dict[str, str]]:
+    """The value text of each key that config text sets, per section."""
+    values: dict[str, dict[str, str]] = {section: {} for section in _KEYS}
     current = None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
             if current not in _KEYS:
-                raise err.ConfigParse(f"{path}:{lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
+                raise err.ConfigParse(f"{source}:{lineno}: unknown section [{current}]")
             continue
         if "=" not in line:
-            raise err.ConfigParse(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise err.ConfigParse(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         if current is None:
-            raise err.ConfigParse(f"{path}:{lineno}: key outside any [section]")
-        key, value = line.split("=", 1)
-        key = key.strip().lower()
-        key = _UPPER_KEYS.get(key, key)
-        if key not in _KEYS[current]:
-            raise err.ConfigParse(f"{path}:{lineno}: unknown key {key!r} in [{current}]")
-        sections[current][key] = _parse_value(value)
-    for section, keys in _REQUIRED.items():
-        if section not in sections:
-            raise err.ConfigParse(f"{path}: missing [{section}] section")
-        for key in keys:
-            if key not in sections[section]:
-                raise err.ConfigParse(f"{path}: missing required key {key!r} in [{section}]")
-    return sections
+            raise err.ConfigParse(f"{source}:{lineno}: key outside any [section]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        keys = {k.lower(): k for k in _KEYS[current]}  # keys are case-insensitive
+        if key.lower() not in keys:
+            raise err.ConfigParse(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
+        values[current][keys[key.lower()]] = value
+    return values
 
 
-def _merged(config: dict) -> dict:
-    merged = {}
-    for section in set(_DEFAULTS) | set(config):
-        merged[section] = dict(_DEFAULTS.get(section, {}))
-        merged[section].update(config.get(section, {}))
-    return merged
+def _convert(values: dict[str, dict[str, str]], source) -> dict:
+    """Every key of _KEYS, converted once from its text or its default."""
+    config: dict[str, dict] = {}
+    for section, keys in _KEYS.items():
+        config[section] = {}
+        for key, (kind, default) in keys.items():
+            text = values[section].get(key, default)
+            if text is _REQUIRED:
+                raise err.ConfigParse(f"{source}: missing required key [{section}] {key}")
+            try:
+                config[section][key] = None if text is None else kind.convert(text)
+            except ValueError:
+                raise err.ConfigParse(f"{source}: [{section}] {key} must be {kind.what}, "
+                                      f"got {text!r}") from None
+    return config
 
 
-def _integer(section: str, key: str, value) -> int:
-    """An integer config value; anything else is a ConfigParse naming the key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise err.ConfigParse(f"[{section}] {key} must be an integer, got {value!r}")
-    return int(value)
+def _values(name_or_path) -> dict[str, dict[str, str]]:
+    """The value texts of a preset, or of a config file."""
+    if name_or_path in PRESETS:
+        return _read(PRESETS[name_or_path], name_or_path)
+    try:
+        text = Path(name_or_path).read_text()
+    except OSError as exc:
+        raise err.ConfigParse(f"cannot read config {name_or_path}: {exc}") from exc
+    return _read(text, name_or_path)
 
 
-def _as_coeff_list(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    raise err.ConfigParse(f"expected a number or coefficient list, got {value!r}")
+def parse_config(path) -> dict:
+    """A config file (or a preset name) as {section: {key: value}}: every key
+    of _KEYS converted, defaults included, None for auto and an absent c."""
+    return _convert(_values(path), path)
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """Each stage's result of one run, as solve() computes it."""
+
+    config: dict
+    plant: PlantSpec
+    spectrum: Spectrum
+    reduced: ReducedPlant
+    gains: GainSet
+    N: int  # the run's order: the certified N*, else the fixed N, else min(n_max, N0 + 2)
+    certificate: Certificate | None
+    search_margins: dict | None  # each failed order's record, when none certifies
+    sim: SimResult
+    abscissa: float
+    decay_rate: float
+    lyapunov: LyapunovTrace | None
+
+
+def solve(config: dict) -> RunRecord:
+    """Run the pipeline on a parsed config; no file or stdout I/O."""
+    plant_cfg, design_cfg, sim_cfg = config["plant"], config["design"], config["sim"]
+    coeffs = CoefficientPair.from_polynomials(plant_cfg["p"], plant_cfg["q"])
+    kind = plant_cfg["measurement"]
+    if kind != BOUNDED:
+        measurement = MeasurementSpec(kind)
+    elif plant_cfg["c"] is None:
+        raise err.ConfigParse("bounded measurement requires key 'c' in [plant]")
+    else:
+        c_coeffs = np.asarray(plant_cfg["c"])
+        measurement = MeasurementSpec.bounded(
+            lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c_coeffs))
+    plant = PlantSpec(coeffs=coeffs, q_c=plant_cfg["q_c"], measurement=measurement,
+                      delta=design_cfg["delta"])
+    n_sim, n_max = sim_cfg["n_sim"], design_cfg["n_max"]
+    n_modes = max(n_sim, n_max) + 1
+    trim = np.polynomial.polynomial.polytrim
+    if trim(plant_cfg["p"]).tolist() == [1.0] and trim(plant_cfg["q"]).tolist() == [0.0]:
+        spectrum = analytic_spectrum(plant.boundary, n_modes)
+    else:
+        grid = max(2000, 40 * n_modes)
+        spectrum = solve_spectrum(coeffs, plant.boundary, n_modes, grid + grid % 2)
+
+    # one reduction serves the simulation (n_sim modes) and every order up to n_max
+    reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=design_cfg["eps"])
+    gains = design_gains(reduced, controller_poles=design_cfg["controller_poles"],
+                         observer_poles=design_cfg["observer_poles"])
+
+    certificate = search_margins = None
+    if design_cfg["N"] is None:
+        N = min(n_max, reduced.N0 + 2)  # simulated when no order certifies
+        try:
+            N, certificate = cert_mod.minimal_N(reduced, gains, N_max=n_max)
+        except err.NoFeasibleN as exc:
+            search_margins = exc.margins
+    else:
+        N = design_cfg["N"]
+        cand, record = cert_mod.certify_order(reduced, gains, N)
+        certificate, search_margins = (cand, None) if cand.feasible else (None, {N: record})
+
+    A_cl = assemble_sim(reduced, gains, N, n_sim)
+    z0 = np.polynomial.polynomial.polyval(spectrum.grid, np.asarray(sim_cfg["z0"]))
+    u0 = float(z0[-1]) if sim_cfg["u0"] is None else sim_cfg["u0"]
+    T = sim_cfg["T"]
+    result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=sim_cfg["dt"], T=T),
+                     spectrum, reduced)
+    return RunRecord(
+        config=config, plant=plant, spectrum=spectrum, reduced=reduced, gains=gains, N=N,
+        certificate=certificate, search_margins=search_margins, sim=result,
+        abscissa=float(np.max(np.linalg.eigvals(A_cl).real)),
+        decay_rate=fit_decay(result.times, result.eta, (min(1.0, T / 2), T)),
+        lyapunov=None if certificate is None else lyapunov_trace(result, certificate))
 
 
 def _format_float(x: float) -> str:
@@ -238,183 +318,102 @@ def _write_field(path: Path, x: np.ndarray, t_text: list[str], fields: np.ndarra
             out.write("".join([f"{xi},{ti},{vi:.17g}\n" for xi, vi in rows]))
 
 
-def run_scenario(name_or_path: str, n_max: int | None = None,
-                 eps: float | None = None, export_sdpa_path: str | None = None,
-                 out_dir: str | None = None, quiet: bool = False) -> int:
-    """Execute one scenario end to end; returns the process exit code."""
-    try:
-        return _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet)
-    except err.SpecstabError as exc:
-        code = ERROR_EXIT_CODES.get(type(exc), EXIT_ERROR)
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return code
-    except Exception as exc:  # noqa: BLE001 - runner boundary
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-
-def _run_scenario(name_or_path, n_max, eps, export_sdpa_path, out_dir, quiet) -> int:
-    if name_or_path in PRESETS:
-        config = {k: dict(v) for k, v in PRESETS[name_or_path].items()}
+def _progress(record: RunRecord) -> list[str]:
+    """A run's progress lines, up to its exports."""
+    reduced, gains, cert = record.reduced, record.gains, record.certificate
+    lines = [f"[{record.config['scenario']['name']}] N0 = {reduced.N0}, "
+             f"tail constant = {reduced.tail_constant:.6g}",
+             f"  K = {np.array2string(gains.K, precision=6)}  "
+             f"L = {np.array2string(gains.L, precision=6)}"]
+    if cert is not None:
+        lines.append(f"  certificate verified at N = {record.N} (alpha = {cert.alpha}, "
+                     f"beta = {cert.beta:.6g}, gamma = {cert.gamma:.6g})")
     else:
-        config = parse_config(name_or_path)
-    cfg = _merged(config)
+        lines.append(f"  no verified certificate for N <= {record.config['design']['n_max']}"
+                     " (constructive search)")
+    lines.append(f"  simulated N_sim = {record.config['sim']['n_sim']}: spectral abscissa = "
+                 f"{record.abscissa:.4f}, fitted eta decay rate = {record.decay_rate:.4f}")
+    if record.lyapunov is not None:
+        lines.append(f"  V e^(2 delta t) max increment = {record.lyapunov.max_increment:.3e}")
+    return lines
 
-    say = (lambda *a: None) if quiet else print
-    plant_cfg, design_cfg, sim_cfg = cfg["plant"], cfg["design"], cfg["sim"]
-    if n_max is not None:
-        design_cfg["n_max"] = n_max
-    if eps is not None:
-        design_cfg["eps"] = float(eps)
 
-    # output dir: env var overrides everything, then --out, then config
-    if os.environ.get(OUT_ENV_VAR):
-        out = Path(os.environ[OUT_ENV_VAR])
-    elif out_dir is not None:
-        out = Path(out_dir)
-    else:
-        out = Path(cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    p_coeffs = _as_coeff_list(plant_cfg["p"])
-    q_coeffs = _as_coeff_list(plant_cfg["q"])
-    coeffs = CoefficientPair.from_polynomials(p_coeffs, q_coeffs)
-    kind = str(plant_cfg["measurement"]).strip().lower()
-    if kind == BOUNDED:
-        if "c" not in plant_cfg:
-            raise err.ConfigParse("bounded measurement requires key 'c' in [plant]")
-        c_coeffs = np.asarray(_as_coeff_list(plant_cfg["c"]))
-        measurement = MeasurementSpec.bounded(
-            lambda x, _c=c_coeffs: np.polynomial.polynomial.polyval(
-                np.asarray(x, dtype=float), _c))
-    elif kind in (DIRICHLET_AT_0, NEUMANN_AT_0):
-        measurement = MeasurementSpec(kind)
-    else:
-        raise err.ConfigParse(f"unknown measurement kind {kind!r}")
-    plant = PlantSpec(coeffs=coeffs, q_c=float(plant_cfg["q_c"]),
-                      measurement=measurement, delta=float(design_cfg["delta"]))
-
-    n_sim = _integer("sim", "n_sim", sim_cfg["n_sim"])
-    n_max_val = _integer("design", "n_max", design_cfg["n_max"])
-    n_requested = design_cfg["N"]
-    auto = isinstance(n_requested, str) and n_requested.lower() == "auto"
-    if not auto:
-        n_requested = _integer("design", "N", n_requested)
-    eps_val = float(design_cfg["eps"])
-    n_modes = max(n_sim, n_max_val) + 1
-    trim = np.polynomial.polynomial.polytrim
-    is_laplacian = (trim(p_coeffs).tolist() == [1.0] and trim(q_coeffs).tolist() == [0.0])
-    if is_laplacian:
-        spectrum = analytic_spectrum(plant.boundary, n_modes)
-    else:
-        grid = max(2000, 40 * n_modes)
-        grid += grid % 2
-        spectrum = solve_spectrum(coeffs, plant.boundary, n_modes, grid)
-
-    # one reduction serves the simulation (n_sim modes) and every order up to n_max
-    reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=eps_val)
-    say(f"[{cfg['scenario']['name']}] N0 = {reduced.N0}, "
-        f"tail constant = {reduced.tail_constant:.6g}")
-
-    cpoles = design_cfg.get("controller_poles", "auto")
-    opoles = design_cfg.get("observer_poles", "auto")
-    gains = design_gains(
-        reduced,
-        controller_poles=None if cpoles == "auto" else _as_coeff_list(cpoles),
-        observer_poles=None if opoles == "auto" else _as_coeff_list(opoles),
-    )
-    say(f"  K = {np.array2string(gains.K, precision=6)}  "
-        f"L = {np.array2string(gains.L, precision=6)}")
-
-    certificate = None
-    search_margins = None
-    if auto:
-        N_run = min(n_max_val, reduced.N0 + 2)  # simulated when no order certifies
-        try:
-            N_run, certificate = cert_mod.minimal_N(reduced, gains, N_max=n_max_val)
-        except err.NoFeasibleN as exc:
-            search_margins = exc.margins
-    else:
-        N_run = n_requested
-        cand, record = cert_mod.certify_order(reduced, gains, N_run)
-        if cand.feasible:
-            certificate = cand
-        else:
-            search_margins = {N_run: record}
-    feasible = certificate is not None
-    n_star = N_run if feasible else None
-    if feasible:
-        say(f"  certificate verified at N = {n_star} "
-            f"(alpha = {certificate.alpha}, beta = {certificate.beta:.6g}, "
-            f"gamma = {certificate.gamma:.6g})")
-    else:
-        say(f"  no verified certificate for N <= {n_max_val} (constructive search)")
-
-    A_cl = assemble_sim(reduced, gains, N_run, n_sim)
-    x_grid = spectrum.grid
-    z0_coeffs = np.asarray(_as_coeff_list(sim_cfg["z0"]))
-    z0 = np.polynomial.polynomial.polyval(x_grid, z0_coeffs)
-    u0 = float(z0[-1]) if sim_cfg["u0"] == "auto" else float(sim_cfg["u0"])
-    sim_config = SimConfig(z0=z0, u0=u0, N_sim=n_sim,
-                           dt=float(sim_cfg["dt"]), T=float(sim_cfg["T"]))
-    result = run_sim(A_cl, sim_config, spectrum, reduced)
-    abscissa = float(np.max(np.linalg.eigvals(A_cl).real))
-    t_hi = float(sim_cfg["T"])
-    rate = fit_decay(result.times, result.eta, (min(1.0, t_hi / 2), t_hi))
-    say(f"  simulated N_sim = {n_sim}: spectral abscissa = {abscissa:.4f}, "
-        f"fitted eta decay rate = {rate:.4f}")
-
-    lyap = None
-    if feasible:
-        lyap = lyapunov_trace(result, certificate)
-        say(f"  V e^(2 delta t) max increment = {lyap.max_increment:.3e}")
-
-    if export_sdpa_path:
-        model = assemble_closed_loop(reduced, gains, N_run)
-        alpha_exp = cert_mod.optimal_alpha(model, reduced)
-        cert_mod.export_sdpa(model, reduced, alpha_exp, eps_val, export_sdpa_path)
-        say(f"  SDPA export (N = {N_run}, alpha = {alpha_exp:.6g}) -> {export_sdpa_path}")
-
-    snap = result.snapshot_steps
+def _write_csvs(record: RunRecord, out: Path):
+    result = record.sim
     t_text = _format_column(result.times)
     series = {"u": result.u, "v": result.v, "eta": result.eta, "zeta": result.zeta,
               "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}
-    if lyap is not None:
-        series["lyapunov"] = lyap.V
+    if record.lyapunov is not None:
+        series["lyapunov"] = record.lyapunov.V
     for name, values in series.items():
         _write_series(out / f"{name}.csv", t_text, values)
+    snap = result.snapshot_steps
     z_field, error_field = result.snapshot_fields(snap, 40)
     snap_text = [t_text[i] for i in snap]
-    _write_field(out / "state_field.csv", x_grid[::40], snap_text, z_field)
-    _write_field(out / "error_field.csv", x_grid[::40], snap_text, error_field)
+    x = record.spectrum.grid[::40]
+    _write_field(out / "state_field.csv", x, snap_text, z_field)
+    _write_field(out / "error_field.csv", x, snap_text, error_field)
 
-    report = {
-        "name": cfg["scenario"]["name"],
-        "plant": {"p": p_coeffs, "q": q_coeffs, "q_c": float(plant_cfg["q_c"]),
-                  "measurement": kind, "delta": plant.delta},
+
+def _report(record: RunRecord) -> dict:
+    plant_cfg, sim_cfg = record.config["plant"], record.config["sim"]
+    reduced, gains, cert, result = record.reduced, record.gains, record.certificate, record.sim
+    return {
+        "name": record.config["scenario"]["name"],
+        "plant": {"p": plant_cfg["p"], "q": plant_cfg["q"], "q_c": plant_cfg["q_c"],
+                  "measurement": plant_cfg["measurement"], "delta": record.plant.delta},
         "N0": reduced.N0,
         "tail_constant": reduced.tail_constant,
         "tail_eps": reduced.tail_eps,
         "gains": {"K": [float(v) for v in gains.K], "L": [float(v) for v in gains.L],
                   "controller_poles": list(gains.controller_poles),
                   "observer_poles": list(gains.observer_poles)},
-        "certificate_feasible": feasible,
-        "N_star": n_star,
-        "certificate": certificate.to_dict() if feasible else None,
-        "search_margins": {str(k): v for k, v in search_margins.items()}
-        if search_margins else None,
+        "certificate_feasible": cert is not None,
+        "N_star": None if cert is None else record.N,
+        "certificate": None if cert is None else cert.to_dict(),
+        "search_margins": {str(k): v for k, v in record.search_margins.items()}
+        if record.search_margins else None,
         "simulation": {
-            "N": N_run, "N_sim": n_sim, "dt": sim_config.dt, "T": sim_config.T,
-            "spectral_abscissa": abscissa,
-            "fitted_decay_rate": rate,
+            "N": record.N, "N_sim": sim_cfg["n_sim"], "dt": sim_cfg["dt"], "T": sim_cfg["T"],
+            "spectral_abscissa": record.abscissa,
+            "fitted_decay_rate": record.decay_rate,
             "eta_start": float(result.eta[0]),
             "eta_end": float(result.eta[-1]),
-            "lyapunov_max_increment": None if lyap is None else lyap.max_increment,
+            "lyapunov_max_increment":
+                None if record.lyapunov is None else record.lyapunov.max_increment,
         },
     }
-    (out / "report.json").write_text(_to_json(report) + "\n")
-    say(f"  report -> {out / 'report.json'}")
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+
+
+def run_scenario(name_or_path: str, n_max: int | None = None,
+                 eps: float | None = None, export_sdpa_path: str | None = None,
+                 out_dir: str | None = None, quiet: bool = False) -> int:
+    """Execute one scenario end to end; returns the process exit code."""
+    say = (lambda *a: None) if quiet else print
+    try:
+        values = _values(name_or_path)  # the flags override the config, as text
+        values["design"].update((key, str(flag)) for key, flag
+                                in (("n_max", n_max), ("eps", eps)) if flag is not None)
+        config = _convert(values, name_or_path)
+        # output dir: env var overrides everything, then --out, then config
+        out = Path(os.environ.get(OUT_ENV_VAR)
+                   or (config["output"]["dir"] if out_dir is None else out_dir))
+        out.mkdir(parents=True, exist_ok=True)
+        record = solve(config)
+        for line in _progress(record):
+            say(line)
+        if export_sdpa_path:
+            model = assemble_closed_loop(record.reduced, record.gains, record.N)
+            alpha = cert_mod.optimal_alpha(model, record.reduced)
+            cert_mod.export_sdpa(model, record.reduced, alpha, export_sdpa_path)
+            say(f"  SDPA export (N = {record.N}, alpha = {alpha:.6g}) -> {export_sdpa_path}")
+        _write_csvs(record, out)
+        (out / "report.json").write_text(_to_json(_report(record)) + "\n")
+        say(f"  report -> {out / 'report.json'}")
+        return EXIT_OK if record.certificate is not None else EXIT_INFEASIBLE
+    except Exception as exc:  # noqa: BLE001 - runner boundary
+        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return ERROR_EXIT_CODES.get(type(exc), EXIT_ERROR)
 
 
 def _help_epilog() -> str:

@@ -35,9 +35,9 @@ from .errors import (
     OrderMismatch,
     StepRejected,
 )
-from .homogenize import BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, ReducedPlant
+from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
 from .sturm_liouville import Spectrum, derivative_at_0, derivative_field, project
-from .synthesis import GainSet
+from .synthesis import GainSet, error_scale
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
 _SNAPSHOTS = 61        # a run stores the full state at about this many steps
@@ -318,7 +318,7 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
     """Evaluate V(X, w) = X'PX + gamma sum_{n>N} lambda_n w_n^2 along the run.
 
     X stacks (u, what_1..N0, e_1..N0, what_{N0+1..N}, scaled e_{N0+1..N})
-    with the measurement-dependent error scaling.  The tail sum runs over the
+    with the error scaling of synthesis.error_scale.  The tail sum runs over the
     simulated modes N+1..N_sim; the remainder that truncation hides is
     bounded by the last term times a geometric factor and returned, not
     silently dropped.
@@ -328,21 +328,13 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
     N, N0, N_sim = result.N, result.N0, result.N_sim
     if certificate.N != N:
         raise OrderMismatch(f"certificate is for N = {certificate.N}, run used N = {N}")
-    lam = result.spectrum.lambdas
-    kind = result.reduced.plant.measurement.kind
-    if kind == DIRICHLET_AT_0:
-        scale = np.sqrt(lam[N0:N])
-    elif kind == NEUMANN_AT_0:
-        scale = lam[N0:N]
-    else:
-        scale = np.ones(N - N0)
     err = result.w_low - result.what_modes
     X = np.hstack([
         result.u[:, None],
         result.what_modes[:, :N0],
         err[:, :N0],
         result.what_modes[:, N0:],
-        err[:, N0:] * scale,
+        err[:, N0:] * error_scale(result.reduced, N),
     ])
     V = np.einsum("ki,ij,kj->k", X, certificate.P, X)
     gamma = certificate.gamma

@@ -162,12 +162,22 @@ def design_gains(reduced: ReducedPlant, controller_poles=None,
                    observer_poles=observer_poles)
 
 
+def error_scale(reduced: ReducedPlant, N: int) -> np.ndarray:
+    """Scale s_n, n = N0+1..N, of the unestimated error in the certificate
+    state: 1 in-domain, sqrt(lambda_n) for the left trace, lambda_n for the flux."""
+    lam = reduced.spectrum.lambdas[reduced.N0:N]
+    kind = reduced.plant.measurement.kind
+    if kind == BOUNDED:
+        return np.ones_like(lam)
+    return np.sqrt(lam) if kind == DIRICHLET_AT_0 else lam
+
+
 def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> ClosedLoopMatrices:
     """Build F, Lcal, G and all sub-blocks for observer order N.
 
-    C1 carries the measurement-dependent scaling: raw c_n for the in-domain
-    measurement, phi_n(0)/sqrt(lambda_n) for the left trace, phi_n'(0)/lambda_n
-    for the left flux; block (4,4) is the matching rescaled error dynamics.
+    C1 = out_coef / error_scale: raw c_n for the in-domain measurement,
+    phi_n(0)/sqrt(lambda_n) for the left trace, phi_n'(0)/lambda_n for the
+    left flux; block (4,4) is the matching rescaled error dynamics.
     """
     N0 = reduced.N0
     if N < N0 + 1:
@@ -183,13 +193,7 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     A0, A1, B1 = _design_blocks(reduced)
     A2 = np.diag(-lam[N0:N] + reduced.q_c)
     C0 = reduced.out_coef[:N0].copy()
-    kind = reduced.plant.measurement.kind
-    if kind == BOUNDED:
-        C1 = reduced.out_coef[N0:N].copy()
-    elif kind == DIRICHLET_AT_0:
-        C1 = reduced.out_coef[N0:N] / np.sqrt(lam[N0:N])
-    else:
-        C1 = reduced.out_coef[N0:N] / lam[N0:N]
+    C1 = reduced.out_coef[N0:N] / error_scale(reduced, N)
     Ltilde = np.concatenate([[0.0], L])
 
     dim = 2 * N + 1

@@ -77,10 +77,10 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     d_path, n_path = tmp_path / "d3.dat-s", tmp_path / "n2.dat-s"
     model_d3 = ss.assemble_closed_loop(dirichlet_pipeline.reduced,
                                        dirichlet_pipeline.gains, 3)
-    ss.export_sdpa(model_d3, dirichlet_pipeline.reduced, 2.0, 0.125, d_path)
+    ss.export_sdpa(model_d3, dirichlet_pipeline.reduced, 2.0, d_path)
     model_n2 = ss.assemble_closed_loop(neumann_pipeline.reduced,
                                        neumann_pipeline.gains, 2)
-    ss.export_sdpa(model_n2, neumann_pipeline.reduced, 2.0, 0.125, n_path)
+    ss.export_sdpa(model_n2, neumann_pipeline.reduced, 2.0, n_path)
     probs = {}
     for name, path in (("dirichlet", d_path), ("neumann", n_path)):
         prob = read_sdpa(path)

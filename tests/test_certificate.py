@@ -175,9 +175,9 @@ def test_optimal_alpha_maximises_slope_ratio(dirichlet_pipeline, neumann_pipelin
         for N in range(2, 11):
             model = ss.assemble_closed_loop(red, gains, N)
             alpha = ss.optimal_alpha(model, red)
-            ratio = np.array([ss.certificate._beta_slope(model, red, a, 0.125)
+            ratio = np.array([ss.certificate._beta_slope(model, red, a)
                               for a in alphas]) / alphas
-            best = ss.certificate._beta_slope(model, red, alpha, 0.125) / alpha
+            best = ss.certificate._beta_slope(model, red, alpha) / alpha
             assert abs(alpha - alphas[np.argmax(ratio)]) <= step
             assert best >= ratio.max() - 1e-12 * abs(ratio.max())
     assert ss.optimal_alpha(model, red) == 2.0  # the q_c + delta <= 0 left flux
@@ -226,7 +226,7 @@ def _scan_finds_feasible(model, red, alpha):
     T1[:, :n, :n] += alpha * gamma[:, None, None] * model.G
     T1[:, :n, n] = T1[:, n, :n] = P @ model.Lcal
     T1[:, n, n] = -beta
-    theta2, theta3 = ss.certificate._theta_scalars(model, red, alpha, beta, gamma, 0.125)
+    theta2, theta3 = ss.certificate._theta_scalars(model, red, alpha, beta, gamma)
     feasible = (np.linalg.eigvalsh(T1)[:, -1] < 0) & (theta2 < 0) & (theta3 > 0)
     return bool(feasible.any())
 
@@ -319,7 +319,7 @@ def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipe
     red = neumann_pipeline.reduced
     model = ss.assemble_closed_loop(red, neumann_pipeline.gains, 2)
     alpha = 1.1
-    assert ss.certificate._beta_slope(model, red, alpha, red.tail_eps) < 0
+    assert ss.certificate._beta_slope(model, red, alpha) < 0
     P = ss.lyapunov_solve(model.F, red.delta)
     cert, margin = ss.certificate._exact_search(model, red, P, alpha)
     assert not cert.feasible
@@ -438,6 +438,20 @@ def test_theta2_theta3_tail_dominance_neumann(neumann_pipeline):
         assert linearized <= cert.theta2 + 1e-9
 
 
+@pytest.mark.parametrize("which", ["dirichlet_pipeline", "neumann_pipeline",
+                                   "bounded_pipeline"])
+def test_verify_reads_eps_from_the_reduction(which, request):
+    # a certificate records the reduction's tail_eps; any other eps is refused
+    # for every measurement kind, not only where Theta2/Theta3 read it
+    pipe = request.getfixturevalue(which)
+    red = pipe.reduced
+    model = ss.assemble_closed_loop(red, pipe.gains, 3)
+    P = ss.lyapunov_solve(model.F, red.delta)
+    assert ss.verify_certificate(model, red, P, 2.0, 1.0, 0.1).eps == red.tail_eps
+    with pytest.raises(ValueError, match="tail_eps"):
+        ss.verify_certificate(model, red, P, 2.0, 1.0, 0.1, 0.25)
+
+
 def test_certificate_round_trip(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 8)
@@ -456,5 +470,5 @@ def test_export_order_too_small_before_writing(dirichlet_pipeline, tmp_path):
     target = tmp_path / "export.dat-s"
     with pytest.raises(OrderTooSmall):
         model = ss.assemble_closed_loop(red, gains, red.N0)
-        ss.export_sdpa(model, red, 2.0, 0.125, target)
+        ss.export_sdpa(model, red, 2.0, target)
     assert not target.exists()

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,49 +124,66 @@ def test_neumann_preset_reports_infeasible_constructive_search(neumann_preset_ru
     assert report["simulation"]["spectral_abscissa"] < -0.5
 
 
-def preset_model(name):
-    """The run's one reduction of a preset (N_sim = 50 modes) and its gains."""
-    q_c, measurement = {"dirichlet-example": (3.0, ss.MeasurementSpec.dirichlet()),
-                        "neumann-example": (10.0, ss.MeasurementSpec.neumann())}[name]
-    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c, measurement, 0.5)
-    reduced = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
-    return reduced, ss.design_gains(reduced)
+# the conftest pipelines are the presets' runs: 51 analytic modes on 2000
+# intervals, one reduction at N_sim = 50 and the default gains
 
-
-def test_neumann_preset_export_is_free_p_feasible(neumann_preset_run):
+def test_neumann_preset_export_is_free_p_feasible(neumann_preset_run, neumann_pipeline):
     # the export is written at the order's best alpha on the run's own
     # reduction, where the free-P LMI of that file is feasible (at
     # alpha = 1.1 it is not)
     _, out = neumann_preset_run
-    reduced, gains = preset_model("neumann-example")
+    reduced, gains = neumann_pipeline.reduced, neumann_pipeline.gains
     assert load_report(out)["simulation"]["N"] == 3
     model = ss.assemble_closed_loop(reduced, gains, 3)
     alpha = ss.optimal_alpha(model, reduced)
     again = out / "again.dat-s"
-    ss.export_sdpa(model, reduced, alpha, 0.125, again)
+    ss.export_sdpa(model, reduced, alpha, again)
     assert (out / "problem.dat-s").read_bytes() == again.read_bytes()
     assert ss.free_p_certificate(model, reduced, alpha).feasible
 
 
-def test_dirichlet_certificate_is_proved_on_the_run_model(dirichlet_preset_run):
+def test_dirichlet_certificate_is_proved_on_the_run_model(dirichlet_preset_run,
+                                                         dirichlet_pipeline):
     # the reported P is the Lyapunov solution of the closed loop assembled
     # from the run's own reduction and gains, bit for bit
     _, out = dirichlet_preset_run
     cert = ss.Certificate.from_dict(load_report(out)["certificate"])
-    reduced, gains = preset_model("dirichlet-example")
+    reduced, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(reduced, gains, cert.N)
     assert np.array_equal(ss.lyapunov_solve(model.F, reduced.delta), cert.P)
     assert cert.to_dict() == ss.certificate.certify_order(reduced, gains, cert.N)[0].to_dict()
 
 
-def test_neumann_margins_are_computed_on_the_run_model(neumann_preset_run):
+def test_neumann_margins_are_computed_on_the_run_model(neumann_preset_run, neumann_pipeline):
     # no certificate exists: every reported margin is the run model's own
     _, out = neumann_preset_run
     margins = load_report(out)["search_margins"]
-    reduced, gains = preset_model("neumann-example")
+    reduced, gains = neumann_pipeline.reduced, neumann_pipeline.gains
     assert sorted(margins, key=int) == [str(N) for N in range(2, 11)]
     for N, record in margins.items():
         assert record == ss.certificate.certify_order(reduced, gains, int(N))[1]
+
+
+@pytest.mark.parametrize("preset,run", [("dirichlet-example", "dirichlet_preset_run"),
+                                        ("neumann-example", "neumann_preset_run")])
+def test_solve_does_no_io_and_matches_the_report(tmp_path, monkeypatch, capsys, request,
+                                                 preset, run):
+    _, out = request.getfixturevalue(run)
+    monkeypatch.chdir(tmp_path)
+    record = cli.solve(parse_config(preset))
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+    report = load_report(out)
+    assert record.N == report["simulation"]["N"]
+    assert report["N_star"] == (record.N if record.certificate else None)
+
+    def as_written(obj):
+        return json.loads(cli._to_json(obj))
+
+    assert as_written(record.certificate and record.certificate.to_dict()) \
+        == report["certificate"]
+    assert as_written(record.search_margins and {
+        str(N): rec for N, rec in record.search_margins.items()}) == report["search_margins"]
 
 
 @pytest.fixture
@@ -385,11 +403,50 @@ def test_non_integer_order_exit_code(tmp_path, capsys, key, value):
     assert f"{key} must be an integer" in err and value in err
 
 
+@pytest.mark.parametrize("section,key,value", [("sim", "dt", "fast"), ("plant", "q_c", "three"),
+                                               ("design", "delta", "x"), ("sim", "T", "1, 2")])
+def test_malformed_value_exit_code(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    err = capsys.readouterr().err
+    assert f"[{section}] {key} must be" in err and value in err
+
+
 @pytest.mark.parametrize("value", ["Auto", "AUTO"])
 def test_auto_order_in_any_case(tmp_path, value):
     out = tmp_path / "auto"
     assert run_scenario(str(write_config(tmp_path, N=value)), out_dir=out, quiet=True) == 0
     assert load_report(out)["N_star"] == 3
+
+
+@pytest.mark.parametrize("section,key,value", [("sim", "u0", "Auto"),
+                                               ("design", "controller_poles", "AUTO"),
+                                               ("design", "observer_poles", "Auto")])
+def test_auto_values_in_any_case(tmp_path, section, key, value):
+    reports = []
+    for spelling in ("auto", value):
+        cfg = write_config(tmp_path, name=f"{spelling}.cfg")
+        lines = [line for line in cfg.read_text().splitlines()
+                 if line.split("=")[0].strip() != key]
+        text = "\n".join(lines)
+        cfg.write_text(text.replace(f"[{section}]", f"[{section}]\n{key} = {spelling}"))
+        out = tmp_path / spelling
+        assert run_scenario(str(cfg), out_dir=out, quiet=True) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_readme_config_block_lists_the_schema():
+    # every key of cli._KEYS, and no other, with its default where it has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Scenario configuration", 1)[1].split("```")[1]
+    listed = cli._read(block, "README.md")
+    assert {s: set(keys) for s, keys in listed.items()} \
+        == {s: set(keys) for s, keys in cli._KEYS.items()}
+    for section, keys in cli._KEYS.items():
+        for key, (kind, default) in keys.items():
+            if default not in (cli._REQUIRED, None):
+                assert kind.convert(listed[section][key]) == kind.convert(default), key
 
 
 def test_unknown_measurement_exit_code(tmp_path):

@@ -70,7 +70,7 @@ def test_bounded_nonuniform_weight_pipeline():
 def test_bounded_export_has_five_blocks(bounded_pipeline, tmp_path):
     model = ss.assemble_closed_loop(bounded_pipeline.reduced, bounded_pipeline.gains, 4)
     path = tmp_path / "bounded.dat-s"
-    ss.export_sdpa(model, bounded_pipeline.reduced, 2.0, 0.125, path)
+    ss.export_sdpa(model, bounded_pipeline.reduced, 2.0, path)
     prob = read_sdpa(path)
     assert prob.block_sizes == [10, 9, -1, -1, -1]
     # Theta2's beta coefficient carries ||c||^2 / lambda_{N+1}

@@ -7,9 +7,9 @@ from specstab.sdpa import read_sdpa
 from conftest import FREE_P_DIRICHLET_N3, FREE_P_NEUMANN_N2
 
 
-def export(pipeline, N, alpha=2.0, eps=0.125, path=None):
+def export(pipeline, N, alpha=2.0, path=None):
     model = ss.assemble_closed_loop(pipeline.reduced, pipeline.gains, N)
-    ss.export_sdpa(model, pipeline.reduced, alpha, eps, path)
+    ss.export_sdpa(model, pipeline.reduced, alpha, path)
     return model
 
 
@@ -70,8 +70,8 @@ def test_export_encodes_theta_blocks(which, frozen, request, tmp_path):
     # reproduce -Theta1 and P - mu*I and satisfy every block
     pipeline = request.getfixturevalue(which)
     path = tmp_path / "check.dat-s"
-    model = export(pipeline, frozen["N"], alpha=frozen["alpha"], eps=frozen["eps"],
-                   path=path)
+    assert frozen["eps"] == pipeline.reduced.tail_eps
+    model = export(pipeline, frozen["N"], alpha=frozen["alpha"], path=path)
     prob = read_sdpa(path)
     P, beta, gamma = frozen["P"], frozen["beta"], frozen["gamma"]
     n = model.dim
