@@ -13,7 +13,8 @@ form.  P is constructed from the shifted Lyapunov equation
 F'P + PF + 2 delta P = -I, which reduces the search over (beta, gamma) to one
 concave scalar problem.  With P free the conditions form an LMI in
 (P, beta, gamma): export_sdpa writes it in SDPA format, and
-free_p_certificate solves it with a dense log-barrier method.
+free_p_certificate decides it exactly through the bounded real lemma, as
+one H-infinity norm, and builds its point with one Riccati solve.
 
 Every order is certified on the caller's one ReducedPlant and GainSet: the
 closed loop at order N is assembled from the first N modes of that
@@ -24,10 +25,10 @@ on the model whose gains were designed and which is simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from .errors import DimensionMismatch, NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
@@ -185,15 +186,23 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        N=model.N, N0=model.N0)
 
 
+def _theta_forms(model: ClosedLoopMatrices, reduced: ReducedPlant,
+                 alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(gamma, beta) coefficients of Theta2 and of Theta3 (inf unless left flux).
+
+    Theta2 and Theta3 are linear in (beta, gamma), so their coefficients are
+    _theta_scalars at the unit points; every product by 0, 1 or 2 there is
+    exact, so each coefficient is bit-identical to its term in the formula.
+    """
+    (g2, g3), (b2, b3) = (_theta_scalars(model, reduced, alpha, beta, gamma)
+                          for beta, gamma in ((0.0, 1.0), (1.0, 0.0)))
+    return (g2, b2), (g3, b3)
+
+
 def _beta_slope(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float) -> float:
     """Largest beta/gamma with Theta2 <= 0 (and Theta3 >= 0 for the left flux)."""
-    lam_next = float(reduced.spectrum.lambdas[model.N])
-    k = 2.0 * ((1.0 - 1.0 / alpha) * lam_next - reduced.q_c - reduced.delta) \
-        / _tail_factor(model, reduced)
-    if reduced.plant.measurement.kind == NEUMANN_AT_0:
-        k = min(k, 2.0 * (1.0 - 1.0 / alpha) * lam_next ** (0.5 - reduced.tail_eps)
-                / reduced.tail_constant)
-    return k
+    (g2, b2), (g3, b3) = _theta_forms(model, reduced, alpha)
+    return -g2 / b2 if math.isinf(g3) else min(-g2 / b2, g3 / -b3)
 
 
 def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
@@ -268,99 +277,77 @@ def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarra
     return cert, -phi / h_star
 
 
-def _dense_blocks(prob: SdpaProblem) -> list[np.ndarray]:
-    """Per block, the symmetric matrices F_0..F_m of an SdpaProblem, shape (m+1, s, s)."""
-    blocks = [np.zeros((prob.m_dim + 1, abs(size), abs(size))) for size in prob.block_sizes]
-    for k, mat in prob.entries.items():
-        for (b, i, j), v in mat.items():
-            blocks[b - 1][k, i - 1, j - 1] = blocks[b - 1][k, j - 1, i - 1] = v
-    return blocks
+def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
+    """Squared H-infinity norm sup_w |Q^(1/2) (jw I - A)^-1 b|^2, A Hurwitz, Q >= 0.
+
+    Bruinsma & Steinbuch (Systems & Control Letters 14, 1990): g bounds the
+    squared norm iff the Hamiltonian [[A, b b'/g], [-Q, -A']] has no
+    imaginary eigenvalue; otherwise its imaginary eigenvalues jw bracket the
+    frequencies where the gain exceeds g, and the gain at the midpoints
+    raises the lower bound.  Returns an upper bound, 2e-10 relative above
+    a gain the system attains.
+    """
+    eye = np.eye(A.shape[0])
+
+    def gain(w: float) -> float:
+        x = np.linalg.solve(1j * w * eye - A, b)
+        return float(np.real(np.conj(x) @ Q @ x))
+
+    lower = max(gain(w) for w in np.append(0.0, np.abs(np.linalg.eigvals(A))))
+    for _ in range(50):
+        g = (1.0 + 2e-10) * lower
+        ev = np.linalg.eigvals(np.block([[A, np.outer(b, b) / g], [-Q, -A.T]]))
+        w = np.sort(np.abs(ev.imag[np.abs(ev.real) <= 1e-8 * np.max(np.abs(ev))]))
+        best = max(gain(m) for m in np.append(0.0, 0.5 * (w[:-1] + w[1:])))
+        if best <= lower:
+            break
+        lower = best
+    return g
 
 
 def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        alpha: float) -> Certificate:
-    """Free-P certificate at fixed alpha by a log-barrier SDP solve.
+    """Free-P certificate at fixed alpha, decided exactly by the bounded real lemma.
 
-    Solves the LMI that export_sdpa writes, with P, beta and gamma all free:
-    maximise the smallest block margin t subject to F_b(x) - t I >= 0 for
-    every block F_b(x) = sum_k x_k F_k of that problem (t takes the place of
-    its mu offsets).  The blocks are homogeneous in (P, beta, gamma), so
-    tr P + beta + gamma = 1 fixes the scale without bounding their ratios;
-    beta is eliminated through it.  The barrier method (Vandenberghe & Boyd,
-    SIAM Review 1996) minimises -tau t - sum_b log det F_b by damped Newton
-    steps for tau = 1, 10, 100, ..., until the central-path bound
-    t* - t <= (sum of block sizes)/tau settles t to 1e-3 relative (or to
-    1e-9 of the largest coefficient when t* is 0).  The point goes through
-    verify_certificate; it is reported infeasible, with its margins, unless t
-    exceeds that 1e-9 floor, so no margin at rounding level is claimed.
+    With A = F + delta I and k = _beta_slope, Theta2/Theta3 read beta < k gamma.
+    The Schur complement of Theta1's -beta corner, beta pushed up to k gamma
+    and P = gamma X turn the LMI into the strict Riccati inequality
+    A'X + XA + alpha G + X Lcal Lcal' X / k < 0.  By the strict bounded real
+    lemma (Zhou, Doyle & Glover, Robust and Optimal Control, 1996, 13.6) it
+    has a solution iff A is Hurwitz, k > 0 and alpha h^2 < k, with
+    h = |G^(1/2) (sI - A)^-1 Lcal|_inf independent of alpha: the exact margin
+    is alpha h^2 / k - 1, and optimal_alpha's alpha* is the free-P optimum.
+    The point: X solves the Riccati equation with k1 = (alpha h^2 + k)/2 in
+    place of k and alpha G + e I in place of alpha G, where e leaves the
+    squared norm of that system below k1; then P = X, gamma = 1 and
+    beta = sqrt(k1 k) keep the Schur complement of Theta1 below -e I and
+    beta strictly below k gamma.  That point goes through verify_certificate,
+    the only proof.  Otherwise the constructive point (Lyapunov P, exact
+    scalar search) is returned with its margins.  Raises NotHurwitzShifted
+    when A is not Hurwitz.
     """
-    prob = _free_p_sdp(model, reduced, alpha)
-    n = model.dim
-    rows, cols = np.triu_indices(n)
-    k_beta = rows.size  # 0-based index of beta; gamma follows it
-    diag = np.flatnonzero(rows == cols)
-    norm = np.zeros(prob.m_dim)
-    norm[diag] = 1.0
-    norm[k_beta:] = 1.0
-    keep = np.arange(prob.m_dim) != k_beta
-    # y = (x without beta, t); block b reads consts[b] + sum_j y_j coefs[b][j]
-    consts, coefs = [], []
-    for F in _dense_blocks(prob):
-        F_beta = F[1 + k_beta]
-        consts.append(F_beta)
-        coefs.append(np.concatenate([F[1:][keep] - norm[keep, None, None] * F_beta,
-                                     -np.eye(F.shape[1])[None]]))
-    nu = sum(C.shape[0] for C in consts)
-    tol_abs = _FEAS_TOL * max(float(np.max(np.abs(A))) for A in coefs)
-
-    def blocks(y):
-        return [C + np.tensordot(y, A, 1) for C, A in zip(consts, coefs)]
-
-    def barrier(y, tau):
-        """-tau t - sum log det of the blocks, or inf outside the cone."""
-        try:
-            chols = [np.linalg.cholesky(M) for M in blocks(y)]
-        except np.linalg.LinAlgError:
-            return math.inf
-        return -tau * y[-1] - 2.0 * sum(float(np.sum(np.log(np.diag(L)))) for L in chols)
-
-    # strictly feasible start: P = I and gamma = beta, scaled to the
-    # normalisation, with t below every block's smallest eigenvalue
-    y = np.zeros(k_beta + 2)
-    y[diag] = y[k_beta] = 1.0 / (n + 2)
-    y[-1] = min(float(np.linalg.eigvalsh(M)[0]) for M in blocks(y)) - 1.0
-    tau = 1.0
-    while True:
-        for _ in range(50):
-            grad = np.zeros_like(y)
-            grad[-1] = -tau
-            hess = np.zeros((y.size, y.size))
-            for M, A in zip(blocks(y), coefs):
-                Li = np.linalg.inv(np.linalg.cholesky(M))
-                W = (Li @ A @ Li.T).reshape(y.size, -1)
-                grad -= W[:, ::M.shape[0] + 1].sum(axis=1)
-                hess += W @ W.T
-            dy = np.linalg.solve(hess, -grad)
-            decrement = float(-grad @ dy)
-            if decrement < 1e-6:
-                break
-            f0, step = barrier(y, tau), 1.0
-            while step >= 1e-8 and barrier(y + step * dy, tau) > f0 - 0.25 * step * decrement:
-                step *= 0.5
-            if step < 1e-8:
-                break  # no descent left at working precision
-            y = y + step * dy
-        gap = nu / tau
-        if gap <= max(1e-3 * abs(y[-1]), tol_abs):
-            break
-        tau *= 10.0
-    x = np.insert(y[:-1], k_beta, 1.0 - norm[keep] @ y[:-1])
-    P = np.zeros((n, n))
-    P[rows, cols] = x[:k_beta]
-    P[cols, rows] = x[:k_beta]
-    cert = verify_certificate(model, reduced, P, alpha, float(x[k_beta]),
-                              float(x[k_beta + 1]))
-    return cert if y[-1] > tol_abs else replace(cert, feasible=False)
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    P = lyapunov_solve(model.F, reduced.delta)
+    k = _beta_slope(model, reduced, alpha)
+    if k > 0.0:
+        eye = np.eye(model.dim)
+        A = model.F + reduced.delta * eye
+        ah2 = alpha * _hinf_norm_sq(A, model.G, model.Lcal)
+        if ah2 < k:
+            k1 = 0.5 * (ah2 + k)
+            e = 0.5 * (k1 - ah2) / _hinf_norm_sq(A, eye, model.Lcal)
+            try:
+                X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye,
+                                         [[-k1]])
+            except np.linalg.LinAlgError:  # no stabilising solution at rounding level
+                pass
+            else:
+                cert = verify_certificate(model, reduced, 0.5 * (X + X.T), alpha,
+                                          math.sqrt(k1 * k), 1.0)
+                if cert.feasible:
+                    return cert
+    return _exact_search(model, reduced, P, alpha)[0]
 
 
 def certify_order(reduced: ReducedPlant, gains: GainSet,
@@ -423,9 +410,16 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains: GainSet | None = None,
         for N in N_list])
 
 
-def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant,
-                alpha: float) -> SdpaProblem:
-    """The fixed-alpha free-P LMI that export_sdpa writes and free_p_certificate solves."""
+def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
+                path) -> None:
+    """Write the fixed-alpha free-P feasibility SDP in SDPA sparse format.
+
+    Decision variables: the (2N+1)(2N+2)/2 upper-triangle entries of P
+    (row-major), then beta, then gamma.  Blocks: -Theta1 >= 0, P - mu I >= 0,
+    beta - mu >= 0, gamma - mu >= 0, -Theta2 >= 0, and Theta3 >= 0 for the
+    left-flux measurement; every block is affine in the variables because
+    alpha and eps (the reduction's tail_eps) are fixed.
+    """
     if model.N < model.N0 + 1:
         raise OrderTooSmall(f"N must be >= N0+1 = {model.N0 + 1}, got {model.N}")
     if not alpha > 1.0:
@@ -433,16 +427,11 @@ def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant,
     n = model.dim
     mu = 1e-6
     delta = reduced.delta
-    kind = reduced.plant.measurement.kind
-    lam_next = float(reduced.spectrum.lambdas[model.N])
     n_pvars = n * (n + 1) // 2
-    m_dim = n_pvars + 2
     k_beta, k_gamma = n_pvars + 1, n_pvars + 2
-    sizes = [n + 1, n, -1, -1, -1]
-    neumann = kind == NEUMANN_AT_0
-    if neumann:
-        sizes.append(-1)
-    prob = SdpaProblem(m_dim=m_dim, block_sizes=sizes)
+    (g2, b2), (g3, b3) = _theta_forms(model, reduced, alpha)
+    neumann = math.isfinite(g3)
+    prob = SdpaProblem(m_dim=n_pvars + 2, block_sizes=[n + 1, n, -1, -1, -1] + ([-1] if neumann else []))
 
     F, G, Lcal = model.F, model.G, model.Lcal
     k = 0
@@ -475,23 +464,10 @@ def _free_p_sdp(model: ClosedLoopMatrices, reduced: ReducedPlant,
     prob.add(0, 3, 1, 1, mu)
     prob.add(k_gamma, 4, 1, 1, 1.0)
     prob.add(0, 4, 1, 1, mu)
-    # block 5: -Theta2 >= 0
-    prob.add(k_gamma, 5, 1, 1, 2.0 * ((1.0 - 1.0 / alpha) * lam_next - reduced.q_c - delta))
-    prob.add(k_beta, 5, 1, 1, -_tail_factor(model, reduced))
+    # block 5: -Theta2 >= 0; block 6: Theta3 >= 0
+    prob.add(k_gamma, 5, 1, 1, -g2)
+    prob.add(k_beta, 5, 1, 1, -b2)
     if neumann:
-        prob.add(k_gamma, 6, 1, 1, 2.0 * (1.0 - 1.0 / alpha))
-        prob.add(k_beta, 6, 1, 1, -reduced.tail_constant / lam_next ** (0.5 - reduced.tail_eps))
-    return prob
-
-
-def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
-                path) -> None:
-    """Write the fixed-alpha feasibility SDP in SDPA sparse format.
-
-    Decision variables: the (2N+1)(2N+2)/2 upper-triangle entries of P
-    (row-major), then beta, then gamma.  Blocks: -Theta1 >= 0, P - mu I >= 0,
-    beta - mu >= 0, gamma - mu >= 0, -Theta2 >= 0, and Theta3 >= 0 for the
-    left-flux measurement; every block is affine in the variables because
-    alpha and eps (the reduction's tail_eps) are fixed.
-    """
-    _free_p_sdp(model, reduced, alpha).write(path)
+        prob.add(k_gamma, 6, 1, 1, g3)
+        prob.add(k_beta, 6, 1, 1, b3)
+    prob.write(path)

@@ -84,8 +84,22 @@ class _Type(NamedTuple):
                      lambda text: None if text.lower() == "auto" else self.convert(text))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise ValueError(text)
+    return value
+
+
 def _numbers(text: str) -> list[float]:
-    values = [float(v) for v in text.replace(",", " ").split()]
+    values = [_finite(v) for v in text.replace(",", " ").split()]
     if not values:
         raise ValueError("no numbers")
     return values
@@ -99,8 +113,9 @@ def _measurement(text: str) -> str:
 
 _TEXT = _Type("text", str)
 _INTEGER = _Type("an integer", int)
-_NUMBER = _Type("a number", float)
-_NUMBERS = _Type("a list of numbers", _numbers)
+_NUMBER = _Type("a finite number", _finite)
+_POSITIVE = _Type("a positive finite number", _positive)
+_NUMBERS = _Type("a list of finite numbers", _numbers)
 
 #: marks a key without a default; a default of None lets the key be left out
 _REQUIRED = object()
@@ -113,11 +128,11 @@ _KEYS = {
               "measurement": (_Type("bounded, dirichlet or neumann", _measurement),
                               _REQUIRED),
               "c": (_NUMBERS, None)},
-    "design": {"delta": (_NUMBER, _REQUIRED), "N": (_INTEGER.or_auto(), "auto"),
+    "design": {"delta": (_POSITIVE, _REQUIRED), "N": (_INTEGER.or_auto(), "auto"),
                "n_max": (_INTEGER, "10"), "eps": (_NUMBER, "0.125"),
                "controller_poles": (_NUMBERS.or_auto(), "auto"),
                "observer_poles": (_NUMBERS.or_auto(), "auto")},
-    "sim": {"n_sim": (_INTEGER, "50"), "dt": (_NUMBER, "0.001"), "T": (_NUMBER, "3.0"),
+    "sim": {"n_sim": (_INTEGER, "50"), "dt": (_POSITIVE, "0.001"), "T": (_POSITIVE, "3.0"),
             "z0": (_NUMBERS, _REQUIRED), "u0": (_NUMBER.or_auto(), "auto")},
     "output": {"dir": (_TEXT, "specstab-out")},
 }
@@ -241,17 +256,23 @@ def solve(config: dict) -> RunRecord:
         cand, record = cert_mod.certify_order(reduced, gains, N)
         certificate, search_margins = (cand, None) if cand.feasible else (None, {N: record})
 
+    if n_sim < N:
+        raise err.ConfigParse(f"[sim] n_sim must be at least the run order N = {N}, "
+                              f"got {n_sim}")
     A_cl = assemble_sim(reduced, gains, N, n_sim)
     z0 = np.polynomial.polynomial.polyval(spectrum.grid, np.asarray(sim_cfg["z0"]))
     u0 = float(z0[-1]) if sim_cfg["u0"] is None else sim_cfg["u0"]
-    T = sim_cfg["T"]
-    result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=sim_cfg["dt"], T=T),
-                     spectrum, reduced)
+    T, dt = sim_cfg["T"], sim_cfg["dt"]
+    result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=dt, T=T), spectrum, reduced)
+    window = (min(1.0, T / 2), T)
+    if np.count_nonzero((result.times >= window[0]) & (result.times <= window[1])) < 2:
+        raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
+                              f"the decay-fit window [min(1, T/2), T], got {T}")
     return RunRecord(
         config=config, plant=plant, spectrum=spectrum, reduced=reduced, gains=gains, N=N,
         certificate=certificate, search_margins=search_margins, sim=result,
         abscissa=float(np.max(np.linalg.eigvals(A_cl).real)),
-        decay_rate=fit_decay(result.times, result.eta, (min(1.0, T / 2), T)),
+        decay_rate=fit_decay(result.times, result.eta, window),
         lyapunov=None if certificate is None else lyapunov_trace(result, certificate))
 
 

@@ -13,12 +13,7 @@ from specstab.errors import NoFeasibleN
 from specstab.sdpa import read_sdpa
 from specstab.sturm_liouville import derivative_at_0
 
-from conftest import (
-    FREE_P_DIRICHLET_N3,
-    FREE_P_NEUMANN_N2,
-    constructive_certificate,
-    verified_free_p_certificate,
-)
+from conftest import constructive_certificate, verified_free_p_certificate
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -94,9 +89,9 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     # reference-order attempts with the constructive P, outcome recorded
     attempt_d3 = constructive_certificate(model_d3, dirichlet_pipeline.reduced, 2.0)
     attempt_n2 = constructive_certificate(model_n2, neumann_pipeline.reduced, 2.0)
-    # the same orders carry verified free-P certificates (external solve, re-verified)
-    verified_free_p_certificate(dirichlet_pipeline, FREE_P_DIRICHLET_N3)
-    verified_free_p_certificate(neumann_pipeline, FREE_P_NEUMANN_N2)
+    # the same orders carry free-P certificates (computed in the package, re-verified)
+    verified_free_p_certificate(dirichlet_pipeline, 3)
+    verified_free_p_certificate(neumann_pipeline, 2)
 
     # constructive search up to N = 10, returned certificate independently re-verified
     n_star_d, cert_d = ss.minimal_N(dirichlet_pipeline.reduced,
@@ -140,7 +135,7 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
               f"reference-order constructive attempts: N=3 "
               f"{'feasible' if attempt_d3.feasible else 'infeasible'}, N=2 "
               f"{'feasible' if attempt_n2.feasible else 'infeasible'} "
-              f"(frozen free-P certificates at those orders re-verified); "
+              f"(free-P certificates at those orders computed and re-verified); "
               f"dirichlet constructive N* = {n_star_d}; neumann constructive P "
               f"proved infeasible for N <= 10 (margins "
               f"{min(r['margin'] for r in neumann_margins.values()):.4f}.."
@@ -182,7 +177,7 @@ def test_criterion_05_lyapunov_monotonicity(dirichlet_pipeline, neumann_pipeline
     trace = ss.lyapunov_trace(res, cert)
     tol = 1e-6 * trace.V[0]
     # also recorded: the free-P certificate drives the left-flux example
-    cert_n = verified_free_p_certificate(neumann_pipeline, FREE_P_NEUMANN_N2)
+    cert_n = verified_free_p_certificate(neumann_pipeline, 2)
     _, res_n = preset_sim(neumann_pipeline, lambda x: x * (x - 2.0 / 3.0), N=2)
     trace_n = ss.lyapunov_trace(res_n, cert_n)
     ok = trace.max_increment <= tol and trace_n.max_increment <= 1e-6 * trace_n.V[0]
@@ -302,8 +297,9 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
     red = dirichlet_pipeline.reduced
     n = model.dim
+    free_p = verified_free_p_certificate(dirichlet_pipeline, 3)
     for P, beta, gamma in [
-        (FREE_P_DIRICHLET_N3["P"], FREE_P_DIRICHLET_N3["beta"], FREE_P_DIRICHLET_N3["gamma"]),
+        (free_p.P, free_p.beta, free_p.gamma),
         (np.eye(n), 1.0, 1.0),
         (ss.lyapunov_solve(model.F, 0.5), 50.0, 0.02),
     ]:
@@ -327,7 +323,7 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
             + 3.0 * redb.tail_constant / lam[nn - 1]
         assert gamma_n <= certb.theta2 + 1e-12
     # Theta3 tail dominance (left-flux measurement)
-    certn = verified_free_p_certificate(neumann_pipeline, FREE_P_NEUMANN_N2)
+    certn = verified_free_p_certificate(neumann_pipeline, 2)
     lamn = neumann_pipeline.spectrum.lambdas
     for nn in range(3, 11):
         gamma_n = 2 * certn.gamma * (-0.5 * lamn[nn - 1] + 10.0 + 0.5) \

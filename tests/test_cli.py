@@ -403,8 +403,15 @@ def test_non_integer_order_exit_code(tmp_path, capsys, key, value):
     assert f"{key} must be an integer" in err and value in err
 
 
-@pytest.mark.parametrize("section,key,value", [("sim", "dt", "fast"), ("plant", "q_c", "three"),
-                                               ("design", "delta", "x"), ("sim", "T", "1, 2")])
+@pytest.mark.parametrize("section,key,value", [
+    ("sim", "dt", "fast"), ("plant", "q_c", "three"), ("design", "delta", "x"),
+    ("sim", "T", "1, 2"),
+    # values that convert but lie out of range: non-finite numbers, a
+    # non-positive decay rate, step or horizon, fewer simulated modes than
+    # the run order N* = 3, no 2 steps to fit a decay on
+    ("sim", "T", "nan"), ("plant", "q_c", "nan"), ("design", "delta", "inf"),
+    ("design", "delta", "0"), ("sim", "dt", "0"), ("sim", "T", "-1"),
+    ("sim", "n_sim", "2"), ("sim", "T", "0.0005")])
 def test_malformed_value_exit_code(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path, **{key: value})
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3

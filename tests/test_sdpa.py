@@ -4,7 +4,7 @@ import pytest
 import specstab as ss
 from specstab.sdpa import read_sdpa
 
-from conftest import FREE_P_DIRICHLET_N3, FREE_P_NEUMANN_N2
+from conftest import verified_free_p_certificate
 
 
 def export(pipeline, N, alpha=2.0, path=None):
@@ -61,40 +61,38 @@ def _materialize(prob, x):
     return blocks
 
 
-@pytest.mark.parametrize("which, frozen", [
-    ("dirichlet_pipeline", FREE_P_DIRICHLET_N3),
-    ("neumann_pipeline", FREE_P_NEUMANN_N2),
-])
-def test_export_encodes_theta_blocks(which, frozen, request, tmp_path):
-    # plugging the frozen feasible solution into the parsed problem must
-    # reproduce -Theta1 and P - mu*I and satisfy every block
+@pytest.mark.parametrize("which, N", [("dirichlet_pipeline", 3), ("neumann_pipeline", 2)])
+def test_export_encodes_theta_blocks(which, N, request, tmp_path):
+    # plugging the computed free-P certificate into the parsed problem must
+    # reproduce -Theta1 and P - mu*I, and the point, scaled up past the mu
+    # offsets, must satisfy every block
     pipeline = request.getfixturevalue(which)
+    cert = verified_free_p_certificate(pipeline, N)
     path = tmp_path / "check.dat-s"
-    assert frozen["eps"] == pipeline.reduced.tail_eps
-    model = export(pipeline, frozen["N"], alpha=frozen["alpha"], path=path)
+    assert cert.eps == pipeline.reduced.tail_eps
+    model = export(pipeline, N, alpha=cert.alpha, path=path)
     prob = read_sdpa(path)
-    P, beta, gamma = frozen["P"], frozen["beta"], frozen["gamma"]
+    P, beta, gamma = cert.P, cert.beta, cert.gamma
     n = model.dim
-    x = np.empty(prob.m_dim)
-    k = 0
-    for r in range(n):
-        for s in range(r, n):
-            x[k] = P[r, s]
-            k += 1
-    x[k], x[k + 1] = beta, gamma
+    x = np.append(P[np.triu_indices(n)], [beta, gamma])
     blocks = _materialize(prob, x)
     # block 1 == -Theta1
     delta = pipeline.reduced.delta
     T1 = np.zeros((n + 1, n + 1))
-    T1[:n, :n] = model.F.T @ P + P @ model.F + 2 * delta * P + frozen["alpha"] * gamma * model.G
+    T1[:n, :n] = model.F.T @ P + P @ model.F + 2 * delta * P + cert.alpha * gamma * model.G
     T1[:n, n] = T1[n, :n] = P @ model.Lcal
     T1[n, n] = -beta
     assert np.max(np.abs(blocks[0] - (-T1))) < 1e-9 * max(1.0, np.max(np.abs(T1)))
     # block 2 == P - mu I
     assert np.max(np.abs(blocks[1] - (P - 1e-6 * np.eye(n)))) < 1e-12 * np.max(np.abs(P))
-    # the frozen solution is feasible for every block
-    for b, blk in enumerate(blocks):
-        assert np.linalg.eigvalsh(0.5 * (blk + blk.T))[0] > -1e-9, f"block {b + 1}"
+    # blocks 5 and 6 == -Theta2 and Theta3
+    assert blocks[4][0, 0] == pytest.approx(-cert.theta2, rel=1e-12)
+    if len(blocks) == 6:
+        assert blocks[5][0, 0] == pytest.approx(cert.theta3, rel=1e-12)
+    # the scaled certificate is strictly feasible for every block
+    margin = min(cert.p_min_eig, -cert.theta1_max_eig, beta, gamma, -cert.theta2, cert.theta3)
+    for b, blk in enumerate(_materialize(prob, (10.0 * 1e-6 / margin) * x)):
+        assert np.linalg.eigvalsh(0.5 * (blk + blk.T))[0] > 0, f"block {b + 1}"
 
 
 def test_entry_format_17_digits(dirichlet_pipeline, tmp_path):
@@ -143,9 +141,9 @@ def test_exported_problem_solvable_by_external_sdp(dirichlet_pipeline,
 
 @pytest.mark.parametrize("which, N", [("dirichlet_pipeline", 3), ("neumann_pipeline", 2)])
 def test_exported_problem_solved_in_repository(which, N, request, tmp_path):
-    # in-repo counterpart of the external solve: the free-P log-barrier solve
-    # certifies the orders that the frozen solutions prove feasible, and its
-    # point, scaled up, satisfies every block of the parsed exported file
+    # in-repo counterpart of the external solve: the free-P certificate
+    # exists at these orders, and its point, scaled up, satisfies every
+    # block of the parsed exported file
     pipeline = request.getfixturevalue(which)
     path = tmp_path / f"solve{N}.dat-s"
     model = export(pipeline, N, path=path)
@@ -164,9 +162,9 @@ def test_exported_problem_solved_in_repository(which, N, request, tmp_path):
 @pytest.mark.parametrize("N", [2, 3])
 def test_free_p_infeasible_reports_finite_margins(neumann_pipeline, N):
     # alpha = 1.1: at N = 2 the gamma coefficient of -Theta2 is negative, so
-    # no beta > 0 satisfies it; at N = 3 the largest margin is 0 and the best
-    # point has a Theta1 eigenvalue near +1e-8, inside verify_certificate's
-    # relative tolerance, which must not be reported as a certificate
+    # no beta > 0 satisfies it; at N = 3 the exact ratio alpha h^2 / k is
+    # about 2.44 > 1, so no P exists; either way the reported point carries
+    # finite margins
     model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
     cert = ss.free_p_certificate(model, neumann_pipeline.reduced, 1.1)
     assert not cert.feasible

@@ -14,7 +14,7 @@ from specstab.errors import (
 from specstab.simulate import field_energy
 from specstab.sturm_liouville import derivative_at_0
 
-from conftest import FREE_P_NEUMANN_N2, constructive_certificate, verified_free_p_certificate
+from conftest import constructive_certificate, verified_free_p_certificate
 
 
 def zero_gains(N0):
@@ -345,7 +345,7 @@ def test_lyapunov_trace_monotone_dirichlet(dirichlet_pipeline):
 
 
 def test_lyapunov_trace_monotone_neumann_free_p(neumann_pipeline):
-    cert = verified_free_p_certificate(neumann_pipeline, FREE_P_NEUMANN_N2)
+    cert = verified_free_p_certificate(neumann_pipeline, 2)
     _, res = neumann_run(neumann_pipeline, N=2)
     trace = ss.lyapunov_trace(res, cert)
     assert trace.max_increment <= 1e-6 * trace.V[0]

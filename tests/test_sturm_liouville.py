@@ -426,7 +426,7 @@ def test_polynomial_bounds_are_exact_at_interior_extrema():
     assert q.q_sup == pytest.approx(0.5, abs=4e-16)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
 @example(coeffs=[0.0, 1.0, -1.0, 1.175494351e-38])  # companion-matrix roots lose x = 1/2
 @example(coeffs=[0.0, 1.625, -1.0, 1e-12])
