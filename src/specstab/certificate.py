@@ -274,6 +274,8 @@ def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarra
     phi = k * gamma - h_star
     beta = 0.5 * (h_star + k * gamma) if phi > 0.0 else h_star
     cert = verify_certificate(model, reduced, P, alpha, beta, gamma)
+    if h_star == 0.0:  # Lcal = 0: Theta1 asks only beta >= 0, so phi's sign decides
+        return cert, -math.inf if phi > 0.0 else math.inf
     return cert, -phi / h_star
 
 
@@ -285,8 +287,10 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     imaginary eigenvalue; otherwise its imaginary eigenvalues jw bracket the
     frequencies where the gain exceeds g, and the gain at the midpoints
     raises the lower bound.  Returns an upper bound, 2e-10 relative above
-    a gain the system attains.
+    a gain the system attains, and 0 for b = 0.
     """
+    if not np.any(b):
+        return 0.0
     eye = np.eye(A.shape[0])
 
     def gain(w: float) -> float:
@@ -336,7 +340,8 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
         ah2 = alpha * _hinf_norm_sq(A, model.G, model.Lcal)
         if ah2 < k:
             k1 = 0.5 * (ah2 + k)
-            e = 0.5 * (k1 - ah2) / _hinf_norm_sq(A, eye, model.Lcal)
+            h2 = _hinf_norm_sq(A, eye, model.Lcal)
+            e = 0.5 * (k1 - ah2) / h2 if h2 > 0.0 else 1.0  # Lcal = 0: any e > 0
             try:
                 X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye,
                                          [[-k1]])

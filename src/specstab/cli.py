@@ -27,7 +27,8 @@ from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec,
                          ReducedPlant, reduce as reduce_plant)
 from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim, fit_decay,
                        lyapunov_trace, run as run_sim)
-from .sturm_liouville import CoefficientPair, Spectrum, analytic_spectrum, solve_spectrum
+from .sturm_liouville import (DEFAULT_GRID_SIZE, CoefficientPair, Spectrum, analytic_spectrum,
+                              galerkin_order, solve_spectrum)
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
 OUT_ENV_VAR = "SPECSTAB_OUT"
@@ -215,6 +216,31 @@ class RunRecord:
     lyapunov: LyapunovTrace | None
 
 
+def _require_memory(config: dict, n_modes: int, intervals: int, galerkin: int):
+    """ConfigParse, naming the key that sets n_modes, unless the run's largest
+    arrays fit in physical memory.
+
+    They are counted from below: four dense matrices of the closed loop's
+    side 1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs),
+    the n_modes x (intervals + 1) eigenfunction samples, and four Galerkin
+    matrices of side `galerkin` (stiffness, mass and the eigensolver's copies).
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
+        return
+    n_sim = config["sim"]["n_sim"]
+    side = 1 + n_sim + (config["design"]["N"] or config["design"]["n_max"])
+    need = 8 * (4 * side ** 2 + n_modes * (intervals + 1) + 4 * galerkin ** 2)
+    if need > physical:
+        key, value = (("[sim] n_sim", n_sim) if n_sim >= config["design"]["n_max"]
+                      else ("[design] n_max", config["design"]["n_max"]))
+        raise err.ConfigParse(
+            f"{key} = {value} sets {n_modes} modes, and the run's arrays need at least "
+            f"{need / 2 ** 30:.1f} GiB, more than the {physical / 2 ** 30:.1f} GiB of "
+            "physical memory")
+
+
 def solve(config: dict) -> RunRecord:
     """Run the pipeline on a parsed config; no file or stdout I/O."""
     plant_cfg, design_cfg, sim_cfg = config["plant"], config["design"], config["sim"]
@@ -234,9 +260,11 @@ def solve(config: dict) -> RunRecord:
     n_modes = max(n_sim, n_max) + 1
     trim = np.polynomial.polynomial.polytrim
     if trim(plant_cfg["p"]).tolist() == [1.0] and trim(plant_cfg["q"]).tolist() == [0.0]:
+        _require_memory(config, n_modes, DEFAULT_GRID_SIZE, 0)
         spectrum = analytic_spectrum(plant.boundary, n_modes)
     else:
         grid = max(2000, 40 * n_modes)
+        _require_memory(config, n_modes, 2 * grid, galerkin_order(n_modes))
         spectrum = solve_spectrum(coeffs, plant.boundary, n_modes, grid + grid % 2)
 
     # one reduction serves the simulation (n_sim modes) and every order up to n_max

@@ -2,40 +2,22 @@
 
 Two boundary configurations are supported: f'(0)=0, f(1)=0 (used by the
 in-domain and left-trace measurement paths) and f(0)=f(1)=0 (used by the
-left-flux measurement path).  The operator is discretized in conservative
-flux form, which keeps the discrete problem symmetric tridiagonal; eigenvalues
-are Richardson-extrapolated over two grid levels and eigenfunctions are kept
-on the fine grid.
-
-Both grids' eigenvalues come from LAPACK stebz (bisection), called as scipy's
-eigh_tridiagonal calls it, so they are bit-identical to it; each fine-grid
-eigenvector is one stein (inverse iteration) call, and one in-place
-Cholesky-QR (syrk, Cholesky, trsm) orthonormalizes them all.  A single stein
-call over all of them would Gram-Schmidt each vector against every earlier
-one, because on fine grids all wanted eigenvalues fall in one stein cluster.
-
-The work runs on two threads, the caller and one worker: the coarse grid's
-bisection overlaps the fine grid's, and the stein calls are split between
-the threads by alternate modes.  stebz and stein are called through the
-function pointers of scipy.linalg.cython_lapack, which release the GIL; the
-flux-form matrices and the Cholesky-QR stay on the caller.  Each thread has
-its own workspace and writes its own rows of the eigenvector buffer, and
-each call is the serial run's call on the same data, so the results are
-bit-identical to running them one after another.
+left-flux measurement path).  p = 1, q = 0 has a closed form.  Otherwise the
+operator is solved by a Legendre-Galerkin (Rayleigh-Ritz) method in Shen's
+basis, whose functions meet the boundary conditions exactly: stiffness and
+mass matrices by Gauss-Legendre quadrature, one symmetric-definite
+eigensolve for the lowest modes, which are then sampled on a uniform grid.
+The Ritz eigenvalues bound the true ones from above; the sampled modes and
+their traces at x = 0 come from the same Ritz vectors.
 """
 
 from __future__ import annotations
 
-import functools
-from concurrent.futures import ThreadPoolExecutor
-from ctypes import (CFUNCTYPE, PYFUNCTYPE, addressof, c_char, c_char_p, c_double, c_int,
-                    c_void_p, py_object, pythonapi)
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, cython_lapack
-from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg import eigh
 
 from .errors import BoundViolation, GridMismatch, NonPositiveDiffusion, ResolutionTooCoarse
 
@@ -276,8 +258,8 @@ def analytic_spectrum(bspec: BoundarySpec, n_modes: int,
     """Closed-form spectrum for p = 1, q = 0.
 
     Traces are exact; eigenfunction samples are exact trigonometric values.
-    Serves as the oracle for the finite-difference solver and as the fast
-    path for constant-coefficient examples.
+    Serves as the oracle for solve_spectrum and as the fast path for
+    constant-coefficient examples.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
@@ -298,137 +280,116 @@ def analytic_spectrum(bspec: BoundarySpec, n_modes: int,
                     weights=simpson_weights(grid_size))
 
 
-def _flux_form(coeffs: CoefficientPair, bspec: BoundarySpec,
-               grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the flux-form discretization on one grid."""
-    G = grid_size
-    h = 1.0 / G
-    x = np.linspace(0.0, 1.0, G + 1)
-    pmid = np.broadcast_to(np.asarray(coeffs.p(x[:-1] + h / 2), dtype=float), (G,))
-    if np.min(pmid) <= 0:
-        raise NonPositiveDiffusion("p(x) <= 0 at a staggered grid point")
-    qv = np.broadcast_to(np.asarray(coeffs.q(x), dtype=float), (G + 1,))
+def galerkin_order(n_modes: int) -> int:
+    """Shen basis functions solve_spectrum uses for n_modes eigenpairs.
+
+    A Legendre basis of degree M resolves about 2M/pi modes; twice the mode
+    count plus 32 converges the lowest modes' eigenfunctions and traces to
+    rounding as well as their eigenvalues.
+    """
+    return 2 * n_modes + 32
+
+
+def _legendre(t: np.ndarray, n: int) -> np.ndarray:
+    """L_0..L_{n-1} (n >= 2) at the points t, one row each, by the three-term recurrence."""
+    L = np.empty((n, t.size))
+    L[0] = 1.0
+    L[1] = t
+    for k in range(1, n - 1):
+        L[k + 1] = ((2 * k + 1) * t * L[k] - k * L[k - 1]) / (k + 1)
+    return L
+
+
+def _shen_basis(bspec: BoundarySpec, M: int) -> np.ndarray:
+    """The M x (M + 2) matrix T of the Shen basis phi_k = L_k + a_k L_{k+1} + b_k L_{k+2}
+    in t = 2x - 1: phi_k = sum_n T[k, n] L_n.
+
+    a_k and b_k put f(1) = 0 and f'(0) = 0 (or f(0) = 0) into every phi_k,
+    from L_n(1) = 1, L_n(-1) = (-1)^n and L_n'(-1) = (-1)^(n+1) n(n+1)/2
+    (J. Shen, SIAM J. Sci. Comput. 15, 1994).
+    """
+    k = np.arange(M)
+    T = np.zeros((M, M + 2))
+    T[k, k] = 1.0
     if bspec.neumann_at_0:
-        # unknowns f_0..f_{G-1}; ghost mirror f_{-1}=f_1 with even p extension.
-        # Row 0 then reads (2 p_{1/2}/h^2)(f_0 - f_1) + q_0 f_0; scaling node 0
-        # by 1/sqrt(2) restores symmetry without moving the eigenvalues.
-        d = np.empty(G)
-        d[0] = 2 * pmid[0] / h ** 2 + qv[0]
-        d[1:] = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
-        e = -pmid[:-1] / h ** 2
-        e[0] *= np.sqrt(2.0)
+        T[k, k + 1] = -(2 * k + 3) / (k + 2) ** 2
+        T[k, k + 2] = -((k + 1) / (k + 2)) ** 2
     else:
-        # unknowns f_1..f_{G-1}
-        d = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
-        e = -pmid[1:-1] / h ** 2
-    return d, e
+        T[k, k + 2] = -1.0
+    return T
 
 
-@functools.cache
-def _lapack(name: str):
-    """The LAPACK routine `name` of scipy.linalg.cython_lapack as a ctypes
-    function; every argument is an address, and a call releases the GIL."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = PYFUNCTYPE(c_char_p, py_object)(("PyCapsule_GetName", pythonapi))
-    capsule_pointer = PYFUNCTYPE(c_void_p, py_object, c_char_p)(
-        ("PyCapsule_GetPointer", pythonapi))
-    signature = capsule_name(capsule)  # e.g. b"void (int *, double *, ...)"
-    prototype = CFUNCTYPE(None, *[c_void_p] * signature.count(b"*"))
-    return prototype(capsule_pointer(capsule, signature))
+def _shen_at(t: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Shen basis functions of T and their t-derivatives at the points t,
+    one row each; L'_{n+1} = L'_{n-1} + (2n + 1) L_n gives the derivatives."""
+    L = _legendre(t, T.shape[1])
+    dL = np.zeros_like(L)
+    dL[1] = L[0]
+    for n in range(1, T.shape[1] - 1):
+        dL[n + 1] = dL[n - 1] + (2 * n + 1) * L[n]
+    return T @ L, T @ dL
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowest m eigenvalues of the symmetric tridiagonal matrix (d, e).
+def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
+              M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest n_modes Ritz pairs of -(pf')' + qf in the first M Shen basis functions.
 
-    LAPACK dstebz by index range 1..m with tolerance 0, the call scipy's
-    eigh_tridiagonal makes.  Returns the eigenvalues in ascending order, their
-    block numbers in the same order, and the block ends, as stein reads them.
+    Returns the eigenvalues in ascending order, each mode's Legendre
+    coefficients in t = 2x - 1 (one row of M + 2 per mode), and each mode's
+    first nonzero datum at x = 0: f(0), or f'(0) when f(0) = 0.
+
+    Stiffness S and mass B come from Gauss-Legendre quadrature on M + 8
+    nodes, exact for polynomial p and q of moderate degree.  The swapped
+    problem B c = mu S c, diagonally scaled, gives lambda = 1/mu: solved the
+    other way round, the Cholesky factor of B costs lambda_1 digits as M
+    grows.  f(0) is the closed form sum c_n (-1)^n.  f'(0) is the weak-form
+    flux p(0) f'(0) = int p f' + int (lambda - q)(1 - x) f: the closed form
+    sum of c_n L_n'(-1) would multiply the coefficients' rounding by n^2.
     """
-    d = np.ascontiguousarray(d, dtype=float)
-    e = np.ascontiguousarray(e, dtype=float)
-    n = d.size
-    if e.size != n - 1:
-        raise ValueError(f"e needs {n - 1} entries for {n} diagonal entries, has {e.size}")
-    w = np.empty(n)
-    iblock = np.empty(n, dtype=np.intc)
-    isplit = np.empty(n, dtype=np.intc)
-    work = np.empty(4 * n)
-    iwork = np.empty(3 * n, dtype=np.intc)
-    by_index, by_block = c_char(b"I"), c_char(b"B")
-    size, lowest, highest = c_int(n), c_int(1), c_int(m)
-    zero = c_double(0.0)  # the value bounds, unused by index, and the tolerance
-    found, nsplit, info = c_int(), c_int(), c_int()
-    _lapack("dstebz")(
-        addressof(by_index), addressof(by_block), addressof(size), addressof(zero),
-        addressof(zero), addressof(lowest), addressof(highest), addressof(zero),
-        d.ctypes.data, e.ctypes.data, addressof(found), addressof(nsplit), w.ctypes.data,
-        iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-        addressof(info))
-    if info.value:
-        raise LinAlgError(f"stebz (bisection) failed with info = {info.value}")
-    order = np.argsort(w[:found.value])
-    return w[order], iblock[order], isplit
+    t, w = np.polynomial.legendre.leggauss(M + 8)
+    x = 0.5 * (t + 1.0)
+    p = np.broadcast_to(np.asarray(coeffs.p(x), dtype=float), x.shape)
+    if np.min(p) <= 0:
+        raise NonPositiveDiffusion("p(x) <= 0 at a Gauss-Legendre node")
+    q = np.broadcast_to(np.asarray(coeffs.q(x), dtype=float), x.shape)
+    T = _shen_basis(bspec, M)
+    phi, dphi = _shen_at(t, T)
+    # x = (t + 1)/2: d/dx = 2 d/dt and dx = dt/2
+    S = 2.0 * (dphi * (w * p)) @ dphi.T + 0.5 * (phi * (w * q)) @ phi.T
+    B = 0.5 * (phi * w) @ phi.T
+    # the datum at x = 0 of sum_k c_k phi_k with eigenvalue lambda: c . (d0 + lambda d1)
+    if bspec.neumann_at_0:
+        d0, d1 = T @ (-1.0) ** np.arange(M + 2), np.zeros(M)
+    else:
+        p0 = np.asarray(coeffs.p(np.zeros(1)), dtype=float).item()
+        d0 = (dphi @ (w * p) - 0.5 * phi @ (w * q * (1.0 - x))) / p0
+        d1 = 0.5 * phi @ (w * (1.0 - x)) / p0
+    del phi, dphi  # the eigensolve needs only S and B
+    s = 1.0 / np.sqrt(np.diag(S))
+    S *= np.outer(s, s)
+    B *= np.outer(s, s)
+    mu, X = eigh(B, S, subset_by_index=[M - n_modes, M - 1], driver="gvx",
+                 check_finite=False)
+    lam = 1.0 / mu[::-1]
+    C = (s[:, None] * X[:, ::-1]).T
+    return lam, C @ T, C @ d0 + lam * (C @ d1)
 
 
-def _stein(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray,
-           isplit: np.ndarray, modes, phi: np.ndarray, first: int):
-    """Inverse iteration (LAPACK dstein, one eigenvalue per call) for each
-    1-indexed mode in modes; eigenvector `mode` goes to phi[mode - 1] at
-    columns first..first+d.size-1.  w, iblock and isplit are _stebz's."""
-    d = np.ascontiguousarray(d, dtype=float)
-    e = np.ascontiguousarray(e, dtype=float)
-    n = d.size
-    if not phi.flags.c_contiguous or phi.dtype != float or phi.shape[1] < first + n:
-        raise ValueError(f"phi must be C-contiguous float64 with {first + n} columns or more")
-    work = np.empty(5 * n)
-    iwork = np.empty(n, dtype=np.intc)
-    ifail = np.empty(1, dtype=np.intc)
-    size, one, info = c_int(n), c_int(1), c_int()
-    stein = _lapack("dstein")
-    for mode in modes:
-        i = mode - 1
-        stein(addressof(size), d.ctypes.data, e.ctypes.data, addressof(one),
-              w[i:].ctypes.data, iblock[i:].ctypes.data, isplit.ctypes.data,
-              phi[i, first:].ctypes.data, addressof(size), work.ctypes.data,
-              iwork.ctypes.data, ifail.ctypes.data, addressof(info))
-        if info.value:
-            raise LinAlgError(
-                f"stein: inverse iteration for mode {mode} did not converge "
-                f"(info = {info.value})")
-
-
-def _eigenpairs(d: np.ndarray, e: np.ndarray, n_modes: int, phi: np.ndarray,
-                first: int, pool: ThreadPoolExecutor) -> np.ndarray:
-    """Lowest n_modes eigenpairs of the symmetric tridiagonal matrix (d, e).
-
-    Returns the eigenvalues in ascending order and writes the orthonormal
-    eigenvectors into the rows of phi, at columns first..first+d.size-1; the
-    other columns of phi must be zero.  The stein calls of the even modes run
-    on pool, the odd ones on the caller.  The Cholesky-QR works on phi.T, a
-    Fortran-ordered view of the same buffer, so no second copy is made.
-    """
-    w, iblock, isplit = _stebz(d, e, n_modes)
-    modes = range(1, w.size + 1)
-    even = pool.submit(_stein, d, e, w, iblock, isplit, modes[1::2], phi, first)
-    try:
-        _stein(d, e, w, iblock, isplit, modes[::2], phi, first)
-    finally:
-        even.result()
-    V = phi.T
-    R = cholesky(dsyrk(1.0, V, trans=1), overwrite_a=True, check_finite=False)
-    dtrsm(1.0, R, V, side=1, overwrite_b=1)
-    return w
+#: sample points evaluated per block: bounds the Legendre rows held at once
+_SAMPLE_BLOCK = 1024
 
 
 def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
                    grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
     """Numerical spectrum of -(pf')' + qf on the requested domain.
 
-    The problem is discretized in conservative flux form on grids of
-    grid_size and 2*grid_size intervals; eigenvalues are Richardson
-    extrapolated, eigenfunctions and traces come from the fine grid.  The
-    coarse grid's bisection runs on a worker thread while the caller
-    bisects the fine grid; see the module docstring.
+    A Legendre-Galerkin (Rayleigh-Ritz) solve in galerkin_order(n_modes)
+    Shen basis functions, which meet the boundary conditions exactly, so
+    the eigenvalues are upper bounds that only come down as the basis grows.
+    The modes are sampled on a uniform grid of 2*grid_size intervals, block
+    by block, and scaled to unit norm under its Simpson weights, with the
+    first nonzero datum at x = 0 positive; that datum is the trace, and the
+    other trace is zero by the boundary condition.  See _galerkin.
 
     Parameters
     ----------
@@ -437,34 +398,26 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     n_modes : int
         Number of leading eigenpairs; requires grid_size >= 40*n_modes.
     grid_size : int
-        Base (coarse) grid intervals; must be even.
+        Half the sample grid's intervals; must be even.
     """
     _require_resolution(n_modes, grid_size)
+    lam, leg, datum = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
     G = 2 * grid_size
-    coarse = _flux_form(coeffs, bspec, grid_size)
-    d, e = _flux_form(coeffs, bspec, G)
-    phi = np.zeros((n_modes, G + 1))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        coarse_bisection = pool.submit(_stebz, *coarse, n_modes)
-        try:
-            lam_fine = _eigenpairs(d, e, n_modes, phi, 0 if bspec.neumann_at_0 else 1, pool)
-        finally:
-            lam_coarse = coarse_bisection.result()[0]
-    if bspec.neumann_at_0:
-        phi[:, 0] *= np.sqrt(2.0)
-    lam = (4.0 * lam_fine - lam_coarse) / 3.0
-    h = 1.0 / G
+    x = np.linspace(0.0, 1.0, G + 1)
     w = simpson_weights(G)
-    for i in range(n_modes):
-        phi[i] /= np.sqrt(np.sum(w * phi[i] ** 2))
-        datum = phi[i, 0] if bspec.neumann_at_0 else derivative_at_0(phi[i], h)
-        if datum < 0:
-            phi[i] = -phi[i]
-    trace0 = phi[:, 0].copy()
-    if bspec.neumann_at_0:
-        dtrace0 = np.zeros(n_modes)
-    else:
-        dtrace0 = np.array([derivative_at_0(phi[i], h) for i in range(n_modes)])
+    phi = np.empty((n_modes, G + 1))
+    norm_sq = np.zeros(n_modes)
+    for start in range(0, G + 1, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        phi[:, block] = leg @ _legendre(2.0 * x[block] - 1.0, leg.shape[1])
+        norm_sq += np.einsum("ij,ij,j->i", phi[:, block], phi[:, block], w[block])
+    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(norm_sq)
+    phi *= scale[:, None]
+    phi[:, -1] = 0.0
+    trace0, dtrace0 = datum * scale, np.zeros(n_modes)
+    if not bspec.neumann_at_0:
+        phi[:, 0] = 0.0
+        trace0, dtrace0 = dtrace0, trace0
     return Spectrum(boundary=bspec, lambdas=lam, eigenfunctions=phi,
                     trace0=trace0, dtrace0=dtrace0, grid_size=G, weights=w)
 

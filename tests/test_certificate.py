@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -275,6 +276,26 @@ def test_hinf_norm_of_a_resonant_system():
     h2 = ss.certificate._hinf_norm_sq(A, np.diag([1.0, 0.0]), np.array([0.0, 1.0]))
     exact = 1.0 / (4.0 * zeta ** 2 * w0 ** 4 * (1.0 - zeta ** 2))
     assert exact <= h2 <= exact * (1.0 + 1e-9)
+
+
+def test_hinf_norm_of_a_zero_input_vector():
+    assert ss.certificate._hinf_norm_sq(-np.eye(2), np.eye(2), np.zeros(2)) == 0.0
+
+
+def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):
+    # Lcal = 0, as a zero observer gain gives: Theta1 no longer couples to
+    # beta, so the LMI is feasible iff k > 0 (F + delta I being Hurwitz)
+    red = dirichlet_pipeline.reduced
+    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 3)
+    model = dataclasses.replace(model, Lcal=np.zeros(model.dim))
+    alpha = ss.optimal_alpha(model, red)
+    assert ss.certificate._beta_slope(model, red, alpha) > 0.0
+    assert ss.free_p_certificate(model, red, alpha).feasible
+    # alpha close to 1 leaves Theta2 no room: k < 0
+    assert ss.certificate._beta_slope(model, red, 1.01) < 0.0
+    cert = ss.free_p_certificate(model, red, 1.01)
+    assert not cert.feasible
+    assert ss.certificate._exact_search(model, red, cert.P, 1.01)[1] == math.inf
 
 
 def test_free_p_propagates_not_hurwitz(dirichlet_pipeline):

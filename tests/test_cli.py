@@ -311,7 +311,7 @@ def test_variable_coefficient_config(tmp_path):
 
 
 def test_variable_coefficients_through_solve_spectrum(tmp_path):
-    # p = 1 + x/2, q = x^2: the finite-difference spectrum, not the closed form
+    # p = 1 + x/2, q = x^2: the Galerkin spectrum, not the closed form
     cfg = write_config(tmp_path, p="1, 0.5", q="0, 0, 1")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run_scenario(str(cfg), out_dir=out1, quiet=True) == 0
@@ -322,6 +322,20 @@ def test_variable_coefficients_through_solve_spectrum(tmp_path):
     assert "report.json" in written and "state_field.csv" in written
     for name in written:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key, value, named", [("n_sim", 100000, "[sim] n_sim"),
+                                               ("n_max", 100000, "[design] n_max")])
+def test_mode_count_beyond_memory_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys,
+                                                              key, value, named):
+    # 100,001 modes: the closed loop alone would be dense 1e5 x 1e5 matrices
+    spectra = []
+    for name in ("analytic_spectrum", "solve_spectrum"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: spectra.append(_name))
+    cfg = write_config(tmp_path, **{key: value})
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert spectra == []
+    assert f"{named} = {value}" in capsys.readouterr().err
 
 
 def reference_series(t, values):

@@ -1,4 +1,3 @@
-import ctypes
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -6,9 +5,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import LinAlgError, cholesky, eigh_tridiagonal
-from scipy.linalg.blas import dsyrk, dtrsm
-from scipy.linalg.lapack import dstebz, dstein
 
 import specstab as ss
 from specstab.errors import (
@@ -203,7 +199,7 @@ def test_odd_grid_rejected():
 
 def test_non_positive_diffusion_detected_at_staggered_points():
     # positive at the multiples of 1/2000 checked on construction, negative
-    # at the staggered midpoints the solver actually samples
+    # at Gauss-Legendre nodes between them, where the solver integrates p
     coeffs = ss.CoefficientPair(
         p=lambda x: 0.001 - np.sin(2000 * np.pi * np.asarray(x, dtype=float)),
         q=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -231,8 +227,8 @@ def test_spectrum_immutable():
 
 
 def _dense_pinned_eigenvalues(coeffs, G, k):
-    # independent route: dense symmetric eigensolve of the same flux-form
-    # discretization on the pinned-at-both-ends domain
+    # independent route: dense symmetric eigensolve of the conservative
+    # flux-form finite differences on the pinned-at-both-ends domain
     h = 1.0 / G
     x = np.linspace(0.0, 1.0, G + 1)
     pmid = coeffs.p(x[:-1] + h / 2)
@@ -244,121 +240,79 @@ def _dense_pinned_eigenvalues(coeffs, G, k):
 
 
 def test_solver_matches_dense_eigensolver_route():
+    # Richardson over 400/800 intervals has an h^4 error (3.4e-9 relative on
+    # lambda_6); the 200/400 pair has 16 times that, so their difference over
+    # 15 estimates it.  The dense eigensolve adds rounding of eps |T|, with
+    # |T| <= 4 p_sup / h^2 on the 800-interval grid.
     coeffs = variable_coeffs()
     lam_pkg = ss.solve_spectrum(coeffs, DD, 6, 400).lambdas
-    coarse = _dense_pinned_eigenvalues(coeffs, 400, 6)
-    fine = _dense_pinned_eigenvalues(coeffs, 800, 6)
-    lam_dense = (4.0 * fine - coarse) / 3.0
-    assert np.allclose(lam_pkg, lam_dense, rtol=1e-10)
+    dense = {G: _dense_pinned_eigenvalues(coeffs, G, 6) for G in (200, 400, 800)}
+    lam_dense = (4.0 * dense[800] - dense[400]) / 3.0
+    fd_error = np.abs((4.0 * dense[400] - dense[200]) / 3.0 - lam_dense) / 15.0
+    rounding = 4.0 * np.finfo(float).eps * 4.0 * 1.1 * 800 ** 2
+    assert np.all(np.abs(lam_pkg - lam_dense) <= 2.0 * fd_error + rounding)
 
 
-# ---------------------------------------------------------------- fine-grid eigenpairs
+# ---------------------------------------------------------------- Galerkin solve
 
-def _flux_form_tridiagonal(coeffs, bspec, G):
-    # the flux-form matrix as the module builds it: pinned at both ends, or
-    # flat at 0 with node 0 rescaled by 1/sqrt(2) to keep it symmetric
-    h = 1.0 / G
-    x = np.linspace(0.0, 1.0, G + 1)
-    pmid = coeffs.p(x[:-1] + h / 2)
-    qv = coeffs.q(x)
-    if bspec.neumann_at_0:
-        d = np.concatenate([[2 * pmid[0] / h ** 2 + qv[0]],
-                            (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]])
-        e = -pmid[:-1] / h ** 2
-        e[0] *= SQ2
-    else:
-        d = (pmid[:-1] + pmid[1:]) / h ** 2 + qv[1:-1]
-        e = -pmid[1:-1] / h ** 2
-    return d, e
+VARCOEF = ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("bspec", [ND, DD])
-def test_fine_grid_eigenpairs_match_eigh_tridiagonal(bspec):
-    # 60 modes on 4000 intervals: every wanted eigenvalue lies within stein's
-    # cluster threshold of its neighbours, the case eigh_tridiagonal handles
-    # by Gram-Schmidt inside stein
-    m = 60
-    d, e = _flux_form_tridiagonal(variable_coeffs(), bspec, 4000)
-    lam_ref, V_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
-    phi = np.zeros((m, d.size + 2))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        lam = ss.sturm_liouville._eigenpairs(d, e, m, phi, 1, pool)
-    assert np.array_equal(lam, lam_ref)
-    assert not np.any(phi[:, 0]) and not np.any(phi[:, -1])
-    V = phi[:, 1:-1].T
-    signs = np.sign(np.sum(V * V_ref, axis=0))
-    assert np.max(np.abs(V * signs - V_ref)) <= 1e-10
-    assert np.max(np.abs(V.T @ V - np.eye(m))) <= 1e-13
-    TV = d[:, None] * V
-    TV[:-1] += e[:, None] * V[1:]
-    TV[1:] += e[:, None] * V[:-1]
-    norm1 = np.max(np.abs(d) + np.concatenate([np.abs(e), [0]]) + np.concatenate([[0], np.abs(e)]))
-    assert np.max(np.abs(TV - V * lam)) <= 10 * np.finfo(float).eps * norm1
+def test_eigenvalues_converged_in_the_basis_size(bspec):
+    # 201 modes, the varcoef-fine case: a quarter more basis functions moves
+    # no eigenvalue by more than 1e-10 relative
+    M = ss.sturm_liouville.galerkin_order(201)
+    lam = ss.sturm_liouville._galerkin(VARCOEF, bspec, 201, M)[0]
+    more = ss.sturm_liouville._galerkin(VARCOEF, bspec, 201, round(1.25 * M))[0]
+    assert np.max(np.abs(more - lam) / lam) <= 1e-10
 
 
 @pytest.mark.parametrize("bspec", [ND, DD])
-def test_richardson_eigenvalues_bit_identical_to_eigh_tridiagonal(bspec):
-    coeffs = variable_coeffs()
-    sp = ss.solve_spectrum(coeffs, bspec, 50, 2000)
-    coarse, fine = (eigh_tridiagonal(*_flux_form_tridiagonal(coeffs, bspec, G),
-                                     select="i", select_range=(0, 49), eigvals_only=True)
-                    for G in (2000, 4000))
-    assert np.array_equal(sp.lambdas, (4.0 * fine - coarse) / 3.0)
+def test_eigenvalues_never_increase_with_the_basis_size(bspec):
+    # the Shen spaces are nested, so each Ritz value is an upper bound that a
+    # larger basis can only bring down; rounding moves converged ones by ~1e-14
+    galerkin = ss.sturm_liouville._galerkin
+    lam = [galerkin(VARCOEF, bspec, 12, M)[0] for M in range(12, 64)]
+    for smaller, larger in zip(lam, lam[1:]):
+        assert np.all(larger <= smaller * (1.0 + 1e-12))
+    assert lam[0][-1] > 2.0 * lam[-1][-1]  # the range covers unconverged bases too
 
 
-def _serial_spectrum(coeffs, bspec, n_modes, grid_size):
-    # solve_spectrum's algorithm on one thread, through scipy's f2py stebz
-    # and stein: (lambdas, eigenfunctions, trace0, dtrace0)
-    coarse = eigh_tridiagonal(*_flux_form_tridiagonal(coeffs, bspec, grid_size), select="i",
-                              select_range=(0, n_modes - 1), eigvals_only=True)
-    G = 2 * grid_size
-    d, e = _flux_form_tridiagonal(coeffs, bspec, G)
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, n_modes, 0.0, "B")
-    assert m == n_modes and info == 0
-    order = np.argsort(w[:m])
-    first = 0 if bspec.neumann_at_0 else 1
-    phi = np.zeros((n_modes, G + 1))
-    block = np.empty_like(iblock)
-    for row, i in enumerate(order):
-        block[0] = iblock[i]
-        z, info = dstein(d, e, w[i:i + 1], block, isplit)
-        assert info == 0
-        phi[row, first:first + d.size] = z[:, 0]
-    V = phi.T
-    R = cholesky(dsyrk(1.0, V, trans=1), overwrite_a=True, check_finite=False)
-    dtrsm(1.0, R, V, side=1, overwrite_b=1)
-    if bspec.neumann_at_0:
-        phi[:, 0] *= SQ2
-    h = 1.0 / G
-    weights = ss.simpson_weights(G)
-    for i in range(n_modes):
-        phi[i] /= np.sqrt(np.sum(weights * phi[i] ** 2))
-        datum = phi[i, 0] if bspec.neumann_at_0 else ss.sturm_liouville.derivative_at_0(phi[i], h)
-        if datum < 0:
-            phi[i] = -phi[i]
-    dtrace0 = (np.zeros(n_modes) if bspec.neumann_at_0 else
-               np.array([ss.sturm_liouville.derivative_at_0(f, h) for f in phi]))
-    return (4.0 * w[order] - coarse) / 3.0, phi, phi[:, 0].copy(), dtrace0
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_constant_coefficients_match_the_closed_form(bspec):
+    # p = 1.3, q = 0.5: the eigenfunctions of p = 1, q = 0, lambda = 1.3 k^2 + 0.5
+    num = ss.solve_spectrum(ss.CoefficientPair.constant(1.3, 0.5), bspec, 10, 2000)
+    ana = ss.analytic_spectrum(bspec, 10, 4000)
+    exact = 1.3 * ana.lambdas + 0.5
+    assert np.max(np.abs(num.lambdas - exact) / exact) <= 1e-13
+    assert np.max(np.abs(num.trace0 - ana.trace0)) <= 1e-13 * SQ2
+    scale = np.maximum(ana.dtrace0, 1.0)
+    assert np.max(np.abs(num.dtrace0 - ana.dtrace0) / scale) <= 1e-13
+
+
+#: lambda_1, lambda_3, lambda_51 and lambda_201 of p = 1 + x/2, q = x^2 with
+#: f'(0) = f(1) = 0 from flux-form finite differences, Richardson-extrapolated
+#: over 8040 and 16080 intervals
+FD_VARCOEF = {1: 3.4319394286759284, 3: 76.89997357313712,
+              51: 31145.19515424206, 201: 490941.1555376376}
+
+
+def test_varcoef_eigenvalues_agree_with_finite_differences():
+    # within the finite-difference error: 2.8e-8 relative on lambda_1 and
+    # 2.5e-8 on lambda_201 measured against converged Galerkin values
+    lam = ss.solve_spectrum(VARCOEF, ND, 201, 8040).lambdas
+    for n, fd in FD_VARCOEF.items():
+        assert abs(lam[n - 1] - fd) <= 5e-8 * fd
 
 
 def _spectrum_arrays(sp):
     return sp.lambdas, sp.eigenfunctions, sp.trace0, sp.dtrace0
 
 
-@pytest.mark.parametrize("bspec", [ND, DD])
-def test_threaded_spectrum_bit_identical_to_serial_f2py_route(bspec):
-    # 60 modes on a 4800-interval fine grid: every eigenvalue sits in one
-    # stein cluster, and the two threads' stein calls interleave by mode
-    coeffs = variable_coeffs()
-    got = _spectrum_arrays(ss.solve_spectrum(coeffs, bspec, 60, 2400))
-    for a, b in zip(got, _serial_spectrum(coeffs, bspec, 60, 2400)):
-        assert np.array_equal(a, b)
-
-
 def test_concurrent_solves_match_serial_solves():
-    # two solves at once, each with its own worker (four threads on at most
-    # two cores, switching often): the LAPACK bindings, built afresh on the
-    # first concurrent round, are shared; the workspaces are not
+    # two solves at once on two threads that switch often: both share BLAS
+    # and LAPACK, and each must give its serial result bit for bit
     cases = [(variable_coeffs(), ND, 60, 2400),
              (ss.CoefficientPair.constant(1.3, 0.5), DD, 40, 3200)]
     serial = [_spectrum_arrays(ss.solve_spectrum(*case)) for case in cases]
@@ -371,7 +325,6 @@ def test_concurrent_solves_match_serial_solves():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        ss.sturm_liouville._lapack.cache_clear()
         for _ in range(2):
             with ThreadPoolExecutor(max_workers=len(cases)) as pool:
                 concurrent = list(pool.map(solve, cases, timeout=120))
@@ -379,39 +332,6 @@ def test_concurrent_solves_match_serial_solves():
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
     finally:
         sys.setswitchinterval(interval)
-
-
-def _fail_stein_at(monkeypatch, mode, coeffs, bspec, n_modes, grid_size):
-    # LAPACK stein reports non-convergence (info = 1) for the fine-grid
-    # eigenvalue of `mode`; returns the list of threads that call ran on
-    lam = eigh_tridiagonal(*_flux_form_tridiagonal(coeffs, bspec, 2 * grid_size), select="i",
-                           select_range=(0, n_modes - 1), eigvals_only=True)
-    lapack = ss.sturm_liouville._lapack
-    threads = []
-
-    def dstein(*args):  # args are addresses: w is the 5th, info the last
-        lapack("dstein")(*args)
-        if ctypes.c_double.from_address(args[4]).value == lam[mode - 1]:
-            threads.append(threading.current_thread())
-            ctypes.c_int.from_address(args[-1]).value = 1
-
-    monkeypatch.setattr(ss.sturm_liouville, "_lapack",
-                        lambda name: dstein if name == "dstein" else lapack(name))
-    return threads
-
-
-def test_stein_failure_names_the_mode(monkeypatch):
-    threads = _fail_stein_at(monkeypatch, 3, variable_coeffs(), DD, 5, 400)
-    with pytest.raises(LinAlgError, match="mode 3"):
-        ss.solve_spectrum(variable_coeffs(), DD, 5, 400)
-    assert threads == [threading.current_thread()]
-
-
-def test_stein_failure_on_the_worker_reaches_the_caller(monkeypatch):
-    threads = _fail_stein_at(monkeypatch, 4, variable_coeffs(), ND, 5, 400)
-    with pytest.raises(LinAlgError, match="mode 4"):
-        ss.solve_spectrum(variable_coeffs(), ND, 5, 400)
-    assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
 
 # ---------------------------------------------------------------- polynomial bounds
