@@ -1,4 +1,4 @@
-"""Stability certificates: construction, verification, search, and export.
+"""Stability certificates: decision, verification, search over N, and export.
 
 A certificate is a tuple (P, alpha, beta, gamma, eps, N) whose sign
 conditions prove closed-loop decay at rate delta:
@@ -8,13 +8,14 @@ conditions prove closed-loop decay at rate delta:
     Theta2 <= 0, and (left-flux measurement only) Theta3 >= 0,
 
 where Theta2/Theta3 couple the finite design to the spectral tail through
-the measurement tail constant; optimal_alpha gives the best alpha in closed
-form.  P is constructed from the shifted Lyapunov equation
-F'P + PF + 2 delta P = -I, which reduces the search over (beta, gamma) to one
-concave scalar problem.  With P free the conditions form an LMI in
-(P, beta, gamma): export_sdpa writes it in SDPA format, and
-free_p_certificate decides it exactly through the bounded real lemma, as
-one H-infinity norm, and builds its point with one Riccati solve.
+the measurement tail constant.  The conditions form an LMI in
+(P, beta, gamma): free_p_certificate decides it exactly through the bounded
+real lemma, as one H-infinity norm, and builds its point with one Riccati
+solve; optimal_alpha gives the best alpha in closed form, and export_sdpa
+writes the LMI in SDPA format.  verify_certificate is the only proof of a
+point.  lyapunov_solve gives the P of the shifted Lyapunov equation
+F'P + PF + 2 delta P = -I, one admissible P, whose norms
+lyapunov_norm_sweep records over the order.
 
 Every order is certified on the caller's one ReducedPlant and GainSet: the
 closed loop at order N is assembled from the first N modes of that
@@ -38,6 +39,9 @@ from .synthesis import ClosedLoopMatrices, GainSet, assemble_closed_loop, design
 
 #: absolute feasibility tolerance, scaled by each quantity's magnitude
 _FEAS_TOL = 1e-9
+
+#: c in lyapunov_solve's backward-error bound |R|_F <= c n u |A|_F |P|_F
+_LYAP_BACKWARD_C = 10.0
 
 
 @dataclass(frozen=True)
@@ -84,29 +88,41 @@ class Certificate:
         )
 
 
+def _shifted(F: np.ndarray, delta: float) -> np.ndarray:
+    """A = F + delta I; NotHurwitzShifted unless its spectral abscissa is negative."""
+    A = F + delta * np.eye(F.shape[0])
+    abscissa = float(np.max(np.linalg.eigvals(A).real))
+    if abscissa >= 0:
+        raise NotHurwitzShifted(
+            f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
+    return A
+
+
 def lyapunov_solve(F: np.ndarray, delta: float) -> np.ndarray:
     """Unique P > 0 with F'P + PF + 2 delta P = -I.
 
-    Solved by the Bartels-Stewart method (Schur form of F + delta I);
-    requires the spectral abscissa of F + delta I to be negative.  The
-    residual is checked against 1e-9 before returning.
+    Solved by the Bartels-Stewart method (Schur form of A = F + delta I);
+    requires the spectral abscissa of A to be negative.  The residual
+    R = A'P + PA + I must meet the backward-error bound
+    |R|_F <= c n u |A|_F |P|_F with c = 10 and unit roundoff u (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 16.2), so a solve
+    of large but well-determined P passes and a wrong P does not.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
     if F.shape != (n, n):
         raise DimensionMismatch(f"F must be square, got {F.shape}")
-    A = F + delta * np.eye(n)
-    abscissa = float(np.max(np.linalg.eigvals(A).real))
-    if abscissa >= 0:
-        raise NotHurwitzShifted(
-            f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
+    A = _shifted(F, delta)
     eye = np.eye(n)
     P = solve_continuous_lyapunov(A.T, -eye)
     P = 0.5 * (P + P.T)
-    residual = float(np.max(np.abs(F.T @ P + P @ F + 2 * delta * P + eye)))
-    if residual > 1e-9:
+    residual = float(np.linalg.norm(A.T @ P + P @ A + eye))
+    bound = _LYAP_BACKWARD_C * n * np.finfo(float).eps \
+        * float(np.linalg.norm(A)) * float(np.linalg.norm(P))
+    if not residual <= bound:
         raise NotHurwitzShifted(
-            f"Lyapunov residual {residual:.3e} exceeds 1e-9 (ill-conditioned solve)")
+            f"Lyapunov residual {residual:.3e} exceeds the backward-error bound "
+            f"{bound:.3e} (ill-conditioned solve)")
     return P
 
 
@@ -209,8 +225,8 @@ def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
     """The alpha > 1 maximising k(alpha)/alpha, in closed form.
 
     Theta1 depends on alpha only through s = alpha gamma and the other
-    conditions read beta <= (k/alpha) s, so feasibility, with P constructed or
-    free, grows with k/alpha.  With u = 1/alpha, c = q_c + delta and
+    conditions read beta <= (k/alpha) s, so feasibility, for any fixed P and
+    with P free, grows with k/alpha.  With u = 1/alpha, c = q_c + delta and
     lambda = lambda_{N+1}, Theta2 <= 0 reads beta <= a s u (lambda (1 - u) - c);
     the left flux's Theta3 >= 0 reads beta <= a s u lambda (1 - u) for every
     eps, binding only when c <= 0 (then u = 1/2).  Otherwise the vertex
@@ -225,58 +241,6 @@ def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
             f"lambda_(N+1) + q_c + delta = {lam_next + c:.6g} <= 0: k(alpha)/alpha "
             f"increases towards alpha = 1, so no alpha > 1 maximises it")
     return 2.0 * lam_next / (lam_next - c)
-
-
-def _exact_search(model: ClosedLoopMatrices, reduced: ReducedPlant, P: np.ndarray,
-                  alpha: float) -> tuple[Certificate, float]:
-    """Best (beta, gamma) for a Lyapunov P at fixed alpha > 1, and its margin.
-
-    With F'P + PF + 2 delta P = -I, the Schur complement turns Theta1 <= 0
-    into beta >= h(gamma) = v'(I - alpha gamma G)^-1 v, while Theta2/Theta3
-    read beta <= k gamma.  G is a nonnegative sum of two outer products, so
-    G = sum g_i u_i u_i' with g_i >= 0 (clipped against rounding), and with
-    c_i = (u_i'v)^2, h = |v|^2 + sum c_i s g_i/(1 - s g_i) for s = alpha gamma.  A certificate exists iff the concave
-    phi(gamma) = k gamma - h(gamma) is positive somewhere on
-    (0, 1/(alpha max g)); its maximiser is found by bisection on phi'.
-    The margin -phi/h at the maximiser is negative iff feasible; an
-    infeasible result carries the Theta values at (gamma*, beta = h(gamma*)).
-    """
-    v = P @ model.Lcal
-    g, U = np.linalg.eigh(model.G)
-    g = np.clip(g, 0.0, None)
-    v2, c = float(v @ v), (U.T @ v) ** 2
-    k = _beta_slope(model, reduced, alpha)
-
-    def h(gamma: float) -> float:
-        s = alpha * gamma * g
-        return v2 + float(np.sum(c * s / (1.0 - s)))
-
-    def dphi(gamma: float) -> float:
-        return k - alpha * float(np.sum(c * g / (1.0 - alpha * gamma * g) ** 2))
-
-    g_max = float(g[-1])
-    if dphi(0.0) <= 0.0:  # includes k <= 0: the supremum sits at gamma -> 0
-        gamma = 0.0
-    elif g_max == 0.0:  # G = 0: h is constant and phi grows without bound
-        gamma = 2.0 * v2 / k
-    else:
-        lo, hi = 0.0, 1.0 / (alpha * g_max)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if dphi(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        gamma = lo
-    h_star = h(gamma)
-    phi = k * gamma - h_star
-    beta = 0.5 * (h_star + k * gamma) if phi > 0.0 else h_star
-    cert = verify_certificate(model, reduced, P, alpha, beta, gamma)
-    if h_star == 0.0:  # Lcal = 0: Theta1 asks only beta >= 0, so phi's sign decides
-        return cert, -math.inf if phi > 0.0 else math.inf
-    return cert, -phi / h_star
 
 
 def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
@@ -310,7 +274,7 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
 
 
 def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
-                       alpha: float) -> Certificate:
+                       alpha: float) -> tuple[Certificate | None, float]:
     """Free-P certificate at fixed alpha, decided exactly by the bounded real lemma.
 
     With A = F + delta I and k = _beta_slope, Theta2/Theta3 read beta < k gamma.
@@ -320,86 +284,83 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     lemma (Zhou, Doyle & Glover, Robust and Optimal Control, 1996, 13.6) it
     has a solution iff A is Hurwitz, k > 0 and alpha h^2 < k, with
     h = |G^(1/2) (sI - A)^-1 Lcal|_inf independent of alpha: the exact margin
-    is alpha h^2 / k - 1, and optimal_alpha's alpha* is the free-P optimum.
+    is alpha h^2 / k - 1 (inf when k <= 0), and optimal_alpha's alpha* is the
+    free-P optimum.  Every fixed P, the Lyapunov one included, is a point of
+    this LMI, so no P certifies where the margin is >= 0.
     The point: X solves the Riccati equation with k1 = (alpha h^2 + k)/2 in
     place of k and alpha G + e I in place of alpha G, where e leaves the
     squared norm of that system below k1; then P = X, gamma = 1 and
     beta = sqrt(k1 k) keep the Schur complement of Theta1 below -e I and
     beta strictly below k gamma.  That point goes through verify_certificate,
-    the only proof.  Otherwise the constructive point (Lyapunov P, exact
-    scalar search) is returned with its margins.  Raises NotHurwitzShifted
-    when A is not Hurwitz.
+    the only proof.  Returns (the verified Certificate, or None, and the
+    margin); None with a negative margin means the Riccati solve or the
+    verification failed at rounding level.  A is Hurwitz by construction,
+    its placed poles on the diagonal blocks, so the NotHurwitzShifted raised
+    otherwise flags numerical trouble.
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    P = lyapunov_solve(model.F, reduced.delta)
+    A = _shifted(model.F, reduced.delta)
     k = _beta_slope(model, reduced, alpha)
-    if k > 0.0:
-        eye = np.eye(model.dim)
-        A = model.F + reduced.delta * eye
-        ah2 = alpha * _hinf_norm_sq(A, model.G, model.Lcal)
-        if ah2 < k:
-            k1 = 0.5 * (ah2 + k)
-            h2 = _hinf_norm_sq(A, eye, model.Lcal)
-            e = 0.5 * (k1 - ah2) / h2 if h2 > 0.0 else 1.0  # Lcal = 0: any e > 0
-            try:
-                X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye,
-                                         [[-k1]])
-            except np.linalg.LinAlgError:  # no stabilising solution at rounding level
-                pass
-            else:
-                cert = verify_certificate(model, reduced, 0.5 * (X + X.T), alpha,
-                                          math.sqrt(k1 * k), 1.0)
-                if cert.feasible:
-                    return cert
-    return _exact_search(model, reduced, P, alpha)[0]
+    if not k > 0.0:
+        return None, math.inf
+    ah2 = alpha * _hinf_norm_sq(A, model.G, model.Lcal)
+    margin = ah2 / k - 1.0
+    if not ah2 < k:
+        return None, margin
+    eye = np.eye(model.dim)
+    k1 = 0.5 * (ah2 + k)
+    h2 = _hinf_norm_sq(A, eye, model.Lcal)
+    e = 0.5 * (k1 - ah2) / h2 if h2 > 0.0 else 1.0  # Lcal = 0: any e > 0
+    try:
+        X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye, [[-k1]])
+    except np.linalg.LinAlgError:  # no stabilising solution at rounding level
+        return None, margin
+    cert = verify_certificate(model, reduced, 0.5 * (X + X.T), alpha, math.sqrt(k1 * k), 1.0)
+    return (cert if cert.feasible else None), margin
 
 
 def certify_order(reduced: ReducedPlant, gains: GainSet,
-                  N: int) -> tuple[Certificate, dict]:
-    """Constructive certificate at order N and alpha = optimal_alpha, and its record.
+                  N: int) -> tuple[Certificate | None, dict]:
+    """Free-P certificate at order N and alpha = optimal_alpha, and its record.
 
     The closed loop is assembled from the first N modes of reduced with the
-    given gains; P solves the shifted Lyapunov equation and (beta, gamma)
-    come from the exact scalar problem.  The record holds the exact margin
-    (negative when the scalar problem has room), alpha and Theta2/Theta3 of
-    the returned point; an infeasible result proves that this P fails at this
-    N for every alpha.  An infeasible point sits at beta = h(gamma*), where
-    Theta1 is singular by construction, so its max eig Theta1 is rounding
-    noise and the record leaves it out; a verified Certificate keeps it.
+    given gains and decided by free_p_certificate at alpha*.  Returns the
+    verified Certificate, or None, and the record {"margin", "alpha"}: the
+    exact margin alpha h^2 / k - 1 at alpha*, negative iff the LMI is
+    feasible.  Since alpha* minimises that ratio, a margin >= 0 proves that
+    no P certifies this N at any alpha.
     """
     model = assemble_closed_loop(reduced, gains, N)
-    P = lyapunov_solve(model.F, reduced.delta)
     alpha = optimal_alpha(model, reduced)
-    cert, margin = _exact_search(model, reduced, P, alpha)
-    record = {"margin": margin, "alpha": alpha, "theta2": cert.theta2,
-              "theta3": None if math.isinf(cert.theta3) else cert.theta3}
-    return cert, record
+    cert, margin = free_p_certificate(model, reduced, alpha)
+    return cert, {"margin": margin, "alpha": alpha}
 
 
 def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = 10):
-    """Smallest N <= N_max with a verified constructive certificate.
+    """Smallest N <= N_max with a verified free-P certificate.
 
     Every N from N0+1 up goes through certify_order on the same reduction
     (monotonicity in N is not assumed); reduced must carry at least N_max
-    modes.  Raises NoFeasibleN carrying each N's record; a positive margin
-    at optimal_alpha proves the constructive P fails at that N for every alpha.
+    modes.  Returns (N, Certificate).  Raises NoFeasibleN carrying each N's
+    record; a margin >= 0 at alpha* proves that no P certifies that N at any
+    alpha.
     """
     if N_max < reduced.N0 + 1:
         raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {reduced.N0 + 1}")
     margins: dict[int, dict] = {}
     for N in range(reduced.N0 + 1, N_max + 1):
         cert, margins[N] = certify_order(reduced, gains, N)
-        if cert.feasible:
+        if cert is not None:
             return N, cert
     raise NoFeasibleN(
-        f"no verified certificate for N <= {N_max} (best margins per N recorded)",
+        f"no verified certificate for N <= {N_max} (exact margins per N recorded)",
         margins)
 
 
 def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains: GainSet | None = None,
                         N_list=None) -> np.ndarray:
-    """Spectral norms of the constructed P^N over a list of orders N.
+    """Spectral norms of the Lyapunov P^N (lyapunov_solve) over a list of orders N.
 
     One reduction at max(N_list) serves every order; gains default to the
     package pole rule on it.  With fixed gains the coupling blocks have

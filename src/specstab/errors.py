@@ -62,7 +62,8 @@ class OrderTooSmall(SpecstabError):
 # -- certificates ------------------------------------------------------------
 
 class NotHurwitzShifted(SpecstabError):
-    """F + delta*I has an eigenvalue with nonnegative real part."""
+    """F + delta*I has an eigenvalue with nonnegative real part, or its shifted
+    Lyapunov solve fails the backward-error check."""
 
 
 class DimensionMismatch(SpecstabError):
@@ -70,7 +71,7 @@ class DimensionMismatch(SpecstabError):
 
 
 class NoFeasibleN(SpecstabError):
-    """No verified certificate up to N_max; carries per-N best margins."""
+    """No verified certificate up to N_max; carries per-N exact margins."""
 
     def __init__(self, message: str, margins: dict):
         super().__init__(message)

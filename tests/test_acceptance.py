@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import specstab as ss
-from specstab.errors import NoFeasibleN
 from specstab.sdpa import read_sdpa
 from specstab.sturm_liouville import derivative_at_0
 
-from conftest import constructive_certificate, verified_free_p_certificate
+from conftest import exact_search, verified_free_p_certificate
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -86,70 +85,46 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     assert probs["dirichlet"].m_dim == 30 and probs["dirichlet"].block_sizes == [8, 7, -1, -1, -1]
     assert probs["neumann"].m_dim == 17 and probs["neumann"].block_sizes == [6, 5, -1, -1, -1, -1]
 
-    # reference-order attempts with the constructive P, outcome recorded
-    attempt_d3 = constructive_certificate(model_d3, dirichlet_pipeline.reduced, 2.0)
-    attempt_n2 = constructive_certificate(model_n2, neumann_pipeline.reduced, 2.0)
-    # the same orders carry free-P certificates (computed in the package, re-verified)
-    verified_free_p_certificate(dirichlet_pipeline, 3)
-    verified_free_p_certificate(neumann_pipeline, 2)
+    # the exact free-P decision, smallest N first at each order's alpha*; the
+    # returned certificate independently re-verified on a reduction at N*
+    n_star, verified = {}, {}
+    for name, pipe in (("dirichlet", dirichlet_pipeline), ("neumann", neumann_pipeline)):
+        n_star[name], cert = ss.minimal_N(pipe.reduced, pipe.gains, N_max=10)
+        reduced_star = ss.reduce(pipe.plant, pipe.spectrum, n_star[name])
+        model_star = ss.assemble_closed_loop(reduced_star, pipe.gains, n_star[name])
+        verified[name] = ss.verify_certificate(model_star, reduced_star, cert.P, cert.alpha,
+                                               cert.beta, cert.gamma, cert.eps)
 
-    # constructive search up to N = 10, returned certificate independently re-verified
-    n_star_d, cert_d = ss.minimal_N(dirichlet_pipeline.reduced,
-                                    dirichlet_pipeline.gains, N_max=10)
-    reduced_star = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
-                             n_star_d)
-    model_star = ss.assemble_closed_loop(reduced_star, dirichlet_pipeline.gains, n_star_d)
-    again = ss.verify_certificate(model_star, reduced_star, cert_d.P, cert_d.alpha,
-                                  cert_d.beta, cert_d.gamma, cert_d.eps)
-    assert again.feasible and again.p_min_eig > 0
-    assert again.theta1_max_eig <= 0 and again.theta2 <= 0
+    # the constructive reference, the Lyapunov P at alpha*, is strictly weaker:
+    # it fails the left trace at N = 5 and the left flux at every N <= 10 (its
+    # Theta1 needs lambda_{N+1}^(3/8) to dominate |G| |P Lcal|^2 M2phi, i.e. N
+    # in the hundreds); the exact margins of those failures are recorded
+    def constructive_margin(pipe, N):
+        model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, N)
+        P = ss.lyapunov_solve(model.F, pipe.reduced.delta)
+        return exact_search(model, pipe.reduced, P, ss.optimal_alpha(model, pipe.reduced))[1]
 
-    # the Lyapunov-constructed P provably fails the left-flux example at every
-    # N <= 10 and every alpha (Theta1 needs lambda_{N+1}^(3/8) to dominate
-    # |G| |P Lcal|^2 M2phi, i.e. N in the hundreds); its exact margins are recorded
-    with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(neumann_pipeline.reduced, neumann_pipeline.gains, N_max=10)
-    neumann_margins = exc.value.margins
-    constructive_fails = all(rec["margin"] > 0 for rec in neumann_margins.values())
-
-    # the free-P LMI solved in the repository, smallest N first, each at its
-    # best alpha; the returned certificate independently re-verified
-    n_star_n, cert_n = None, None
-    for N in range(neumann_pipeline.reduced.N0 + 1, 11):
-        model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
-        alpha = ss.optimal_alpha(model, neumann_pipeline.reduced)
-        cert = ss.free_p_certificate(model, neumann_pipeline.reduced, alpha)
-        if cert.feasible:
-            n_star_n, cert_n = N, cert
-            break
-    assert cert_n is not None, "free-P solve found no certificate for N <= 10"
-    reduced_star_n = ss.reduce(neumann_pipeline.plant, neumann_pipeline.spectrum, n_star_n)
-    model_star_n = ss.assemble_closed_loop(reduced_star_n, neumann_pipeline.gains, n_star_n)
-    again_n = ss.verify_certificate(model_star_n, reduced_star_n, cert_n.P, cert_n.alpha,
-                                    cert_n.beta, cert_n.gamma, cert_n.eps)
+    dirichlet_5 = constructive_margin(dirichlet_pipeline, 5)
+    neumann_margins = {N: constructive_margin(neumann_pipeline, N) for N in range(2, 11)}
+    constructive_fails = dirichlet_5 > 0 and all(m > 0 for m in neumann_margins.values())
     elapsed = time.perf_counter() - t0
 
-    ok = n_star_d is not None and n_star_d <= 10 and constructive_fails \
-        and again_n.feasible and n_star_n <= 10 and elapsed < 30.0
+    ok = n_star == {"dirichlet": 2, "neumann": 2} and constructive_fails \
+        and all(c.feasible for c in verified.values()) and elapsed < 30.0
     detail = (f"SDPA exports well-formed (30 vars/5 blocks, 17 vars/6 blocks); "
-              f"reference-order constructive attempts: N=3 "
-              f"{'feasible' if attempt_d3.feasible else 'infeasible'}, N=2 "
-              f"{'feasible' if attempt_n2.feasible else 'infeasible'} "
-              f"(free-P certificates at those orders computed and re-verified); "
-              f"dirichlet constructive N* = {n_star_d}; neumann constructive P "
-              f"proved infeasible for N <= 10 (margins "
-              f"{min(r['margin'] for r in neumann_margins.values()):.4f}.."
-              f"{max(r['margin'] for r in neumann_margins.values()):.4f}), "
-              f"neumann free-P N* = {n_star_n} (alpha = {cert_n.alpha:.5g}, "
-              f"max eig Theta1 = {again_n.theta1_max_eig:.3e}); {elapsed:.1f}s")
+              f"free-P N* = {n_star['dirichlet']} (left trace, alpha = "
+              f"{verified['dirichlet'].alpha:.5g}) and {n_star['neumann']} (left flux, "
+              f"alpha = {verified['neumann'].alpha:.5g}), both re-verified; constructive "
+              f"Lyapunov P proved infeasible at left-trace N = 5 (margin {dirichlet_5:.4f}) "
+              f"and left-flux N <= 10 (margins {min(neumann_margins.values()):.4f}.."
+              f"{max(neumann_margins.values()):.4f}); {elapsed:.1f}s")
     report(3, ok, detail)
     assert elapsed < 30.0
-    assert n_star_d is not None and n_star_d <= 10
-    assert sorted(neumann_margins) == list(range(neumann_pipeline.reduced.N0 + 1, 11))
-    assert constructive_fails, f"constructive margins: {neumann_margins}"
-    assert again_n.feasible and again_n.p_min_eig > 0
-    assert again_n.theta1_max_eig <= 0 and again_n.theta2 <= 0 and again_n.theta3 >= 0
-    assert n_star_n <= 10
+    assert n_star == {"dirichlet": 2, "neumann": 2}
+    assert constructive_fails, f"constructive margins: {dirichlet_5}, {neumann_margins}"
+    for name, again in verified.items():
+        assert again.feasible and again.p_min_eig > 0, name
+        assert again.theta1_max_eig <= 0 and again.theta2 <= 0 and again.theta3 >= 0, name
 
 
 def test_criterion_04_closed_loop_decay(dirichlet_pipeline, neumann_pipeline):
@@ -176,13 +151,14 @@ def test_criterion_05_lyapunov_monotonicity(dirichlet_pipeline, neumann_pipeline
     _, res = preset_sim(dirichlet_pipeline, lambda x: 1.0 + x ** 2, N=n_star)
     trace = ss.lyapunov_trace(res, cert)
     tol = 1e-6 * trace.V[0]
-    # also recorded: the free-P certificate drives the left-flux example
+    # also recorded: the free-P certificate at alpha = 2 drives the left-flux example
     cert_n = verified_free_p_certificate(neumann_pipeline, 2)
     _, res_n = preset_sim(neumann_pipeline, lambda x: x * (x - 2.0 / 3.0), N=2)
     trace_n = ss.lyapunov_trace(res_n, cert_n)
     ok = trace.max_increment <= tol and trace_n.max_increment <= 1e-6 * trace_n.V[0]
-    report(5, ok, f"max increment of V e^(2 delta t): constructive {trace.max_increment:.2e} "
-                  f"(tol {tol:.2e}), free-P left-flux {trace_n.max_increment:.2e}")
+    report(5, ok, f"max increment of V e^(2 delta t): left trace at N* = {n_star} "
+                  f"{trace.max_increment:.2e} (tol {tol:.2e}), left flux "
+                  f"{trace_n.max_increment:.2e}")
     assert trace.max_increment <= tol
     assert trace_n.max_increment <= 1e-6 * trace_n.V[0]
 

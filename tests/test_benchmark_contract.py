@@ -4,8 +4,8 @@ The benchmark drives run_scenario, lyapunov_norm_sweep, verify_certificate
 and Certificate.from_dict through fixed code that the package does not own,
 so a signature drift shows up here as a failed check instead of a benchmark
 run that cannot start.  Every workload runs one iteration and its full check;
-varcoef-fine's take about 2 s, and its check rebuilds the spectrum through
-solve_spectrum to re-verify the certificate.
+varcoef-fine's iteration takes about 1 s, and its check rebuilds the
+spectrum through solve_spectrum to re-verify the certificate.
 """
 
 import importlib.util

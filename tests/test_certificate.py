@@ -12,7 +12,7 @@ import specstab as ss
 from specstab.errors import NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from specstab.sdpa import read_sdpa
 
-from conftest import constructive_certificate, verified_free_p_certificate
+from conftest import constructive_certificate, exact_search, verified_free_p_certificate
 
 
 def zero_gains(N0):
@@ -59,6 +59,25 @@ def test_lyapunov_not_hurwitz_shifted(dirichlet_pipeline):
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
     with pytest.raises(NotHurwitzShifted):
         ss.lyapunov_solve(model.F, 5.0)
+
+
+def test_lyapunov_backward_error_accepts_a_large_well_solved_p():
+    # left trace at q_c = 20: |P| is about 4e7, so the residual of a
+    # backward-stable solve reaches 1e-8 in absolute terms
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=20.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    norms = ss.lyapunov_norm_sweep(plant, ss.analytic_spectrum(plant.boundary, 51))
+    assert norms.shape == (11,) and np.all(np.isfinite(norms)) and np.all(norms > 0)
+
+
+def test_lyapunov_backward_error_rejects_a_wrong_p(dirichlet_pipeline, monkeypatch):
+    # a P off by 1e-6 relative leaves the residual -1e-6 I, far above the bound
+    model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
+    solve = ss.certificate.solve_continuous_lyapunov
+    monkeypatch.setattr(ss.certificate, "solve_continuous_lyapunov",
+                        lambda a, q: solve(a, q) * (1.0 + 1e-6))
+    with pytest.raises(NotHurwitzShifted, match="backward-error bound"):
+        ss.lyapunov_solve(model.F, 0.5)
 
 
 # ---------------------------------------------------------------- verify_certificate
@@ -126,7 +145,7 @@ def test_verify_free_p_neumann_reference_order(neumann_pipeline):
     assert cert.p_min_eig > 0
 
 
-# ---------------------------------------------------------------- search
+# ---------------------------------------------------------------- constructive reference
 
 def test_search_dirichlet_feasible_at_eight(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
@@ -205,14 +224,16 @@ def test_optimal_alpha_dominates_every_alpha(
     model = ss.assemble_closed_loop(red, pipe.gains, N)
     P = ss.lyapunov_solve(model.F, red.delta)
     star = ss.optimal_alpha(model, red)
-    cert, margin = ss.certificate._exact_search(model, red, P, alpha)
-    cert_star, margin_star = ss.certificate._exact_search(model, red, P, star)
+    cert, margin = exact_search(model, red, P, alpha)
+    cert_star, margin_star = exact_search(model, red, P, star)
     # equal up to rounding where alpha is alpha* itself
     assert margin_star <= margin + 1e-12 * max(1.0, abs(margin))
     assert cert_star.feasible or not cert.feasible
     # free P too: its LMI is decided by alpha h^2 / k, which alpha* minimises
-    assert ss.free_p_certificate(model, red, star).feasible \
-        or not ss.free_p_certificate(model, red, alpha).feasible
+    free_star, free_margin_star = ss.free_p_certificate(model, red, star)
+    free, free_margin = ss.free_p_certificate(model, red, alpha)
+    assert free_margin_star <= free_margin + 1e-12 * max(1.0, abs(free_margin))
+    assert free_star is not None or free is None
 
 
 def _scan_finds_feasible(model, red, alpha):
@@ -265,7 +286,8 @@ def test_free_p_never_misses_a_constructive_certificate(
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, N)
     if constructive_certificate(model, red, alpha).feasible:
-        assert ss.free_p_certificate(model, red, alpha).feasible
+        cert, margin = ss.free_p_certificate(model, red, alpha)
+        assert cert is not None and margin < 0
 
 
 def test_hinf_norm_of_a_resonant_system():
@@ -290,12 +312,14 @@ def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):
     model = dataclasses.replace(model, Lcal=np.zeros(model.dim))
     alpha = ss.optimal_alpha(model, red)
     assert ss.certificate._beta_slope(model, red, alpha) > 0.0
-    assert ss.free_p_certificate(model, red, alpha).feasible
-    # alpha close to 1 leaves Theta2 no room: k < 0
+    cert, margin = ss.free_p_certificate(model, red, alpha)
+    assert cert is not None and margin == -1.0  # h = 0
+    # alpha close to 1 leaves Theta2 no room: k < 0, and no P, the Lyapunov
+    # one included, has a margin
     assert ss.certificate._beta_slope(model, red, 1.01) < 0.0
-    cert = ss.free_p_certificate(model, red, 1.01)
-    assert not cert.feasible
-    assert ss.certificate._exact_search(model, red, cert.P, 1.01)[1] == math.inf
+    assert ss.free_p_certificate(model, red, 1.01) == (None, math.inf)
+    P = ss.lyapunov_solve(model.F, red.delta)
+    assert exact_search(model, red, P, 1.01)[1] == math.inf
 
 
 def test_free_p_propagates_not_hurwitz(dirichlet_pipeline):
@@ -303,14 +327,6 @@ def test_free_p_propagates_not_hurwitz(dirichlet_pipeline):
     model = ss.assemble_closed_loop(red, zero_gains(red.N0), 3)
     with pytest.raises(NotHurwitzShifted):
         ss.free_p_certificate(model, red, 2.0)
-
-
-def _free_p_ratio(model, red, alpha):
-    """alpha h^2 / k: the free-P LMI is feasible iff it is below 1."""
-    k = ss.certificate._beta_slope(model, red, alpha)
-    A = model.F + red.delta * np.eye(model.dim)
-    return alpha * ss.certificate._hinf_norm_sq(A, model.G, model.Lcal) / k \
-        if k > 0.0 else math.inf
 
 
 def _log_barrier_verdict(model, red, alpha):
@@ -395,10 +411,10 @@ def _log_barrier_verdict(model, red, alpha):
 @settings(max_examples=20)
 @given(which=st.integers(0, 2), N=st.integers(2, 6),
        alpha=st.floats(1.0, 20.0, exclude_min=True))
-# left flux just past the threshold: alpha h^2 / k = 1.044 and 1.011
+# left flux just past the threshold: margins alpha h^2 / k - 1 = 0.044 and 0.011
 @example(which=1, N=4, alpha=1.1)
 @example(which=1, N=4, alpha=20.0)
-# and farther from it: k < 0, ratio 0.72, ratio 1.44
+# and farther from it: k < 0 (margin inf), margins -0.28 and 0.44
 @example(which=1, N=2, alpha=1.1)
 @example(which=1, N=5, alpha=1.1)
 @example(which=1, N=6, alpha=1.05)
@@ -407,74 +423,94 @@ def test_free_p_verdict_matches_the_log_barrier_reference(
     pipe = (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)[which]
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, N)
-    cert = ss.free_p_certificate(model, red, alpha)
-    if cert.feasible:
+    cert, margin = ss.free_p_certificate(model, red, alpha)
+    if cert is not None:
         assert ss.verify_certificate(model, red, cert.P, cert.alpha, cert.beta,
                                      cert.gamma).feasible
-    ratio = _free_p_ratio(model, red, alpha)
-    if abs(ratio - 1.0) > 1e-6:
-        assert cert.feasible == (ratio < 1.0) == _log_barrier_verdict(model, red, alpha)
+    if abs(margin) > 1e-6:
+        assert (cert is not None) == (margin < 0.0) == _log_barrier_verdict(model, red, alpha)
 
 
 # ---------------------------------------------------------------- minimal_N
 
 def test_minimal_n_dirichlet(dirichlet_pipeline):
-    n_star, cert = ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains,
-                                N_max=10)
-    assert n_star == 6
+    # the exact decision certifies N0 + 1 = 2; the constructive reference,
+    # the Lyapunov P, needs N = 6 at alpha*
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    n_star, cert = ss.minimal_N(red, gains, N_max=10)
+    assert n_star == 2
     assert cert.feasible
-    assert cert.N == 6
-    red = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, 6)
-    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 6)
-    again = ss.verify_certificate(model, red, cert.P, cert.alpha, cert.beta,
+    assert cert.N == 2
+    red2 = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, 2)
+    model = ss.assemble_closed_loop(red2, gains, 2)
+    again = ss.verify_certificate(model, red2, cert.P, cert.alpha, cert.beta,
                                   cert.gamma, cert.eps)
     assert again.feasible
+    constructive = {}
+    for N in (5, 6):
+        model = ss.assemble_closed_loop(red, gains, N)
+        constructive[N] = constructive_certificate(model, red, ss.optimal_alpha(model, red))
+    assert not constructive[5].feasible and constructive[6].feasible
 
 
 @pytest.mark.parametrize("alpha", [1.1, 2.0, 10.0])
 def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
-    # proved at the best alpha, whose margin is no larger than at any other
-    with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, N_max=5)
-    red = ss.reduce(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, 5)
-    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 5)
-    rec = exc.value.margins[5]
-    assert rec["margin"] > 0
-    assert rec["alpha"] == ss.optimal_alpha(model, red)
+    # the Lyapunov P fails N = 5, proved at the best alpha, whose margin is no
+    # larger than at any other; the exact free-P decision certifies N = 5
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    model = ss.assemble_closed_loop(red, gains, 5)
+    star = ss.optimal_alpha(model, red)
     P = ss.lyapunov_solve(model.F, red.delta)
-    _, margin = ss.certificate._exact_search(model, red, P, alpha)
-    assert rec["margin"] <= margin
+    _, margin_star = exact_search(model, red, P, star)
+    _, margin = exact_search(model, red, P, alpha)
+    assert 0 < margin_star <= margin
+    cert, record = ss.certificate.certify_order(red, gains, 5)
+    assert cert is not None and cert.feasible
+    assert record == {"margin": record["margin"], "alpha": star}
+    assert record["margin"] < 0
 
 
 def test_minimal_n_bounded(bounded_pipeline):
-    n_star, cert = ss.minimal_N(bounded_pipeline.reduced, bounded_pipeline.gains,
-                                N_max=10)
-    assert n_star == 3
+    red, gains = bounded_pipeline.reduced, bounded_pipeline.gains
+    n_star, cert = ss.minimal_N(red, gains, N_max=10)
+    assert n_star == 2
     assert cert.feasible
+    # the constructive reference fails N = 2
+    model = ss.assemble_closed_loop(red, gains, 2)
+    assert not constructive_certificate(model, red, ss.optimal_alpha(model, red)).feasible
 
 
-def test_minimal_n_reports_margins_when_exhausted(neumann_pipeline):
+def test_minimal_n_reports_margins_when_exhausted():
+    # left trace at q_c = 10: alpha h^2 / k is about 3.65e5 at N = 2, so no P
+    # certifies N <= 4 at any alpha
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 12, 2000), 10)
+    gains = ss.design_gains(red)
     with pytest.raises(NoFeasibleN) as exc:
-        ss.minimal_N(neumann_pipeline.reduced, neumann_pipeline.gains, N_max=4)
+        ss.minimal_N(red, gains, N_max=4)
     assert sorted(exc.value.margins) == [2, 3, 4]
     for N, rec in exc.value.margins.items():
+        assert sorted(rec) == ["alpha", "margin"]
         assert rec["margin"] > 0
-        model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
-        assert rec["alpha"] == ss.optimal_alpha(model, neumann_pipeline.reduced)
+        model = ss.assemble_closed_loop(red, gains, N)
+        assert rec["alpha"] == ss.optimal_alpha(model, red)
 
 
 def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipeline):
     # at alpha = 1.1, (1 - 1/alpha) lambda_3 < q_c + delta, so Theta2 <= 0
-    # leaves no beta > 0 for any gamma: the margin is 1 and stays finite
+    # leaves no beta > 0 for any gamma: the reference's margin is 1 and stays
+    # finite, and the free-P decision reports no point and margin inf
     red = neumann_pipeline.reduced
     model = ss.assemble_closed_loop(red, neumann_pipeline.gains, 2)
     alpha = 1.1
     assert ss.certificate._beta_slope(model, red, alpha) < 0
     P = ss.lyapunov_solve(model.F, red.delta)
-    cert, margin = ss.certificate._exact_search(model, red, P, alpha)
+    cert, margin = exact_search(model, red, P, alpha)
     assert not cert.feasible
     assert all(math.isfinite(v) for v in (cert.theta1_max_eig, cert.theta2, cert.theta3))
     assert margin == pytest.approx(1.0)
+    assert ss.free_p_certificate(model, red, alpha) == (None, math.inf)
 
 
 def test_neumann_first_certified_order_on_long_spectrum():

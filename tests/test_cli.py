@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,9 +79,9 @@ def test_dirichlet_preset_succeeds(dirichlet_preset_run):
     assert np.allclose(report["gains"]["K"], [-5.0058, -2.7748], atol=1e-3)
     assert report["gains"]["L"][0] == pytest.approx(1.4373, abs=1e-3)
     assert report["certificate_feasible"] is True
-    assert report["N_star"] == 6
-    lam7 = (6.5 * np.pi) ** 2  # lambda_{N*+1} of the pinned-at-1 Laplacian
-    assert report["certificate"]["alpha"] == pytest.approx(2 * lam7 / (lam7 - 3.5),
+    assert report["N_star"] == 2
+    lam3 = (2.5 * np.pi) ** 2  # lambda_{N*+1} of the pinned-at-1 Laplacian
+    assert report["certificate"]["alpha"] == pytest.approx(2 * lam3 / (lam3 - 3.5),
                                                            rel=1e-14)
     assert report["simulation"]["fitted_decay_rate"] >= 0.5
     assert report["simulation"]["spectral_abscissa"] < -0.5
@@ -107,21 +108,23 @@ def test_dirichlet_report_certificate_reverifies(dirichlet_preset_run):
     assert again.feasible
 
 
-def test_neumann_preset_reports_infeasible_constructive_search(neumann_preset_run):
-    # gains and simulation still match the source example; the constructive
-    # Lyapunov-P search cannot certify N <= 10 here (the free-P solve can, see
-    # test_sdpa::test_exported_problem_solved_in_repository), so the runner
-    # signals an infeasible certificate
+def test_neumann_preset_succeeds(neumann_preset_run, neumann_pipeline):
+    # gains and simulation match the source example, and the exact free-P
+    # decision certifies N0 + 1 = 2, where the Lyapunov P fails every N <= 10
     code, out = neumann_preset_run
-    assert code == 2
+    assert code == 0
     report = load_report(out)
     assert np.allclose(report["gains"]["K"], [-4.5649, -0.9653], atol=1e-3)
     assert report["gains"]["L"][0] == pytest.approx(0.3670, abs=1e-3)
-    assert report["N_star"] is None
-    assert report["certificate"] is None
-    assert report["search_margins"] is not None
+    assert report["N_star"] == 2
+    assert report["search_margins"] is None
     assert report["simulation"]["fitted_decay_rate"] >= 0.5
     assert report["simulation"]["spectral_abscissa"] < -0.5
+    assert report["simulation"]["lyapunov_max_increment"] <= 0
+    cert = ss.Certificate.from_dict(report["certificate"])
+    model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, 2)
+    assert ss.verify_certificate(model, neumann_pipeline.reduced, cert.P, cert.alpha,
+                                 cert.beta, cert.gamma).feasible
 
 
 # the conftest pipelines are the presets' runs: 51 analytic modes on 2000
@@ -133,35 +136,43 @@ def test_neumann_preset_export_is_free_p_feasible(neumann_preset_run, neumann_pi
     # alpha = 1.1 it is not)
     _, out = neumann_preset_run
     reduced, gains = neumann_pipeline.reduced, neumann_pipeline.gains
-    assert load_report(out)["simulation"]["N"] == 3
-    model = ss.assemble_closed_loop(reduced, gains, 3)
+    assert load_report(out)["simulation"]["N"] == 2
+    model = ss.assemble_closed_loop(reduced, gains, 2)
     alpha = ss.optimal_alpha(model, reduced)
     again = out / "again.dat-s"
     ss.export_sdpa(model, reduced, alpha, again)
     assert (out / "problem.dat-s").read_bytes() == again.read_bytes()
-    assert ss.free_p_certificate(model, reduced, alpha).feasible
+    assert ss.free_p_certificate(model, reduced, alpha)[0] is not None
 
 
 def test_dirichlet_certificate_is_proved_on_the_run_model(dirichlet_preset_run,
                                                          dirichlet_pipeline):
-    # the reported P is the Lyapunov solution of the closed loop assembled
-    # from the run's own reduction and gains, bit for bit
+    # the reported certificate is the one decided on the closed loop
+    # assembled from the run's own reduction and gains, bit for bit
     _, out = dirichlet_preset_run
     cert = ss.Certificate.from_dict(load_report(out)["certificate"])
     reduced, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
-    model = ss.assemble_closed_loop(reduced, gains, cert.N)
-    assert np.array_equal(ss.lyapunov_solve(model.F, reduced.delta), cert.P)
     assert cert.to_dict() == ss.certificate.certify_order(reduced, gains, cert.N)[0].to_dict()
+    model = ss.assemble_closed_loop(reduced, gains, cert.N)
+    assert ss.verify_certificate(model, reduced, cert.P, cert.alpha, cert.beta,
+                                 cert.gamma).feasible
 
 
-def test_neumann_margins_are_computed_on_the_run_model(neumann_preset_run, neumann_pipeline):
-    # no certificate exists: every reported margin is the run model's own
-    _, out = neumann_preset_run
+def test_neumann_margins_are_computed_on_the_run_model(tmp_path):
+    # the left-flux example at q_c = 20, where no P certifies N <= 10: every
+    # reported margin is that of the run model, rebuilt here independently
+    cfg = preset_config(tmp_path, "neumann-example", q_c=20)
+    out = tmp_path / "out"
+    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 2
     margins = load_report(out)["search_margins"]
-    reduced, gains = neumann_pipeline.reduced, neumann_pipeline.gains
-    assert sorted(margins, key=int) == [str(N) for N in range(2, 11)]
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 20.0,
+                         ss.MeasurementSpec.neumann(), 0.5)
+    reduced = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51, 2000), 50)
+    gains = ss.design_gains(reduced)
+    assert sorted(margins, key=int) == [str(N) for N in range(reduced.N0 + 1, 11)]
     for N, record in margins.items():
         assert record == ss.certificate.certify_order(reduced, gains, int(N))[1]
+        assert record["margin"] > 0
 
 
 @pytest.mark.parametrize("preset,run", [("dirichlet-example", "dirichlet_preset_run"),
@@ -205,7 +216,7 @@ def reduce_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("preset,export,code", [("dirichlet-example", False, 0),
-                                                ("neumann-example", True, 2)])
+                                                ("neumann-example", True, 0)])
 def test_one_reduction_per_run(tmp_path, reduce_calls, preset, export, code):
     sdpa = tmp_path / "problem.dat-s" if export else None
     assert run_scenario(preset, out_dir=tmp_path, quiet=True,
@@ -260,12 +271,14 @@ def test_explicit_observer_order(tmp_path):
 
 
 def test_fixed_order_failure_reports_exact_margin(tmp_path):
-    cfg = write_config(tmp_path, N=2)
+    # at q_c = 5 the free-P LMI at N = 2 is infeasible: alpha h^2 / k is about 38
+    cfg = write_config(tmp_path, N=2, q_c=5)
     out = tmp_path / "fixed"
     assert run_scenario(str(cfg), out_dir=out, quiet=True) == 2
     report = load_report(out)
     record = report["search_margins"]["2"]
-    assert 0 < record["margin"] < 1
+    assert sorted(record) == ["alpha", "margin"]
+    assert 1 < record["margin"] < math.inf
     assert record["alpha"] > 1
     assert report["simulation"]["N"] == 2  # the requested order is simulated
 
@@ -336,6 +349,51 @@ def test_mode_count_beyond_memory_exits_3_before_the_spectrum(tmp_path, monkeypa
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
     assert spectra == []
     assert f"{named} = {value}" in capsys.readouterr().err
+
+
+def preset_config(tmp_path, preset, **keys):
+    """A preset as a config file, with q_c, N or n_sim set in its section."""
+    text = cli.PRESETS[preset]
+    for key, value in keys.items():
+        section = {"q_c": "[plant]", "N": "[design]", "n_sim": "[sim]"}[key]
+        lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
+        text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
+    path = tmp_path / f"{preset}.cfg"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("N, n_sim", [(60, 50), (5, 3)])
+def test_fixed_order_above_n_sim_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys,
+                                                            N, n_sim):
+    spectra = []
+    for name in ("analytic_spectrum", "solve_spectrum"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: spectra.append(_name))
+    cfg = preset_config(tmp_path, "dirichlet-example", N=N, n_sim=n_sim)
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert spectra == []
+    err = capsys.readouterr().err
+    assert f"[sim] n_sim must be at least the run order N = {N}, got {n_sim}" in err
+
+
+@pytest.mark.parametrize("q_c", [0, 3, 10, 20])
+@pytest.mark.parametrize("preset", ["dirichlet-example", "neumann-example"])
+def test_presets_across_q_c_certify_or_prove_no_order(tmp_path, preset, q_c):
+    # every run ends with a verdict: exit 0 with a certified N*, where the exact
+    # margin of each lower order is >= 0, or exit 2 with N <= n_max ruled out
+    cfg = preset_config(tmp_path, preset, q_c=q_c)
+    out = tmp_path / "out"
+    code = run_scenario(str(cfg), out_dir=out, quiet=True)
+    assert code in (0, 2)
+    report = load_report(out)
+    if code == 2:
+        assert all(rec["margin"] >= 0 for rec in report["search_margins"].values())
+        return
+    record = cli.solve(parse_config(cfg))
+    assert record.N == report["N_star"]
+    for N in range(record.reduced.N0 + 1, record.N):
+        margin = ss.certificate.certify_order(record.reduced, record.gains, N)[1]["margin"]
+        assert margin >= 0
 
 
 def reference_series(t, values):
@@ -422,10 +480,10 @@ def test_non_integer_order_exit_code(tmp_path, capsys, key, value):
     ("sim", "T", "1, 2"),
     # values that convert but lie out of range: non-finite numbers, a
     # non-positive decay rate, step or horizon, fewer simulated modes than
-    # the run order N* = 3, no 2 steps to fit a decay on
+    # the run order N* = 2, no 2 steps to fit a decay on
     ("sim", "T", "nan"), ("plant", "q_c", "nan"), ("design", "delta", "inf"),
     ("design", "delta", "0"), ("sim", "dt", "0"), ("sim", "T", "-1"),
-    ("sim", "n_sim", "2"), ("sim", "T", "0.0005")])
+    ("sim", "n_sim", "1"), ("sim", "T", "0.0005")])
 def test_malformed_value_exit_code(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path, **{key: value})
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
@@ -437,7 +495,7 @@ def test_malformed_value_exit_code(tmp_path, capsys, section, key, value):
 def test_auto_order_in_any_case(tmp_path, value):
     out = tmp_path / "auto"
     assert run_scenario(str(write_config(tmp_path, N=value)), out_dir=out, quiet=True) == 0
-    assert load_report(out)["N_star"] == 3
+    assert load_report(out)["N_star"] == 2
 
 
 @pytest.mark.parametrize("section,key,value", [("sim", "u0", "Auto"),

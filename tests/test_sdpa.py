@@ -147,8 +147,8 @@ def test_exported_problem_solved_in_repository(which, N, request, tmp_path):
     pipeline = request.getfixturevalue(which)
     path = tmp_path / f"solve{N}.dat-s"
     model = export(pipeline, N, path=path)
-    cert = ss.free_p_certificate(model, pipeline.reduced, 2.0)
-    assert cert.feasible and cert.N == N
+    cert, _ = ss.free_p_certificate(model, pipeline.reduced, 2.0)
+    assert cert is not None and cert.feasible and cert.N == N
     margin = min(cert.p_min_eig, -cert.theta1_max_eig, cert.beta, cert.gamma,
                  -cert.theta2, cert.theta3)
     assert margin > 0
@@ -161,15 +161,15 @@ def test_exported_problem_solved_in_repository(which, N, request, tmp_path):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_free_p_infeasible_reports_finite_margins(neumann_pipeline, N):
-    # alpha = 1.1: at N = 2 the gamma coefficient of -Theta2 is negative, so
-    # no beta > 0 satisfies it; at N = 3 the exact ratio alpha h^2 / k is
-    # about 2.44 > 1, so no P exists; either way the reported point carries
-    # finite margins
+    # alpha just above the root of k(alpha): k > 0, but the exact ratio
+    # alpha h^2 / k (6.33 at N = 2, 2.44 at N = 3) exceeds 1, so no P exists;
+    # no point is returned, and the margin alpha h^2 / k - 1 is finite
+    alpha, ratio = {2: (1.15, 6.33), 3: (1.1, 2.44)}[N]
     model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
-    cert = ss.free_p_certificate(model, neumann_pipeline.reduced, 1.1)
-    assert not cert.feasible
-    assert all(np.isfinite([cert.theta1_max_eig, cert.theta2, cert.theta3,
-                            cert.p_min_eig, cert.beta, cert.gamma]))
+    assert ss.certificate._beta_slope(model, neumann_pipeline.reduced, alpha) > 0
+    cert, margin = ss.free_p_certificate(model, neumann_pipeline.reduced, alpha)
+    assert cert is None
+    assert margin == pytest.approx(ratio - 1.0, abs=5e-3)
 
 
 def _constant_block(prob, b, dim):
