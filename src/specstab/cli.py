@@ -44,7 +44,6 @@ ERROR_EXIT_CODES = {
     err.ResolutionTooCoarse: 5,
     err.NonPositiveDiffusion: 6,
     err.BoundViolation: 7,
-    err.MissingDerivative: 8,
     err.InsufficientModes: 9,
     err.UncontrollablePair: 10,
     err.UnobservablePair: 11,
@@ -251,7 +250,12 @@ def _require_sim_order(n_sim: int, N: int):
 def solve(config: dict) -> RunRecord:
     """Run the pipeline on a parsed config; no file or stdout I/O."""
     plant_cfg, design_cfg, sim_cfg = config["plant"], config["design"], config["sim"]
-    coeffs = CoefficientPair.from_polynomials(plant_cfg["p"], plant_cfg["q"])
+    try:
+        coeffs = CoefficientPair.from_polynomials(plant_cfg["p"], plant_cfg["q"])
+    except (err.NonPositiveDiffusion, ValueError) as exc:  # p or q out of range on [0, 1]
+        key = "p" if isinstance(exc, err.NonPositiveDiffusion) else "q"
+        text = ", ".join(np.format_float_positional(v, trim="-") for v in plant_cfg[key])
+        raise err.ConfigParse(f"[plant] {exc}, got {text}") from None
     kind = plant_cfg["measurement"]
     if kind != BOUNDED:
         measurement = MeasurementSpec(kind)
@@ -267,8 +271,7 @@ def solve(config: dict) -> RunRecord:
     if design_cfg["N"] is not None:  # a fixed order is checked before any work
         _require_sim_order(n_sim, design_cfg["N"])
     n_modes = max(n_sim, n_max) + 1
-    trim = np.polynomial.polynomial.polytrim
-    if trim(plant_cfg["p"]).tolist() == [1.0] and trim(plant_cfg["q"]).tolist() == [0.0]:
+    if coeffs.constant_values() == (1.0, 0.0):
         _require_memory(config, n_modes, DEFAULT_GRID_SIZE, 0)
         spectrum = analytic_spectrum(plant.boundary, n_modes)
     else:
@@ -385,6 +388,9 @@ def _progress(record: RunRecord) -> list[str]:
     if cert is not None:
         lines.append(f"  certificate verified at N = {record.N} (alpha = {cert.alpha}, "
                      f"beta = {cert.beta:.6g}, gamma = {cert.gamma:.6g})")
+    elif record.config["design"]["N"] is not None:
+        lines.append(f"  no verified certificate for N = {record.N}"
+                     " (exact free-P decision at its alpha*)")
     else:
         lines.append(f"  no verified certificate for N <= {record.config['design']['n_max']}"
                      " (exact free-P decision at each order's alpha*)")
@@ -455,7 +461,10 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
         # output dir: env var overrides everything, then --out, then config
         out = Path(os.environ.get(OUT_ENV_VAR)
                    or (config["output"]["dir"] if out_dir is None else out_dir))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise err.IoFailure(f"cannot create output directory {out}: {exc}") from exc
         record = solve(config)
         for line in _progress(record):
             say(line)
@@ -464,8 +473,11 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
             alpha = cert_mod.optimal_alpha(model, record.reduced)
             cert_mod.export_sdpa(model, record.reduced, alpha, export_sdpa_path)
             say(f"  SDPA export (N = {record.N}, alpha = {alpha:.6g}) -> {export_sdpa_path}")
-        _write_csvs(record, out)
-        (out / "report.json").write_text(_to_json(_report(record)) + "\n")
+        try:
+            _write_csvs(record, out)
+            (out / "report.json").write_text(_to_json(_report(record)) + "\n")
+        except OSError as exc:
+            raise err.IoFailure(f"cannot write to output directory {out}: {exc}") from exc
         say(f"  report -> {out / 'report.json'}")
         return EXIT_OK if record.certificate is not None else EXIT_INFEASIBLE
     except Exception as exc:  # noqa: BLE001 - runner boundary

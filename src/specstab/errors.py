@@ -1,4 +1,5 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package; cli.ERROR_EXIT_CODES gives
+most of them a distinct exit code."""
 
 
 class SpecstabError(Exception):
@@ -8,7 +9,7 @@ class SpecstabError(Exception):
 # -- spectral solver -------------------------------------------------------
 
 class NonPositiveDiffusion(SpecstabError):
-    """The diffusion coefficient is not strictly positive on the grid."""
+    """The diffusion polynomial p is not strictly positive on [0, 1]."""
 
 
 class ResolutionTooCoarse(SpecstabError):
@@ -28,10 +29,6 @@ class GridMismatch(SpecstabError):
 
 
 # -- homogenization / reduction --------------------------------------------
-
-class MissingDerivative(SpecstabError):
-    """The lifting needs p' but the coefficient pair does not carry it."""
-
 
 class InsufficientModes(SpecstabError):
     """The spectrum carries fewer modes than the reduction requires."""

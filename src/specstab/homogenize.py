@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DecayUnreachable, EpsOutOfRange, InsufficientModes, MissingDerivative
+from .errors import DecayUnreachable, EpsOutOfRange, InsufficientModes
 from .sturm_liouville import (
     DIRICHLET_DIRICHLET,
     NEUMANN_DIRICHLET,
@@ -75,11 +75,6 @@ class PlantSpec:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.measurement.kind in (DIRICHLET_AT_0, NEUMANN_AT_0) \
-                and self.coeffs.smoothness != "C2":
-            raise ValueError(
-                "boundary-trace measurements need coefficients tagged C2 "
-                "(trace asymptotics); got C1")
 
     @property
     def boundary(self) -> BoundarySpec:
@@ -146,17 +141,14 @@ def lifting_functions(plant: PlantSpec, x: np.ndarray) -> tuple[np.ndarray, np.n
     """Sample the forcing profiles a and b of the homogenized dynamics on x.
 
     For the x^2 lifting, a = 2p + 2xp' + (q_c - q)x^2 and b = -x^2; for the
-    x lifting, a = p' + (q_c - q)x and b = -x.
+    x lifting, a = p' + (q_c - q)x and b = -x.  p, p' and q are the
+    coefficient polynomials' values at x.
     """
     x = np.asarray(x, dtype=float)
     coeffs = plant.coeffs
-    if coeffs.p_prime is None:
-        raise MissingDerivative("lifting needs p'; CoefficientPair.p_prime is None")
-    pp = np.broadcast_to(np.asarray(coeffs.p_prime(x), dtype=float), x.shape)
-    qv = np.broadcast_to(np.asarray(coeffs.q(x), dtype=float), x.shape)
+    pp, qv = coeffs.p_prime(x), coeffs.q(x)
     if plant.lifting_exponent == 2:
-        pv = np.broadcast_to(np.asarray(coeffs.p(x), dtype=float), x.shape)
-        a = 2.0 * pv + 2.0 * x * pp + (plant.q_c - qv) * x ** 2
+        a = 2.0 * coeffs.p(x) + 2.0 * x * pp + (plant.q_c - qv) * x ** 2
         b = -x ** 2
     else:
         a = pp + (plant.q_c - qv) * x
@@ -314,7 +306,7 @@ def flux_consistency_residual(reduced: ReducedPlant, n: int) -> float:
     if not 1 <= n <= reduced.n_coef:
         raise ValueError(f"mode index {n} outside 1..{reduced.n_coef}")
     sp = reduced.spectrum
-    p1 = float(np.asarray(reduced.plant.coeffs.p(np.array([1.0])), dtype=float).ravel()[0])
+    p1 = float(reduced.plant.coeffs.p(1.0))
     dphi1 = derivative_at_1(sp.eigenfunctions[n - 1], sp.h)
     i = n - 1
     return float(reduced.a_coef[i]

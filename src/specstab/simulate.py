@@ -380,6 +380,4 @@ def field_energy(result: SimResult, step: int) -> float:
     w_field = result.reconstruct_w(step)
     dw = derivative_field(w_field, sp.h)
     x = sp.grid
-    pv = np.broadcast_to(np.asarray(coeffs.p(x), dtype=float), x.shape)
-    qv = np.broadcast_to(np.asarray(coeffs.q(x), dtype=float), x.shape)
-    return float(np.sum(sp.weights * (pv * dw ** 2 + qv * w_field ** 2)))
+    return float(np.sum(sp.weights * (coeffs.p(x) * dw ** 2 + coeffs.q(x) * w_field ** 2)))

@@ -2,10 +2,11 @@
 
 Two boundary configurations are supported: f'(0)=0, f(1)=0 (used by the
 in-domain and left-trace measurement paths) and f(0)=f(1)=0 (used by the
-left-flux measurement path).  p = 1, q = 0 has a closed form.  Otherwise the
-operator is solved by a Legendre-Galerkin (Rayleigh-Ritz) method in Shen's
-basis, whose functions meet the boundary conditions exactly: stiffness and
-mass matrices by Gauss-Legendre quadrature, one symmetric-definite
+left-flux measurement path).  p and q are polynomials (CoefficientPair), so
+their bounds on [0, 1] are exact extrema.  p = 1, q = 0 has a closed form.
+Otherwise the operator is solved by a Legendre-Galerkin (Rayleigh-Ritz)
+method in Shen's basis, whose functions meet the boundary conditions exactly:
+stiffness and mass matrices by Gauss-Legendre quadrature, one symmetric-definite
 eigensolve for the lowest modes, which are then sampled on a uniform grid.
 The Ritz eigenvalues bound the true ones from above; the sampled modes and
 their traces at x = 0 come from the same Ritz vectors.
@@ -14,7 +15,6 @@ their traces at x = 0 come from the same Ritz vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh
@@ -129,67 +129,69 @@ def _polynomial_range(coeffs) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Diffusion p and reaction q with their a-priori bounds.
+    """Diffusion p and reaction q on [0, 1] as polynomials, by their ascending
+    coefficients; everything else is derived from these two tuples.
 
-    p and q are vectorized callables on [0,1]; p_prime may be None when the
-    derivative is unavailable (then only the in-domain measurement lifting
-    can be built).  smoothness is "C1" or "C2"; the boundary-trace
-    measurement paths require "C2".
+    p(x), q(x) and p_prime(x) evaluate the polynomials.  The a-priori bounds
+    p_star = min p, p_sup = max p and q_sup = max(max q, 0) are exact extrema
+    on [0, 1] (_polynomial_range), never samples.  Construction raises
+    NonPositiveDiffusion unless p > 0 on [0, 1], and ValueError when the
+    minimum of q there is below -1e-12.
     """
 
-    p: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], np.ndarray]
-    p_star: float
-    p_sup: float
-    q_sup: float
-    p_prime: Callable[[np.ndarray], np.ndarray] | None = None
-    smoothness: str = "C1"
+    p_coeffs: tuple[float, ...]
+    q_coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.smoothness not in ("C1", "C2"):
-            raise ValueError(f"smoothness must be 'C1' or 'C2', got {self.smoothness!r}")
+        for name in ("p_coeffs", "q_coeffs"):
+            c = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if c.ndim != 1 or not c.size or not np.all(np.isfinite(c)):
+                raise ValueError(f"{name} must be a nonempty list of finite numbers, got {c}")
+            object.__setattr__(self, name, tuple(c.tolist()))
         if not self.p_star > 0:
-            raise ValueError(f"p_star must be positive, got {self.p_star}")
-        x = np.linspace(0.0, 1.0, 2001)
-        p = np.broadcast_to(np.asarray(self.p(x), dtype=float), x.shape)
-        q = np.broadcast_to(np.asarray(self.q(x), dtype=float), x.shape)
-        tol = 1e-12 * max(1.0, self.p_sup)
-        if np.min(p) < self.p_star - tol or np.max(p) > self.p_sup + tol:
-            raise ValueError("p(x) leaves [p_star, p_sup] on the sample grid")
-        if np.min(q) < -1e-12 or np.max(q) > self.q_sup + 1e-12 * max(1.0, self.q_sup):
-            raise ValueError("q(x) leaves [0, q_sup] on the sample grid")
+            raise NonPositiveDiffusion(
+                f"p must be positive on [0, 1] (its minimum there is {self.p_star:.6g})")
+        q_min = _polynomial_range(self.q_coeffs)[0]
+        if q_min < -1e-12:
+            raise ValueError(f"q must be nonnegative on [0, 1] (its minimum there is {q_min:.6g})")
 
     @classmethod
     def constant(cls, p0: float, q0: float = 0.0) -> "CoefficientPair":
-        """Constant coefficients; smooth, so tagged C2."""
-        return cls(
-            p=lambda x: np.full_like(np.asarray(x, dtype=float), p0),
-            q=lambda x: np.full_like(np.asarray(x, dtype=float), q0),
-            p_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            p_star=p0, p_sup=p0, q_sup=q0, smoothness="C2",
-        )
+        """Constant coefficients p = p0, q = q0."""
+        return cls((p0,), (q0,))
 
     @classmethod
     def from_polynomials(cls, p_coeffs, q_coeffs) -> "CoefficientPair":
-        """Build from ascending-order polynomial coefficients, with exact bounds."""
-        pc = np.atleast_1d(np.asarray(p_coeffs, dtype=float))
-        qc = np.atleast_1d(np.asarray(q_coeffs, dtype=float))
-        dpc = np.polynomial.polynomial.polyder(pc)
-        p_star, p_sup = _polynomial_range(pc)
-        return cls(
-            p=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), pc),
-            q=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), qc),
-            p_prime=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dpc),
-            p_star=p_star, p_sup=p_sup,
-            q_sup=max(_polynomial_range(qc)[1], 0.0), smoothness="C2",
-        )
+        """From ascending coefficient lists: ([1, 0.5], [0, 0, 1]) is p = 1 + x/2, q = x^2."""
+        return cls(p_coeffs, q_coeffs)
+
+    def p(self, x):
+        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.p_coeffs)
+
+    def q(self, x):
+        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.q_coeffs)
+
+    def p_prime(self, x):
+        return np.polynomial.polynomial.polyval(
+            np.asarray(x, dtype=float), np.polynomial.polynomial.polyder(self.p_coeffs))
+
+    @property
+    def p_star(self) -> float:
+        return _polynomial_range(self.p_coeffs)[0]
+
+    @property
+    def p_sup(self) -> float:
+        return _polynomial_range(self.p_coeffs)[1]
+
+    @property
+    def q_sup(self) -> float:
+        return max(_polynomial_range(self.q_coeffs)[1], 0.0)
 
     def constant_values(self) -> tuple[float, float] | None:
-        """(p0, q0) when both coefficients are constant on a probe grid, else None."""
-        x = np.linspace(0.0, 1.0, 257)
-        p = np.broadcast_to(np.asarray(self.p(x), dtype=float), x.shape)
-        q = np.broadcast_to(np.asarray(self.q(x), dtype=float), x.shape)
-        if np.ptp(p) <= 1e-13 * max(1.0, abs(p[0])) and np.ptp(q) <= 1e-13 * max(1.0, abs(q[0])):
+        """(p0, q0) when both polynomials are constant once trailing zeros are
+        trimmed, else None."""
+        p, q = (np.polynomial.polynomial.polytrim(c) for c in (self.p_coeffs, self.q_coeffs))
+        if p.size == q.size == 1:
             return float(p[0]), float(q[0])
         return None
 
@@ -339,7 +341,7 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     first nonzero datum at x = 0: f(0), or f'(0) when f(0) = 0.
 
     Stiffness S and mass B come from Gauss-Legendre quadrature on M + 8
-    nodes, exact for polynomial p and q of moderate degree.  The swapped
+    nodes, exact for p of degree <= 15 and q of degree <= 13.  The swapped
     problem B c = mu S c, diagonally scaled, gives lambda = 1/mu: solved the
     other way round, the Cholesky factor of B costs lambda_1 digits as M
     grows.  f(0) is the closed form sum c_n (-1)^n.  f'(0) is the weak-form
@@ -348,10 +350,7 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     """
     t, w = np.polynomial.legendre.leggauss(M + 8)
     x = 0.5 * (t + 1.0)
-    p = np.broadcast_to(np.asarray(coeffs.p(x), dtype=float), x.shape)
-    if np.min(p) <= 0:
-        raise NonPositiveDiffusion("p(x) <= 0 at a Gauss-Legendre node")
-    q = np.broadcast_to(np.asarray(coeffs.q(x), dtype=float), x.shape)
+    p, q = coeffs.p(x), coeffs.q(x)
     T = _shen_basis(bspec, M)
     phi, dphi = _shen_at(t, T)
     # x = (t + 1)/2: d/dx = 2 d/dt and dx = dt/2
@@ -361,7 +360,7 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     if bspec.neumann_at_0:
         d0, d1 = T @ (-1.0) ** np.arange(M + 2), np.zeros(M)
     else:
-        p0 = np.asarray(coeffs.p(np.zeros(1)), dtype=float).item()
+        p0 = float(coeffs.p(0.0))
         d0 = (dphi @ (w * p) - 0.5 * phi @ (w * q * (1.0 - x))) / p0
         d1 = 0.5 * phi @ (w * (1.0 - x)) / p0
     del phi, dphi  # the eigensolve needs only S and B

@@ -184,11 +184,7 @@ def test_criterion_06_spectral_solver_accuracy():
                               float(np.max(np.abs(num.dtrace0 - exact) / exact)))
         lo, hi = ss.validate_bounds(num, coeffs)  # raises BoundViolation on failure
         worst_margin = min(worst_margin, float(lo.min()), float(hi.min()))
-    var = ss.CoefficientPair(
-        p=lambda x: 1.0 + 0.1 * np.asarray(x, float),
-        q=lambda x: np.asarray(x, float),
-        p_prime=lambda x: np.full_like(np.asarray(x, float), 0.1),
-        p_star=1.0, p_sup=1.1, q_sup=1.0, smoothness="C2")
+    var = ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0, 1.0])
     sp_var = ss.solve_spectrum(var, ND, 5, 4000)
     lo, hi = ss.validate_bounds(sp_var, var)
     assert np.all(lo > 0) and np.all(hi > 0)  # genuinely interior for variable p, q

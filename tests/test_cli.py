@@ -9,7 +9,7 @@ import pytest
 import specstab as ss
 from specstab import cli, homogenize
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
-from specstab.errors import ConfigParse, DecayUnreachable
+from specstab.errors import ConfigParse, DecayUnreachable, IoFailure
 from specstab.sdpa import read_sdpa
 
 BOUNDED_CONFIG = """
@@ -283,6 +283,15 @@ def test_fixed_order_failure_reports_exact_margin(tmp_path):
     assert report["simulation"]["N"] == 2  # the requested order is simulated
 
 
+def test_fixed_order_failure_names_that_order(tmp_path, capsys):
+    # a fixed N decides that order alone, so the progress line names it
+    cfg = write_config(tmp_path, N=2, q_c=5)
+    assert run_scenario(str(cfg), out_dir=tmp_path / "fixed") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "  no verified certificate for N = 2 (exact free-P decision at its alpha*)" in lines
+    assert not any("N <=" in line for line in lines)
+
+
 def test_config_keys_n_and_t_reach_the_simulation(tmp_path):
     cfg = write_config(tmp_path, N=3, T=0.5)
     out = tmp_path / "upper"
@@ -483,12 +492,29 @@ def test_non_integer_order_exit_code(tmp_path, capsys, key, value):
     # the run order N* = 2, no 2 steps to fit a decay on
     ("sim", "T", "nan"), ("plant", "q_c", "nan"), ("design", "delta", "inf"),
     ("design", "delta", "0"), ("sim", "dt", "0"), ("sim", "T", "-1"),
-    ("sim", "n_sim", "1"), ("sim", "T", "0.0005")])
+    ("sim", "n_sim", "1"), ("sim", "T", "0.0005"),
+    # coefficients whose exact extrema leave p > 0 or q >= 0 on [0, 1]
+    ("plant", "p", "-1"), ("plant", "p", "1, -2"), ("plant", "q", "-1"),
+    ("plant", "q", "1, -3")])
 def test_malformed_value_exit_code(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path, **{key: value})
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
     err = capsys.readouterr().err
     assert f"[{section}] {key} must be" in err and value in err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "out"])
+def test_unusable_output_directory_is_io_failure(tmp_path, capsys, monkeypatch, out):
+    # afile is a file, so it can neither be nor hold the output directory;
+    # out/report.json is a directory, so the report cannot be written there
+    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    target = tmp_path / out
+    assert main(["run", str(write_config(tmp_path)), "--out", str(target), "--quiet"]) \
+        == ERROR_EXIT_CODES[IoFailure] == 16
+    err = capsys.readouterr().err
+    assert err.startswith("error[IoFailure]") and str(target) in err
 
 
 @pytest.mark.parametrize("value", ["Auto", "AUTO"])

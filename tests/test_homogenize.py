@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import specstab as ss
-from specstab.errors import DecayUnreachable, EpsOutOfRange, InsufficientModes, MissingDerivative
+from specstab.errors import DecayUnreachable, EpsOutOfRange, InsufficientModes
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -39,41 +39,12 @@ def test_lifting_linear_variant():
 
 
 def test_lifting_variable_coefficients_pointwise():
-    coeffs = ss.CoefficientPair(
-        p=lambda x: 1.0 + 0.1 * np.asarray(x, float),
-        q=lambda x: np.zeros_like(np.asarray(x, float)),
-        p_prime=lambda x: np.full_like(np.asarray(x, float), 0.1),
-        p_star=1.0, p_sup=1.1, q_sup=0.0, smoothness="C2")
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0])
     plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.dirichlet(), 0.5)
     x = np.linspace(0, 1, 57)
     a, _ = ss.lifting_functions(plant, x)
     expected = 2.0 * (1.0 + 0.1 * x) + 2.0 * x * 0.1 + 3.0 * x ** 2
     assert np.allclose(a, expected, atol=1e-14)
-
-
-def test_lifting_requires_derivative():
-    coeffs = ss.CoefficientPair(
-        p=lambda x: np.ones_like(np.asarray(x, float)),
-        q=lambda x: np.zeros_like(np.asarray(x, float)),
-        p_star=1.0, p_sup=1.0, q_sup=0.0)
-    plant = ss.PlantSpec(coeffs, 3.0,
-                         ss.MeasurementSpec.bounded(lambda x: np.ones_like(np.asarray(x, float))),
-                         0.5)
-    with pytest.raises(MissingDerivative):
-        ss.lifting_functions(plant, np.linspace(0, 1, 11))
-
-
-def test_smoothness_gate_for_trace_measurements():
-    coeffs = ss.CoefficientPair(
-        p=lambda x: np.ones_like(np.asarray(x, float)),
-        q=lambda x: np.zeros_like(np.asarray(x, float)),
-        p_prime=lambda x: np.zeros_like(np.asarray(x, float)),
-        p_star=1.0, p_sup=1.0, q_sup=0.0, smoothness="C1")
-    with pytest.raises(ValueError):
-        ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.dirichlet(), 0.5)
-    # the in-domain measurement path accepts C1 data
-    ss.PlantSpec(coeffs, 3.0,
-                 ss.MeasurementSpec.bounded(lambda x: np.ones_like(np.asarray(x, float))), 0.5)
 
 
 # ---------------------------------------------------------------- reduce
@@ -213,11 +184,7 @@ def test_tail_constant_eps_out_of_range(neumann_pipeline):
 
 def test_tail_constant_numeric_path_close_to_closed_form():
     # solved spectrum, no constant-coefficient extension available beyond its modes
-    coeffs = ss.CoefficientPair(
-        p=lambda x: 1.0 + 0.1 * np.asarray(x, float),
-        q=lambda x: np.zeros_like(np.asarray(x, float)),
-        p_prime=lambda x: np.full_like(np.asarray(x, float), 0.1),
-        p_star=1.0, p_sup=1.1, q_sup=0.0, smoothness="C2")
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0])
     sp = ss.solve_spectrum(coeffs, ND, 30, 1200)
     plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.dirichlet(), 0.5)
     value = ss.tail_constants(plant, sp)

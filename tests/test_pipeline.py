@@ -9,11 +9,7 @@ from specstab.sdpa import read_sdpa
 
 @pytest.fixture(scope="module")
 def variable_pipeline():
-    coeffs = ss.CoefficientPair(
-        p=lambda x: 1.0 + 0.2 * np.asarray(x, float),
-        q=lambda x: 0.2 * np.asarray(x, float),
-        p_prime=lambda x: np.full_like(np.asarray(x, float), 0.2),
-        p_star=1.0, p_sup=1.2, q_sup=0.2, smoothness="C2")
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.2], [0.0, 0.2])
     plant = ss.PlantSpec(coeffs, 1.5, ss.MeasurementSpec.dirichlet(), 0.5)
     spectrum = ss.solve_spectrum(coeffs, plant.boundary, 12, 1000)
     reduced = ss.reduce(plant, spectrum, 11)
@@ -98,7 +94,9 @@ def test_polynomial_coefficient_pair_derivative():
     assert np.allclose(coeffs.p_prime(x), 0.1)
     assert coeffs.p_star == pytest.approx(1.0)
     assert coeffs.p_sup == pytest.approx(1.1)
-    assert coeffs.smoothness == "C2"
+    assert coeffs.constant_values() is None
+    assert ss.CoefficientPair.from_polynomials([2.0, 0.0], [0.5, 0.0]).constant_values() \
+        == (2.0, 0.5)
 
 
 def test_simpson_weights_integrate_constants():

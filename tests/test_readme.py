@@ -1,17 +1,26 @@
-"""The README's python examples run as written, each in a fresh namespace."""
+"""The README's examples run as written: each python block in a fresh
+namespace, and each Quick start preset line through the CLI."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+from specstab import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
+QUICK_START = TEXT.split("## Quick start", 1)[1].split("```")[1]
+PRESET_LINES = [line for line in QUICK_START.splitlines()
+                if line.startswith("specstab run ") and line.split()[2] in cli.PRESETS]
 
 
 def test_readme_has_the_library_and_cli_examples():
     assert len(BLOCKS) >= 2
     assert any("cli.solve" in block for block in BLOCKS)
+    assert sorted(line.split()[2] for line in PRESET_LINES) == sorted(cli.PRESETS)
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
@@ -21,3 +30,16 @@ def test_readme_python_block_runs(index):
     exec(compile(block, f"README.md python block {index + 1}", "exec"), namespace)
     if "cli.solve" in block:  # its comment promises the preset's N* = 2
         assert namespace["record"].N == 2
+
+
+@pytest.mark.parametrize("line", PRESET_LINES)
+def test_quick_start_preset_line_runs(line, tmp_path, monkeypatch):
+    # the line's arguments as written, run in tmp_path; its comment quotes N*
+    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    command, comment = line.split("#", 1)
+    argv = command.split()[1:]
+    assert cli.main(argv) == 0
+    out = argv[argv.index("--out") + 1] if "--out" in argv else "specstab-out"
+    report = json.loads((tmp_path / out / "report.json").read_text())
+    assert report["N_star"] == int(re.search(r"N\* = (\d+)", comment).group(1))

@@ -21,13 +21,8 @@ SQ2 = np.sqrt(2.0)
 
 
 def variable_coeffs():
-    # p = 1 + 0.1x, q = x with the tight a-priori bounds
-    return ss.CoefficientPair(
-        p=lambda x: 1.0 + 0.1 * np.asarray(x, dtype=float),
-        q=lambda x: np.asarray(x, dtype=float),
-        p_prime=lambda x: np.full_like(np.asarray(x, dtype=float), 0.1),
-        p_star=1.0, p_sup=1.1, q_sup=1.0, smoothness="C2",
-    )
+    # p = 1 + 0.1x, q = x
+    return ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0, 1.0])
 
 
 # ---------------------------------------------------------------- analytic
@@ -107,12 +102,10 @@ def test_bound_margins_dirichlet_dirichlet_mode3():
 
 
 def test_bound_violation_raises_with_mode_index():
+    # the p = 1 spectrum lies above the band that p = 0.2 admits
     sp = ss.analytic_spectrum(ND, 3, 200)
-    # a tighter claimed upper bound than the true coefficients admit
-    fake = ss.CoefficientPair.constant(1.0, 0.0)
-    object.__setattr__(fake, "p_sup", 0.2)
     with pytest.raises(BoundViolation) as exc:
-        ss.validate_bounds(sp, fake)
+        ss.validate_bounds(sp, ss.CoefficientPair.constant(0.2))
     assert exc.value.mode >= 1
 
 
@@ -197,27 +190,25 @@ def test_odd_grid_rejected():
         ss.solve_spectrum(ss.CoefficientPair.constant(1.0, 0.0), ND, 1, 41)
 
 
-def test_non_positive_diffusion_detected_at_staggered_points():
-    # positive at the multiples of 1/2000 checked on construction, negative
-    # at Gauss-Legendre nodes between them, where the solver integrates p
-    coeffs = ss.CoefficientPair(
-        p=lambda x: 0.001 - np.sin(2000 * np.pi * np.asarray(x, dtype=float)),
-        q=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        p_star=1e-4, p_sup=1.1, q_sup=0.0,
-    )
-    with pytest.raises(NonPositiveDiffusion):
-        ss.solve_spectrum(coeffs, ND, 1, 80)
-
-
 def test_coefficient_pair_validation():
+    with pytest.raises(NonPositiveDiffusion):
+        ss.CoefficientPair.from_polynomials([-1.0], [0.0])
     with pytest.raises(ValueError):
-        ss.CoefficientPair(p=lambda x: -np.ones_like(np.asarray(x, float)),
-                           q=lambda x: np.zeros_like(np.asarray(x, float)),
-                           p_star=1.0, p_sup=1.0, q_sup=0.0)
+        ss.CoefficientPair.from_polynomials([1.0], [-1.0])
     with pytest.raises(ValueError):
-        ss.CoefficientPair(p=lambda x: np.ones_like(np.asarray(x, float)),
-                           q=lambda x: np.zeros_like(np.asarray(x, float)),
-                           p_star=-1.0, p_sup=1.0, q_sup=0.0)
+        ss.CoefficientPair.from_polynomials([1.0, np.inf], [0.0])
+
+
+def test_non_positive_diffusion_at_an_interior_minimum():
+    # p = (x - a)^2 - 1e-9 dips below 0 only between roots 6.3e-5 apart,
+    # which fall between the points of a 2001-point sample
+    a = 0.123456789
+    with pytest.raises(NonPositiveDiffusion) as exc:
+        ss.CoefficientPair.from_polynomials([a * a - 1e-9, -2 * a, 1.0], [0.0])
+    assert "-1e-09" in str(exc.value)
+    # q with a minimum just below 0 inside (0, 1) fails the same exact test
+    with pytest.raises(ValueError):
+        ss.CoefficientPair.from_polynomials([1.0], [a * a - 1e-9, -2 * a, 1.0])
 
 
 def test_spectrum_immutable():
