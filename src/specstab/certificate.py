@@ -392,14 +392,20 @@ def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     n = model.dim
     mu = 1e-6
-    delta = reduced.delta
     n_pvars = n * (n + 1) // 2
     k_beta, k_gamma = n_pvars + 1, n_pvars + 2
     (g2, b2), (g3, b3) = _theta_forms(model, reduced, alpha)
     neumann = math.isfinite(g3)
     prob = SdpaProblem(m_dim=n_pvars + 2, block_sizes=[n + 1, n, -1, -1, -1] + ([-1] if neumann else []))
 
-    F, G, Lcal = model.F, model.G, model.Lcal
+    def add_theta1(k: int, P: np.ndarray, beta: float, gamma: float):
+        # block 1: -Theta1 is linear in (P, beta, gamma), so variable k's
+        # coefficient is -Theta1 at its unit point
+        coef = -_theta1(model, P, alpha, beta, gamma, reduced.delta)
+        for i, j in zip(*np.triu_indices(n + 1)):
+            prob.add(k, 1, int(i) + 1, int(j) + 1, float(coef[i, j]))
+
+    zero = np.zeros((n, n))
     k = 0
     for r in range(n):
         for s in range(r, n):
@@ -408,24 +414,15 @@ def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
             Phi = np.zeros((n, n))
             Phi[r, s] += 1.0
             Phi[s, r] += 1.0 if r != s else 0.0
-            coef = np.zeros((n + 1, n + 1))
-            coef[:n, :n] = -(F.T @ Phi + Phi @ F + 2.0 * delta * Phi)
-            border = -(Phi @ Lcal)
-            coef[:n, n] = border
-            coef[n, :n] = border
-            for i, j in zip(*np.triu_indices(n + 1)):
-                prob.add(k, 1, int(i) + 1, int(j) + 1, float(coef[i, j]))
+            add_theta1(k, Phi, 0.0, 0.0)
             # block 2: P - mu I
             prob.add(k, 2, r + 1, s + 1, 1.0)
     # F0 for block 2: mu I
     for r in range(n):
         prob.add(0, 2, r + 1, r + 1, mu)
-    # gamma in block 1: -alpha G
-    for r in range(n):
-        for s in range(r, n):
-            prob.add(k_gamma, 1, r + 1, s + 1, -alpha * G[r, s])
-    # beta: corner of block 1, and block 3 positivity
-    prob.add(k_beta, 1, n + 1, n + 1, 1.0)
+    add_theta1(k_gamma, zero, 0.0, 1.0)
+    add_theta1(k_beta, zero, 1.0, 0.0)
+    # block 3: beta positivity
     prob.add(k_beta, 3, 1, 1, 1.0)
     prob.add(0, 3, 1, 1, mu)
     prob.add(k_gamma, 4, 1, 1, 1.0)

@@ -25,9 +25,9 @@ from . import errors as err
 from .certificate import Certificate
 from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
                          ReducedPlant, reduce as reduce_plant)
-from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim, fit_decay,
-                       lyapunov_trace, run as run_sim)
-from .sturm_liouville import (DEFAULT_GRID_SIZE, CoefficientPair, Spectrum, analytic_spectrum,
+from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim,
+                       compatibility_defect, fit_decay, lyapunov_trace, run as run_sim)
+from .sturm_liouville import (DEFAULT_GRID_SIZE, CoefficientPair, analytic_spectrum,
                               galerkin_order, solve_spectrum)
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
@@ -37,13 +37,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
-# distinct exit code per module error class (documented in --help)
+# distinct exit code per module error class that a run can raise (listed in --help)
 ERROR_EXIT_CODES = {
     err.ConfigParse: 3,
     err.DecayUnreachable: 4,
-    err.ResolutionTooCoarse: 5,
-    err.NonPositiveDiffusion: 6,
-    err.BoundViolation: 7,
     err.InsufficientModes: 9,
     err.UncontrollablePair: 10,
     err.UnobservablePair: 11,
@@ -199,11 +196,10 @@ def parse_config(path) -> dict:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Each stage's result of one run, as solve() computes it."""
+    """Each stage's result of one run, as solve() computes it; the plant and
+    its spectrum are reduced.plant and reduced.spectrum."""
 
     config: dict
-    plant: PlantSpec
-    spectrum: Spectrum
     reduced: ReducedPlant
     gains: GainSet
     N: int  # the run's order: the certified N*, else the fixed N, else min(n_max, N0 + 2)
@@ -271,13 +267,20 @@ def solve(config: dict) -> RunRecord:
     if design_cfg["N"] is not None:  # a fixed order is checked before any work
         _require_sim_order(n_sim, design_cfg["N"])
     n_modes = max(n_sim, n_max) + 1
-    if coeffs.constant_values() == (1.0, 0.0):
-        _require_memory(config, n_modes, DEFAULT_GRID_SIZE, 0)
-        spectrum = analytic_spectrum(plant.boundary, n_modes)
-    else:
-        grid = max(2000, 40 * n_modes)
-        _require_memory(config, n_modes, 2 * grid, galerkin_order(n_modes))
-        spectrum = solve_spectrum(coeffs, plant.boundary, n_modes, grid + grid % 2)
+    laplacian = coeffs.constant_values() == (1.0, 0.0)
+    grid = max(2000, 40 * n_modes)  # even, as Simpson's rule needs
+    intervals = DEFAULT_GRID_SIZE if laplacian else 2 * grid  # of the spectrum's grid
+    _require_memory(config, n_modes, intervals, 0 if laplacian else galerkin_order(n_modes))
+    # z0 on the spectrum's grid, checked before the spectrum is computed
+    z0 = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, intervals + 1),
+                                          np.asarray(sim_cfg["z0"]))
+    u0 = float(z0[-1]) if sim_cfg["u0"] is None else sim_cfg["u0"]
+    defect = compatibility_defect(z0, u0, 1.0 / intervals, plant.measurement.kind)
+    if defect is not None:
+        raise err.ConfigParse(f"[sim] {defect[0]} breaks a boundary compatibility "
+                              f"condition: {defect[1]}")
+    spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
+        solve_spectrum(coeffs, plant.boundary, n_modes, grid)
 
     # one reduction serves the simulation (n_sim modes) and every order up to n_max
     reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=design_cfg["eps"])
@@ -299,16 +302,14 @@ def solve(config: dict) -> RunRecord:
 
     _require_sim_order(n_sim, N)
     A_cl = assemble_sim(reduced, gains, N, n_sim)
-    z0 = np.polynomial.polynomial.polyval(spectrum.grid, np.asarray(sim_cfg["z0"]))
-    u0 = float(z0[-1]) if sim_cfg["u0"] is None else sim_cfg["u0"]
     T, dt = sim_cfg["T"], sim_cfg["dt"]
-    result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=dt, T=T), spectrum, reduced)
+    result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=dt, T=T), reduced)
     window = (min(1.0, T / 2), T)
     if np.count_nonzero((result.times >= window[0]) & (result.times <= window[1])) < 2:
         raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
                               f"the decay-fit window [min(1, T/2), T], got {T}")
     return RunRecord(
-        config=config, plant=plant, spectrum=spectrum, reduced=reduced, gains=gains, N=N,
+        config=config, reduced=reduced, gains=gains, N=N,
         certificate=certificate, search_margins=search_margins, sim=result,
         abscissa=float(np.max(np.linalg.eigvals(A_cl).real)),
         decay_rate=fit_decay(result.times, result.eta, window),
@@ -411,9 +412,9 @@ def _write_csvs(record: RunRecord, out: Path):
     for name, values in series.items():
         _write_series(out / f"{name}.csv", t_text, values)
     snap = result.snapshot_steps
-    z_field, error_field = result.snapshot_fields(snap, 40)
+    _, z_field, error_field = result.fields(snap, 40)
     snap_text = [t_text[i] for i in snap]
-    x = record.spectrum.grid[::40]
+    x = record.reduced.spectrum.grid[::40]
     _write_field(out / "state_field.csv", x, snap_text, z_field)
     _write_field(out / "error_field.csv", x, snap_text, error_field)
 
@@ -424,7 +425,7 @@ def _report(record: RunRecord) -> dict:
     return {
         "name": record.config["scenario"]["name"],
         "plant": {"p": plant_cfg["p"], "q": plant_cfg["q"], "q_c": plant_cfg["q_c"],
-                  "measurement": plant_cfg["measurement"], "delta": record.plant.delta},
+                  "measurement": plant_cfg["measurement"], "delta": reduced.delta},
         "N0": reduced.N0,
         "tail_constant": reduced.tail_constant,
         "tail_eps": reduced.tail_eps,

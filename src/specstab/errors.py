@@ -1,5 +1,6 @@
-"""Exception types raised across the package; cli.ERROR_EXIT_CODES gives
-most of them a distinct exit code."""
+"""Exception types raised across the package; cli.ERROR_EXIT_CODES gives a
+distinct exit code to each one a CLI run can raise, which leaves out
+NonPositiveDiffusion, ResolutionTooCoarse and BoundViolation."""
 
 
 class SpecstabError(Exception):

@@ -15,8 +15,8 @@ matrix of diagonal quadratic weights (sum w_n^2, sum lambda_n w_n^2, eta^2,
 the tail sum_{n>N} lambda_n w_n^2 of the Lyapunov functional and its last two
 terms).  Only the current slab and the next one are alive, and the full
 state is copied at every snapshot_stride-th step.  A state between snapshots
-is recomputed from the snapshot before it, and the field reconstructions
-read these states.
+is recomputed from the snapshot before it, and SimResult.fields reads these
+states on the spectrum of the ReducedPlant, the only spectrum a run reads.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     StepRejected,
 )
 from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
-from .sturm_liouville import Spectrum, derivative_at_0, derivative_field, project
+from .sturm_liouville import derivative_at_0, derivative_field, project
 from .synthesis import GainSet, error_scale
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
@@ -69,7 +69,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     """Per-step series of one closed-loop run, the low-mode arrays, and the
-    full state at every snapshot_stride-th step."""
+    full state at every snapshot_stride-th step.  The plant data, N0 and the
+    spectrum are read from `reduced`."""
 
     times: np.ndarray
     u: np.ndarray
@@ -86,9 +87,7 @@ class SimResult:
     snapshot_states: np.ndarray  # (snapshots, 1+N_sim+N) at steps 0, stride, ...
     E: np.ndarray               # one-step matrix exp(A_cl dt)
     N: int
-    N0: int
     N_sim: int
-    spectrum: Spectrum
     reduced: ReducedPlant
 
     def __post_init__(self):
@@ -111,39 +110,22 @@ class SimResult:
             x = self.E @ x
         return x
 
-    def _lifting(self) -> np.ndarray:
-        x = self.spectrum.grid
-        return x ** self.reduced.plant.lifting_exponent
-
-    def _w_field(self, state: np.ndarray) -> np.ndarray:
-        return state[1: 1 + self.N_sim] @ self.spectrum.eigenfunctions[: self.N_sim]
-
-    def reconstruct_w(self, step: int) -> np.ndarray:
-        """Homogenized field w(t_step, x) on the spectrum grid."""
-        return self._w_field(self.state(step))
-
-    def reconstruct_z(self, step: int) -> np.ndarray:
-        """Physical field z = w + lifting * u on the spectrum grid."""
-        x = self.state(step)
-        return self._w_field(x) + self._lifting() * x[0]
-
-    def reconstruct_error(self, step: int) -> np.ndarray:
-        """Observation error w - sum_{n<=N} what_n phi_n on the spectrum grid."""
-        x = self.state(step)
-        return self._w_field(x) - x[1 + self.N_sim:] @ self.spectrum.eigenfunctions[: self.N]
-
-    def snapshot_fields(self, steps, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """z and the observation error at the given steps on every stride-th
-        grid point, one row per step, from one product over the modes."""
+    def fields(self, steps, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The homogenized field w, the physical field z = w + x^k u (k the
+        plant's lifting exponent) and the observation error
+        w - sum_{n<=N} what_n phi_n at the given steps, on every stride-th
+        grid point of the reduction's spectrum, one row per step, from one
+        product over the modes."""
+        spectrum = self.reduced.spectrum
         states = np.array([self.state(k) for k in np.asarray(steps).tolist()])
         n = states.shape[0]
         w = states[:, 1: 1 + self.N_sim]
         coef = np.vstack([w, w])
         coef[n:, : self.N] -= states[:, 1 + self.N_sim:]
-        fields = coef @ self.spectrum.eigenfunctions[: self.N_sim, ::stride]
-        lifting = self._lifting()[::stride]
+        fields = coef @ spectrum.eigenfunctions[: self.N_sim, ::stride]
+        lifting = spectrum.grid[::stride] ** self.reduced.plant.lifting_exponent
         z = fields[:n] + np.outer(states[:, 0], lifting)
-        return z, fields[n:]
+        return fields[:n], z, fields[n:]
 
 
 def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> np.ndarray:
@@ -189,23 +171,20 @@ def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> n
     return A
 
 
-def _check_compatibility(config: SimConfig, spectrum: Spectrum, reduced: ReducedPlant):
-    z0 = config.z0
-    if z0.shape != (spectrum.grid_size + 1,):
-        raise GridMismatch(
-            f"z0 has {z0.shape[0]} samples, spectrum grid has {spectrum.grid_size + 1}")
-    tol = 1e-6
-    kind = reduced.plant.measurement.kind
-    scale = max(1.0, float(np.max(np.abs(z0))))
-    if abs(z0[-1] - config.u0) > tol * scale:
-        raise ValueError(f"z0(1) = {z0[-1]:.6g} does not match u0 = {config.u0:.6g}")
+def compatibility_defect(z0: np.ndarray, u0: float, h: float,
+                         kind: str) -> tuple[str, str] | None:
+    """The first compatibility condition, to 1e-6 of max(1, max |z0|), that z0
+    (sampled with step h) and u0 break, as ("z0" or "u0", message), or None."""
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(z0))))
+    if abs(z0[-1] - u0) > tol:
+        return "u0", f"z0(1) = {z0[-1]:.6g} does not match u0 = {u0:.6g}"
     if kind in (BOUNDED, DIRICHLET_AT_0):
-        d0 = derivative_at_0(z0, spectrum.h)
-        if abs(d0) > tol * scale:
-            raise ValueError(f"z0'(0) = {d0:.3e} violates the flat-at-0 compatibility")
-    else:
-        if abs(z0[0]) > tol * scale:
-            raise ValueError(f"z0(0) = {z0[0]:.3e} violates the pinned-at-0 compatibility")
+        d0 = derivative_at_0(z0, h)
+        if abs(d0) > tol:
+            return "z0", f"z0'(0) = {d0:.3e} violates the flat-at-0 compatibility"
+    elif abs(z0[0]) > tol:
+        return "z0", f"z0(0) = {z0[0]:.3e} violates the pinned-at-0 compatibility"
+    return None
 
 
 def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
@@ -244,15 +223,21 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
             states)
 
 
-def run(A_cl: np.ndarray, config: SimConfig, spectrum: Spectrum,
-        reduced: ReducedPlant) -> SimResult:
-    """Exact LTI stepping of the closed loop from z0, u0, null observer state."""
+def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult:
+    """Exact LTI stepping of the closed loop from z0 (on the grid of
+    reduced.spectrum), u0 and a null observer state."""
     dim = A_cl.shape[0]
     N = dim - 1 - config.N_sim
     if N < 1:
         raise OrderMismatch("A_cl dimension inconsistent with N_sim")
-    N_sim, N0 = config.N_sim, reduced.N0
-    _check_compatibility(config, spectrum, reduced)
+    N_sim, N0, spectrum = config.N_sim, reduced.N0, reduced.spectrum
+    if config.z0.shape != (spectrum.grid_size + 1,):
+        raise GridMismatch(f"z0 has {config.z0.shape[0]} samples, spectrum grid has "
+                           f"{spectrum.grid_size + 1}")
+    defect = compatibility_defect(config.z0, config.u0, spectrum.h,
+                                  reduced.plant.measurement.kind)
+    if defect is not None:
+        raise ValueError(defect[1])
     x_grid = spectrum.grid
     w0 = config.z0 - x_grid ** reduced.plant.lifting_exponent * config.u0
     state = np.zeros(dim)
@@ -297,7 +282,7 @@ def run(A_cl: np.ndarray, config: SimConfig, spectrum: Spectrum,
                      l2_sq=quad[:, 0], energy_sq=quad[:, 1], eta=np.sqrt(quad[:, 2]),
                      tail_energy_sq=quad[:, 3], tail_last=quad[:, 4:],
                      snapshot_stride=stride, snapshot_states=states, E=E,
-                     N=N, N0=N0, N_sim=N_sim, spectrum=spectrum, reduced=reduced)
+                     N=N, N_sim=N_sim, reduced=reduced)
 
 
 @dataclass(frozen=True)
@@ -325,7 +310,7 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
     """
     if not certificate.feasible:
         raise CertificateRequired("lyapunov_trace needs a feasible certificate")
-    N, N0, N_sim = result.N, result.N0, result.N_sim
+    N, N0, N_sim = result.N, result.reduced.N0, result.N_sim
     if certificate.N != N:
         raise OrderMismatch(f"certificate is for N = {certificate.N}, run used N = {N}")
     err = result.w_low - result.what_modes
@@ -375,9 +360,9 @@ def field_energy(result: SimResult, step: int) -> float:
 
     Cross-checks the modal energy sum via the spectral energy identity.
     """
-    sp = result.spectrum
+    sp = result.reduced.spectrum
     coeffs = result.reduced.plant.coeffs
-    w_field = result.reconstruct_w(step)
+    w_field = result.fields([step])[0][0]
     dw = derivative_field(w_field, sp.h)
     x = sp.grid
     return float(np.sum(sp.weights * (coeffs.p(x) * dw ** 2 + coeffs.q(x) * w_field ** 2)))

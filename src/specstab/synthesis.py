@@ -39,23 +39,17 @@ class GainSet:
 
 @dataclass(frozen=True)
 class ClosedLoopMatrices:
-    """All blocks of the certificate dynamics X' = F X + Lcal * zeta."""
+    """The certificate dynamics X' = F X + Lcal * zeta at observer order N, and
+    G; assemble_closed_loop places the design blocks in F."""
 
     N: int
     N0: int
-    A0: np.ndarray
-    A1: np.ndarray
-    B1: np.ndarray
-    A2: np.ndarray
-    C0: np.ndarray
-    C1: np.ndarray
     F: np.ndarray
     Lcal: np.ndarray
     G: np.ndarray
-    g: float
 
     def __post_init__(self):
-        for name in ("A0", "A1", "B1", "A2", "C0", "C1", "F", "Lcal", "G"):
+        for name in ("F", "Lcal", "G"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -173,9 +167,11 @@ def error_scale(reduced: ReducedPlant, N: int) -> np.ndarray:
 
 
 def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> ClosedLoopMatrices:
-    """Build F, Lcal, G and all sub-blocks for observer order N.
+    """Build F, Lcal and G for observer order N.
 
-    C1 = out_coef / error_scale: raw c_n for the in-domain measurement,
+    Blocks (1,1), (2,2), (3,3) and (4,4) of F are A1 + B1 K, A0 - L C0, A2
+    and A2; (1,4) = Ltilde C1 and (2,4) = -L C1 with C1 = out_coef /
+    error_scale: raw c_n for the in-domain measurement,
     phi_n(0)/sqrt(lambda_n) for the left trace, phi_n'(0)/lambda_n for the
     left flux; block (4,4) is the matching rescaled error dynamics.
     """
@@ -192,7 +188,7 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
 
     A0, A1, B1 = _design_blocks(reduced)
     A2 = np.diag(-lam[N0:N] + reduced.q_c)
-    C0 = reduced.out_coef[:N0].copy()
+    C0 = reduced.out_coef[:N0]
     C1 = reduced.out_coef[N0:N] / error_scale(reduced, N)
     Ltilde = np.concatenate([[0.0], L])
 
@@ -220,7 +216,4 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     Ktilde = np.zeros(dim)
     Ktilde[: N0 + 1] = K
     G = reduced.a_norm2 * np.outer(E_row, E_row) + reduced.b_norm2 * np.outer(Ktilde, Ktilde)
-    g = reduced.a_norm2 + reduced.b_norm2 * float(K @ K)
-
-    return ClosedLoopMatrices(N=N, N0=N0, A0=A0, A1=A1, B1=B1, A2=A2, C0=C0, C1=C1,
-                              F=F, Lcal=Lcal, G=G, g=g)
+    return ClosedLoopMatrices(N=N, N0=N0, F=F, Lcal=Lcal, G=G)

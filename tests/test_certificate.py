@@ -91,7 +91,8 @@ def test_verify_limit_structure_small_beta_gamma(dirichlet_pipeline):
     P = ss.lyapunov_solve(model.F, red.delta)
     alpha, gamma = 2.0, 1e-9
     top = model.F.T @ P + P @ model.F + 2 * red.delta * P + alpha * gamma * model.G
-    assert np.linalg.eigvalsh(top)[-1] <= -1.0 + alpha * gamma * model.g + 1e-9
+    g = red.a_norm2 + red.b_norm2 * float(gains.K @ gains.K)  # |G| <= g
+    assert np.linalg.eigvalsh(top)[-1] <= -1.0 + alpha * gamma * g + 1e-9
     # beta large relative to gamma: the tail term flips Theta2 positive
     c_lo = ss.verify_certificate(model, red, P, alpha, beta=1e-8, gamma=gamma)
     c_hi = ss.verify_certificate(model, red, P, alpha, beta=1.0, gamma=gamma)

@@ -9,7 +9,7 @@ import pytest
 import specstab as ss
 from specstab import cli, homogenize
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
-from specstab.errors import ConfigParse, DecayUnreachable, IoFailure
+from specstab.errors import ConfigParse, DecayUnreachable, InsufficientModes, IoFailure
 from specstab.sdpa import read_sdpa
 
 BOUNDED_CONFIG = """
@@ -361,10 +361,11 @@ def test_mode_count_beyond_memory_exits_3_before_the_spectrum(tmp_path, monkeypa
 
 
 def preset_config(tmp_path, preset, **keys):
-    """A preset as a config file, with q_c, N or n_sim set in its section."""
+    """A preset as a config file, with q_c, N, n_sim, z0 or u0 set in its section."""
     text = cli.PRESETS[preset]
     for key, value in keys.items():
-        section = {"q_c": "[plant]", "N": "[design]", "n_sim": "[sim]"}[key]
+        section = {"q_c": "[plant]", "N": "[design]", "n_sim": "[sim]", "z0": "[sim]",
+                   "u0": "[sim]"}[key]
         lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
         text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
     path = tmp_path / f"{preset}.cfg"
@@ -383,6 +384,24 @@ def test_fixed_order_above_n_sim_exits_3_before_the_spectrum(tmp_path, monkeypat
     assert spectra == []
     err = capsys.readouterr().err
     assert f"[sim] n_sim must be at least the run order N = {N}, got {n_sim}" in err
+
+
+@pytest.mark.parametrize("preset, keys, named, message", [
+    ("dirichlet-example", {"z0": "1, 1"}, "[sim] z0", "z0'(0) = 1.000e+00"),
+    ("dirichlet-example", {"z0": "1, 0, 1", "u0": 5}, "[sim] u0",
+     "z0(1) = 2 does not match u0 = 5"),
+    ("neumann-example", {"z0": "1, 1"}, "[sim] z0", "z0(0) = 1.000e+00")],
+    ids=["dirichlet-z0-slope", "dirichlet-u0", "neumann-z0-value"])
+def test_incompatible_initial_data_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys,
+                                                               preset, keys, named, message):
+    spectra = []
+    for name in ("analytic_spectrum", "solve_spectrum"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: spectra.append(_name))
+    cfg = preset_config(tmp_path, preset, **keys)
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert spectra == []
+    err = capsys.readouterr().err
+    assert named in err and message in err
 
 
 @pytest.mark.parametrize("q_c", [0, 3, 10, 20])
@@ -580,6 +599,25 @@ def test_help_documents_exit_codes(capsys):
     assert "DecayUnreachable" in text
     assert "SPECSTAB_OUT" in text
     assert "dirichlet-example" in text
+
+
+def test_help_lists_only_exit_codes_a_run_returns(capsys):
+    # p is checked at parse time (exit 3), solve_spectrum always gets 40
+    # points per mode, and no run calls validate_bounds
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    text = capsys.readouterr().out
+    for name in ("NonPositiveDiffusion", "ResolutionTooCoarse", "BoundViolation"):
+        assert name not in text
+    for cls, code in ERROR_EXIT_CODES.items():
+        assert f"{cls.__name__:<22} {code}" in text
+
+
+def test_insufficient_modes_exit_code(tmp_path):
+    # n_sim = n_max = 0 reduces on no mode, while the one computed mode needs control
+    cfg = preset_config(tmp_path, "dirichlet-example", q_c=0, n_sim=0)
+    assert run_scenario(str(cfg), n_max=0, quiet=True) \
+        == ERROR_EXIT_CODES[InsufficientModes] == 9
 
 
 def test_main_runs_preset(tmp_path):

@@ -38,13 +38,14 @@ def test_variable_coefficients_closed_loop_decay(variable_pipeline):
     x = spectrum.grid
     z0 = 1.0 + x ** 2 - 2.0 * x ** 3 / 3.0  # z0'(0) = 0
     res = ss.run(A, ss.SimConfig(z0=z0, u0=float(z0[-1]), N_sim=11, dt=1e-3, T=3.0),
-                 spectrum, reduced)
+                 reduced)
     assert ss.fit_decay(res.times, res.eta, (1.0, 3.0)) >= 0.5
     trace = ss.lyapunov_trace(res, cert)
     assert trace.max_increment <= 1e-6 * trace.V[0]
     # reconstructed state keeps the actuated boundary value
-    for step in (0, 1500, 3000):
-        assert res.reconstruct_z(step)[-1] == pytest.approx(res.u[step], abs=1e-8)
+    steps = [0, 1500, 3000]
+    for step, z in zip(steps, res.fields(steps)[1]):
+        assert z[-1] == pytest.approx(res.u[step], abs=1e-8)
 
 
 def test_bounded_nonuniform_weight_pipeline():
@@ -81,7 +82,7 @@ def test_neumann_field_energy_identity(neumann_pipeline):
     x = pipe.spectrum.grid
     z0 = x * (x - 2.0 / 3.0)
     res = ss.run(A, ss.SimConfig(z0=z0, u0=float(z0[-1]), N_sim=50, dt=1e-3, T=0.3),
-                 pipe.spectrum, pipe.reduced)
+                 pipe.reduced)
     from specstab.simulate import field_energy
     for step in (0, 150, 300):
         modal = res.energy_sq[step]

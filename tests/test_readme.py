@@ -1,6 +1,8 @@
 """The README's examples run as written: each python block in a fresh
-namespace, and each Quick start preset line through the CLI."""
+namespace, and each Quick start preset line through the CLI.  Its list of
+SimResult's fields names exactly the dataclass fields."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from specstab import cli
+from specstab.simulate import SimResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
@@ -15,6 +18,14 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
 QUICK_START = TEXT.split("## Quick start", 1)[1].split("```")[1]
 PRESET_LINES = [line for line in QUICK_START.splitlines()
                 if line.startswith("specstab run ") and line.split()[2] in cli.PRESETS]
+
+
+def test_readme_lists_exactly_the_sim_result_fields():
+    # the bullet list after "`SimResult` holds:" names each field in backticks
+    bullets = TEXT.split("`SimResult` holds:", 1)[1].split("\n\n")[1]
+    assert bullets.startswith("- ")
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", bullets))
+    assert named == {field.name for field in dataclasses.fields(SimResult)}
 
 
 def test_readme_has_the_library_and_cli_examples():

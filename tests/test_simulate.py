@@ -26,14 +26,14 @@ def dirichlet_run(pipe, N=3, T=3.0, dt=1e-3, N_sim=50):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=N_sim, dt=dt, T=T)
-    return A, ss.run(A, config, pipe.spectrum, pipe.reduced)
+    return A, ss.run(A, config, pipe.reduced)
 
 
 def neumann_run(pipe, N=2, T=3.0, dt=1e-3, N_sim=50):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=x * (x - 2.0 / 3.0), u0=1.0 / 3.0, N_sim=N_sim, dt=dt, T=T)
-    return A, ss.run(A, config, pipe.spectrum, pipe.reduced)
+    return A, ss.run(A, config, pipe.reduced)
 
 
 # ---------------------------------------------------------------- assembly
@@ -70,7 +70,7 @@ def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=N_sim, dt=1e-3, T=0.5)
-    res = ss.run(A, config, pipe.spectrum, pipe.reduced)
+    res = ss.run(A, config, pipe.reduced)
     assert np.max(np.abs(res.zeta)) == 0.0
     # without a tail the unestimated-gain errors decouple exactly:
     # e_n(t) = e_n(0) exp((-lambda_n+q_c) t) for n > N0
@@ -111,9 +111,9 @@ def sequential_trajectory(A, state, dt, steps):
 def reference_series(A, res, ref):
     """Every per-step series and mode array of a SimResult, from a stored
     trajectory by direct formulas."""
-    N, N0, N_sim = res.N, res.N0, res.N_sim
+    N, N0, N_sim = res.N, res.reduced.N0, res.N_sim
     u, w, what = ref[:, 0], ref[:, 1: 1 + N_sim], ref[:, 1 + N_sim:]
-    lam = res.spectrum.lambdas[:N_sim]
+    lam = res.reduced.spectrum.lambdas[:N_sim]
     l2_sq = np.sum(w ** 2, axis=1)
     energy_sq = w ** 2 @ lam
     tail = w[:, N:] ** 2 * lam[N:]
@@ -173,7 +173,7 @@ def test_blocked_stepping_matches_sequential_at_varcoef_size():
     _, spectrum, reduced, _, A = varcoef_size_loop()
     x = spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-3, T=3.0)
-    assert_matches_sequential(A, ss.run(A, config, spectrum, reduced), 1e-3)
+    assert_matches_sequential(A, ss.run(A, config, reduced), 1e-3)
 
 
 def test_run_and_trace_memory_independent_of_trajectory_size():
@@ -187,7 +187,7 @@ def test_run_and_trace_memory_independent_of_trajectory_size():
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-4, T=3.0)
     tracemalloc.start()
     try:
-        res = ss.run(A, config, spectrum, reduced)
+        res = ss.run(A, config, reduced)
         trace = ss.lyapunov_trace(res, cert)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -204,7 +204,7 @@ def test_open_loop_growth_rate(dirichlet_pipeline):
     assert dominant == pytest.approx(3.0 - np.pi ** 2 / 4, rel=1e-9)  # ~0.5326
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=1e-3, T=10.0)
-    res = ss.run(A, config, pipe.spectrum, pipe.reduced)
+    res = ss.run(A, config, pipe.reduced)
     # fit late enough that the constant forced response is negligible
     rate = ss.fit_decay(res.times, res.eta, (8.0, 10.0))
     assert -rate == pytest.approx(dominant, abs=2e-2)
@@ -216,7 +216,7 @@ def test_step_rejected_on_overflow_horizon(dirichlet_pipeline):
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=0.1, T=1300.0)
     with pytest.raises(StepRejected):
-        ss.run(A, config, pipe.spectrum, pipe.reduced)
+        ss.run(A, config, pipe.reduced)
 
 
 def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
@@ -230,8 +230,8 @@ def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
     from_list = ss.SimConfig(z0=(1.0 + x ** 2).tolist(), u0=2.0, N_sim=50, dt=1e-3, T=0.01)
     assert from_list.z0.dtype == float and from_list.z0.shape == x.shape
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
-    a = ss.run(A, config, pipe.spectrum, pipe.reduced)
-    b = ss.run(A, from_list, pipe.spectrum, pipe.reduced)
+    a = ss.run(A, config, pipe.reduced)
+    b = ss.run(A, from_list, pipe.reduced)
     assert np.array_equal(a.eta, b.eta)
     for bad in (np.ones((2, x.size)), 1.0):
         with pytest.raises(ValueError):
@@ -244,49 +244,55 @@ def test_compatibility_checks(dirichlet_pipeline, neumann_pipeline):
     x = pipe.spectrum.grid
     with pytest.raises(ValueError):  # z0'(0) != 0 on the flat-at-0 path
         ss.run(A, ss.SimConfig(z0=x.copy(), u0=1.0, N_sim=50, dt=1e-3, T=0.1),
-               pipe.spectrum, pipe.reduced)
+               pipe.reduced)
     with pytest.raises(ValueError):  # z0(1) != u0
         ss.run(A, ss.SimConfig(z0=1.0 + x ** 2, u0=0.5, N_sim=50, dt=1e-3, T=0.1),
-               pipe.spectrum, pipe.reduced)
+               pipe.reduced)
     pn = neumann_pipeline
     An = ss.assemble_sim(pn.reduced, pn.gains, 2, 50)
     with pytest.raises(ValueError):  # z0(0) != 0 on the pinned-at-0 path
         ss.run(An, ss.SimConfig(z0=1.0 + 0.0 * x, u0=1.0, N_sim=50, dt=1e-3, T=0.1),
-               pn.spectrum, pn.reduced)
+               pn.reduced)
 
 
 # ---------------------------------------------------------------- fields
 
 def test_reconstructed_boundary_conditions(dirichlet_pipeline, neumann_pipeline):
+    steps = [0, 100, 500]
     _, res = dirichlet_run(dirichlet_pipeline, T=0.5)
     h = dirichlet_pipeline.spectrum.h
-    for step in (0, 100, 500):
-        w = res.reconstruct_w(step)
+    w_rows, z_rows, _ = res.fields(steps)
+    for step, w, z in zip(steps, w_rows, z_rows):
         assert abs(w[-1]) <= 1e-8
         assert abs(derivative_at_0(w, h)) <= 1e-6
-        z = res.reconstruct_z(step)
         assert z[-1] == pytest.approx(res.u[step], abs=1e-8)
     _, resn = neumann_run(neumann_pipeline, T=0.5)
-    for step in (0, 100, 500):
-        w = resn.reconstruct_w(step)
+    for w in resn.fields(steps)[0]:
         assert abs(w[-1]) <= 1e-8
         assert abs(w[0]) <= 1e-6
 
 
+@pytest.mark.parametrize("stride", [1, 40])
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
-def test_snapshot_fields_match_per_step_reconstructions(dirichlet_pipeline,
-                                                        neumann_pipeline, kind):
+def test_fields_match_modal_sums(dirichlet_pipeline, neumann_pipeline, kind, stride):
+    # w = sum_{n<=N_sim} w_n phi_n, z = w + x^k u and the observation error
+    # w - sum_{n<=N} what_n phi_n, each from the state at that step
     if kind == "dirichlet":
         _, res = dirichlet_run(dirichlet_pipeline, T=0.5)
+        pipe, k = dirichlet_pipeline, 2
     else:
         _, res = neumann_run(neumann_pipeline, T=0.5)
+        pipe, k = neumann_pipeline, 1
     steps = np.arange(0, res.times.size, 37)
-    z, error = res.snapshot_fields(steps, 40)
-    z_ref = np.array([res.reconstruct_z(i)[::40] for i in steps])
-    error_ref = np.array([res.reconstruct_error(i)[::40] for i in steps])
-    assert z.shape == error.shape == z_ref.shape == (steps.size, 51)
-    assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
-    assert np.max(np.abs(error - error_ref)) <= 1e-12 * np.max(np.abs(error_ref))
+    w, z, error = res.fields(steps, stride)
+    phi, x = pipe.spectrum.eigenfunctions[:, ::stride], pipe.spectrum.grid[::stride]
+    states = [res.state(i) for i in steps]
+    w_ref = np.array([s[1: 1 + res.N_sim] @ phi[: res.N_sim] for s in states])
+    z_ref = w_ref + np.outer([s[0] for s in states], x ** k)
+    error_ref = w_ref - np.array([s[1 + res.N_sim:] @ phi[: res.N] for s in states])
+    assert w.shape == z.shape == error.shape == (steps.size, x.size)
+    for got, ref in ((w, w_ref), (z, z_ref), (error, error_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_field_energy_matches_modal_sum(dirichlet_pipeline):
@@ -302,11 +308,12 @@ def test_feedthrough_consistency_bounded(bounded_pipeline):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=1e-3, T=0.3)
-    res = ss.run(A, config, pipe.spectrum, pipe.reduced)
+    res = ss.run(A, config, pipe.reduced)
     w = pipe.spectrum.weights
     c = np.ones_like(x)
-    for step in (0, 150, 300):
-        y_field = float(np.sum(w * c * res.reconstruct_z(step)))
+    steps = [0, 150, 300]
+    for step, z in zip(steps, res.fields(steps)[1]):
+        y_field = float(np.sum(w * c * z))
         y_tilde_modal = float(res.state(step)[1:51] @ pipe.reduced.out_coef[:50])
         reconstructed = y_field - pipe.reduced.feedthrough * res.u[step]
         assert reconstructed == pytest.approx(y_tilde_modal, abs=1e-8)
@@ -358,7 +365,7 @@ def test_lyapunov_trace_zero_initial_data(dirichlet_pipeline):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 8, 50)
     x = pipe.spectrum.grid
     config = ss.SimConfig(z0=np.zeros_like(x), u0=0.0, N_sim=50, dt=1e-3, T=0.2)
-    res = ss.run(A, config, pipe.spectrum, pipe.reduced)
+    res = ss.run(A, config, pipe.reduced)
     trace = ss.lyapunov_trace(res, cert)
     assert np.max(np.abs(trace.V)) == 0.0
 

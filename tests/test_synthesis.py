@@ -87,20 +87,27 @@ def test_design_gains_rejects_shallow_poles(dirichlet_pipeline):
 
 # ---------------------------------------------------------------- assembly
 
+def coupling_row(model, gains):
+    """C1, read off F's block (2,4) = -L C1 (rows E^N0, columns E~^{N-N0})."""
+    return -model.F[model.N0 + 1, model.N + model.N0 + 1:] / gains.L[0]
+
+
 def test_closed_loop_dimensions_and_c1_scaling(dirichlet_pipeline):
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
     assert model.F.shape == (7, 7)
     lam = dirichlet_pipeline.spectrum.lambdas
     expected_c1 = SQ2 / np.sqrt(lam[1:3])  # sqrt2/(1.5 pi), sqrt2/(2.5 pi)
-    assert np.allclose(model.C1, expected_c1, rtol=1e-12)
-    assert np.linalg.norm(model.C1) == pytest.approx(
+    c1 = coupling_row(model, dirichlet_pipeline.gains)
+    assert np.allclose(c1, expected_c1, rtol=1e-12)
+    assert np.linalg.norm(c1) == pytest.approx(
         np.hypot(SQ2 / (1.5 * np.pi), SQ2 / (2.5 * np.pi)), rel=1e-12)
 
 
 def test_closed_loop_c1_scaling_neumann(neumann_pipeline):
     model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, 4)
     lam = neumann_pipeline.spectrum.lambdas
-    assert np.allclose(model.C1, neumann_pipeline.reduced.out_coef[1:4] / lam[1:4], rtol=1e-12)
+    assert np.allclose(coupling_row(model, neumann_pipeline.gains),
+                       neumann_pipeline.reduced.out_coef[1:4] / lam[1:4], rtol=1e-12)
 
 
 def test_zero_gain_spectrum_multiset(dirichlet_pipeline):
@@ -121,25 +128,28 @@ def test_bounded_first_mode_weight_zeroes_c1():
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), 3.0,
                          ss.MeasurementSpec.bounded(c), 0.5)
     red = ss.reduce(plant, sp, 5)
-    model = ss.assemble_closed_loop(red, ss.design_gains(red), 2)
-    assert np.max(np.abs(model.C1)) < 1e-9
+    gains = ss.design_gains(red)
+    model = ss.assemble_closed_loop(red, gains, 2)
+    assert np.max(np.abs(coupling_row(model, gains))) < 1e-9
     # the corresponding coupling blocks of F vanish
     assert np.max(np.abs(model.F[: model.N0 + 1, model.N0 + model.N + 1:])) < 1e-9
 
 
 def test_g_matrix_is_psd_and_dominated(dirichlet_pipeline):
-    model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 5)
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    model = ss.assemble_closed_loop(red, gains, 5)
+    g = red.a_norm2 + red.b_norm2 * float(gains.K @ gains.K)  # bounds G = |a|^2 ee' + |b|^2 KK'
     eigs = np.linalg.eigvalsh(model.G)
-    scale = max(1.0, model.g)
+    scale = max(1.0, g)
     assert eigs[0] >= -1e-12 * scale
-    gap = np.linalg.eigvalsh(model.g * np.eye(model.dim) - model.G)
+    gap = np.linalg.eigvalsh(g * np.eye(model.dim) - model.G)
     assert gap[0] >= -1e-12 * scale
 
 
 @pytest.mark.parametrize("pipeline_name", ["dirichlet_pipeline", "neumann_pipeline"])
 def test_c1_norm_bounded_in_observer_order(pipeline_name, request):
     pipe = request.getfixturevalue(pipeline_name)
-    rows = [ss.assemble_closed_loop(pipe.reduced, pipe.gains, N).C1
+    rows = [coupling_row(ss.assemble_closed_loop(pipe.reduced, pipe.gains, N), pipe.gains)
             for N in range(pipe.reduced.N0 + 1, 31)]
     # the largest entry never exceeds its value at N = N0+1
     assert max(np.max(np.abs(r)) for r in rows) <= np.abs(rows[0][0]) + 1e-12
@@ -155,12 +165,17 @@ def test_block_triangular_spectrum_split(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     N, N0 = 6, red.N0
     model = ss.assemble_closed_loop(red, gains, N)
-    a2 = np.diag(model.A2)
-    expected = np.sort(np.concatenate([
-        np.linalg.eigvals(model.A1 + np.outer(model.B1, gains.K)).real,
-        np.linalg.eigvals(model.A0 - np.outer(gains.L, model.C0)).real,
-        a2, a2,
-    ]))
+    F = model.F
+    i1, i2 = slice(0, N0 + 1), slice(N0 + 1, 2 * N0 + 1)  # W_a-hat, E^N0
+    i3 = slice(2 * N0 + 1, N + N0 + 1)                     # W-hat^{N-N0}
+    a2 = np.diag(F[i3, i3])  # A2
+    controller = np.linalg.eigvals(F[i1, i1]).real  # A1 + B1 K
+    observer = np.linalg.eigvals(F[i2, i2]).real    # A0 - L C0
+    # the diagonal blocks hold the placed poles and the open-loop tail modes
+    assert np.allclose(np.sort(controller), np.sort(gains.controller_poles), atol=1e-8)
+    assert np.allclose(np.sort(observer), np.sort(gains.observer_poles), atol=1e-8)
+    assert np.array_equal(a2, -red.spectrum.lambdas[N0:N] + red.q_c)
+    expected = np.sort(np.concatenate([controller, observer, a2, a2]))
     got = np.sort(np.linalg.eigvals(model.F).real)
     assert np.max(np.abs(got - expected)) < 1e-6
 
