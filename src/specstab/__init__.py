@@ -46,10 +46,7 @@ from .sturm_liouville import (
     CoefficientPair,
     Spectrum,
     analytic_spectrum,
-    project,
-    simpson_weights,
     solve_spectrum,
-    validate_bounds,
 )
 from .synthesis import (
     ClosedLoopMatrices,
@@ -98,14 +95,11 @@ __all__ = [
     "optimal_alpha",
     "place_controller",
     "place_observer",
-    "project",
     "reduce",
     "flux_consistency_residual",
     "run",
     "select_N0",
-    "simpson_weights",
     "solve_spectrum",
     "tail_constants",
-    "validate_bounds",
     "verify_certificate",
 ]

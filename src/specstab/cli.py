@@ -27,8 +27,7 @@ from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec,
                          ReducedPlant, reduce as reduce_plant)
 from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim,
                        compatibility_defect, fit_decay, lyapunov_trace, run as run_sim)
-from .sturm_liouville import (DEFAULT_GRID_SIZE, CoefficientPair, analytic_spectrum,
-                              galerkin_order, solve_spectrum)
+from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_order, solve_spectrum
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
 OUT_ENV_VAR = "SPECSTAB_OUT"
@@ -41,7 +40,6 @@ EXIT_INFEASIBLE = 2
 ERROR_EXIT_CODES = {
     err.ConfigParse: 3,
     err.DecayUnreachable: 4,
-    err.InsufficientModes: 9,
     err.UncontrollablePair: 10,
     err.UnobservablePair: 11,
     err.OrderTooSmall: 12,
@@ -95,6 +93,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _numbers(text: str) -> list[float]:
     values = [_finite(v) for v in text.replace(",", " ").split()]
     if not values:
@@ -110,6 +115,7 @@ def _measurement(text: str) -> str:
 
 _TEXT = _Type("text", str)
 _INTEGER = _Type("an integer", int)
+_COUNT = _Type("an integer >= 1", _count)
 _NUMBER = _Type("a finite number", _finite)
 _POSITIVE = _Type("a positive finite number", _positive)
 _NUMBERS = _Type("a list of finite numbers", _numbers)
@@ -126,10 +132,10 @@ _KEYS = {
                               _REQUIRED),
               "c": (_NUMBERS, None)},
     "design": {"delta": (_POSITIVE, _REQUIRED), "N": (_INTEGER.or_auto(), "auto"),
-               "n_max": (_INTEGER, "10"), "eps": (_NUMBER, "0.125"),
+               "n_max": (_COUNT, "10"), "eps": (_NUMBER, "0.125"),
                "controller_poles": (_NUMBERS.or_auto(), "auto"),
                "observer_poles": (_NUMBERS.or_auto(), "auto")},
-    "sim": {"n_sim": (_INTEGER, "50"), "dt": (_POSITIVE, "0.001"), "T": (_POSITIVE, "3.0"),
+    "sim": {"n_sim": (_COUNT, "50"), "dt": (_POSITIVE, "0.001"), "T": (_POSITIVE, "3.0"),
             "z0": (_NUMBERS, _REQUIRED), "u0": (_NUMBER.or_auto(), "auto")},
     "output": {"dir": (_TEXT, "specstab-out")},
 }
@@ -211,14 +217,14 @@ class RunRecord:
     lyapunov: LyapunovTrace | None
 
 
-def _require_memory(config: dict, n_modes: int, intervals: int, galerkin: int):
+def _require_memory(config: dict, n_modes: int, galerkin: int):
     """ConfigParse, naming the key that sets n_modes, unless the run's largest
     arrays fit in physical memory.
 
     They are counted from below: four dense matrices of the closed loop's
-    side 1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs),
-    the n_modes x (intervals + 1) eigenfunction samples, and four Galerkin
-    matrices of side `galerkin` (stiffness, mass and the eigensolver's copies).
+    side 1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs)
+    and four Galerkin matrices of side `galerkin` (stiffness, mass and the
+    eigensolver's copies).
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -226,7 +232,7 @@ def _require_memory(config: dict, n_modes: int, intervals: int, galerkin: int):
         return
     n_sim = config["sim"]["n_sim"]
     side = 1 + n_sim + (config["design"]["N"] or config["design"]["n_max"])
-    need = 8 * (4 * side ** 2 + n_modes * (intervals + 1) + 4 * galerkin ** 2)
+    need = 8 * (4 * side ** 2 + 4 * galerkin ** 2)
     if need > physical:
         key, value = (("[sim] n_sim", n_sim) if n_sim >= config["design"]["n_max"]
                       else ("[design] n_max", config["design"]["n_max"]))
@@ -268,19 +274,18 @@ def solve(config: dict) -> RunRecord:
         _require_sim_order(n_sim, design_cfg["N"])
     n_modes = max(n_sim, n_max) + 1
     laplacian = coeffs.constant_values() == (1.0, 0.0)
-    grid = max(2000, 40 * n_modes)  # even, as Simpson's rule needs
-    intervals = DEFAULT_GRID_SIZE if laplacian else 2 * grid  # of the spectrum's grid
-    _require_memory(config, n_modes, intervals, 0 if laplacian else galerkin_order(n_modes))
-    # z0 on the spectrum's grid, checked before the spectrum is computed
-    z0 = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, intervals + 1),
-                                          np.asarray(sim_cfg["z0"]))
-    u0 = float(z0[-1]) if sim_cfg["u0"] is None else sim_cfg["u0"]
-    defect = compatibility_defect(z0, u0, 1.0 / intervals, plant.measurement.kind)
+    _require_memory(config, n_modes, 0 if laplacian else galerkin_order(n_modes))
+    # the initial data are checked before the spectrum is computed
+    z0 = sim_cfg["z0"]
+    u0 = float(np.polynomial.polynomial.polyval(1.0, z0)) if sim_cfg["u0"] is None \
+        else sim_cfg["u0"]
+    defect = compatibility_defect(z0, u0, plant.measurement.kind)
     if defect is not None:
         raise err.ConfigParse(f"[sim] {defect[0]} breaks a boundary compatibility "
                               f"condition: {defect[1]}")
+    # the field CSVs report at the points of the spectrum's grid
     spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
-        solve_spectrum(coeffs, plant.boundary, n_modes, grid)
+        solve_spectrum(coeffs, plant.boundary, n_modes, max(2000, 40 * n_modes))
 
     # one reduction serves the simulation (n_sim modes) and every order up to n_max
     reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=design_cfg["eps"])

@@ -1,6 +1,6 @@
 """Exception types raised across the package; cli.ERROR_EXIT_CODES gives a
 distinct exit code to each one a CLI run can raise, which leaves out
-NonPositiveDiffusion, ResolutionTooCoarse and BoundViolation."""
+NonPositiveDiffusion and InsufficientModes."""
 
 
 class SpecstabError(Exception):
@@ -11,22 +11,6 @@ class SpecstabError(Exception):
 
 class NonPositiveDiffusion(SpecstabError):
     """The diffusion polynomial p is not strictly positive on [0, 1]."""
-
-
-class ResolutionTooCoarse(SpecstabError):
-    """Grid too coarse to resolve the requested number of modes."""
-
-
-class BoundViolation(SpecstabError):
-    """An eigenvalue violates the a-priori spectral bounds."""
-
-    def __init__(self, mode: int, message: str):
-        super().__init__(message)
-        self.mode = mode
-
-
-class GridMismatch(SpecstabError):
-    """Sampled data does not live on the spectrum grid."""
 
 
 # -- homogenization / reduction --------------------------------------------

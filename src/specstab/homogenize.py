@@ -8,7 +8,9 @@ operator's eigenfunctions yields decoupled scalar mode dynamics
     w_n' = (-lambda_n + q_c) w_n + a_n u + b_n v,   v = u',
 
 plus measurement coefficients and the tail constants that the stability
-certificates quote.
+certificates quote.  Every projection is an integral of polynomial data
+against a mode, computed by the spectrum's Gauss-Legendre rule, which is
+exact for it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .sturm_liouville import (
     BoundarySpec,
     CoefficientPair,
     Spectrum,
-    derivative_at_1,
 )
 
 BOUNDED = "bounded"
@@ -34,7 +35,6 @@ NEUMANN_AT_0 = "neumann"
 
 DEFAULT_EPS = 0.125
 DEFAULT_TAIL_TERMS = 200
-_PROJECT_BYTES = 4 << 20  # largest weighted eigenfunction block in reduce
 
 
 @dataclass(frozen=True)
@@ -224,11 +224,11 @@ def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EP
         raise EpsOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
     kind = plant.measurement.kind
     if kind == BOUNDED:
-        c = np.broadcast_to(np.asarray(plant.measurement.c(spectrum.grid), dtype=float),
-                            spectrum.grid.shape)
-        norm2 = float(np.sum(spectrum.weights * c * c))
+        x, w = _projection_rule(plant, spectrum)
+        c = np.broadcast_to(np.asarray(plant.measurement.c(x), dtype=float), x.shape)
+        norm2 = float(w @ (c * c))
         if not np.isfinite(norm2):
-            raise ValueError("measurement weight c has non-finite L2 norm on the grid")
+            raise ValueError("measurement weight c has non-finite L2 norm at the quadrature nodes")
         return norm2
     constant = plant.coeffs.constant_values()
     if tail_terms is None:
@@ -238,23 +238,16 @@ def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EP
                            eps, tail_terms, constant)
 
 
-def _weighted_projections(phi: np.ndarray, w: np.ndarray, fns) -> list[np.ndarray]:
-    """(phi * w) @ f for each f, weighting a block of rows of phi at a time.
+def _projection_rule(plant: PlantSpec, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum's Gauss-Legendre rule at the lifting profiles' degree
+    (at most deg p, deg q + k and k for the x^k lifting).
 
-    A block holds at most _PROJECT_BYTES, so a coarse grid takes every row
-    at once; the 16081-point grid takes 32 rows.  The products equal the
-    whole-matrix ones when BLAS computes a row the same way inside a block
-    as inside the whole matrix, which OpenBLAS's threaded gemv does when
-    its split of the rows lines up with the blocks (200 rows of 16081 on
-    1 or 2 threads, for instance).
+    It integrates a_n, b_n and the squared norms of a and b exactly, and c_n,
+    ||c||^2 and int x^2 c too when c is a polynomial of degree at most the
+    modes'.
     """
-    rows = max(1, _PROJECT_BYTES // (8 * w.size))
-    out = [np.empty(phi.shape[0]) for _ in fns]
-    for i in range(0, phi.shape[0], rows):
-        weighted = phi[i: i + rows] * w
-        for coef, f in zip(out, fns):
-            coef[i: i + rows] = weighted @ f
-    return out
+    coeffs, k = plant.coeffs, plant.lifting_exponent
+    return spectrum.quadrature(max(len(coeffs.p_coeffs) - 1, len(coeffs.q_coeffs) - 1 + k, k))
 
 
 def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EPS,
@@ -271,26 +264,26 @@ def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EP
         raise ValueError(
             f"spectrum domain {spectrum.boundary.kind} does not match the "
             f"measurement-implied domain {plant.boundary.kind}")
-    x, w, phi = spectrum.grid, spectrum.weights, spectrum.eigenfunctions
+    x, w = _projection_rule(plant, spectrum)
+    weighted = spectrum.modes(x, N)[0] * w
     a, b = lifting_functions(plant, x)
     kind = plant.measurement.kind
     if kind == BOUNDED:
         c = np.broadcast_to(np.asarray(plant.measurement.c(x), dtype=float), x.shape)
-        a_coef, b_coef, out_coef = _weighted_projections(phi[:N], w, (a, b, c))
-        feedthrough = float(np.sum(w * x ** 2 * c))
+        out_coef = weighted @ c
+        feedthrough = float(w @ (x ** 2 * c))
     else:
-        a_coef, b_coef = _weighted_projections(phi[:N], w, (a, b))
         traces = spectrum.trace0 if kind == DIRICHLET_AT_0 else spectrum.dtrace0
         out_coef = traces[:N].copy()
         feedthrough = 0.0
     return ReducedPlant(
         plant=plant, spectrum=spectrum,
-        a_coef=a_coef, b_coef=b_coef, out_coef=out_coef,
+        a_coef=weighted @ a, b_coef=weighted @ b, out_coef=out_coef,
         N0=select_N0(spectrum, plant.q_c, plant.delta),
         tail_constant=tail_constants(plant, spectrum, eps=eps, tail_terms=tail_terms),
         tail_eps=eps,
-        a_norm2=float(np.sum(w * a * a)),
-        b_norm2=float(np.sum(w * b * b)),
+        a_norm2=float(w @ (a * a)),
+        b_norm2=float(w @ (b * b)),
         feedthrough=feedthrough,
     )
 
@@ -307,8 +300,7 @@ def flux_consistency_residual(reduced: ReducedPlant, n: int) -> float:
         raise ValueError(f"mode index {n} outside 1..{reduced.n_coef}")
     sp = reduced.spectrum
     p1 = float(reduced.plant.coeffs.p(1.0))
-    dphi1 = derivative_at_1(sp.eigenfunctions[n - 1], sp.h)
     i = n - 1
     return float(reduced.a_coef[i]
                  + (-sp.lambdas[i] + reduced.q_c) * reduced.b_coef[i]
-                 + p1 * dphi1)
+                 + p1 * sp.dtrace1()[i])

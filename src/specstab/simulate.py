@@ -11,12 +11,16 @@ sqrt(steps) matrix-vector products in place of steps matrix-vector ones.
 The trajectory is never stored.  Each slab is reduced as it is produced: one
 product with a fixed matrix of linear outputs (u, v, zeta, the first N plant
 modes and the N observer modes) and one product of the squared slab with a
-matrix of diagonal quadratic weights (sum w_n^2, sum lambda_n w_n^2, eta^2,
-the tail sum_{n>N} lambda_n w_n^2 of the Lyapunov functional and its last two
-terms).  Only the current slab and the next one are alive, and the full
-state is copied at every snapshot_stride-th step.  A state between snapshots
-is recomputed from the snapshot before it, and SimResult.fields reads these
-states on the spectrum of the ReducedPlant, the only spectrum a run reads.
+matrix of diagonal quadratic weights (sum w_n^2, sum lambda_n w_n^2, eta^2 and
+the tail sum_{n>N} lambda_n w_n^2 of the Lyapunov functional).  Only the
+current slab and the next one are alive, and the full state is copied at
+every snapshot_stride-th step.  A state between snapshots is recomputed from
+the snapshot before it.
+
+The spectrum of the ReducedPlant is the only one a run reads, and its modes
+are read only through Spectrum.modes: the initial data z0, a polynomial, is
+projected on them by the spectrum's Gauss-Legendre rule, exactly, and
+SimResult.fields evaluates them at the points of the spectrum's grid.
 """
 
 from __future__ import annotations
@@ -28,15 +32,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .certificate import Certificate
-from .errors import (
-    CertificateRequired,
-    GridMismatch,
-    NonPositiveSeries,
-    OrderMismatch,
-    StepRejected,
-)
+from .errors import CertificateRequired, NonPositiveSeries, OrderMismatch, StepRejected
 from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
-from .sturm_liouville import derivative_at_0, derivative_field, project
+from .sturm_liouville import _polynomial_range
 from .synthesis import GainSet, error_scale
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
@@ -47,7 +45,8 @@ _SNAPSHOTS = 61        # a run stores the full state at about this many steps
 class SimConfig:
     """Run settings: plant truncation, stepping, horizon, initial data.
 
-    z0 is kept as a private read-only 1-D float copy.
+    z0 holds the initial profile's ascending polynomial coefficients in x,
+    kept as a private read-only 1-D float copy.
     """
 
     z0: np.ndarray
@@ -60,8 +59,8 @@ class SimConfig:
         if self.N_sim < 1 or self.dt <= 0 or self.T <= 0:
             raise ValueError("N_sim, dt, T must be positive")
         z0 = np.array(self.z0, dtype=float)
-        if z0.ndim != 1:
-            raise ValueError(f"z0 must be one-dimensional, got shape {z0.shape}")
+        if z0.ndim != 1 or not z0.size:
+            raise ValueError(f"z0 must be a nonempty 1-D coefficient array, got shape {z0.shape}")
         z0.setflags(write=False)
         object.__setattr__(self, "z0", z0)
 
@@ -82,7 +81,6 @@ class SimResult:
     energy_sq: np.ndarray       # sum lambda_n w_n^2
     eta: np.ndarray
     tail_energy_sq: np.ndarray  # sum_{N<n<=N_sim} lambda_n w_n^2
-    tail_last: np.ndarray       # (steps+1, 2) lambda_n w_n^2, n = N_sim-1, N_sim
     snapshot_stride: int
     snapshot_states: np.ndarray  # (snapshots, 1+N_sim+N) at steps 0, stride, ...
     E: np.ndarray               # one-step matrix exp(A_cl dt)
@@ -92,8 +90,7 @@ class SimResult:
 
     def __post_init__(self):
         for name in ("times", "u", "v", "w_low", "what_modes", "zeta", "l2_sq",
-                     "energy_sq", "eta", "tail_energy_sq", "tail_last",
-                     "snapshot_states", "E"):
+                     "energy_sq", "eta", "tail_energy_sq", "snapshot_states", "E"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -122,8 +119,9 @@ class SimResult:
         w = states[:, 1: 1 + self.N_sim]
         coef = np.vstack([w, w])
         coef[n:, : self.N] -= states[:, 1 + self.N_sim:]
-        fields = coef @ spectrum.eigenfunctions[: self.N_sim, ::stride]
-        lifting = spectrum.grid[::stride] ** self.reduced.plant.lifting_exponent
+        x = spectrum.grid[::stride]
+        fields = coef @ spectrum.modes(x, self.N_sim)[0]
+        lifting = x ** self.reduced.plant.lifting_exponent
         z = fields[:n] + np.outer(states[:, 0], lifting)
         return fields[:n], z, fields[n:]
 
@@ -171,15 +169,18 @@ def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> n
     return A
 
 
-def compatibility_defect(z0: np.ndarray, u0: float, h: float,
-                         kind: str) -> tuple[str, str] | None:
-    """The first compatibility condition, to 1e-6 of max(1, max |z0|), that z0
-    (sampled with step h) and u0 break, as ("z0" or "u0", message), or None."""
-    tol = 1e-6 * max(1.0, float(np.max(np.abs(z0))))
-    if abs(z0[-1] - u0) > tol:
-        return "u0", f"z0(1) = {z0[-1]:.6g} does not match u0 = {u0:.6g}"
+def compatibility_defect(z0, u0: float, kind: str) -> tuple[str, str] | None:
+    """The first compatibility condition, to 1e-6 of max(1, max |z0| on [0, 1]),
+    that z0 (ascending polynomial coefficients) and u0 break, as ("z0" or "u0",
+    message), or None.  z0(1), z0(0) and z0'(0) are read off the coefficients."""
+    z0 = np.asarray(z0, dtype=float)
+    low, high = _polynomial_range(z0)
+    tol = 1e-6 * max(1.0, -low, high)
+    z1 = float(np.polynomial.polynomial.polyval(1.0, z0))
+    if abs(z1 - u0) > tol:
+        return "u0", f"z0(1) = {z1:.6g} does not match u0 = {u0:.6g}"
     if kind in (BOUNDED, DIRICHLET_AT_0):
-        d0 = derivative_at_0(z0, h)
+        d0 = float(z0[1]) if z0.size > 1 else 0.0
         if abs(d0) > tol:
             return "z0", f"z0'(0) = {d0:.3e} violates the flat-at-0 compatibility"
     elif abs(z0[0]) > tol:
@@ -224,26 +225,22 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
 
 
 def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult:
-    """Exact LTI stepping of the closed loop from z0 (on the grid of
-    reduced.spectrum), u0 and a null observer state."""
+    """Exact LTI stepping of the closed loop from z0, u0 and a null observer
+    state; z0 - x^k u0 is projected on the modes of reduced.spectrum."""
     dim = A_cl.shape[0]
     N = dim - 1 - config.N_sim
     if N < 1:
         raise OrderMismatch("A_cl dimension inconsistent with N_sim")
     N_sim, N0, spectrum = config.N_sim, reduced.N0, reduced.spectrum
-    if config.z0.shape != (spectrum.grid_size + 1,):
-        raise GridMismatch(f"z0 has {config.z0.shape[0]} samples, spectrum grid has "
-                           f"{spectrum.grid_size + 1}")
-    defect = compatibility_defect(config.z0, config.u0, spectrum.h,
-                                  reduced.plant.measurement.kind)
+    defect = compatibility_defect(config.z0, config.u0, reduced.plant.measurement.kind)
     if defect is not None:
         raise ValueError(defect[1])
-    x_grid = spectrum.grid
-    w0 = config.z0 - x_grid ** reduced.plant.lifting_exponent * config.u0
+    k = reduced.plant.lifting_exponent
+    x, w = spectrum.quadrature(max(config.z0.size - 1, k))
+    w0 = np.polynomial.polynomial.polyval(x, config.z0) - x ** k * config.u0
     state = np.zeros(dim)
     state[0] = config.u0
-    for n in range(1, N_sim + 1):
-        state[n] = project(w0, spectrum, n)
+    state[1: 1 + N_sim] = spectrum.modes(x, N_sim)[0] @ (w * w0)
 
     steps = int(round(config.T / config.dt))
     E = expm(A_cl * config.dt)
@@ -262,17 +259,15 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
     linear[w_idx[N:], 2] = reduced.out_coef[N:N_sim]
     linear[w_idx[:N], 3 + np.arange(N)] = 1.0
     linear[what_idx, 3 + N + np.arange(N)] = 1.0
-    # quadratic weights: sum w^2, sum lambda w^2, eta^2, the tail of the
-    # Lyapunov functional and its last two terms
+    # quadratic weights: sum w^2, sum lambda w^2, eta^2 and the tail of the
+    # Lyapunov functional
     lam = spectrum.lambdas[:N_sim]
-    quadratic = np.zeros((dim, 6))
+    quadratic = np.zeros((dim, 4))
     quadratic[w_idx, 0] = 1.0
     quadratic[w_idx, 1] = lam
     quadratic[:, 2] = 1.0
     quadratic[w_idx, 2] += lam
     quadratic[w_idx[N:], 3] = lam[N:]
-    if N_sim - N >= 2:
-        quadratic[w_idx[-2:], [4, 5]] = lam[-2:]
 
     stride = max(1, (steps + 1) // _SNAPSHOTS)
     lin, quad, states = _propagate(E, state, steps, linear, quadratic, stride)
@@ -280,23 +275,20 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
                      u=lin[:, 0], v=lin[:, 1], zeta=lin[:, 2],
                      w_low=lin[:, 3: 3 + N], what_modes=lin[:, 3 + N:],
                      l2_sq=quad[:, 0], energy_sq=quad[:, 1], eta=np.sqrt(quad[:, 2]),
-                     tail_energy_sq=quad[:, 3], tail_last=quad[:, 4:],
+                     tail_energy_sq=quad[:, 3],
                      snapshot_stride=stride, snapshot_states=states, E=E,
                      N=N, N_sim=N_sim, reduced=reduced)
 
 
 @dataclass(frozen=True)
 class LyapunovTrace:
-    """V(t) along a run, the worst increment of V e^{2 delta t}, and the
-    recorded bound on the neglected tail of the functional."""
+    """V(t) along a run and the worst increment of V e^{2 delta t}."""
 
     V: np.ndarray
     max_increment: float
-    tail_bound: np.ndarray
 
     def __post_init__(self):
         self.V.setflags(write=False)
-        self.tail_bound.setflags(write=False)
 
 
 def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace:
@@ -304,13 +296,11 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
 
     X stacks (u, what_1..N0, e_1..N0, what_{N0+1..N}, scaled e_{N0+1..N})
     with the error scaling of synthesis.error_scale.  The tail sum runs over the
-    simulated modes N+1..N_sim; the remainder that truncation hides is
-    bounded by the last term times a geometric factor and returned, not
-    silently dropped.
+    simulated modes N+1..N_sim.
     """
     if not certificate.feasible:
         raise CertificateRequired("lyapunov_trace needs a feasible certificate")
-    N, N0, N_sim = result.N, result.reduced.N0, result.N_sim
+    N, N0 = result.N, result.reduced.N0
     if certificate.N != N:
         raise OrderMismatch(f"certificate is for N = {certificate.N}, run used N = {N}")
     err = result.w_low - result.what_modes
@@ -322,22 +312,11 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
         err[:, N0:] * error_scale(result.reduced, N),
     ])
     V = np.einsum("ki,ij,kj->k", X, certificate.P, X)
-    gamma = certificate.gamma
-    V = V + gamma * result.tail_energy_sq
-    # geometric estimate of the part beyond N_sim, from the last two terms
-    if N_sim - N >= 2:
-        last = gamma * result.tail_last[:, 1]
-        prev = gamma * result.tail_last[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(prev > 0, last / np.maximum(prev, 1e-300), 0.0)
-        ratio = np.clip(ratio, 0.0, 0.9)
-        tail_bound = last * ratio / (1.0 - ratio)
-    else:
-        tail_bound = np.zeros_like(V)
+    V = V + certificate.gamma * result.tail_energy_sq
     delta = result.reduced.delta
     weighted = V * np.exp(2.0 * delta * result.times)
     max_inc = float(np.max(np.diff(weighted))) if V.size > 1 else 0.0
-    return LyapunovTrace(V=V, max_increment=max_inc, tail_bound=tail_bound)
+    return LyapunovTrace(V=V, max_increment=max_inc)
 
 
 def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]) -> float:
@@ -356,13 +335,14 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
 
 
 def field_energy(result: SimResult, step: int) -> float:
-    """Quadrature of int p w'^2 + q w^2 for the reconstructed field.
+    """int p w'^2 + q w^2 of the field w = sum_{n<=N_sim} w_n phi_n at a step,
+    by the spectrum's Gauss-Legendre rule, which is exact for it.
 
     Cross-checks the modal energy sum via the spectral energy identity.
     """
     sp = result.reduced.spectrum
     coeffs = result.reduced.plant.coeffs
-    w_field = result.fields([step])[0][0]
-    dw = derivative_field(w_field, sp.h)
-    x = sp.grid
-    return float(np.sum(sp.weights * (coeffs.p(x) * dw ** 2 + coeffs.q(x) * w_field ** 2)))
+    x, w = sp.quadrature(max(len(coeffs.p_coeffs), len(coeffs.q_coeffs)) - 1)
+    phi, dphi = sp.modes(x, result.N_sim)
+    modes = result.state(step)[1: 1 + result.N_sim]
+    return float(w @ (coeffs.p(x) * (modes @ dphi) ** 2 + coeffs.q(x) * (modes @ phi) ** 2))

@@ -6,67 +6,28 @@ left-flux measurement path).  p and q are polynomials (CoefficientPair), so
 their bounds on [0, 1] are exact extrema.  p = 1, q = 0 has a closed form.
 Otherwise the operator is solved by a Legendre-Galerkin (Rayleigh-Ritz)
 method in Shen's basis, whose functions meet the boundary conditions exactly:
-stiffness and mass matrices by Gauss-Legendre quadrature, one symmetric-definite
-eigensolve for the lowest modes, which are then sampled on a uniform grid.
-The Ritz eigenvalues bound the true ones from above; the sampled modes and
-their traces at x = 0 come from the same Ritz vectors.
+stiffness and mass matrices by Gauss-Legendre quadrature, and one
+symmetric-definite eigensolve for the lowest modes.  The Ritz eigenvalues bound
+the true ones from above.  Each mode is kept as its Legendre series, from the
+same Ritz vector as its trace at x = 0, so it is a polynomial: Spectrum.modes
+evaluates it at any point, and the Gauss rule of Spectrum.quadrature projects
+polynomial data on it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import BoundViolation, GridMismatch, NonPositiveDiffusion, ResolutionTooCoarse
+from .errors import NonPositiveDiffusion
 
 NEUMANN_DIRICHLET = "neumann-dirichlet"
 DIRICHLET_DIRICHLET = "dirichlet-dirichlet"
 
-#: grid points required per half-wave of the highest requested mode
-_POINTS_PER_MODE = 40
-
 DEFAULT_GRID_SIZE = 2000
-
-
-def simpson_weights(grid_size: int) -> np.ndarray:
-    """Composite-Simpson weights for a uniform grid of grid_size intervals."""
-    if grid_size % 2 != 0 or grid_size < 2:
-        raise ValueError(f"Simpson quadrature needs an even grid_size >= 2, got {grid_size}")
-    h = 1.0 / grid_size
-    w = np.full(grid_size + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
-
-
-def derivative_at_0(values: np.ndarray, h: float) -> float:
-    """One-sided fourth-order first derivative at the left endpoint."""
-    f = values
-    return (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-
-
-def derivative_at_1(values: np.ndarray, h: float) -> float:
-    """One-sided fourth-order first derivative at the right endpoint."""
-    f = values
-    return (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
-
-
-def derivative_field(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative of uniformly sampled values.
-
-    Central differences in the interior, one-sided stencils on the first
-    and last two points.
-    """
-    f = np.asarray(values, dtype=float)
-    d = np.empty_like(f)
-    d[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    d[0] = derivative_at_0(f, h)
-    d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
-    d[-1] = derivative_at_1(f, h)
-    d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * h)
-    return d
 
 
 @dataclass(frozen=True)
@@ -198,20 +159,23 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues, sampled unit eigenfunctions, and boundary traces.
+    """Eigenvalues, unit eigenfunctions, and boundary traces.
 
-    Eigenfunctions are stored mode-by-row on a uniform grid of grid_size+1
-    points, normalized to unit L2 norm under the stored Simpson weights, with
-    the first nonzero boundary datum positive.
+    A solved spectrum keeps each mode as its Legendre coefficients in
+    t = 2x - 1, one row per mode of eigenfunctions; the closed form of
+    p = 1, q = 0 keeps None there, its modes being sqrt2 cos((n - 1/2) pi x)
+    or sqrt2 sin(n pi x).  modes() is the one way to read a mode, and
+    quadrature() the one rule that projects data on the modes.  Each mode has
+    unit L2 norm and its first nonzero datum at x = 0 positive.  grid_size
+    sets only grid, the points where the field CSVs report.
     """
 
     boundary: BoundarySpec
     lambdas: np.ndarray
-    eigenfunctions: np.ndarray
+    eigenfunctions: np.ndarray | None
     trace0: np.ndarray
     dtrace0: np.ndarray
     grid_size: int
-    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -221,10 +185,13 @@ class Spectrum:
             raise ValueError("eigenvalues must be strictly increasing")
         if lam[0] < 0:
             raise ValueError("eigenvalues must be nonnegative")
-        if self.eigenfunctions.shape != (lam.size, self.grid_size + 1):
-            raise ValueError("eigenfunction array shape mismatch")
-        for arr in (self.lambdas, self.eigenfunctions, self.trace0, self.dtrace0, self.weights):
-            arr.setflags(write=False)
+        rows = self.eigenfunctions
+        if rows is not None and (rows.ndim != 2 or rows.shape[0] != lam.size
+                                 or rows.shape[1] < 2):
+            raise ValueError("eigenfunctions must hold a row of Legendre coefficients per mode")
+        for arr in (self.lambdas, rows, self.trace0, self.dtrace0):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_modes(self) -> int:
@@ -234,52 +201,72 @@ class Spectrum:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_size + 1)
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.grid_size
+    def modes(self, x, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The first count modes (all by default) and their x-derivatives at
+        the points x, one row per mode."""
+        x = np.asarray(x, dtype=float)
+        count = self.n_modes if count is None else count
+        if self.eigenfunctions is None:
+            k = _wavenumbers(self.boundary, count)
+            kx = np.outer(k, x)
+            cos, sin = np.sqrt(2.0) * np.cos(kx), np.sqrt(2.0) * np.sin(kx)
+            if self.boundary.neumann_at_0:
+                return cos, -k[:, None] * sin
+            return sin, k[:, None] * cos
+        rows = self.eigenfunctions[:count]
+        L, dL = _legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
+        return rows @ L, 2.0 * (rows @ dL)  # d/dx = 2 d/dt
+
+    def quadrature(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre nodes and weights on [0, 1] that integrate exactly
+        the product of two modes and a polynomial of the given degree.
+
+        A closed-form mode counts as a polynomial of the degree solve_spectrum
+        would give it, which the rule resolves to rounding.
+        """
+        coefficients = galerkin_order(self.n_modes) + 2 if self.eigenfunctions is None \
+            else self.eigenfunctions.shape[1]
+        return _gauss(coefficients + degree // 2)
 
     def dtrace1(self) -> np.ndarray:
-        """phi_n'(1) per mode via the one-sided fourth-order stencil."""
-        return np.array([derivative_at_1(f, self.h) for f in self.eigenfunctions])
+        """phi_n'(1) per mode."""
+        return self.modes(np.ones(1))[1][:, 0]
 
 
-def _require_resolution(n_modes: int, grid_size: int):
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if grid_size % 2 != 0:
-        raise ValueError(f"grid_size must be even for Simpson quadrature, got {grid_size}")
-    if grid_size < _POINTS_PER_MODE * n_modes:
-        raise ResolutionTooCoarse(
-            f"grid_size {grid_size} gives mode {n_modes} fewer than "
-            f"{_POINTS_PER_MODE // 2} points per half-wave; need grid_size >= "
-            f"{_POINTS_PER_MODE * n_modes}")
+@functools.lru_cache(maxsize=8)
+def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [0, 1], read-only; each costs an
+    m x m eigensolve, and a run asks for the same few rules again."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    x, w = 0.5 * (t + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _wavenumbers(bspec: BoundarySpec, n_modes: int) -> np.ndarray:
+    """k_n of the closed-form modes: (n - 1/2) pi when f'(0) = 0, n pi when f(0) = 0."""
+    n = np.arange(1, n_modes + 1, dtype=float)
+    return (n - 0.5) * np.pi if bspec.neumann_at_0 else n * np.pi
 
 
 def analytic_spectrum(bspec: BoundarySpec, n_modes: int,
                       grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
     """Closed-form spectrum for p = 1, q = 0.
 
-    Traces are exact; eigenfunction samples are exact trigonometric values.
-    Serves as the oracle for solve_spectrum and as the fast path for
-    constant-coefficient examples.
+    Eigenvalues and traces are exact, and Spectrum.modes evaluates the
+    trigonometric modes themselves.  Serves as the oracle for solve_spectrum
+    and as the fast path for constant-coefficient examples.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    x = np.linspace(0.0, 1.0, grid_size + 1)
-    n = np.arange(1, n_modes + 1, dtype=float)
+    k = _wavenumbers(bspec, n_modes)
     if bspec.neumann_at_0:
-        k = (n - 0.5) * np.pi
-        phi = np.sqrt(2.0) * np.cos(np.outer(k, x))
-        trace0 = np.full(n_modes, np.sqrt(2.0))
-        dtrace0 = np.zeros(n_modes)
+        trace0, dtrace0 = np.full(n_modes, np.sqrt(2.0)), np.zeros(n_modes)
     else:
-        k = n * np.pi
-        phi = np.sqrt(2.0) * np.sin(np.outer(k, x))
-        trace0 = np.zeros(n_modes)
-        dtrace0 = np.sqrt(2.0) * k
-    return Spectrum(boundary=bspec, lambdas=k ** 2, eigenfunctions=phi,
-                    trace0=trace0, dtrace0=dtrace0, grid_size=grid_size,
-                    weights=simpson_weights(grid_size))
+        trace0, dtrace0 = np.zeros(n_modes), np.sqrt(2.0) * k
+    return Spectrum(boundary=bspec, lambdas=k ** 2, eigenfunctions=None,
+                    trace0=trace0, dtrace0=dtrace0, grid_size=grid_size)
 
 
 def galerkin_order(n_modes: int) -> int:
@@ -292,14 +279,18 @@ def galerkin_order(n_modes: int) -> int:
     return 2 * n_modes + 32
 
 
-def _legendre(t: np.ndarray, n: int) -> np.ndarray:
-    """L_0..L_{n-1} (n >= 2) at the points t, one row each, by the three-term recurrence."""
+def _legendre(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_0..L_{n-1} (n >= 2) and their t-derivatives at the points t, one row
+    each: the three-term recurrence, and L'_{k+1} = L'_{k-1} + (2k + 1) L_k."""
     L = np.empty((n, t.size))
+    dL = np.zeros((n, t.size))
     L[0] = 1.0
     L[1] = t
+    dL[1] = 1.0
     for k in range(1, n - 1):
         L[k + 1] = ((2 * k + 1) * t * L[k] - k * L[k - 1]) / (k + 1)
-    return L
+        dL[k + 1] = dL[k - 1] + (2 * k + 1) * L[k]
+    return L, dL
 
 
 def _shen_basis(bspec: BoundarySpec, M: int) -> np.ndarray:
@@ -321,24 +312,15 @@ def _shen_basis(bspec: BoundarySpec, M: int) -> np.ndarray:
     return T
 
 
-def _shen_at(t: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Shen basis functions of T and their t-derivatives at the points t,
-    one row each; L'_{n+1} = L'_{n-1} + (2n + 1) L_n gives the derivatives."""
-    L = _legendre(t, T.shape[1])
-    dL = np.zeros_like(L)
-    dL[1] = L[0]
-    for n in range(1, T.shape[1] - 1):
-        dL[n + 1] = dL[n - 1] + (2 * n + 1) * L[n]
-    return T @ L, T @ dL
-
-
 def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
               M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest n_modes Ritz pairs of -(pf')' + qf in the first M Shen basis functions.
 
     Returns the eigenvalues in ascending order, each mode's Legendre
     coefficients in t = 2x - 1 (one row of M + 2 per mode), and each mode's
-    first nonzero datum at x = 0: f(0), or f'(0) when f(0) = 0.
+    first nonzero datum at x = 0: f(0), or f'(0) when f(0) = 0.  Each mode
+    is scaled to unit norm under the mass matrix, which the Gauss rule
+    computes exactly, with that datum positive.
 
     Stiffness S and mass B come from Gauss-Legendre quadrature on M + 8
     nodes, exact for p of degree <= 15 and q of degree <= 13.  The swapped
@@ -352,7 +334,8 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     x = 0.5 * (t + 1.0)
     p, q = coeffs.p(x), coeffs.q(x)
     T = _shen_basis(bspec, M)
-    phi, dphi = _shen_at(t, T)
+    L, dL = _legendre(t, M + 2)
+    phi, dphi = T @ L, T @ dL
     # x = (t + 1)/2: d/dx = 2 d/dt and dx = dt/2
     S = 2.0 * (dphi * (w * p)) @ dphi.T + 0.5 * (phi * (w * q)) @ phi.T
     B = 0.5 * (phi * w) @ phi.T
@@ -363,19 +346,18 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
         p0 = float(coeffs.p(0.0))
         d0 = (dphi @ (w * p) - 0.5 * phi @ (w * q * (1.0 - x))) / p0
         d1 = 0.5 * phi @ (w * (1.0 - x)) / p0
-    del phi, dphi  # the eigensolve needs only S and B
+    del L, dL, phi, dphi  # the eigensolve needs only S and B
     s = 1.0 / np.sqrt(np.diag(S))
     S *= np.outer(s, s)
     B *= np.outer(s, s)
     mu, X = eigh(B, S, subset_by_index=[M - n_modes, M - 1], driver="gvx",
                  check_finite=False)
     lam = 1.0 / mu[::-1]
-    C = (s[:, None] * X[:, ::-1]).T
-    return lam, C @ T, C @ d0 + lam * (C @ d1)
-
-
-#: sample points evaluated per block: bounds the Legendre rows held at once
-_SAMPLE_BLOCK = 1024
+    X = X[:, ::-1]
+    C = (s[:, None] * X).T
+    datum = C @ d0 + lam * (C @ d1)
+    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(np.einsum("ij,ij->j", X, B @ X))
+    return lam, scale[:, None] * (C @ T), scale * datum
 
 
 def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
@@ -385,69 +367,24 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     A Legendre-Galerkin (Rayleigh-Ritz) solve in galerkin_order(n_modes)
     Shen basis functions, which meet the boundary conditions exactly, so
     the eigenvalues are upper bounds that only come down as the basis grows.
-    The modes are sampled on a uniform grid of 2*grid_size intervals, block
-    by block, and scaled to unit norm under its Simpson weights, with the
-    first nonzero datum at x = 0 positive; that datum is the trace, and the
-    other trace is zero by the boundary condition.  See _galerkin.
+    The Spectrum keeps each mode's Legendre coefficients; the first nonzero
+    datum at x = 0 is the trace, and the other trace is zero by the boundary
+    condition.  See _galerkin.
 
     Parameters
     ----------
     coeffs : CoefficientPair
     bspec : BoundarySpec
     n_modes : int
-        Number of leading eigenpairs; requires grid_size >= 40*n_modes.
+        Number of leading eigenpairs.
     grid_size : int
-        Half the sample grid's intervals; must be even.
+        Half the intervals of Spectrum.grid, where the field CSVs report.
     """
-    _require_resolution(n_modes, grid_size)
-    lam, leg, datum = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
-    G = 2 * grid_size
-    x = np.linspace(0.0, 1.0, G + 1)
-    w = simpson_weights(G)
-    phi = np.empty((n_modes, G + 1))
-    norm_sq = np.zeros(n_modes)
-    for start in range(0, G + 1, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        phi[:, block] = leg @ _legendre(2.0 * x[block] - 1.0, leg.shape[1])
-        norm_sq += np.einsum("ij,ij,j->i", phi[:, block], phi[:, block], w[block])
-    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(norm_sq)
-    phi *= scale[:, None]
-    phi[:, -1] = 0.0
-    trace0, dtrace0 = datum * scale, np.zeros(n_modes)
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    lam, rows, datum = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
+    trace0, dtrace0 = datum, np.zeros(n_modes)
     if not bspec.neumann_at_0:
-        phi[:, 0] = 0.0
         trace0, dtrace0 = dtrace0, trace0
-    return Spectrum(boundary=bspec, lambdas=lam, eigenfunctions=phi,
-                    trace0=trace0, dtrace0=dtrace0, grid_size=G, weights=w)
-
-
-def validate_bounds(spectrum: Spectrum, coeffs: CoefficientPair) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode margins of the two-sided eigenvalue bounds.
-
-    Returns (lambda_n - pi^2 (n-1)^2 p_star, pi^2 n^2 p_sup + q_sup - lambda_n)
-    and raises BoundViolation if either margin dips below -1e-9*max(1, lambda_n).
-    """
-    lam = spectrum.lambdas
-    n = np.arange(1, lam.size + 1, dtype=float)
-    lower = lam - np.pi ** 2 * (n - 1) ** 2 * coeffs.p_star
-    upper = np.pi ** 2 * n ** 2 * coeffs.p_sup + coeffs.q_sup - lam
-    tol = -1e-9 * np.maximum(1.0, lam)
-    bad = np.where((lower < tol) | (upper < tol))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise BoundViolation(i + 1, f"mode {i + 1}: margins ({lower[i]:.3e}, {upper[i]:.3e})")
-    return lower, upper
-
-
-def project(f: np.ndarray, spectrum: Spectrum, n: int) -> float:
-    """Simpson quadrature of <f, phi_n> for f sampled on the spectrum grid.
-
-    n is the 1-indexed mode number.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (spectrum.grid_size + 1,):
-        raise GridMismatch(
-            f"sampled function has {f.shape[0]} points, grid has {spectrum.grid_size + 1}")
-    if not 1 <= n <= spectrum.n_modes:
-        raise ValueError(f"mode index {n} outside 1..{spectrum.n_modes}")
-    return float(np.sum(spectrum.weights * f * spectrum.eigenfunctions[n - 1]))
+    return Spectrum(boundary=bspec, lambdas=lam, eigenfunctions=rows,
+                    trace0=trace0, dtrace0=dtrace0, grid_size=2 * grid_size)

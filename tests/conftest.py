@@ -1,5 +1,6 @@
-"""Shared pipeline fixtures for the two constant-coefficient examples, and the
-constructive Lyapunov-P search kept as a test reference."""
+"""Shared pipeline fixtures for the two constant-coefficient examples, and two
+test references: the a-priori eigenvalue band and the constructive
+Lyapunov-P search."""
 
 import math
 from dataclasses import dataclass
@@ -50,6 +51,25 @@ def bounded_pipeline() -> Pipeline:
     """In-domain measurement with weight c = 1, q_c = 3, delta = 0.5."""
     c = lambda x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
     return _build(3.0, ss.MeasurementSpec.bounded(c))
+
+
+def validate_bounds(spectrum: ss.Spectrum,
+                    coeffs: ss.CoefficientPair) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode margins of the two-sided eigenvalue bounds.
+
+    Returns (lambda_n - pi^2 (n-1)^2 p_star, pi^2 n^2 p_sup + q_sup - lambda_n)
+    and fails with the first mode whose margin dips below -1e-9*max(1, lambda_n).
+    """
+    lam = spectrum.lambdas
+    n = np.arange(1, lam.size + 1, dtype=float)
+    lower = lam - np.pi ** 2 * (n - 1) ** 2 * coeffs.p_star
+    upper = np.pi ** 2 * n ** 2 * coeffs.p_sup + coeffs.q_sup - lam
+    tol = -1e-9 * np.maximum(1.0, lam)
+    bad = np.where((lower < tol) | (upper < tol))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise AssertionError(f"mode {i + 1}: margins ({lower[i]:.3e}, {upper[i]:.3e})")
+    return lower, upper
 
 
 def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.ndarray,

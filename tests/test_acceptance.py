@@ -10,9 +10,8 @@ import pytest
 
 import specstab as ss
 from specstab.sdpa import read_sdpa
-from specstab.sturm_liouville import derivative_at_0
 
-from conftest import exact_search, verified_free_p_certificate
+from conftest import exact_search, validate_bounds, verified_free_p_certificate
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -30,11 +29,10 @@ def fresh_gains(q_c, measurement):
     return ss.design_gains(reduced)
 
 
-def preset_sim(pipe, z0_fn, N=3, T=3.0, dt=1e-3, N_sim=50):
+def preset_sim(pipe, z0, N=3, T=3.0, dt=1e-3, N_sim=50):
+    """The closed loop from z0 (ascending coefficients) and u0 = z0(1)."""
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    x = pipe.spectrum.grid
-    z0 = z0_fn(x)
-    config = ss.SimConfig(z0=z0, u0=float(z0[-1]), N_sim=N_sim, dt=dt, T=T)
+    config = ss.SimConfig(z0=z0, u0=float(np.sum(z0)), N_sim=N_sim, dt=dt, T=T)
     return A, ss.run(A, config, pipe.reduced)
 
 
@@ -129,8 +127,8 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
 
 def test_criterion_04_closed_loop_decay(dirichlet_pipeline, neumann_pipeline):
     t0 = time.perf_counter()
-    A_d, res_d = preset_sim(dirichlet_pipeline, lambda x: 1.0 + x ** 2, N=3)
-    A_n, res_n = preset_sim(neumann_pipeline, lambda x: x * (x - 2.0 / 3.0), N=2)
+    A_d, res_d = preset_sim(dirichlet_pipeline, [1.0, 0.0, 1.0], N=3)  # 1 + x^2
+    A_n, res_n = preset_sim(neumann_pipeline, [0.0, -2.0 / 3.0, 1.0], N=2)  # x (x - 2/3)
     rate_d = ss.fit_decay(res_d.times, res_d.eta, (1.0, 3.0))
     rate_n = ss.fit_decay(res_n.times, res_n.eta, (1.0, 3.0))
     absc_d = float(np.max(np.linalg.eigvals(A_d).real))
@@ -148,12 +146,12 @@ def test_criterion_04_closed_loop_decay(dirichlet_pipeline, neumann_pipeline):
 def test_criterion_05_lyapunov_monotonicity(dirichlet_pipeline, neumann_pipeline):
     n_star, cert = ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains,
                                 N_max=10)
-    _, res = preset_sim(dirichlet_pipeline, lambda x: 1.0 + x ** 2, N=n_star)
+    _, res = preset_sim(dirichlet_pipeline, [1.0, 0.0, 1.0], N=n_star)
     trace = ss.lyapunov_trace(res, cert)
     tol = 1e-6 * trace.V[0]
     # also recorded: the free-P certificate at alpha = 2 drives the left-flux example
     cert_n = verified_free_p_certificate(neumann_pipeline, 2)
-    _, res_n = preset_sim(neumann_pipeline, lambda x: x * (x - 2.0 / 3.0), N=2)
+    _, res_n = preset_sim(neumann_pipeline, [0.0, -2.0 / 3.0, 1.0], N=2)
     trace_n = ss.lyapunov_trace(res_n, cert_n)
     ok = trace.max_increment <= tol and trace_n.max_increment <= 1e-6 * trace_n.V[0]
     report(5, ok, f"max increment of V e^(2 delta t): left trace at N* = {n_star} "
@@ -167,7 +165,7 @@ def test_criterion_06_spectral_solver_accuracy():
     # note: for p = 1, q = 0 with the pinned-at-0 domain the upper band limit
     # is tight (lambda_n = pi^2 n^2 exactly), so the margins there are zero up
     # to roundoff; they are judged at validate_bounds' stated tolerance
-    # -1e-9*max(1, lambda_n), i.e. validate_bounds must not raise
+    # -1e-9*max(1, lambda_n), i.e. validate_bounds must not fail
     coeffs = ss.CoefficientPair.constant(1.0, 0.0)
     worst_lam, worst_trace, worst_margin = 0.0, 0.0, np.inf
     for bspec in (ND, DD):
@@ -182,11 +180,11 @@ def test_criterion_06_spectral_solver_accuracy():
             exact = SQ2 * np.arange(1, 51) * np.pi
             worst_trace = max(worst_trace,
                               float(np.max(np.abs(num.dtrace0 - exact) / exact)))
-        lo, hi = ss.validate_bounds(num, coeffs)  # raises BoundViolation on failure
+        lo, hi = validate_bounds(num, coeffs)  # fails on a margin below the tolerance
         worst_margin = min(worst_margin, float(lo.min()), float(hi.min()))
     var = ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0, 1.0])
     sp_var = ss.solve_spectrum(var, ND, 5, 4000)
-    lo, hi = ss.validate_bounds(sp_var, var)
+    lo, hi = validate_bounds(sp_var, var)
     assert np.all(lo > 0) and np.all(hi > 0)  # genuinely interior for variable p, q
     tol = -1e-9 * max(1.0, float(sp_var.lambdas[-1]), np.pi ** 2 * 50 ** 2)
     ok = worst_lam < 1e-6 and worst_trace < 1e-4 and worst_margin >= tol
@@ -254,17 +252,17 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
                                       bounded_pipeline):
     # orthonormality
     sp = ss.solve_spectrum(ss.CoefficientPair.constant(1.0, 0.0), ND, 20, 1000)
-    gram = (sp.eigenfunctions * sp.weights) @ sp.eigenfunctions.T
+    x, w = sp.quadrature(0)
+    phi, dphi = sp.modes(x)
+    gram = (phi * w) @ phi.T
     gram_dev = float(np.max(np.abs(gram - np.eye(20))))
-    assert gram_dev < 1e-7
+    assert gram_dev < 1e-13
     # energy identity
     rng = np.random.default_rng(5)
     c = rng.normal(size=20)
-    f = c @ sp.eigenfunctions
     modal = float(np.sum(sp.lambdas * c ** 2))
-    df = ss.sturm_liouville.derivative_field(f, sp.h)
-    energy_dev = abs(modal - float(np.sum(sp.weights * df ** 2))) / modal
-    assert energy_dev <= 1e-5
+    energy_dev = abs(modal - float(w @ (c @ dphi) ** 2)) / modal
+    assert energy_dev <= 1e-12
     # Schur-complement sign equivalence on sampled certificates
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
     red = dirichlet_pipeline.reduced
@@ -302,13 +300,13 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
             + certn.beta * neumann_pipeline.reduced.tail_constant * lamn[nn - 1] ** 0.625
         assert gamma_n <= -certn.theta3 * lamn[nn - 1] + 2 * certn.gamma * 10.5 + 1e-9
     # field boundary-condition residuals
-    _, res = preset_sim(dirichlet_pipeline, lambda x: 1.0 + x ** 2, N=3, T=0.5)
-    h = dirichlet_pipeline.spectrum.h
+    _, res = preset_sim(dirichlet_pipeline, [1.0, 0.0, 1.0], N=3, T=0.5)
+    dphi0 = dirichlet_pipeline.spectrum.modes([0.0], res.N_sim)[1][:, 0]
     bc_worst = 0.0
-    for w in res.fields([0, 250, 500])[0]:
+    for step, w in zip([0, 250, 500], res.fields([0, 250, 500])[0]):
         bc_worst = max(bc_worst, abs(w[-1]))
         assert abs(w[-1]) <= 1e-8
-        assert abs(derivative_at_0(w, h)) <= 1e-6
+        assert abs(res.state(step)[1: 1 + res.N_sim] @ dphi0) <= 1e-6  # w'(0)
     report(10, True, f"orthonormality dev {gram_dev:.1e}, energy identity rel "
                      f"{energy_dev:.1e}, Schur equivalence, tail dominance, "
                      f"boundary residuals <= {max(bc_worst, 1e-12):.1e}")

@@ -512,6 +512,9 @@ def test_non_integer_order_exit_code(tmp_path, capsys, key, value):
     ("sim", "T", "nan"), ("plant", "q_c", "nan"), ("design", "delta", "inf"),
     ("design", "delta", "0"), ("sim", "dt", "0"), ("sim", "T", "-1"),
     ("sim", "n_sim", "1"), ("sim", "T", "0.0005"),
+    # mode counts below 1
+    ("sim", "n_sim", "0"), ("sim", "n_sim", "-1"), ("design", "n_max", "0"),
+    ("design", "n_max", "-1"),
     # coefficients whose exact extrema leave p > 0 or q >= 0 on [0, 1]
     ("plant", "p", "-1"), ("plant", "p", "1, -2"), ("plant", "q", "-1"),
     ("plant", "q", "1, -3")])
@@ -602,22 +605,27 @@ def test_help_documents_exit_codes(capsys):
 
 
 def test_help_lists_only_exit_codes_a_run_returns(capsys):
-    # p is checked at parse time (exit 3), solve_spectrum always gets 40
-    # points per mode, and no run calls validate_bounds
+    # p is checked at parse time (exit 3), and so are the mode counts, which
+    # leaves every reduction the modes it needs
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     text = capsys.readouterr().out
-    for name in ("NonPositiveDiffusion", "ResolutionTooCoarse", "BoundViolation"):
+    for name in ("NonPositiveDiffusion", "InsufficientModes"):
         assert name not in text
     for cls, code in ERROR_EXIT_CODES.items():
         assert f"{cls.__name__:<22} {code}" in text
 
 
-def test_insufficient_modes_exit_code(tmp_path):
-    # n_sim = n_max = 0 reduces on no mode, while the one computed mode needs control
-    cfg = preset_config(tmp_path, "dirichlet-example", q_c=0, n_sim=0)
-    assert run_scenario(str(cfg), n_max=0, quiet=True) \
-        == ERROR_EXIT_CODES[InsufficientModes] == 9
+def test_insufficient_modes_exit_code(tmp_path, capsys):
+    # n_sim = 0 or n_max = 0 (from the config or --n-max) would reduce on no
+    # mode while the one computed mode needs control: each exits 3 naming its
+    # key before any work, and no run reaches InsufficientModes
+    assert InsufficientModes not in ERROR_EXIT_CODES
+    for n_sim, n_max, named in ((0, None, "[sim] n_sim"), (50, 0, "[design] n_max"),
+                                (0, 0, "[design] n_max")):
+        cfg = preset_config(tmp_path, "dirichlet-example", q_c=0, n_sim=n_sim)
+        assert run_scenario(str(cfg), n_max=n_max, quiet=True) == ERROR_EXIT_CODES[ConfigParse]
+        assert f"{named} must be an integer >= 1, got '0'" in capsys.readouterr().err
 
 
 def test_main_runs_preset(tmp_path):

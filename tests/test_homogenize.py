@@ -82,21 +82,47 @@ def test_reduce_norms_and_feedthrough(bounded_pipeline):
     assert red.tail_constant == pytest.approx(1.0, rel=1e-12)  # ||c||^2, c = 1
 
 
-def test_reduce_projections_bit_identical_to_whole_matrix_product():
-    # the varcoef-fine coefficients, grid (16080 intervals) and order
-    # (N = n_sim = 200), where reduce weights 32 rows at a time; the
-    # analytic eigenfunctions serve only as rows to project on
-    N = 200
-    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0])
-    weight = lambda x: 1.0 + np.sin(3.0 * np.asarray(x, dtype=float))  # noqa: E731
-    plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.bounded(weight), 0.5)
-    spectrum = ss.analytic_spectrum(plant.boundary, 201, 16080)
-    red = ss.reduce(plant, spectrum, N)
-    x, w, phi = spectrum.grid, spectrum.weights, spectrum.eigenfunctions
-    a, b = ss.lifting_functions(plant, x)
-    assert np.array_equal(red.a_coef, (phi[:N] * w) @ a)
-    assert np.array_equal(red.b_coef, (phi[:N] * w) @ b)
-    assert np.array_equal(red.out_coef, (phi[:N] * w) @ weight(x))
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_projections_are_exact_on_the_laplacian(kind):
+    # closed forms of a_n = <a, phi_n>, b_n = <b, phi_n> and of ||a||^2, ||b||^2
+    # for p = 1, q = 0.  Relative to the largest coefficient they hold to
+    # 1e-13; one coefficient alone holds to 1e-12, because rounding the Gauss
+    # nodes by dx moves sqrt2 cos(k x) by k dx, with k up to 50 pi
+    n = np.arange(1, 51)
+    if kind == "dirichlet":
+        # phi_n = sqrt2 cos(k x), k = (n - 1/2) pi; a = 2 + q_c x^2, b = -x^2
+        q_c, measurement = 3.0, ss.MeasurementSpec.dirichlet()
+        k, sign = (n - 0.5) * np.pi, (-1.0) ** (n + 1)
+        x2 = sign / k - 2.0 * sign / k ** 3  # int x^2 cos(k x)
+        a_n, b_n = SQ2 * (2.0 * sign / k + q_c * x2), -SQ2 * x2
+        a_norm2, b_norm2 = 4.0 + 4.0 * q_c / 3.0 + q_c ** 2 / 5.0, 0.2
+    else:
+        # phi_n = sqrt2 sin(k x), k = n pi; a = q_c x, b = -x
+        q_c, measurement = 10.0, ss.MeasurementSpec.neumann()
+        k = n * np.pi
+        x1 = -(-1.0) ** n / k  # int x sin(k x)
+        a_n, b_n = SQ2 * q_c * x1, -SQ2 * x1
+        a_norm2, b_norm2 = q_c ** 2 / 3.0, 1.0 / 3.0
+    plant = constant_plant(q_c, measurement)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
+    for got, exact in ((red.a_coef, a_n), (red.b_coef, b_n)):
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
+    assert red.a_norm2 == pytest.approx(a_norm2, rel=1e-13)
+    assert red.b_norm2 == pytest.approx(b_norm2, rel=1e-13)
+
+
+def test_bounded_weight_norms_are_exact():
+    # c = 1 + x - x^3 on the Laplacian: ||c||^2 and int x^2 c as exact
+    # polynomial integrals
+    P = np.polynomial.polynomial
+    c = np.array([1.0, 1.0, 0.0, -1.0])
+    plant = constant_plant(3.0, ss.MeasurementSpec.bounded(lambda x: P.polyval(x, c)))
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
+    assert red.tail_constant == pytest.approx(P.polyval(1.0, P.polyint(P.polymul(c, c))),
+                                              rel=1e-13)
+    assert red.feedthrough == pytest.approx(P.polyval(1.0, P.polyint(P.polymul([0, 0, 1], c))),
+                                            rel=1e-13)
 
 
 def test_reduce_requires_spare_mode():

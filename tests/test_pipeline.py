@@ -35,9 +35,8 @@ def test_variable_coefficients_closed_loop_decay(variable_pipeline):
     n_star, cert = ss.minimal_N(reduced, gains, N_max=8)
     A = ss.assemble_sim(reduced, gains, n_star, 11)
     assert float(np.max(np.linalg.eigvals(A).real)) < -0.5
-    x = spectrum.grid
-    z0 = 1.0 + x ** 2 - 2.0 * x ** 3 / 3.0  # z0'(0) = 0
-    res = ss.run(A, ss.SimConfig(z0=z0, u0=float(z0[-1]), N_sim=11, dt=1e-3, T=3.0),
+    z0 = [1.0, 0.0, 1.0, -2.0 / 3.0]  # 1 + x^2 - 2x^3/3: z0'(0) = 0
+    res = ss.run(A, ss.SimConfig(z0=z0, u0=float(np.sum(z0)), N_sim=11, dt=1e-3, T=3.0),
                  reduced)
     assert ss.fit_decay(res.times, res.eta, (1.0, 3.0)) >= 0.5
     trace = ss.lyapunov_trace(res, cert)
@@ -79,9 +78,8 @@ def test_bounded_export_has_five_blocks(bounded_pipeline, tmp_path):
 def test_neumann_field_energy_identity(neumann_pipeline):
     pipe = neumann_pipeline
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 2, 50)
-    x = pipe.spectrum.grid
-    z0 = x * (x - 2.0 / 3.0)
-    res = ss.run(A, ss.SimConfig(z0=z0, u0=float(z0[-1]), N_sim=50, dt=1e-3, T=0.3),
+    z0 = [0.0, -2.0 / 3.0, 1.0]  # x (x - 2/3)
+    res = ss.run(A, ss.SimConfig(z0=z0, u0=1.0 / 3.0, N_sim=50, dt=1e-3, T=0.3),
                  pipe.reduced)
     from specstab.simulate import field_energy
     for step in (0, 150, 300):
@@ -99,7 +97,3 @@ def test_polynomial_coefficient_pair_derivative():
     assert ss.CoefficientPair.from_polynomials([2.0, 0.0], [0.5, 0.0]).constant_values() \
         == (2.0, 0.5)
 
-
-def test_simpson_weights_integrate_constants():
-    w = ss.simpson_weights(40)
-    assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-15)

@@ -12,7 +12,6 @@ from specstab.errors import (
     StepRejected,
 )
 from specstab.simulate import field_energy
-from specstab.sturm_liouville import derivative_at_0
 
 from conftest import constructive_certificate, verified_free_p_certificate
 
@@ -24,15 +23,13 @@ def zero_gains(N0):
 
 def dirichlet_run(pipe, N=3, T=3.0, dt=1e-3, N_sim=50):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=N_sim, dt=dt, T=T)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=N_sim, dt=dt, T=T)
     return A, ss.run(A, config, pipe.reduced)
 
 
 def neumann_run(pipe, N=2, T=3.0, dt=1e-3, N_sim=50):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=x * (x - 2.0 / 3.0), u0=1.0 / 3.0, N_sim=N_sim, dt=dt, T=T)
+    config = ss.SimConfig(z0=[0.0, -2.0 / 3.0, 1.0], u0=1.0 / 3.0, N_sim=N_sim, dt=dt, T=T)
     return A, ss.run(A, config, pipe.reduced)
 
 
@@ -68,8 +65,7 @@ def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     N = N_sim = 6
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=N_sim, dt=1e-3, T=0.5)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=N_sim, dt=1e-3, T=0.5)
     res = ss.run(A, config, pipe.reduced)
     assert np.max(np.abs(res.zeta)) == 0.0
     # without a tail the unestimated-gain errors decouple exactly:
@@ -117,14 +113,13 @@ def reference_series(A, res, ref):
     l2_sq = np.sum(w ** 2, axis=1)
     energy_sq = w ** 2 @ lam
     tail = w[:, N:] ** 2 * lam[N:]
-    last = tail[:, -2:] if N_sim - N >= 2 else np.zeros((ref.shape[0], 2))
     return {
         "u": u, "v": u * A[0, 0] + what[:, :N0] @ A[0, 1 + N_sim: 1 + N_sim + N0],
         "zeta": w[:, N:] @ res.reduced.out_coef[N:N_sim],
         "w_low": w[:, :N], "what_modes": what,
         "l2_sq": l2_sq, "energy_sq": energy_sq,
         "eta": np.sqrt(u ** 2 + np.sum(what ** 2, axis=1) + l2_sq + energy_sq),
-        "tail_energy_sq": np.sum(tail, axis=1), "tail_last": last,
+        "tail_energy_sq": np.sum(tail, axis=1),
     }
 
 
@@ -171,8 +166,7 @@ def varcoef_size_loop():
 
 def test_blocked_stepping_matches_sequential_at_varcoef_size():
     _, spectrum, reduced, _, A = varcoef_size_loop()
-    x = spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-3, T=3.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=200, dt=1e-3, T=3.0)
     assert_matches_sequential(A, ss.run(A, config, reduced), 1e-3)
 
 
@@ -183,8 +177,7 @@ def test_run_and_trace_memory_independent_of_trajectory_size():
     _, spectrum, reduced, gains, _ = varcoef_size_loop()
     n_star, cert = ss.minimal_N(reduced, gains, N_max=10)
     A = ss.assemble_sim(reduced, gains, n_star, 200)
-    x = spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=200, dt=1e-4, T=3.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=200, dt=1e-4, T=3.0)
     tracemalloc.start()
     try:
         res = ss.run(A, config, reduced)
@@ -202,8 +195,7 @@ def test_open_loop_growth_rate(dirichlet_pipeline):
     A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
     dominant = float(np.max(np.linalg.eigvals(A).real))
     assert dominant == pytest.approx(3.0 - np.pi ** 2 / 4, rel=1e-9)  # ~0.5326
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=1e-3, T=10.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=1e-3, T=10.0)
     res = ss.run(A, config, pipe.reduced)
     # fit late enough that the constant forced response is negligible
     rate = ss.fit_decay(res.times, res.eta, (8.0, 10.0))
@@ -213,27 +205,25 @@ def test_open_loop_growth_rate(dirichlet_pipeline):
 def test_step_rejected_on_overflow_horizon(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=0.1, T=1300.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=0.1, T=1300.0)
     with pytest.raises(StepRejected):
         ss.run(A, config, pipe.reduced)
 
 
 def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
     pipe = dirichlet_pipeline
-    x = pipe.spectrum.grid
-    z0 = 1.0 + x ** 2
+    z0 = np.array([1.0, 0.0, 1.0])  # 1 + x^2
     config = ss.SimConfig(z0=z0, u0=2.0, N_sim=50, dt=1e-3, T=0.01)
     assert z0.flags.writeable and not config.z0.flags.writeable
     z0[0] = 7.0
     assert config.z0[0] == 1.0
-    from_list = ss.SimConfig(z0=(1.0 + x ** 2).tolist(), u0=2.0, N_sim=50, dt=1e-3, T=0.01)
-    assert from_list.z0.dtype == float and from_list.z0.shape == x.shape
+    from_list = ss.SimConfig(z0=[1, 0, 1], u0=2.0, N_sim=50, dt=1e-3, T=0.01)
+    assert from_list.z0.dtype == float and from_list.z0.shape == (3,)
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
     a = ss.run(A, config, pipe.reduced)
     b = ss.run(A, from_list, pipe.reduced)
     assert np.array_equal(a.eta, b.eta)
-    for bad in (np.ones((2, x.size)), 1.0):
+    for bad in (np.ones((2, 3)), 1.0, []):
         with pytest.raises(ValueError):
             ss.SimConfig(z0=bad, u0=1.0)
 
@@ -241,17 +231,16 @@ def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
 def test_compatibility_checks(dirichlet_pipeline, neumann_pipeline):
     pipe = dirichlet_pipeline
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
-    x = pipe.spectrum.grid
     with pytest.raises(ValueError):  # z0'(0) != 0 on the flat-at-0 path
-        ss.run(A, ss.SimConfig(z0=x.copy(), u0=1.0, N_sim=50, dt=1e-3, T=0.1),
+        ss.run(A, ss.SimConfig(z0=[0.0, 1.0], u0=1.0, N_sim=50, dt=1e-3, T=0.1),
                pipe.reduced)
     with pytest.raises(ValueError):  # z0(1) != u0
-        ss.run(A, ss.SimConfig(z0=1.0 + x ** 2, u0=0.5, N_sim=50, dt=1e-3, T=0.1),
+        ss.run(A, ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=0.5, N_sim=50, dt=1e-3, T=0.1),
                pipe.reduced)
     pn = neumann_pipeline
     An = ss.assemble_sim(pn.reduced, pn.gains, 2, 50)
     with pytest.raises(ValueError):  # z0(0) != 0 on the pinned-at-0 path
-        ss.run(An, ss.SimConfig(z0=1.0 + 0.0 * x, u0=1.0, N_sim=50, dt=1e-3, T=0.1),
+        ss.run(An, ss.SimConfig(z0=[1.0], u0=1.0, N_sim=50, dt=1e-3, T=0.1),
                pn.reduced)
 
 
@@ -260,11 +249,11 @@ def test_compatibility_checks(dirichlet_pipeline, neumann_pipeline):
 def test_reconstructed_boundary_conditions(dirichlet_pipeline, neumann_pipeline):
     steps = [0, 100, 500]
     _, res = dirichlet_run(dirichlet_pipeline, T=0.5)
-    h = dirichlet_pipeline.spectrum.h
+    dphi0 = dirichlet_pipeline.spectrum.modes([0.0], res.N_sim)[1][:, 0]
     w_rows, z_rows, _ = res.fields(steps)
     for step, w, z in zip(steps, w_rows, z_rows):
         assert abs(w[-1]) <= 1e-8
-        assert abs(derivative_at_0(w, h)) <= 1e-6
+        assert abs(res.state(step)[1: 1 + res.N_sim] @ dphi0) <= 1e-6  # w'(0)
         assert z[-1] == pytest.approx(res.u[step], abs=1e-8)
     _, resn = neumann_run(neumann_pipeline, T=0.5)
     for w in resn.fields(steps)[0]:
@@ -285,7 +274,8 @@ def test_fields_match_modal_sums(dirichlet_pipeline, neumann_pipeline, kind, str
         pipe, k = neumann_pipeline, 1
     steps = np.arange(0, res.times.size, 37)
     w, z, error = res.fields(steps, stride)
-    phi, x = pipe.spectrum.eigenfunctions[:, ::stride], pipe.spectrum.grid[::stride]
+    x = pipe.spectrum.grid[::stride]
+    phi = pipe.spectrum.modes(x)[0]
     states = [res.state(i) for i in steps]
     w_ref = np.array([s[1: 1 + res.N_sim] @ phi[: res.N_sim] for s in states])
     z_ref = w_ref + np.outer([s[0] for s in states], x ** k)
@@ -306,14 +296,15 @@ def test_field_energy_matches_modal_sum(dirichlet_pipeline):
 def test_feedthrough_consistency_bounded(bounded_pipeline):
     pipe = bounded_pipeline
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=1.0 + x ** 2, u0=2.0, N_sim=50, dt=1e-3, T=0.3)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=1e-3, T=0.3)
     res = ss.run(A, config, pipe.reduced)
-    w = pipe.spectrum.weights
-    c = np.ones_like(x)
+    # y = int c z for c = 1 and z = sum w_n phi_n + x^2 u, at the spectrum's nodes
+    x, w = pipe.spectrum.quadrature(2)
+    phi = pipe.spectrum.modes(x, 50)[0]
     steps = [0, 150, 300]
-    for step, z in zip(steps, res.fields(steps)[1]):
-        y_field = float(np.sum(w * c * z))
+    for step in steps:
+        state = res.state(step)
+        y_field = float(w @ (state[1:51] @ phi + x ** 2 * state[0]))
         y_tilde_modal = float(res.state(step)[1:51] @ pipe.reduced.out_coef[:50])
         reconstructed = y_field - pipe.reduced.feedthrough * res.u[step]
         assert reconstructed == pytest.approx(y_tilde_modal, abs=1e-8)
@@ -348,7 +339,6 @@ def test_lyapunov_trace_monotone_dirichlet(dirichlet_pipeline):
     trace = ss.lyapunov_trace(res, cert)
     assert trace.V[0] > 0
     assert trace.max_increment <= 1e-6 * trace.V[0]
-    assert np.all(trace.tail_bound >= 0)
 
 
 def test_lyapunov_trace_monotone_neumann_free_p(neumann_pipeline):
@@ -363,8 +353,7 @@ def test_lyapunov_trace_zero_initial_data(dirichlet_pipeline):
     model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
     cert = constructive_certificate(model, pipe.reduced, 2.0)
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 8, 50)
-    x = pipe.spectrum.grid
-    config = ss.SimConfig(z0=np.zeros_like(x), u0=0.0, N_sim=50, dt=1e-3, T=0.2)
+    config = ss.SimConfig(z0=[0.0], u0=0.0, N_sim=50, dt=1e-3, T=0.2)
     res = ss.run(A, config, pipe.reduced)
     trace = ss.lyapunov_trace(res, cert)
     assert np.max(np.abs(trace.V)) == 0.0

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import specstab as ss
-from specstab.errors import (
-    BoundViolation,
-    GridMismatch,
-    NonPositiveDiffusion,
-    ResolutionTooCoarse,
-)
+from specstab.errors import NonPositiveDiffusion
+
+from conftest import validate_bounds
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -48,8 +45,9 @@ def test_analytic_neumann_dirichlet_mode2():
 
 def test_analytic_norms_unit_under_quadrature():
     sp = ss.analytic_spectrum(ND, 50, 2000)
-    norms = np.sum(sp.weights * sp.eigenfunctions ** 2, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-8
+    x, w = sp.quadrature(0)
+    norms = sp.modes(x)[0] ** 2 @ w
+    assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
 # ---------------------------------------------------------------- solver vs oracle
@@ -75,7 +73,7 @@ def test_solver_matches_analytic_traces():
 
 def test_variable_coefficients_inside_band():
     sp = ss.solve_spectrum(variable_coeffs(), ND, 5, 4000)
-    lower, upper = ss.validate_bounds(sp, variable_coeffs())
+    lower, upper = validate_bounds(sp, variable_coeffs())
     assert np.all(lower >= 0)
     assert np.all(upper >= 0)
 
@@ -90,44 +88,45 @@ def test_solver_sign_convention():
 
 def test_bound_margins_constant_mode1():
     sp = ss.analytic_spectrum(ND, 1, 200)
-    lower, upper = ss.validate_bounds(sp, ss.CoefficientPair.constant(1.0, 0.0))
+    lower, upper = validate_bounds(sp, ss.CoefficientPair.constant(1.0, 0.0))
     assert lower[0] == pytest.approx(np.pi ** 2 / 4, rel=1e-12)
     assert upper[0] == pytest.approx(np.pi ** 2 - np.pi ** 2 / 4, rel=1e-12)
 
 
 def test_bound_margins_dirichlet_dirichlet_mode3():
     sp = ss.analytic_spectrum(DD, 3, 200)
-    lower, _ = ss.validate_bounds(sp, ss.CoefficientPair.constant(1.0, 0.0))
+    lower, _ = validate_bounds(sp, ss.CoefficientPair.constant(1.0, 0.0))
     assert lower[2] == pytest.approx(9 * np.pi ** 2 - 4 * np.pi ** 2, rel=1e-12)
 
 
 def test_bound_violation_raises_with_mode_index():
     # the p = 1 spectrum lies above the band that p = 0.2 admits
     sp = ss.analytic_spectrum(ND, 3, 200)
-    with pytest.raises(BoundViolation) as exc:
-        ss.validate_bounds(sp, ss.CoefficientPair.constant(0.2))
-    assert exc.value.mode >= 1
+    with pytest.raises(AssertionError, match=r"^mode [1-3]: margins"):
+        validate_bounds(sp, ss.CoefficientPair.constant(0.2))
 
 
 # ---------------------------------------------------------------- projection
 
+def project(f, spectrum, degree):
+    """<f, phi_n> for every mode, f a function of x, by the spectrum's rule for
+    data of the given degree."""
+    x, w = spectrum.quadrature(degree)
+    return spectrum.modes(x)[0] @ (w * f(x))
+
+
 def test_project_orthonormality_of_modes():
     sp = ss.analytic_spectrum(ND, 3, 2000)
-    assert ss.project(sp.eigenfunctions[0], sp, 1) == pytest.approx(1.0, abs=1e-8)
-    assert ss.project(sp.eigenfunctions[1], sp, 1) == pytest.approx(0.0, abs=1e-8)
+    first = lambda x: sp.modes(x, 1)[0][0]  # noqa: E731
+    assert project(first, sp, 0)[0] == pytest.approx(1.0, abs=1e-14)
+    assert project(first, sp, 0)[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_project_polynomial_against_quadrature_oracle():
     # oracle: adaptive quadrature of (1+x^2) sqrt2 cos(pi x / 2), frozen
     sp = ss.analytic_spectrum(ND, 1, 2000)
-    f = 1.0 + sp.grid ** 2
-    assert ss.project(f, sp, 1) == pytest.approx(1.0708637138698347, abs=1e-9)
-
-
-def test_project_grid_mismatch():
-    sp = ss.analytic_spectrum(ND, 1, 200)
-    with pytest.raises(GridMismatch):
-        ss.project(np.ones(100), sp, 1)
+    assert project(lambda x: 1.0 + x ** 2, sp, 2)[0] \
+        == pytest.approx(1.0708637138698347, abs=1e-15)
 
 
 # ---------------------------------------------------------------- properties
@@ -139,23 +138,23 @@ def test_project_grid_mismatch():
 ])
 def test_gram_matrix_is_identity(build):
     sp = build()
-    gram = (sp.eigenfunctions * sp.weights) @ sp.eigenfunctions.T
-    assert np.max(np.abs(gram - np.eye(sp.n_modes))) < 1e-7
+    x, w = sp.quadrature(0)
+    phi = sp.modes(x)[0]
+    gram = (phi * w) @ phi.T
+    assert np.max(np.abs(gram - np.eye(sp.n_modes))) < 1e-13
 
 
 def test_energy_identity_truncated_combination():
     coeffs = variable_coeffs()
     sp = ss.solve_spectrum(coeffs, ND, 8, 2000)
+    x, w = sp.quadrature(1)
+    phi, dphi = sp.modes(x)
     rng = np.random.default_rng(7)
     for _ in range(5):
         c = rng.normal(size=8)
-        f = c @ sp.eigenfunctions
         modal = float(np.sum(sp.lambdas * c ** 2))
-        df = ss.sturm_liouville.derivative_field(f, sp.h)
-        x = sp.grid
-        integrand = coeffs.p(x) * df ** 2 + coeffs.q(x) * f ** 2
-        quad = float(np.sum(sp.weights * integrand))
-        assert abs(modal - quad) <= 1e-5 * modal
+        integrand = coeffs.p(x) * (c @ dphi) ** 2 + coeffs.q(x) * (c @ phi) ** 2
+        assert abs(modal - float(w @ integrand)) <= 1e-12 * modal
 
 
 def test_trace_growth_constant_coefficients():
@@ -171,23 +170,13 @@ def test_energy_identity_analytic_combination():
     sp = ss.analytic_spectrum(ND, 12, 2000)
     rng = np.random.default_rng(3)
     c = rng.normal(size=12)
-    f = c @ sp.eigenfunctions
     modal = float(np.sum(sp.lambdas * c ** 2))
-    df = ss.sturm_liouville.derivative_field(f, sp.h)
-    quad = float(np.sum(sp.weights * df ** 2))
-    assert abs(modal - quad) <= 1e-5 * modal
+    x, w = sp.quadrature(0)
+    quad = float(w @ (c @ sp.modes(x)[1]) ** 2)
+    assert abs(modal - quad) <= 1e-12 * modal
 
 
 # ---------------------------------------------------------------- errors
-
-def test_resolution_too_coarse():
-    with pytest.raises(ResolutionTooCoarse):
-        ss.solve_spectrum(ss.CoefficientPair.constant(1.0, 0.0), ND, 10, 200)
-
-
-def test_odd_grid_rejected():
-    with pytest.raises(ValueError):
-        ss.solve_spectrum(ss.CoefficientPair.constant(1.0, 0.0), ND, 1, 41)
 
 
 def test_coefficient_pair_validation():
@@ -295,6 +284,25 @@ def test_varcoef_eigenvalues_agree_with_finite_differences():
     lam = ss.solve_spectrum(VARCOEF, ND, 201, 8040).lambdas
     for n, fd in FD_VARCOEF.items():
         assert abs(lam[n - 1] - fd) <= 5e-8 * fd
+
+
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_varcoef_modes_are_orthonormal_legendre_rows(bspec):
+    # the varcoef-fine spectrum (201 modes) keeps 201 rows of Legendre
+    # coefficients, not samples; evaluated by numpy's legval and integrated by
+    # a Gauss rule of 40 more nodes than the spectrum's own, they are
+    # orthonormal to rounding
+    sp = ss.solve_spectrum(VARCOEF, bspec, 201, 8040)
+    assert sp.eigenfunctions.shape == (201, ss.sturm_liouville.galerkin_order(201) + 2)
+    assert sp.eigenfunctions.nbytes <= 1 << 20
+    t, w = np.polynomial.legendre.leggauss(sp.eigenfunctions.shape[1] + 40)
+    phi = np.polynomial.legendre.legval(t, sp.eigenfunctions.T)
+    gram = (phi * (0.5 * w)) @ phi.T
+    assert np.max(np.abs(gram - np.eye(201))) <= 1e-13
+    # the same rows at the points of the spectrum's grid
+    x = sp.grid[::40]
+    legval = np.polynomial.legendre.legval(2 * x - 1, sp.eigenfunctions.T)
+    assert np.max(np.abs(sp.modes(x)[0] - legval)) <= 1e-13
 
 
 def _spectrum_arrays(sp):
