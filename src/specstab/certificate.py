@@ -10,12 +10,12 @@ conditions prove closed-loop decay at rate delta:
 where Theta2/Theta3 couple the finite design to the spectral tail through
 the measurement tail constant.  The conditions form an LMI in
 (P, beta, gamma): free_p_certificate decides it exactly through the bounded
-real lemma, as one H-infinity norm, and builds its point with one Riccati
-solve; optimal_alpha gives the best alpha in closed form, and export_sdpa
-writes the LMI in SDPA format.  verify_certificate is the only proof of a
-point.  lyapunov_solve gives the P of the shifted Lyapunov equation
-F'P + PF + 2 delta P = -I, one admissible P, whose norms
-lyapunov_norm_sweep records over the order.
+real lemma, as one H-infinity norm of a (2 N0 + 1)-state block whatever N
+is, and builds its point with one Riccati solve; optimal_alpha gives the
+best alpha in closed form, and export_sdpa writes the LMI in SDPA format.
+verify_certificate is the only proof of a point.  lyapunov_solve gives the
+P of the shifted Lyapunov equation F'P + PF + 2 delta P = -I, one
+admissible P, whose norms lyapunov_norm_sweep records over the order.
 
 Every order is certified on the caller's one ReducedPlant and GainSet: the
 closed loop at order N is assembled from the first N modes of that
@@ -287,6 +287,10 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     is alpha h^2 / k - 1 (inf when k <= 0), and optimal_alpha's alpha* is the
     free-P optimum.  Every fixed P, the Lyapunov one included, is a point of
     this LMI, so no P certifies where the margin is >= 0.
+    h^2 and the Hurwitz test come from the leading 2 N0 + 1 rows and columns,
+    assemble_closed_loop's blocks i1 u i2: F is block triangular in the order
+    i4, i1 u i2, i3, G and Lcal vanish outside i1 u i2, and i3, i4 are
+    diagonal with -lambda_n + q_c + delta < 0 (the reduction's spectral gap).
     The point: X solves the Riccati equation with k1 = (alpha h^2 + k)/2 in
     place of k and alpha G + e I in place of alpha G, where e leaves the
     squared norm of that system below k1; then P = X, gamma = 1 and
@@ -295,20 +299,22 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     the only proof.  Returns (the verified Certificate, or None, and the
     margin); None with a negative margin means the Riccati solve or the
     verification failed at rounding level.  A is Hurwitz by construction,
-    its placed poles on the diagonal blocks, so the NotHurwitzShifted raised
+    its placed poles on the block, so the NotHurwitzShifted raised
     otherwise flags numerical trouble.
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    A = _shifted(model.F, reduced.delta)
+    m = 2 * model.N0 + 1  # the observable block i1 u i2
+    A_obs = _shifted(model.F[:m, :m], reduced.delta)
     k = _beta_slope(model, reduced, alpha)
     if not k > 0.0:
         return None, math.inf
-    ah2 = alpha * _hinf_norm_sq(A, model.G, model.Lcal)
+    ah2 = alpha * _hinf_norm_sq(A_obs, model.G[:m, :m], model.Lcal[:m])
     margin = ah2 / k - 1.0
     if not ah2 < k:
         return None, margin
     eye = np.eye(model.dim)
+    A = model.F + reduced.delta * eye
     k1 = 0.5 * (ah2 + k)
     h2 = _hinf_norm_sq(A, eye, model.Lcal)
     e = 0.5 * (k1 - ah2) / h2 if h2 > 0.0 else 1.0  # Lcal = 0: any e > 0

@@ -30,8 +30,6 @@ from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim,
 from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_order, solve_spectrum
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
-OUT_ENV_VAR = "SPECSTAB_OUT"
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
@@ -308,7 +306,15 @@ def solve(config: dict) -> RunRecord:
     _require_sim_order(n_sim, N)
     A_cl = assemble_sim(reduced, gains, N, n_sim)
     T, dt = sim_cfg["T"], sim_cfg["dt"]
-    result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=dt, T=T), reduced)
+    try:
+        result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=dt, T=T), reduced)
+    except err.StepRejected as exc:
+        if certificate is not None:
+            raise
+        best = min(search_margins, key=lambda n: search_margins[n]["margin"])
+        raise err.StepRejected(f"the loop simulated at N = {N} is uncertified (smallest exact "
+                               f"margin {search_margins[best]['margin']:.6g} at N = {best}): "
+                               f"{exc}") from None
     window = (min(1.0, T / 2), T)
     if np.count_nonzero((result.times >= window[0]) & (result.times <= window[1])) < 2:
         raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
@@ -464,9 +470,7 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
         values["design"].update((key, str(flag)) for key, flag
                                 in (("n_max", n_max), ("eps", eps)) if flag is not None)
         config = _convert(values, name_or_path)
-        # output dir: env var overrides everything, then --out, then config
-        out = Path(os.environ.get(OUT_ENV_VAR)
-                   or (config["output"]["dir"] if out_dir is None else out_dir))
+        out = Path(config["output"]["dir"] if out_dir is None else out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -498,8 +502,7 @@ def _help_epilog() -> str:
         "exit codes:\n"
         "  success                0\n"
         "  unexpected error       1\n"
-        "  infeasible certificate 2\n" + "\n".join(rows) + "\n\n"
-        f"environment:\n  {OUT_ENV_VAR}  overrides the output directory\n"
+        "  infeasible certificate 2\n" + "\n".join(rows) + "\n"
     )
 
 

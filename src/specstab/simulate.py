@@ -1,21 +1,21 @@
 """Closed-loop simulation: truncated plant + observer + input integrator.
 
-The coupled system over (u, w_1..w_Nsim, what_1..what_N) is linear and
-time-invariant, so each run computes one matrix exponential E of A_cl*dt
-(scaling-and-squaring Pade) and steps exactly.  The steps are blocked: with
-b = ceil(sqrt(steps)), the block starts x_0, x_b, x_2b, ... come from E^b,
+A run steps the certificate's own closed loop: the state X of
+synthesis.assemble_closed_loop and the plant tail w_{N+1..N_sim}.  It is
+linear and time-invariant, so each run computes one matrix exponential E of
+A_cl*dt (scaling-and-squaring Pade) and steps exactly.  The steps are
+blocked: with b = ceil(sqrt(steps)), the block starts x_0, x_b, x_2b, ... come from E^b,
 and then all blocks advance together as one (blocks x dim) slab by matrix
 products with E, so a run takes about sqrt(steps) matrix-matrix and
 sqrt(steps) matrix-vector products in place of steps matrix-vector ones.
 
-The trajectory is never stored.  Each slab is reduced as it is produced: one
-product with a fixed matrix of linear outputs (u, v, zeta, the first N plant
-modes and the N observer modes) and one product of the squared slab with a
-matrix of diagonal quadratic weights (sum w_n^2, sum lambda_n w_n^2, eta^2 and
-the tail sum_{n>N} lambda_n w_n^2 of the Lyapunov functional).  Only the
-current slab and the next one are alive, and the full state is copied at
-every snapshot_stride-th step.  A state between snapshots is recomputed from
-the snapshot before it.
+The trajectory of the tail is never stored.  Each slab is reduced as it is
+produced: one product with a fixed matrix of linear outputs (X, v and zeta)
+and one product of the squared slab with the tail's weights (sum w_n^2 and
+sum lambda_n w_n^2 over n > N).  The series over all modes follow from X.
+Only the current slab and the next one are alive, and the full state is
+copied at every snapshot_stride-th step.  A state between snapshots is
+recomputed from the snapshot before it.
 
 The spectrum of the ReducedPlant is the only one a run reads, and its modes
 are read only through Spectrum.modes: the initial data z0, a polynomial, is
@@ -35,7 +35,7 @@ from .certificate import Certificate
 from .errors import CertificateRequired, NonPositiveSeries, OrderMismatch, StepRejected
 from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
 from .sturm_liouville import _polynomial_range
-from .synthesis import GainSet, error_scale
+from .synthesis import GainSet, assemble_closed_loop, state_layout
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
 _SNAPSHOTS = 61        # a run stores the full state at about this many steps
@@ -67,15 +67,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-step series of one closed-loop run, the low-mode arrays, and the
-    full state at every snapshot_stride-th step.  The plant data, N0 and the
-    spectrum are read from `reduced`."""
+    """Per-step series of one closed-loop run with its certificate state X, and
+    the full state at every snapshot_stride-th step.  The plant data, N0 and
+    the spectrum are read from `reduced`."""
 
     times: np.ndarray
-    u: np.ndarray
+    X: np.ndarray               # (steps+1, 2N+1), laid out as synthesis.state_layout
     v: np.ndarray
-    w_low: np.ndarray           # (steps+1, N) plant modes w_1..w_N
-    what_modes: np.ndarray      # (steps+1, N)
     zeta: np.ndarray
     l2_sq: np.ndarray           # sum w_n^2
     energy_sq: np.ndarray       # sum lambda_n w_n^2
@@ -89,9 +87,14 @@ class SimResult:
     reduced: ReducedPlant
 
     def __post_init__(self):
-        for name in ("times", "u", "v", "w_low", "what_modes", "zeta", "l2_sq",
-                     "energy_sq", "eta", "tail_energy_sq", "snapshot_states", "E"):
+        for name in ("times", "X", "v", "zeta", "l2_sq", "energy_sq", "eta",
+                     "tail_energy_sq", "snapshot_states", "E"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def u(self) -> np.ndarray:
+        """The input u at every step, X's first column."""
+        return self.X[:, 0]
 
     @property
     def snapshot_steps(self) -> np.ndarray:
@@ -99,13 +102,19 @@ class SimResult:
         return np.arange(0, self.times.size, self.snapshot_stride)
 
     def state(self, step: int) -> np.ndarray:
-        """Full state (u, w_1..w_N_sim, what_1..what_N) at a step: the snapshot
-        at or before it, advanced by at most snapshot_stride - 1 products with E."""
+        """Full state (X, w_{N+1..N_sim}) at a step: the snapshot at or before
+        it, advanced by at most snapshot_stride - 1 products with E."""
         j, r = divmod(range(self.times.size)[step], self.snapshot_stride)
         x = self.snapshot_states[j]
         for _ in range(r):
             x = self.E @ x
         return x
+
+    def modes(self, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Plant modes w_1..w_N_sim and observation errors e_n = w_n - what_n
+        (w_n beyond N) at the given steps, one row per step."""
+        states = np.array([self.state(k) for k in np.asarray(steps).tolist()])
+        return _modes(states, self.reduced, self.N)
 
     def fields(self, steps, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The homogenized field w, the physical field z = w + x^k u (k the
@@ -114,24 +123,29 @@ class SimResult:
         grid point of the reduction's spectrum, one row per step, from one
         product over the modes."""
         spectrum = self.reduced.spectrum
-        states = np.array([self.state(k) for k in np.asarray(steps).tolist()])
-        n = states.shape[0]
-        w = states[:, 1: 1 + self.N_sim]
-        coef = np.vstack([w, w])
-        coef[n:, : self.N] -= states[:, 1 + self.N_sim:]
+        w, error = self.modes(steps)
+        n = w.shape[0]
         x = spectrum.grid[::stride]
-        fields = coef @ spectrum.modes(x, self.N_sim)[0]
+        fields = np.vstack([w, error]) @ spectrum.modes(x, self.N_sim)[0]
         lifting = x ** self.reduced.plant.lifting_exponent
-        z = fields[:n] + np.outer(states[:, 0], lifting)
+        z = fields[:n] + np.outer(self.u[np.asarray(steps)], lifting)
         return fields[:n], z, fields[n:]
 
 
-def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> np.ndarray:
-    """Closed-loop generator over (u, w_1..N_sim, what_1..N).
+def _modes(states: np.ndarray, reduced: ReducedPlant, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, e) of state rows that start with X, as SimResult.modes: the columns
+    past X, if any, are the tail w_{N+1..}, where e_n = w_n."""
+    what, error, scale = state_layout(reduced, N)
+    e = np.hstack([states[:, error] / scale, states[:, 2 * N + 1:]])
+    w = e.copy()
+    w[:, :N] += states[:, what]
+    return w, e
 
-    The observer innovation uses the truncated plant output
-    sum_{i<=N_sim} out_i w_i; gains l_n vanish for n > N0.
-    """
+
+def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> np.ndarray:
+    """Closed-loop generator over (X, w_{N+1..N_sim}): X' = F X + Lcal zeta
+    (assemble_closed_loop) with zeta = sum_{N<n<=N_sim} out_n w_n, and
+    w_n' = (-lambda_n + q_c) w_n + a_n u + b_n v with v = K X_{0..N0}."""
     if N_sim < N:
         raise OrderMismatch(f"N_sim = {N_sim} < N = {N}")
     if reduced.n_coef < N_sim:
@@ -142,30 +156,14 @@ def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> n
         raise OrderMismatch(f"N = {N} < N0+1 = {N0 + 1}")
     if gains.N0 != N0:
         raise OrderMismatch(f"gains placed for N0 = {gains.N0}, plant has N0 = {N0}")
-    lam = reduced.spectrum.lambdas
-    q_c = reduced.q_c
-    an, bn, out = reduced.a_coef, reduced.b_coef, reduced.out_coef
-    dim = 1 + N_sim + N
-    A = np.zeros((dim, dim))
-    # v = K (u, what_1..N0) as a row over the full state
-    Krow = np.zeros(dim)
-    Krow[0] = gains.K[0]
-    Krow[1 + N_sim: 1 + N_sim + N0] = gains.K[1:]
-    A[0] = Krow
-    for n in range(1, N_sim + 1):
-        i = n  # state index of w_n
-        A[i, i] = -lam[n - 1] + q_c
-        A[i, 0] += an[n - 1]
-        A[i] += bn[n - 1] * Krow
-    lvec = np.zeros(N)
-    lvec[:N0] = gains.L
-    for n in range(1, N + 1):
-        i = N_sim + n  # state index of what_n
-        A[i, i] += -lam[n - 1] + q_c
-        A[i, 0] += an[n - 1]
-        A[i] += bn[n - 1] * Krow
-        A[i, 1: 1 + N_sim] += lvec[n - 1] * out[:N_sim]
-        A[i, 1 + N_sim:] -= lvec[n - 1] * out[:N]
+    model = assemble_closed_loop(reduced, gains, N)
+    n, tail = model.dim, slice(N, N_sim)
+    A = np.zeros((1 + N_sim + N, 1 + N_sim + N))
+    A[:n, :n] = model.F
+    A[:n, n:] = np.outer(model.Lcal, reduced.out_coef[tail])
+    A[n:, : N0 + 1] = np.outer(reduced.b_coef[tail], gains.K)
+    A[n:, 0] += reduced.a_coef[tail]
+    A[n:, n:] = np.diag(-reduced.spectrum.lambdas[tail] + reduced.q_c)
     return A
 
 
@@ -225,22 +223,26 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
 
 
 def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult:
-    """Exact LTI stepping of the closed loop from z0, u0 and a null observer
-    state; z0 - x^k u0 is projected on the modes of reduced.spectrum."""
+    """Exact LTI stepping of assemble_sim's loop from X(0) = (u0, what = 0,
+    scale_n w0_n) and the tail w0_{N+1..N_sim}, with w0 = z0 - x^k u0
+    projected on the modes of reduced.spectrum."""
     dim = A_cl.shape[0]
     N = dim - 1 - config.N_sim
-    if N < 1:
+    if N < reduced.N0 + 1:
         raise OrderMismatch("A_cl dimension inconsistent with N_sim")
-    N_sim, N0, spectrum = config.N_sim, reduced.N0, reduced.spectrum
+    N_sim, spectrum, n_x = config.N_sim, reduced.spectrum, 2 * N + 1
     defect = compatibility_defect(config.z0, config.u0, reduced.plant.measurement.kind)
     if defect is not None:
         raise ValueError(defect[1])
     k = reduced.plant.lifting_exponent
     x, w = spectrum.quadrature(max(config.z0.size - 1, k))
-    w0 = np.polynomial.polynomial.polyval(x, config.z0) - x ** k * config.u0
+    w0 = spectrum.modes(x, N_sim)[0] @ (w * (np.polynomial.polynomial.polyval(x, config.z0)
+                                             - x ** k * config.u0))
+    what, error, scale = state_layout(reduced, N)
     state = np.zeros(dim)
     state[0] = config.u0
-    state[1: 1 + N_sim] = spectrum.modes(x, N_sim)[0] @ (w * w0)
+    state[error] = scale * w0[:N]
+    state[n_x:] = w0[N:]
 
     steps = int(round(config.T / config.dt))
     E = expm(A_cl * config.dt)
@@ -249,33 +251,28 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
         raise StepRejected(
             f"one-step norm {step_norm:.3e} over {steps} steps would overflow")
 
-    # linear outputs: u, v = K (u, what_1..N0), zeta, w_1..w_N, what_1..what_N
-    w_idx = np.arange(1, N_sim + 1)
-    what_idx = np.arange(1 + N_sim, dim)
-    linear = np.zeros((dim, 3 + 2 * N))
-    linear[0, 0] = 1.0
-    linear[0, 1] = A_cl[0, 0]
-    linear[what_idx[:N0], 1] = A_cl[0, what_idx[:N0]]
-    linear[w_idx[N:], 2] = reduced.out_coef[N:N_sim]
-    linear[w_idx[:N], 3 + np.arange(N)] = 1.0
-    linear[what_idx, 3 + N + np.arange(N)] = 1.0
-    # quadratic weights: sum w^2, sum lambda w^2, eta^2 and the tail of the
-    # Lyapunov functional
+    # linear outputs: X, v (the generator's first row) and zeta; quadratic
+    # weights: the tail's sum w^2 and sum lambda w^2
     lam = spectrum.lambdas[:N_sim]
-    quadratic = np.zeros((dim, 4))
-    quadratic[w_idx, 0] = 1.0
-    quadratic[w_idx, 1] = lam
-    quadratic[:, 2] = 1.0
-    quadratic[w_idx, 2] += lam
-    quadratic[w_idx[N:], 3] = lam[N:]
+    linear = np.zeros((dim, n_x + 2))
+    linear[:n_x, :n_x] = np.eye(n_x)
+    linear[:, n_x] = A_cl[0]
+    linear[n_x:, n_x + 1] = reduced.out_coef[N:N_sim]
+    quadratic = np.zeros((dim, 2))
+    quadratic[n_x:, 0] = 1.0
+    quadratic[n_x:, 1] = lam[N:]
 
     stride = max(1, (steps + 1) // _SNAPSHOTS)
     lin, quad, states = _propagate(E, state, steps, linear, quadratic, stride)
-    return SimResult(times=np.arange(steps + 1) * config.dt,
-                     u=lin[:, 0], v=lin[:, 1], zeta=lin[:, 2],
-                     w_low=lin[:, 3: 3 + N], what_modes=lin[:, 3 + N:],
-                     l2_sq=quad[:, 0], energy_sq=quad[:, 1], eta=np.sqrt(quad[:, 2]),
-                     tail_energy_sq=quad[:, 3],
+    X, (l2_sq, tail_energy_sq) = lin[:, :n_x], quad.T
+    w_sq = np.square(_modes(X, reduced, N)[0])
+    l2_sq += w_sq.sum(axis=1)
+    energy_sq = w_sq @ lam[:N] + tail_energy_sq
+    eta = np.sqrt(np.square(X[:, 0]) + np.square(X[:, what]).sum(axis=1)
+                  + l2_sq + energy_sq)
+    return SimResult(times=np.arange(steps + 1) * config.dt, X=X, v=lin[:, n_x],
+                     zeta=lin[:, n_x + 1], l2_sq=l2_sq, energy_sq=energy_sq, eta=eta,
+                     tail_energy_sq=tail_energy_sq,
                      snapshot_stride=stride, snapshot_states=states, E=E,
                      N=N, N_sim=N_sim, reduced=reduced)
 
@@ -292,26 +289,14 @@ class LyapunovTrace:
 
 
 def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace:
-    """Evaluate V(X, w) = X'PX + gamma sum_{n>N} lambda_n w_n^2 along the run.
-
-    X stacks (u, what_1..N0, e_1..N0, what_{N0+1..N}, scaled e_{N0+1..N})
-    with the error scaling of synthesis.error_scale.  The tail sum runs over the
-    simulated modes N+1..N_sim.
-    """
+    """Evaluate V(X, w) = X'PX + gamma sum_{n>N} lambda_n w_n^2 along the run,
+    on the run's own certificate state X; the tail sum runs over the
+    simulated modes N+1..N_sim."""
     if not certificate.feasible:
         raise CertificateRequired("lyapunov_trace needs a feasible certificate")
-    N, N0 = result.N, result.reduced.N0
-    if certificate.N != N:
-        raise OrderMismatch(f"certificate is for N = {certificate.N}, run used N = {N}")
-    err = result.w_low - result.what_modes
-    X = np.hstack([
-        result.u[:, None],
-        result.what_modes[:, :N0],
-        err[:, :N0],
-        result.what_modes[:, N0:],
-        err[:, N0:] * error_scale(result.reduced, N),
-    ])
-    V = np.einsum("ki,ij,kj->k", X, certificate.P, X)
+    if certificate.N != result.N:
+        raise OrderMismatch(f"certificate is for N = {certificate.N}, run used N = {result.N}")
+    V = np.einsum("ki,ij,kj->k", result.X, certificate.P, result.X)
     V = V + certificate.gamma * result.tail_energy_sq
     delta = result.reduced.delta
     weighted = V * np.exp(2.0 * delta * result.times)
@@ -344,5 +329,5 @@ def field_energy(result: SimResult, step: int) -> float:
     coeffs = result.reduced.plant.coeffs
     x, w = sp.quadrature(max(len(coeffs.p_coeffs), len(coeffs.q_coeffs)) - 1)
     phi, dphi = sp.modes(x, result.N_sim)
-    modes = result.state(step)[1: 1 + result.N_sim]
+    modes = result.modes([step])[0][0]
     return float(w @ (coeffs.p(x) * (modes @ dphi) ** 2 + coeffs.q(x) * (modes @ phi) ** 2))

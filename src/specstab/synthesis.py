@@ -2,9 +2,9 @@
 
 The controlled state is W_a = (u, w_1..w_N0) with dynamics (A1, B1); the
 observer corrects the first N0 modes through the output row C0.  The full
-certificate state stacks (W_a-hat, E^N0, W-hat^{N-N0}, E~^{N-N0}) where the
+certificate state X stacks (W_a-hat, E^N0, W-hat^{N-N0}, E~^{N-N0}) where the
 unestimated-error block is rescaled per measurement kind so the coupling row
-C1 stays bounded as N grows.
+C1 stays bounded as N grows; state_layout says where each mode sits in X.
 """
 
 from __future__ import annotations
@@ -156,24 +156,34 @@ def design_gains(reduced: ReducedPlant, controller_poles=None,
                    observer_poles=observer_poles)
 
 
-def error_scale(reduced: ReducedPlant, N: int) -> np.ndarray:
-    """Scale s_n, n = N0+1..N, of the unestimated error in the certificate
-    state: 1 in-domain, sqrt(lambda_n) for the left trace, lambda_n for the flux."""
-    lam = reduced.spectrum.lambdas[reduced.N0:N]
-    kind = reduced.plant.measurement.kind
-    if kind == BOUNDED:
-        return np.ones_like(lam)
-    return np.sqrt(lam) if kind == DIRICHLET_AT_0 else lam
+def _blocks(N0: int, N: int) -> tuple[slice, ...]:
+    """X's blocks W_a-hat, E^N0, W-hat^{N-N0} and E~^{N-N0}."""
+    return (slice(0, N0 + 1), slice(N0 + 1, 2 * N0 + 1), slice(2 * N0 + 1, N + N0 + 1),
+            slice(N + N0 + 1, 2 * N + 1))
+
+
+def state_layout(reduced: ReducedPlant, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where X holds each mode at order N, as (what, error, scale): X[0] = u,
+    X[what[n-1]] = what_n and X[error[n-1]] = scale[n-1] (w_n - what_n) for
+    n = 1..N.  The scale is 1 up to N0, then 1 in-domain, sqrt(lambda_n) for
+    the left trace and lambda_n for the flux."""
+    i1, i2, i3, i4 = (np.arange(2 * N + 1)[block] for block in _blocks(reduced.N0, N))
+    lam, kind = reduced.spectrum.lambdas[reduced.N0:N], reduced.plant.measurement.kind
+    scale = np.ones_like(lam) if kind == BOUNDED else np.sqrt(lam) if kind == DIRICHLET_AT_0 \
+        else lam
+    return (np.concatenate([i1[1:], i3]), np.concatenate([i2, i4]),
+            np.concatenate([np.ones(reduced.N0), scale]))
 
 
 def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> ClosedLoopMatrices:
     """Build F, Lcal and G for observer order N.
 
-    Blocks (1,1), (2,2), (3,3) and (4,4) of F are A1 + B1 K, A0 - L C0, A2
-    and A2; (1,4) = Ltilde C1 and (2,4) = -L C1 with C1 = out_coef /
-    error_scale: raw c_n for the in-domain measurement,
-    phi_n(0)/sqrt(lambda_n) for the left trace, phi_n'(0)/lambda_n for the
-    left flux; block (4,4) is the matching rescaled error dynamics.
+    X is laid out as state_layout says.  Blocks (1,1), (2,2), (3,3) and
+    (4,4) of F are A1 + B1 K, A0 - L C0, A2 and A2; (1,4) = Ltilde C1 and
+    (2,4) = -L C1 with C1 = out_coef / scale: raw c_n for the in-domain
+    measurement, phi_n(0)/sqrt(lambda_n) for the left trace,
+    phi_n'(0)/lambda_n for the left flux; block (4,4) is the matching
+    rescaled error dynamics.
     """
     N0 = reduced.N0
     if N < N0 + 1:
@@ -189,14 +199,11 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     A0, A1, B1 = _design_blocks(reduced)
     A2 = np.diag(-lam[N0:N] + reduced.q_c)
     C0 = reduced.out_coef[:N0]
-    C1 = reduced.out_coef[N0:N] / error_scale(reduced, N)
+    C1 = reduced.out_coef[N0:N] / state_layout(reduced, N)[2][N0:]
     Ltilde = np.concatenate([[0.0], L])
 
     dim = 2 * N + 1
-    i1 = slice(0, N0 + 1)                 # W_a-hat
-    i2 = slice(N0 + 1, 2 * N0 + 1)        # E^N0
-    i3 = slice(2 * N0 + 1, N + N0 + 1)    # W-hat^{N-N0}
-    i4 = slice(N + N0 + 1, dim)           # E~^{N-N0}
+    i1, i2, i3, i4 = _blocks(N0, N)
     F = np.zeros((dim, dim))
     F[i1, i1] = A1 + np.outer(B1, K)
     F[i1, i2] = np.outer(Ltilde, C0)
@@ -211,9 +218,7 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
     Lcal = np.zeros(dim)
     Lcal[i1] = Ltilde
     Lcal[i2] = -L
-    E_row = np.zeros(dim)
-    E_row[0] = 1.0
-    Ktilde = np.zeros(dim)
-    Ktilde[: N0 + 1] = K
-    G = reduced.a_norm2 * np.outer(E_row, E_row) + reduced.b_norm2 * np.outer(Ktilde, Ktilde)
+    G = np.zeros((dim, dim))
+    G[i1, i1] = reduced.b_norm2 * np.outer(K, K)
+    G[0, 0] += reduced.a_norm2
     return ClosedLoopMatrices(N=N, N0=N0, F=F, Lcal=Lcal, G=G)

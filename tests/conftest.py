@@ -1,6 +1,6 @@
-"""Shared pipeline fixtures for the two constant-coefficient examples, and two
-test references: the a-priori eigenvalue band and the constructive
-Lyapunov-P search."""
+"""Shared pipeline fixtures for the two constant-coefficient examples, and
+three test references: the a-priori eigenvalue band, the constructive
+Lyapunov-P search and the closed-loop generator in physical coordinates."""
 
 import math
 from dataclasses import dataclass
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 import specstab as ss
+from specstab.synthesis import state_layout
 
 # one profile for every property test: reproducible draws, no example
 # database, no per-example deadline; each test sets only its max_examples
@@ -143,3 +144,54 @@ def verified_free_p_certificate(pipeline: Pipeline, N: int) -> ss.Certificate:
                                   cert.gamma, cert.eps)
     assert cert.feasible and again.feasible, "free-P certificate failed re-verification"
     return again
+
+
+def physical_generator(reduced: ss.ReducedPlant, gains: ss.GainSet, N: int,
+                       N_sim: int) -> np.ndarray:
+    """Reference: the closed-loop generator over (u, w_1..N_sim, what_1..N),
+    built mode by mode.
+
+    The observer innovation uses the truncated plant output
+    sum_{i<=N_sim} out_i w_i; gains l_n vanish for n > N0.
+    """
+    N0 = reduced.N0
+    lam = reduced.spectrum.lambdas
+    q_c = reduced.q_c
+    an, bn, out = reduced.a_coef, reduced.b_coef, reduced.out_coef
+    dim = 1 + N_sim + N
+    A = np.zeros((dim, dim))
+    # v = K (u, what_1..N0) as a row over the full state
+    Krow = np.zeros(dim)
+    Krow[0] = gains.K[0]
+    Krow[1 + N_sim: 1 + N_sim + N0] = gains.K[1:]
+    A[0] = Krow
+    for n in range(1, N_sim + 1):
+        i = n  # state index of w_n
+        A[i, i] = -lam[n - 1] + q_c
+        A[i, 0] += an[n - 1]
+        A[i] += bn[n - 1] * Krow
+    lvec = np.zeros(N)
+    lvec[:N0] = gains.L
+    for n in range(1, N + 1):
+        i = N_sim + n  # state index of what_n
+        A[i, i] += -lam[n - 1] + q_c
+        A[i, 0] += an[n - 1]
+        A[i] += bn[n - 1] * Krow
+        A[i, 1: 1 + N_sim] += lvec[n - 1] * out[:N_sim]
+        A[i, 1 + N_sim:] -= lvec[n - 1] * out[:N]
+    return A
+
+
+def to_certificate_state(reduced: ss.ReducedPlant, N: int, N_sim: int) -> np.ndarray:
+    """T with (X, w_{N+1..N_sim}) = T (u, w_1..N_sim, what_1..N): X as
+    synthesis.state_layout lays it out, X[error] = scale (w_n - what_n)."""
+    what, error, scale = state_layout(reduced, N)
+    dim = 1 + N_sim + N
+    T = np.zeros((dim, dim))
+    T[0, 0] = 1.0
+    n = np.arange(N)
+    T[what, 1 + N_sim + n] = 1.0
+    T[error, 1 + n] = scale
+    T[error, 1 + N_sim + n] = -scale
+    T[2 * N + 1 + np.arange(N_sim - N), 1 + N + np.arange(N_sim - N)] = 1.0
+    return T

@@ -306,7 +306,7 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
     for step, w in zip([0, 250, 500], res.fields([0, 250, 500])[0]):
         bc_worst = max(bc_worst, abs(w[-1]))
         assert abs(w[-1]) <= 1e-8
-        assert abs(res.state(step)[1: 1 + res.N_sim] @ dphi0) <= 1e-6  # w'(0)
+        assert abs(res.modes([step])[0][0] @ dphi0) <= 1e-6  # w'(0)
     report(10, True, f"orthonormality dev {gram_dev:.1e}, energy identity rel "
                      f"{energy_dev:.1e}, Schur equivalence, tail dominance, "
                      f"boundary residuals <= {max(bc_worst, 1e-12):.1e}")

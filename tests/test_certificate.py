@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 import specstab as ss
 from specstab.errors import NoFeasibleN, NotHurwitzShifted, OrderTooSmall
@@ -303,6 +304,90 @@ def test_hinf_norm_of_a_resonant_system():
 
 def test_hinf_norm_of_a_zero_input_vector():
     assert ss.certificate._hinf_norm_sq(-np.eye(2), np.eye(2), np.zeros(2)) == 0.0
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 6), rank=st.integers(1, 6), shift=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hinf_norm_bounds_the_frequency_response(n, rank, shift, seed):
+    # a random Hurwitz A (abscissa -shift), Q = C'C of rank <= n and a random
+    # b: h^2 is at least the gain at every frequency of a dense log grid and
+    # at 0, and within 1e-8 of the best gain after refining the grid's peak
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = M - (np.max(np.linalg.eigvals(M).real) + shift) * np.eye(n)
+    C = rng.standard_normal((min(rank, n), n))
+    Q, b = C.T @ C, rng.standard_normal(n)
+    h2 = ss.certificate._hinf_norm_sq(A, Q, b)
+
+    def gains(w):
+        x = np.linalg.solve(1j * np.asarray(w)[:, None, None] * np.eye(n) - A, b)
+        return np.einsum("ki,ij,kj->k", x.conj(), Q, x).real
+
+    grid = np.append(0.0, np.logspace(-3, 3, 4001))
+    on_grid = gains(grid)
+    assert h2 >= np.max(on_grid)
+    i = int(np.argmax(on_grid))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    refined = minimize_scalar(lambda w: -gains([w])[0], bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12 * hi})
+    assert h2 <= (1.0 + 1e-8) * max(on_grid[i], -refined.fun)
+    assert ss.certificate._hinf_norm_sq(A, Q, np.zeros(n)) == 0.0
+
+
+def _random_gains(reduced, rng):
+    """Gains from poles drawn left of -delta."""
+    N0, delta = reduced.N0, reduced.delta
+    return ss.design_gains(reduced, controller_poles=-delta - rng.uniform(0.1, 8.0, N0 + 1),
+                           observer_poles=-delta - rng.uniform(0.1, 8.0, N0))
+
+
+class _FirstNorm(Exception):
+    """Stops free_p_certificate at its first norm, the one it decides on."""
+
+
+@pytest.mark.parametrize("gains_from", ["default", "random poles"])
+@pytest.mark.parametrize("fixture", ["dirichlet_pipeline", "neumann_pipeline",
+                                     "bounded_pipeline"])
+def test_free_p_takes_h2_from_the_observable_block(request, monkeypatch, fixture, gains_from):
+    # the h^2 that free_p_certificate decides on is bitwise the same at every
+    # N, and it is the full system's norm: to 1e-13 on the default gains, and
+    # on random gains to the 2e-10 by which either value may lie above the
+    # attained peak (the full system's iteration stops at another point)
+    pipe = request.getfixturevalue(fixture)
+    red = pipe.reduced
+    rng = np.random.default_rng(len(fixture))
+    gains = pipe.gains if gains_from == "default" else _random_gains(red, rng)
+    hinf = ss.certificate._hinf_norm_sq
+
+    def first_norm(A, Q, b):
+        raise _FirstNorm(hinf(A, Q, b))
+
+    monkeypatch.setattr(ss.certificate, "_hinf_norm_sq", first_norm)
+    decided = set()
+    for N in range(2, 41):
+        model = ss.assemble_closed_loop(red, gains, N)
+        alpha = ss.optimal_alpha(model, red)
+        assert ss.certificate._beta_slope(model, red, alpha) > 0.0
+        with pytest.raises(_FirstNorm) as norm:
+            ss.free_p_certificate(model, red, alpha)
+        h2 = norm.value.args[0]
+        decided.add(h2)
+        full = hinf(model.F + red.delta * np.eye(model.dim), model.G, model.Lcal)
+        assert abs(h2 - full) <= (1e-13 if gains_from == "default" else 2e-10) * full
+    assert len(decided) == 1
+
+
+@pytest.mark.parametrize("N, margin", [(100, 154.6177881568973), (200, 38.0925590067841)])
+def test_dirichlet_margins_at_large_order(N, margin):
+    # the left trace at q_c = 10 certifies no order below 1254 under the
+    # default poles; its exact margins at N = 100 and 200 are those of the
+    # full-system norm
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 202, 2000), 201)
+    cert, record = ss.certificate.certify_order(red, ss.design_gains(red), N)
+    assert cert is None and record["margin"] == pytest.approx(margin, rel=1e-12)
 
 
 def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 import specstab as ss
 from specstab import cli, homogenize
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
-from specstab.errors import ConfigParse, DecayUnreachable, InsufficientModes, IoFailure
+from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, IoFailure,
+                             StepRejected)
 from specstab.sdpa import read_sdpa
 
 BOUNDED_CONFIG = """
@@ -252,15 +254,6 @@ def test_config_output_dir_used_when_no_flag(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    env_out = tmp_path / "env-out"
-    monkeypatch.setenv("SPECSTAB_OUT", str(env_out))
-    assert run_scenario(str(cfg), out_dir=tmp_path / "flag-out", quiet=True) == 0
-    assert (env_out / "report.json").exists()
-    assert not (tmp_path / "flag-out").exists()
-
-
 def test_explicit_observer_order(tmp_path):
     cfg = write_config(tmp_path, N=3)
     out = tmp_path / "explicit"
@@ -371,6 +364,21 @@ def preset_config(tmp_path, preset, **keys):
     path = tmp_path / f"{preset}.cfg"
     path.write_text(text)
     return path
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_uncertified_loop_that_cannot_be_stepped_says_so(tmp_path, capsys, preset):
+    # at q_c = 50 no order N <= n_max certifies, and the loop simulated at
+    # N0 + 2 = 4 grows too fast to step: exit 14 names the order, the loop's
+    # missing certificate and the smallest exact margin of the search
+    cfg = preset_config(tmp_path, preset, q_c=50)
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
+        == ERROR_EXIT_CODES[StepRejected] == 14
+    err = capsys.readouterr().err
+    found = re.search(r"^error\[StepRejected\]: the loop simulated at N = 4 is uncertified "
+                      r"\(smallest exact margin (\S+) at N = (\d+)\): one-step norm", err)
+    assert found, err
+    assert float(found.group(1)) > 0 and 3 <= int(found.group(2)) <= 10
 
 
 @pytest.mark.parametrize("N, n_sim", [(60, 50), (5, 3)])
@@ -526,10 +534,9 @@ def test_malformed_value_exit_code(tmp_path, capsys, section, key, value):
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub", "out"])
-def test_unusable_output_directory_is_io_failure(tmp_path, capsys, monkeypatch, out):
+def test_unusable_output_directory_is_io_failure(tmp_path, capsys, out):
     # afile is a file, so it can neither be nor hold the output directory;
     # out/report.json is a directory, so the report cannot be written there
-    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
     (tmp_path / "afile").write_text("")
     (tmp_path / "out" / "report.json").mkdir(parents=True)
     target = tmp_path / out
@@ -600,7 +607,6 @@ def test_help_documents_exit_codes(capsys):
     text = capsys.readouterr().out
     assert "exit codes" in text
     assert "DecayUnreachable" in text
-    assert "SPECSTAB_OUT" in text
     assert "dirichlet-example" in text
 
 

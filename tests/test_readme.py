@@ -46,7 +46,6 @@ def test_readme_python_block_runs(index):
 @pytest.mark.parametrize("line", PRESET_LINES)
 def test_quick_start_preset_line_runs(line, tmp_path, monkeypatch):
     # the line's arguments as written, run in tmp_path; its comment quotes N*
-    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     command, comment = line.split("#", 1)
     argv = command.split()[1:]

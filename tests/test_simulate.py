@@ -12,8 +12,10 @@ from specstab.errors import (
     StepRejected,
 )
 from specstab.simulate import field_energy
+from specstab.synthesis import state_layout
 
-from conftest import constructive_certificate, verified_free_p_certificate
+from conftest import (constructive_certificate, physical_generator, to_certificate_state,
+                      verified_free_p_certificate)
 
 
 def zero_gains(N0):
@@ -71,7 +73,8 @@ def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
     # without a tail the unestimated-gain errors decouple exactly:
     # e_n(t) = e_n(0) exp((-lambda_n+q_c) t) for n > N0
     N0 = pipe.reduced.N0
-    err = res.w_low[:, N0:N] - res.what_modes[:, N0:]
+    _, error, scale = state_layout(pipe.reduced, N)
+    err = res.X[:, error[N0:]] / scale[N0:]
     lam = pipe.spectrum.lambdas[N0:N]
     analytic = err[0] * np.exp(np.outer(res.times, -lam + pipe.reduced.q_c))
     assert np.max(np.abs(err - analytic)) < 1e-8 * max(1.0, np.max(np.abs(err[0])))
@@ -81,7 +84,7 @@ def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
 
 def all_plant_modes(res):
     """w_1..w_N_sim at every step, from the stored snapshots."""
-    return np.array([res.state(k)[1: 1 + res.N_sim] for k in range(res.times.size)])
+    return res.modes(range(res.times.size))[0]
 
 
 def test_exact_stepping_dt_consistency(dirichlet_pipeline):
@@ -104,9 +107,10 @@ def sequential_trajectory(A, state, dt, steps):
     return traj
 
 
-def reference_series(A, res, ref):
-    """Every per-step series and mode array of a SimResult, from a stored
-    trajectory by direct formulas."""
+def physical_series(res, ref, K):
+    """Every per-step series of a SimResult, from a stored trajectory of
+    physical states (u, w_1..w_N_sim, what_1..what_N) by direct formulas;
+    v = K (u, what_1..what_N0)."""
     N, N0, N_sim = res.N, res.reduced.N0, res.N_sim
     u, w, what = ref[:, 0], ref[:, 1: 1 + N_sim], ref[:, 1 + N_sim:]
     lam = res.reduced.spectrum.lambdas[:N_sim]
@@ -114,13 +118,27 @@ def reference_series(A, res, ref):
     energy_sq = w ** 2 @ lam
     tail = w[:, N:] ** 2 * lam[N:]
     return {
-        "u": u, "v": u * A[0, 0] + what[:, :N0] @ A[0, 1 + N_sim: 1 + N_sim + N0],
+        "u": u, "v": u * K[0] + what[:, :N0] @ K[1:],
         "zeta": w[:, N:] @ res.reduced.out_coef[N:N_sim],
-        "w_low": w[:, :N], "what_modes": what,
         "l2_sq": l2_sq, "energy_sq": energy_sq,
         "eta": np.sqrt(u ** 2 + np.sum(what ** 2, axis=1) + l2_sq + energy_sq),
         "tail_energy_sq": np.sum(tail, axis=1),
     }
+
+
+def reference_series(A, res, ref):
+    """Every per-step series and the state X of a SimResult, from a stored
+    trajectory of full states (X, w_{N+1..N_sim}) of the generator A; the
+    modes are read through synthesis.state_layout."""
+    N = res.N
+    what_at, error_at, scale = state_layout(res.reduced, N)
+    X, tail = ref[:, : 2 * N + 1], ref[:, 2 * N + 1:]
+    what = X[:, what_at]
+    w = np.hstack([what + X[:, error_at] / scale, tail])
+    physical = np.hstack([X[:, :1], w, what])
+    series = physical_series(res, physical, A[0, : res.reduced.N0 + 1])
+    series["X"] = X
+    return series
 
 
 def assert_matches_sequential(A, res, dt):
@@ -138,6 +156,48 @@ def assert_matches_sequential(A, res, dt):
     between = [*range(min(res.times.size, 2 * res.snapshot_stride + 1)), res.times.size - 1]
     states = np.array([res.state(k) for k in between])
     assert np.max(np.abs(states - ref[between])) <= 1e-12 * np.max(np.abs(ref))
+
+
+PIPELINES = ("dirichlet_pipeline", "neumann_pipeline", "bounded_pipeline")
+
+
+@pytest.mark.parametrize("N, N_sim", [(2, 50), (3, 50), (8, 50), (50, 50)])
+@pytest.mark.parametrize("fixture", PIPELINES)
+def test_generator_is_the_reference_in_certificate_coordinates(request, fixture, N, N_sim):
+    # (X, w_{N+1..N_sim}) = T (u, w_1..N_sim, what_1..N), so the two
+    # generators are similar through T, and X's block is F itself
+    pipe = request.getfixturevalue(fixture)
+    A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
+    ref = physical_generator(pipe.reduced, pipe.gains, N, N_sim)
+    T = to_certificate_state(pipe.reduced, N, N_sim)
+    mapped = np.linalg.solve(T, A @ T)
+    assert np.max(np.abs(mapped - ref)) <= 1e-12 * np.max(np.abs(ref))
+    F = ss.assemble_closed_loop(pipe.reduced, pipe.gains, N).F
+    assert np.array_equal(A[: 2 * N + 1, : 2 * N + 1], F)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8])
+@pytest.mark.parametrize("fixture", PIPELINES)
+def test_run_matches_a_sequential_run_of_the_reference(request, fixture, N):
+    # the physical initial state (u0, w0, what = 0), with w0 the projection of
+    # z0 - x^k u0, stepped by the reference generator one product at a time
+    pipe = request.getfixturevalue(fixture)
+    N_sim, dt = 50, 1e-3
+    z0, u0 = ([0.0, -2.0 / 3.0, 1.0], 1.0 / 3.0) if fixture == "neumann_pipeline" \
+        else ([1.0, 0.0, 1.0], 2.0)
+    A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
+    res = ss.run(A, ss.SimConfig(z0=z0, u0=u0, N_sim=N_sim, dt=dt, T=1.0), pipe.reduced)
+    k = pipe.plant.lifting_exponent
+    x, weights = pipe.spectrum.quadrature(2)
+    w0 = pipe.spectrum.modes(x, N_sim)[0] @ (
+        weights * (np.polynomial.polynomial.polyval(x, z0) - x ** k * u0))
+    x0 = np.concatenate([[u0], w0, np.zeros(N)])
+    ref = sequential_trajectory(physical_generator(pipe.reduced, pipe.gains, N, N_sim),
+                                x0, dt, res.times.size - 1)
+    for name, expected in physical_series(res, ref, pipe.gains.K).items():
+        got = getattr(res, name)
+        assert got.shape == expected.shape, name
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected)), name
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 3000])
@@ -253,7 +313,7 @@ def test_reconstructed_boundary_conditions(dirichlet_pipeline, neumann_pipeline)
     w_rows, z_rows, _ = res.fields(steps)
     for step, w, z in zip(steps, w_rows, z_rows):
         assert abs(w[-1]) <= 1e-8
-        assert abs(res.state(step)[1: 1 + res.N_sim] @ dphi0) <= 1e-6  # w'(0)
+        assert abs(res.modes([step])[0][0] @ dphi0) <= 1e-6  # w'(0)
         assert z[-1] == pytest.approx(res.u[step], abs=1e-8)
     _, resn = neumann_run(neumann_pipeline, T=0.5)
     for w in resn.fields(steps)[0]:
@@ -276,7 +336,9 @@ def test_fields_match_modal_sums(dirichlet_pipeline, neumann_pipeline, kind, str
     w, z, error = res.fields(steps, stride)
     x = pipe.spectrum.grid[::stride]
     phi = pipe.spectrum.modes(x)[0]
-    states = [res.state(i) for i in steps]
+    # the physical states (u, w_1..w_N_sim, what_1..what_N) of the reference
+    T = to_certificate_state(pipe.reduced, res.N, res.N_sim)
+    states = [np.linalg.solve(T, res.state(i)) for i in steps]
     w_ref = np.array([s[1: 1 + res.N_sim] @ phi[: res.N_sim] for s in states])
     z_ref = w_ref + np.outer([s[0] for s in states], x ** k)
     error_ref = w_ref - np.array([s[1 + res.N_sim:] @ phi[: res.N] for s in states])
@@ -303,9 +365,9 @@ def test_feedthrough_consistency_bounded(bounded_pipeline):
     phi = pipe.spectrum.modes(x, 50)[0]
     steps = [0, 150, 300]
     for step in steps:
-        state = res.state(step)
-        y_field = float(w @ (state[1:51] @ phi + x ** 2 * state[0]))
-        y_tilde_modal = float(res.state(step)[1:51] @ pipe.reduced.out_coef[:50])
+        modes = res.modes([step])[0][0]
+        y_field = float(w @ (modes @ phi + x ** 2 * res.u[step]))
+        y_tilde_modal = float(modes @ pipe.reduced.out_coef[:50])
         reconstructed = y_field - pipe.reduced.feedthrough * res.u[step]
         assert reconstructed == pytest.approx(y_tilde_modal, abs=1e-8)
 
