@@ -360,34 +360,36 @@ def _to_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _format_column(values) -> list[str]:
-    """Each value at 17 significant digits, as the CSV writers print it."""
-    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
-
-
 #: rows formatted and written per chunk by the CSV writers, which bounds the
 #: text they hold at once
 _ROWS_PER_WRITE = 4096
 
 
-def _write_series(path: Path, t_text: list[str], values: np.ndarray):
-    """`t,value` rows; t_text is the time column, formatted once per run."""
+def _series_templates(times: np.ndarray) -> list[str]:
+    """The `t,%.17g` row templates of the series CSVs, one per chunk of
+    _ROWS_PER_WRITE times: each time is formatted once per run.  A number
+    printed with %.17g holds no %, so only the value slots remain."""
+    t = np.asarray(times, dtype=float).tolist()
+    chunks = (t[start:start + _ROWS_PER_WRITE] for start in range(0, len(t), _ROWS_PER_WRITE))
+    return [("%.17g,%%.17g\n" * len(chunk)) % tuple(chunk) for chunk in chunks]
+
+
+def _write_series(path: Path, templates: list[str], values: np.ndarray):
+    """`t,value` rows, one `%` and one write per template of _series_templates."""
     with path.open("w") as out:
         out.write("t,value\n")
-        for start in range(0, len(t_text), _ROWS_PER_WRITE):
-            stop = start + _ROWS_PER_WRITE
-            rows = zip(t_text[start:stop], values[start:stop].tolist())
-            out.write("".join([f"{ti},{vi:.17g}\n" for ti, vi in rows]))
+        for start, template in zip(range(0, len(values), _ROWS_PER_WRITE), templates):
+            out.write(template % tuple(values[start:start + _ROWS_PER_WRITE].tolist()))
 
 
-def _write_field(path: Path, x: np.ndarray, t_text: list[str], fields: np.ndarray):
+def _write_field(path: Path, x: np.ndarray, times: np.ndarray, fields: np.ndarray):
     """`x,t,value` rows, one block (and one write) per snapshot time."""
-    x_text = _format_column(x)
+    x = np.asarray(x, dtype=float).tolist()
+    block = ("%.17g,\0,%%.17g\n" * len(x)) % tuple(x)  # \0 marks the time slot
     with path.open("w") as out:
         out.write("x,t,value\n")
-        for ti, field in zip(t_text, fields):
-            rows = zip(x_text, field.tolist())
-            out.write("".join([f"{xi},{ti},{vi:.17g}\n" for xi, vi in rows]))
+        for ti, field in zip(np.asarray(times, dtype=float).tolist(), fields):
+            out.write(block.replace("\0", "%.17g" % ti) % tuple(field.tolist()))
 
 
 def _progress(record: RunRecord) -> list[str]:
@@ -415,19 +417,18 @@ def _progress(record: RunRecord) -> list[str]:
 
 def _write_csvs(record: RunRecord, out: Path):
     result = record.sim
-    t_text = _format_column(result.times)
+    templates = _series_templates(result.times)
     series = {"u": result.u, "v": result.v, "eta": result.eta, "zeta": result.zeta,
               "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}
     if record.lyapunov is not None:
         series["lyapunov"] = record.lyapunov.V
     for name, values in series.items():
-        _write_series(out / f"{name}.csv", t_text, values)
+        _write_series(out / f"{name}.csv", templates, values)
     snap = result.snapshot_steps
     _, z_field, error_field = result.fields(snap, 40)
-    snap_text = [t_text[i] for i in snap]
     x = record.reduced.spectrum.grid[::40]
-    _write_field(out / "state_field.csv", x, snap_text, z_field)
-    _write_field(out / "error_field.csv", x, snap_text, error_field)
+    _write_field(out / "state_field.csv", x, result.times[snap], z_field)
+    _write_field(out / "error_field.csv", x, result.times[snap], error_field)
 
 
 def _report(record: RunRecord) -> dict:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specstab as ss
 from specstab import cli, homogenize
@@ -453,13 +454,12 @@ def test_csv_writers_match_per_line_formatting(tmp_path):
     t = np.concatenate([special, rng.normal(size=7) * 10.0 ** rng.integers(-20, 20, 7)])
     values = rng.permutation(t) * -1.0
     assert t.size % 2 == 1
-    t_text = cli._format_column(t)
-    cli._write_series(tmp_path / "s.csv", t_text, values)
+    cli._write_series(tmp_path / "s.csv", cli._series_templates(t), values)
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
     x = np.array([0.0, 0.025, 1 / 3, 1.0, 5e-324])
     fields = rng.normal(size=(3, x.size)) * [[1e300], [-0.0], [1e-310]]
     steps = [0, 5, 16]
-    cli._write_field(tmp_path / "f.csv", x, [t_text[i] for i in steps], fields)
+    cli._write_field(tmp_path / "f.csv", x, t[steps], fields)
     expected = reference_field(x, t[steps], fields).encode()
     assert (tmp_path / "f.csv").read_bytes() == expected
 
@@ -469,8 +469,55 @@ def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
     t = np.linspace(0.0, 1.6, 17)
     values = np.random.default_rng(5).normal(size=t.size)
-    cli._write_series(tmp_path / "s.csv", cli._format_column(t), values)
+    cli._write_series(tmp_path / "s.csv", cli._series_templates(t), values)
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
+
+
+#: doubles whose %.17g text is special: signed zeros, subnormals, the ends of
+#: the range, nan and the infinities
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308,
+                1.7976931348623157e308, math.nan, math.inf, -math.inf]
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats())
+
+
+@settings(max_examples=60)
+@given(rows_per_write=st.integers(1, 5), chunks=st.integers(1, 3),
+       offset=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_csv_writers_match_per_line_formatting_on_any_doubles(tmp_path_factory, rows_per_write,
+                                                              chunks, offset, data):
+    n = chunks * rows_per_write + offset
+    t = np.array(data.draw(st.lists(doubles, min_size=n, max_size=n)), dtype=float)
+    values = np.array(data.draw(st.lists(doubles, min_size=n, max_size=n)), dtype=float)
+    x = np.array(data.draw(st.lists(doubles, min_size=1, max_size=6)), dtype=float)
+    steps = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=4)) if n else []
+    fields = np.array(data.draw(st.lists(st.lists(doubles, min_size=x.size, max_size=x.size),
+                                         min_size=len(steps), max_size=len(steps))),
+                      dtype=float).reshape(len(steps), x.size)
+    out = tmp_path_factory.mktemp("writers")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        cli._write_series(out / "s.csv", cli._series_templates(t), values)
+        cli._write_field(out / "f.csv", x, t[steps], fields)
+    assert (out / "s.csv").read_bytes() == reference_series(t, values).encode()
+    assert (out / "f.csv").read_bytes() == reference_field(x, t[steps], fields).encode()
+
+
+def test_run_csvs_match_a_per_line_writer(tmp_path):
+    record = cli.solve(parse_config("dirichlet-example"))
+    cli._write_csvs(record, tmp_path)
+    result = record.sim
+    expected = {f"{name}.csv": reference_series(result.times, values) for name, values in (
+        ("u", result.u), ("v", result.v), ("eta", result.eta), ("zeta", result.zeta),
+        ("l2_norm", np.sqrt(result.l2_sq)), ("energy", result.energy_sq),
+        ("lyapunov", record.lyapunov.V))}
+    snap = result.snapshot_steps
+    _, z_field, error_field = result.fields(snap, 40)
+    x = record.reduced.spectrum.grid[::40]
+    expected["state_field.csv"] = reference_field(x, result.times[snap], z_field)
+    expected["error_field.csv"] = reference_field(x, result.times[snap], error_field)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 # ---------------------------------------------------------------- errors & codes
