@@ -50,6 +50,16 @@ def test_analytic_norms_unit_under_quadrature():
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
+@pytest.mark.parametrize("m", [436, 442])  # varcoef-fine's rule has 442 nodes
+def test_gauss_rule_is_exact_near_the_ends(m):
+    # x^(2m-1) lives at x = 1 and L_{m/2}^2 peaks at both ends, where the
+    # weights are smallest; each integral is exact for an m-point rule
+    x, w = ss.sturm_liouville._gauss(m)
+    assert abs(w @ x ** (2 * m - 1) * (2 * m) - 1.0) <= 1e-13
+    legendre = np.polynomial.legendre.legval(2.0 * x - 1.0, np.eye(m // 2 + 1)[-1])
+    assert abs(w @ legendre ** 2 * (m + 1) - 1.0) <= 1e-13
+
+
 # ---------------------------------------------------------------- solver vs oracle
 
 @pytest.mark.parametrize("bspec", [ND, DD])
