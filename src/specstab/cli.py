@@ -369,7 +369,7 @@ def _series_templates(times: np.ndarray) -> list[str]:
     """The `t,%.17g` row templates of the series CSVs, one per chunk of
     _ROWS_PER_WRITE times: each time is formatted once per run.  A number
     printed with %.17g holds no %, so only the value slots remain."""
-    t = np.asarray(times, dtype=float).tolist()
+    t = times.tolist()
     chunks = (t[start:start + _ROWS_PER_WRITE] for start in range(0, len(t), _ROWS_PER_WRITE))
     return [("%.17g,%%.17g\n" * len(chunk)) % tuple(chunk) for chunk in chunks]
 
@@ -384,11 +384,10 @@ def _write_series(path: Path, templates: list[str], values: np.ndarray):
 
 def _write_field(path: Path, x: np.ndarray, times: np.ndarray, fields: np.ndarray):
     """`x,t,value` rows, one block (and one write) per snapshot time."""
-    x = np.asarray(x, dtype=float).tolist()
-    block = ("%.17g,\0,%%.17g\n" * len(x)) % tuple(x)  # \0 marks the time slot
+    block = ("%.17g,\0,%%.17g\n" * x.size) % tuple(x.tolist())  # \0 marks the time slot
     with path.open("w") as out:
         out.write("x,t,value\n")
-        for ti, field in zip(np.asarray(times, dtype=float).tolist(), fields):
+        for ti, field in zip(times.tolist(), fields):
             out.write(block.replace("\0", "%.17g" % ti) % tuple(field.tolist()))
 
 
