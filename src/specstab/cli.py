@@ -22,6 +22,7 @@ import numpy as np
 
 from . import certificate as cert_mod
 from . import errors as err
+from ._g17 import WIDTH, g17
 from .certificate import Certificate
 from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
                          ReducedPlant, reduce as reduce_plant)
@@ -365,30 +366,39 @@ def _to_json(obj, indent: int = 0) -> str:
 _ROWS_PER_WRITE = 4096
 
 
-def _series_templates(times: np.ndarray) -> list[str]:
-    """The `t,%.17g` row templates of the series CSVs, one per chunk of
-    _ROWS_PER_WRITE times: each time is formatted once per run.  A number
-    printed with %.17g holds no %, so only the value slots remain."""
-    t = times.tolist()
-    chunks = (t[start:start + _ROWS_PER_WRITE] for start in range(0, len(t), _ROWS_PER_WRITE))
-    return [("%.17g,%%.17g\n" * len(chunk)) % tuple(chunk) for chunk in chunks]
+def _write_rows(path: Path, header: bytes, count: int, columns):
+    """A CSV of `count` rows after `header`, written _ROWS_PER_WRITE rows at
+    a time: columns(start, stop) gives each field's g17 rows for rows
+    start..stop-1, and a row is their bytes joined by commas, zeros dropped."""
+    with path.open("wb") as out:
+        out.write(header)
+        for start in range(0, count, _ROWS_PER_WRITE):
+            fields = columns(start, min(start + _ROWS_PER_WRITE, count))
+            text = np.empty((len(fields[0]), len(fields), WIDTH + 1), dtype=np.uint8)
+            for j, field in enumerate(fields):
+                text[:, j, :WIDTH] = field
+            text[:, :, WIDTH] = ord(",")
+            text[:, -1, WIDTH] = ord("\n")
+            out.write(text[text != 0])
 
 
-def _write_series(path: Path, templates: list[str], values: np.ndarray):
-    """`t,value` rows, one `%` and one write per template of _series_templates."""
-    with path.open("w") as out:
-        out.write("t,value\n")
-        for start, template in zip(range(0, len(values), _ROWS_PER_WRITE), templates):
-            out.write(template % tuple(values[start:start + _ROWS_PER_WRITE].tolist()))
+def _write_series(path: Path, times: np.ndarray, values: np.ndarray):
+    """`t,value` rows; times is the time column's g17 text, formatted once per run."""
+    text = g17(values)
+    _write_rows(path, b"t,value\n", len(text),
+                lambda start, stop: (times[start:stop], text[start:stop]))
 
 
 def _write_field(path: Path, x: np.ndarray, times: np.ndarray, fields: np.ndarray):
-    """`x,t,value` rows, one block (and one write) per snapshot time."""
-    block = ("%.17g,\0,%%.17g\n" * x.size) % tuple(x.tolist())  # \0 marks the time slot
-    with path.open("w") as out:
-        out.write("x,t,value\n")
-        for ti, field in zip(times.tolist(), fields):
-            out.write(block.replace("\0", "%.17g" % ti) % tuple(field.tolist()))
+    """`x,t,value` rows, one snapshot time per row of fields; x and times
+    are g17 text, and one g17 call formats every snapshot."""
+    text = g17(fields)
+
+    def columns(start, stop):
+        snapshot, point = np.divmod(np.arange(start, stop), len(x))
+        return x[point], times[snapshot], text[start:stop]
+
+    _write_rows(path, b"x,t,value\n", len(text), columns)
 
 
 def _progress(record: RunRecord) -> list[str]:
@@ -416,18 +426,18 @@ def _progress(record: RunRecord) -> list[str]:
 
 def _write_csvs(record: RunRecord, out: Path):
     result = record.sim
-    templates = _series_templates(result.times)
+    times = g17(result.times)  # the time column, formatted once per run
     series = {"u": result.u, "v": result.v, "eta": result.eta, "zeta": result.zeta,
               "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}
     if record.lyapunov is not None:
         series["lyapunov"] = record.lyapunov.V
     for name, values in series.items():
-        _write_series(out / f"{name}.csv", templates, values)
+        _write_series(out / f"{name}.csv", times, values)
     snap = result.snapshot_steps
     _, z_field, error_field = result.fields(snap, 40)
-    x = record.reduced.spectrum.grid[::40]
-    _write_field(out / "state_field.csv", x, result.times[snap], z_field)
-    _write_field(out / "error_field.csv", x, result.times[snap], error_field)
+    x = g17(record.reduced.spectrum.grid[::40])
+    _write_field(out / "state_field.csv", x, times[snap], z_field)
+    _write_field(out / "error_field.csv", x, times[snap], error_field)
 
 
 def _report(record: RunRecord) -> dict:

@@ -265,7 +265,7 @@ def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EP
             f"spectrum domain {spectrum.boundary.kind} does not match the "
             f"measurement-implied domain {plant.boundary.kind}")
     x, w = _projection_rule(plant, spectrum)
-    weighted = spectrum.modes(x, N)[0] * w
+    weighted = spectrum.phi(x, N) * w
     a, b = lifting_functions(plant, x)
     kind = plant.measurement.kind
     if kind == BOUNDED:

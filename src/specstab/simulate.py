@@ -18,7 +18,7 @@ copied at every snapshot_stride-th step.  A state between snapshots is
 recomputed from the snapshot before it.
 
 The spectrum of the ReducedPlant is the only one a run reads, and its modes
-are read only through Spectrum.modes: the initial data z0, a polynomial, is
+are read only through Spectrum.phi: the initial data z0, a polynomial, is
 projected on them by the spectrum's Gauss-Legendre rule, exactly, and
 SimResult.fields evaluates them at the points of the spectrum's grid.
 """
@@ -126,7 +126,7 @@ class SimResult:
         w, error = self.modes(steps)
         n = w.shape[0]
         x = spectrum.grid[::stride]
-        fields = np.vstack([w, error]) @ spectrum.modes(x, self.N_sim)[0]
+        fields = np.vstack([w, error]) @ spectrum.phi(x, self.N_sim)
         lifting = x ** self.reduced.plant.lifting_exponent
         z = fields[:n] + np.outer(self.u[np.asarray(steps)], lifting)
         return fields[:n], z, fields[n:]
@@ -186,6 +186,33 @@ def compatibility_defect(z0, u0: float, kind: str) -> tuple[str, str] | None:
     return None
 
 
+def _growth_log(E: np.ndarray, step_norm: float, steps: int) -> float:
+    """The log of a bound on |E^k|_2 over k <= steps.
+
+    steps log max(|E|_2, 1) when that is at most _OVERFLOW_LOG; a stable but
+    non-normal E can have |E|_2 > 1.  Otherwise the sum of log |E^(2^i)|_2
+    over the repeated squarings before the first power with norm below 1:
+    k = q 2^j + r with r < 2^j, so |E^k| <= |E^(2^j)|^q prod_{i<j} max(1,
+    |E^(2^i)|) by submultiplicativity.  inf when no power E^(2^i) with
+    2^i <= steps has norm below 1.
+    """
+    growth = steps * math.log(max(step_norm, 1.0))
+    if growth <= _OVERFLOW_LOG:
+        return growth
+    # power is E^(2^i) / |E^(2^i)|_2, and log_norm its norm's log, so that
+    # a growing power cannot overflow
+    growth, power, log_norm = 0.0, E / step_norm, math.log(step_norm)
+    for _ in range(steps.bit_length()):
+        if log_norm < 0.0:
+            return growth
+        growth += log_norm
+        power = power @ power
+        norm = float(np.linalg.norm(power, 2))
+        log_norm = 2.0 * log_norm + math.log(norm)
+        power /= norm
+    return math.inf
+
+
 def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
                quadratic: np.ndarray, stride: int):
     """Reduce the rows x_k = E^k x0, k = 0..steps, without storing them.
@@ -236,8 +263,8 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
         raise ValueError(defect[1])
     k = reduced.plant.lifting_exponent
     x, w = spectrum.quadrature(max(config.z0.size - 1, k))
-    w0 = spectrum.modes(x, N_sim)[0] @ (w * (np.polynomial.polynomial.polyval(x, config.z0)
-                                             - x ** k * config.u0))
+    w0 = spectrum.phi(x, N_sim) @ (w * (np.polynomial.polynomial.polyval(x, config.z0)
+                                        - x ** k * config.u0))
     what, error, scale = state_layout(reduced, N)
     state = np.zeros(dim)
     state[0] = config.u0
@@ -247,7 +274,7 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
     steps = int(round(config.T / config.dt))
     E = expm(A_cl * config.dt)
     step_norm = float(np.linalg.norm(E, 2))
-    if not np.all(np.isfinite(E)) or steps * math.log(max(step_norm, 1.0)) > _OVERFLOW_LOG:
+    if not np.all(np.isfinite(E)) or _growth_log(E, step_norm, steps) > _OVERFLOW_LOG:
         raise StepRejected(
             f"one-step norm {step_norm:.3e} over {steps} steps would overflow")
 

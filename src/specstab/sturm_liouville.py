@@ -9,7 +9,7 @@ method in Shen's basis, whose functions meet the boundary conditions exactly:
 stiffness and mass matrices by Gauss-Legendre quadrature, and one
 symmetric-definite eigensolve for the lowest modes.  The Ritz eigenvalues bound
 the true ones from above.  Each mode is kept as its Legendre series, from the
-same Ritz vector as its trace at x = 0, so it is a polynomial: Spectrum.modes
+same Ritz vector as its trace at x = 0, so it is a polynomial: Spectrum.phi
 evaluates it at any point, and the Gauss rule of Spectrum.quadrature projects
 polynomial data on it exactly.
 """
@@ -164,7 +164,8 @@ class Spectrum:
     A solved spectrum keeps each mode as its Legendre coefficients in
     t = 2x - 1, one row per mode of eigenfunctions; the closed form of
     p = 1, q = 0 keeps None there, its modes being sqrt2 cos((n - 1/2) pi x)
-    or sqrt2 sin(n pi x).  modes() is the one way to read a mode, and
+    or sqrt2 sin(n pi x).  phi() reads the modes and modes() reads them
+    with their derivatives; these are the only ways to read a mode, and
     quadrature() the one rule that projects data on the modes.  Each mode has
     unit L2 norm and its first nonzero datum at x = 0 positive.  grid_size
     sets only grid, the points where the field CSVs report.
@@ -201,9 +202,19 @@ class Spectrum:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_size + 1)
 
+    def phi(self, x, count: int | None = None) -> np.ndarray:
+        """The first count modes (all by default) at the points x, one row per mode."""
+        x = np.asarray(x, dtype=float)
+        count = self.n_modes if count is None else count
+        if self.eigenfunctions is None:
+            kx = np.outer(_wavenumbers(self.boundary, count), x)
+            return np.sqrt(2.0) * (np.cos(kx) if self.boundary.neumann_at_0 else np.sin(kx))
+        rows = self.eigenfunctions[:count]
+        return rows @ _legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
+
     def modes(self, x, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The first count modes (all by default) and their x-derivatives at
-        the points x, one row per mode."""
+        """phi(x, count) and the modes' x-derivatives at the points x, one
+        row per mode; only readers of the derivatives need this."""
         x = np.asarray(x, dtype=float)
         count = self.n_modes if count is None else count
         if self.eigenfunctions is None:
@@ -214,8 +225,8 @@ class Spectrum:
                 return cos, -k[:, None] * sin
             return sin, k[:, None] * cos
         rows = self.eigenfunctions[:count]
-        L, dL = _legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
-        return rows @ L, 2.0 * (rows @ dL)  # d/dx = 2 d/dt
+        L = _legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
+        return rows @ L, 2.0 * (rows @ _legendre_slopes(L))  # d/dx = 2 d/dt
 
     def quadrature(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes and weights on [0, 1] that integrate exactly
@@ -282,7 +293,7 @@ def analytic_spectrum(bspec: BoundarySpec, n_modes: int,
                       grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
     """Closed-form spectrum for p = 1, q = 0.
 
-    Eigenvalues and traces are exact, and Spectrum.modes evaluates the
+    Eigenvalues and traces are exact, and Spectrum.phi evaluates the
     trigonometric modes themselves.  Serves as the oracle for solve_spectrum
     and as the fast path for constant-coefficient examples.
     """
@@ -307,18 +318,24 @@ def galerkin_order(n_modes: int) -> int:
     return 2 * n_modes + 32
 
 
-def _legendre(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """L_0..L_{n-1} (n >= 2) and their t-derivatives at the points t, one row
-    each: the three-term recurrence, and L'_{k+1} = L'_{k-1} + (2k + 1) L_k."""
+def _legendre(t: np.ndarray, n: int) -> np.ndarray:
+    """L_0..L_{n-1} (n >= 2) at the points t, one row each: the three-term
+    recurrence."""
     L = np.empty((n, t.size))
-    dL = np.zeros((n, t.size))
     L[0] = 1.0
     L[1] = t
-    dL[1] = 1.0
     for k in range(1, n - 1):
         L[k + 1] = ((2 * k + 1) * t * L[k] - k * L[k - 1]) / (k + 1)
+    return L
+
+
+def _legendre_slopes(L: np.ndarray) -> np.ndarray:
+    """The t-derivatives of _legendre's rows: L'_{k+1} = L'_{k-1} + (2k + 1) L_k."""
+    dL = np.zeros_like(L)
+    dL[1] = 1.0
+    for k in range(1, len(L) - 1):
         dL[k + 1] = dL[k - 1] + (2 * k + 1) * L[k]
-    return L, dL
+    return dL
 
 
 def _shen_basis(bspec: BoundarySpec, M: int) -> np.ndarray:
@@ -362,8 +379,8 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     x = 0.5 * (t + 1.0)
     p, q = coeffs.p(x), coeffs.q(x)
     T = _shen_basis(bspec, M)
-    L, dL = _legendre(t, M + 2)
-    phi, dphi = T @ L, T @ dL
+    L = _legendre(t, M + 2)
+    phi, dphi = T @ L, T @ _legendre_slopes(L)
     # x = (t + 1)/2: d/dx = 2 d/dt and dx = dt/2
     S = 2.0 * (dphi * (w * p)) @ dphi.T + 0.5 * (phi * (w * q)) @ phi.T
     B = 0.5 * (phi * w) @ phi.T
@@ -374,7 +391,7 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
         p0 = float(coeffs.p(0.0))
         d0 = (dphi @ (w * p) - 0.5 * phi @ (w * q * (1.0 - x))) / p0
         d1 = 0.5 * phi @ (w * (1.0 - x)) / p0
-    del L, dL, phi, dphi  # the eigensolve needs only S and B
+    del L, phi, dphi  # the eigensolve needs only S and B
     s = 1.0 / np.sqrt(np.diag(S))
     S *= np.outer(s, s)
     B *= np.outer(s, s)

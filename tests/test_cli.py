@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import specstab as ss
 from specstab import cli, homogenize
+from specstab._g17 import g17
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, IoFailure,
                              StepRejected)
@@ -382,6 +383,20 @@ def test_uncertified_loop_that_cannot_be_stepped_says_so(tmp_path, capsys, prese
     assert float(found.group(1)) > 0 and 3 <= int(found.group(2)) <= 10
 
 
+def test_certified_loop_with_a_step_norm_above_one_runs_a_long_horizon():
+    # the neumann example's one-step matrix is non-normal: |E|_2 = 1.0031
+    # although the loop decays, so 200,000 steps fail the one-step bound
+    # (627 > 600); the bound over the repeated squarings of E accepts them
+    config = parse_config("neumann-example")
+    config["sim"]["T"] = 200.0
+    record = cli.solve(config)
+    assert np.linalg.norm(record.sim.E, 2) > 1.0
+    assert record.certificate is not None and record.N == 2
+    assert record.sim.times.size == 200_001
+    assert record.decay_rate >= record.reduced.delta
+    assert record.lyapunov.max_increment <= 1e-9 * record.lyapunov.V[0]
+
+
 @pytest.mark.parametrize("N, n_sim", [(60, 50), (5, 3)])
 def test_fixed_order_above_n_sim_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys,
                                                             N, n_sim):
@@ -454,12 +469,12 @@ def test_csv_writers_match_per_line_formatting(tmp_path):
     t = np.concatenate([special, rng.normal(size=7) * 10.0 ** rng.integers(-20, 20, 7)])
     values = rng.permutation(t) * -1.0
     assert t.size % 2 == 1
-    cli._write_series(tmp_path / "s.csv", cli._series_templates(t), values)
+    cli._write_series(tmp_path / "s.csv", g17(t), values)
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
     x = np.array([0.0, 0.025, 1 / 3, 1.0, 5e-324])
     fields = rng.normal(size=(3, x.size)) * [[1e300], [-0.0], [1e-310]]
     steps = [0, 5, 16]
-    cli._write_field(tmp_path / "f.csv", x, t[steps], fields)
+    cli._write_field(tmp_path / "f.csv", g17(x), g17(t[steps]), fields)
     expected = reference_field(x, t[steps], fields).encode()
     assert (tmp_path / "f.csv").read_bytes() == expected
 
@@ -469,7 +484,7 @@ def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
     t = np.linspace(0.0, 1.6, 17)
     values = np.random.default_rng(5).normal(size=t.size)
-    cli._write_series(tmp_path / "s.csv", cli._series_templates(t), values)
+    cli._write_series(tmp_path / "s.csv", g17(t), values)
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
 
 
@@ -496,14 +511,27 @@ def test_csv_writers_match_per_line_formatting_on_any_doubles(tmp_path_factory, 
     out = tmp_path_factory.mktemp("writers")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
-        cli._write_series(out / "s.csv", cli._series_templates(t), values)
-        cli._write_field(out / "f.csv", x, t[steps], fields)
+        cli._write_series(out / "s.csv", g17(t), values)
+        cli._write_field(out / "f.csv", g17(x), g17(t[steps]), fields)
     assert (out / "s.csv").read_bytes() == reference_series(t, values).encode()
     assert (out / "f.csv").read_bytes() == reference_field(x, t[steps], fields).encode()
 
 
 def test_run_csvs_match_a_per_line_writer(tmp_path):
-    record = cli.solve(parse_config("dirichlet-example"))
+    assert_run_csvs_match_a_per_line_writer(cli.solve(parse_config("dirichlet-example")),
+                                            tmp_path)
+
+
+def test_run_csvs_past_one_chunk_match_a_per_line_writer(tmp_path):
+    # 5,001 rows: one full chunk of the real _ROWS_PER_WRITE, then a partial one
+    config = parse_config("dirichlet-example")
+    config["sim"]["T"] = 5.0
+    record = cli.solve(config)
+    assert cli._ROWS_PER_WRITE < record.sim.times.size == 5001 < 2 * cli._ROWS_PER_WRITE
+    assert_run_csvs_match_a_per_line_writer(record, tmp_path)
+
+
+def assert_run_csvs_match_a_per_line_writer(record, tmp_path):
     cli._write_csvs(record, tmp_path)
     result = record.sim
     expected = {f"{name}.csv": reference_series(result.times, values) for name, values in (

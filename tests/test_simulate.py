@@ -11,7 +11,7 @@ from specstab.errors import (
     OrderMismatch,
     StepRejected,
 )
-from specstab.simulate import field_energy
+from specstab.simulate import _OVERFLOW_LOG, _growth_log, field_energy
 from specstab.synthesis import state_layout
 
 from conftest import (constructive_certificate, physical_generator, to_certificate_state,
@@ -268,6 +268,33 @@ def test_step_rejected_on_overflow_horizon(dirichlet_pipeline):
     config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=0.1, T=1300.0)
     with pytest.raises(StepRejected):
         ss.run(A, config, pipe.reduced)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_growth_bound_covers_every_power_of_a_stable_non_normal_step(seed):
+    # a stable step whose norm exceeds 1, so that steps log |E|_2 > 600: the
+    # repeated-squaring bound holds for every power up to steps, and stays
+    # far below the one-step bound
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    T = np.triu(rng.normal(size=(4, 4)) * rng.uniform(2, 20), 1)
+    T[np.diag_indices(4)] = rng.uniform(0.9, 0.995, 4) * rng.choice([-1, 1], 4)
+    E, steps = Q @ T @ Q.T, 3000
+    step_norm = float(np.linalg.norm(E, 2))
+    assert steps * np.log(step_norm) > _OVERFLOW_LOG
+    growth = _growth_log(E, step_norm, steps)
+    power, worst = np.eye(4), 1.0
+    for _ in range(steps):
+        power = power @ E
+        worst = max(worst, float(np.linalg.norm(power, 2)))
+    assert np.log(worst) <= growth * (1 + 1e-12) + 1e-12
+    assert growth < _OVERFLOW_LOG
+
+
+def test_growth_bound_rejects_a_growing_step():
+    E = np.diag([1.001, 0.5])
+    assert _growth_log(E, 1.001, 10 ** 6) == np.inf
+    assert _growth_log(E, 1.001, 1000) == pytest.approx(1000 * np.log(1.001))
 
 
 def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
