@@ -28,14 +28,13 @@ byte is moved row by row.  4-digit groups give the digits' bytes.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
 #: bytes per row: the sign and "0.000" in bytes 0..5, the digits and the
 #: point in bytes 6..23, the exponent in bytes 24..31
 WIDTH = 32
-_DIGITS = 7  # the digits' first byte in a row before the point is inserted
+_DIGITS = 7  # the leading digit's byte, the last of a row's second uint32 word
 
 _RANGE = (1e-270, 1e270)  # |v| computed here; 10^k's lo part stays a normal double
 _WINDOW = 1e-9            # the fraction's distance from 1/2 needed to round here
@@ -72,16 +71,22 @@ def _tables():
       at negative * 5 + max(-e, 0);
     - suffix: "e+XX" for exponents outside -4..16, empty inside, at e + _K.
     """
-    exact = [Fraction(10) ** k for k in range(-_K, _K + 1)]
-    hi = np.array([float(x) for x in exact])
-    lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi.tolist())])
+    hi, lo = np.empty(2 * _K + 1), np.empty(2 * _K + 1)
+    for i, k in enumerate(range(-_K, _K + 1)):
+        # 10^k = p/q; int / int rounds correctly, and hi = m/d exactly
+        p, q = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi[i] = p / q
+        m, d = hi[i].as_integer_ratio()
+        lo[i] = (p * d - m * q) / (q * d)
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
     ceiling = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
     top = _words([b"\0\0\0%d" % d for d in range(10)], 4, np.uint32)
-    quads = _words([b"%04d" % g for g in range(10000)], 4, np.uint32)
-    last = np.array([len((b"%04d" % g).rstrip(b"0")) for g in range(10000)])
-    ends = np.concatenate([np.where(last > 0, 1 + 4 * i + last, 0) for i in range(4)])
+    g = np.arange(10000, dtype=np.uint16)
+    quads = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    quads = (quads + np.uint8(ord("0"))).view(np.uint32).ravel()
+    last = (g > 0).astype(np.uint8) + (g % 1000 > 0) + (g % 100 > 0) + (g % 10 > 0)
+    ends = np.concatenate([(last + np.uint8(1 + 4 * i)) * (last > 0) for i in range(4)])
     masks = np.zeros((3, 18 * 17, WIDTH), dtype=np.uint8)
     for before in range(18):
         for significant in range(1, 18):
@@ -97,8 +102,8 @@ def _tables():
                      for negative in (0, 1) for m in range(5)], 8, np.uint64)
     suffix = _words([b"" if -4 <= e < 17 else b"e%+03d" % e
                      for e in range(-_K, _K + 1)], 8, np.uint64)
-    return ((hi, hi_hi, hi - hi_hi, lo), ceiling, top, quads, ends.astype(np.uint8),
-            masks.view(np.uint64), prefix, suffix)
+    return ((hi, hi_hi, hi - hi_hi, lo), ceiling, top, quads, ends, masks.view(np.uint64),
+            prefix, suffix)
 
 
 def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +124,7 @@ def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 rounded significant digits of |v| as an integer in
-    [10^16, 10^17], the decimal exponent, and which rows they are exact for."""
+    [10^16, 10^17), the decimal exponent, and which rows they are exact for."""
     ceiling = _tables()[1]
     a = np.abs(v)
     exact = (a >= _RANGE[0]) & (a <= _RANGE[1])  # False for 0, inf and nan
@@ -169,8 +174,9 @@ def _rows(v: np.ndarray) -> np.ndarray:
     significant = np.maximum.reduce(np.take(ends, groups), axis=0)
     significant = np.maximum(significant, 1)
 
-    # %g's notation: the digits before the point (0: "0.000" in the prefix),
-    # read one byte later than they lie so that the point fits after them
+    # %g's notation: `before` digits before the point (0: "0.000" in the
+    # prefix) read from `later`, which moves them one byte earlier so that
+    # the point fits after them
     fixed = (e10 >= -4) & (e10 < 17)
     before = np.where(fixed, np.maximum(e10 + 1, 0), 1)
     layout = before * 17 + significant - 1
