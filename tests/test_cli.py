@@ -517,20 +517,6 @@ def test_csv_writers_match_per_line_formatting_on_any_doubles(tmp_path_factory, 
     assert (out / "f.csv").read_bytes() == reference_field(x, t[steps], fields).encode()
 
 
-def test_run_csvs_match_a_per_line_writer(tmp_path):
-    assert_run_csvs_match_a_per_line_writer(cli.solve(parse_config("dirichlet-example")),
-                                            tmp_path)
-
-
-def test_run_csvs_past_one_chunk_match_a_per_line_writer(tmp_path):
-    # 5,001 rows: one full chunk of the real _ROWS_PER_WRITE, then a partial one
-    config = parse_config("dirichlet-example")
-    config["sim"]["T"] = 5.0
-    record = cli.solve(config)
-    assert cli._ROWS_PER_WRITE < record.sim.times.size == 5001 < 2 * cli._ROWS_PER_WRITE
-    assert_run_csvs_match_a_per_line_writer(record, tmp_path)
-
-
 def assert_run_csvs_match_a_per_line_writer(record, tmp_path):
     cli._write_csvs(record, tmp_path)
     result = record.sim
@@ -546,6 +532,20 @@ def assert_run_csvs_match_a_per_line_writer(record, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+def test_run_csvs_match_a_per_line_writer(tmp_path):
+    assert_run_csvs_match_a_per_line_writer(cli.solve(parse_config("dirichlet-example")),
+                                            tmp_path)
+
+
+def test_run_csvs_past_one_chunk_match_a_per_line_writer(tmp_path):
+    # 5,001 rows: one full chunk of the real _ROWS_PER_WRITE, then a partial one
+    config = parse_config("dirichlet-example")
+    config["sim"]["T"] = 5.0
+    record = cli.solve(config)
+    assert cli._ROWS_PER_WRITE < record.sim.times.size == 5001 < 2 * cli._ROWS_PER_WRITE
+    assert_run_csvs_match_a_per_line_writer(record, tmp_path)
 
 
 # ---------------------------------------------------------------- errors & codes
