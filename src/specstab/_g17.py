@@ -139,7 +139,6 @@ def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     e10 += carry
-    n[~exact], e10[~exact] = 10 ** 16, 0  # keeps the table lookups in range
     return n, e10, exact
 
 
