@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvals
 
 from . import certificate as cert_mod
 from . import errors as err
@@ -323,7 +324,7 @@ def solve(config: dict) -> RunRecord:
     return RunRecord(
         config=config, reduced=reduced, gains=gains, N=N,
         certificate=certificate, search_margins=search_margins, sim=result,
-        abscissa=float(np.max(np.linalg.eigvals(A_cl).real)),
+        abscissa=float(np.max(eigvals(A_cl).real)),
         decay_rate=fit_decay(result.times, result.eta, window),
         lyapunov=None if certificate is None else lyapunov_trace(result, certificate))
 

@@ -9,6 +9,14 @@ and then all blocks advance together as one (blocks x dim) slab by matrix
 products with E, so a run takes about sqrt(steps) matrix-matrix and
 sqrt(steps) matrix-vector products in place of steps matrix-vector ones.
 
+All of a run's thread-sized work is on scipy's BLAS (see _blas): the Pade
+step is expm's, the squarings, E^b and the slab products are scipy's dgemm,
+and the norms are scipy's svdvals.  numpy bundles another OpenBLAS, and a
+run that switched between the two thread pools would leave one pool's
+workers spinning while the other works.  Products with a small fixed side
+(the slab's reductions, the matrix-vector products) stay on numpy's @,
+which does not thread them at these sizes.
+
 The trajectory of the tail is never stored.  Each slab is reduced as it is
 produced: one product with a fixed matrix of linear outputs (X, v and zeta)
 and one product of the squared slab with the tail's weights (sum w_n^2 and
@@ -29,8 +37,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, svdvals
+from scipy.linalg.blas import dgemm
 
+from ._blas import gemm
 from .certificate import Certificate
 from .errors import CertificateRequired, NonPositiveSeries, OrderMismatch, StepRejected
 from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
@@ -39,6 +49,7 @@ from .synthesis import GainSet, assemble_closed_loop, state_layout
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
 _SNAPSHOTS = 61        # a run stores the full state at about this many steps
+_THETA13 = 5.371920351148152  # 1-norm up to which expm's degree-13 Pade needs no squaring
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,7 @@ class SimResult:
         w, error = self.modes(steps)
         n = w.shape[0]
         x = spectrum.grid[::stride]
-        fields = np.vstack([w, error]) @ spectrum.phi(x, self.N_sim)
+        fields = gemm(np.vstack([w, error]), spectrum.phi(x, self.N_sim))
         lifting = x ** self.reduced.plant.lifting_exponent
         z = fields[:n] + np.outer(self.u[np.asarray(steps)], lifting)
         return fields[:n], z, fields[n:]
@@ -206,11 +217,39 @@ def _growth_log(E: np.ndarray, step_norm: float, steps: int) -> float:
         if log_norm < 0.0:
             return growth
         growth += log_norm
-        power = power @ power
-        norm = float(np.linalg.norm(power, 2))
+        power = gemm(power, power)
+        norm = float(svdvals(power)[0])
         log_norm = 2.0 * log_norm + math.log(norm)
         power /= norm
     return math.inf
+
+
+def _exponential(A: np.ndarray, dt: float) -> np.ndarray:
+    """exp(A dt): expm of A dt / 2^s with s the least such that its 1-norm is at
+    most _THETA13 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), so
+    that expm's Pade step has nothing to square, then s squarings by gemm.
+    expm itself squares with numpy's @; this keeps the squarings on scipy's
+    BLAS, with its Pade step.  At s = 0 it is expm(A dt) itself."""
+    M = A * dt
+    norm = float(np.linalg.norm(M, 1))
+    s = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    E = expm(M * 2.0 ** -s)
+    for _ in range(s):
+        E = gemm(E, E)
+    return E
+
+
+def _power(E: np.ndarray, b: int) -> np.ndarray:
+    """E^b for b >= 1 by binary powering on gemm, in numpy's matrix_power
+    order of products from b = 4 on, so that E^b keeps its bits."""
+    power = None
+    while True:
+        b, bit = divmod(b, 2)
+        if bit:
+            power = E if power is None else gemm(power, E)
+        if not b:
+            return power
+        E = gemm(E, E)
 
 
 def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
@@ -223,6 +262,11 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
     products with E^b, and slab r holds x_{jb+r} for every block j.  Its
     reductions go to row r of each block in (blocks, b, .) buffers, so the
     reshaped buffers are in step order; the rows past x_steps are cut off.
+
+    E^b and each next slab, the thread-sized products, are scipy's dgemm,
+    on the pool that expm and svdvals use; the next slab is written in place
+    through its Fortran-ordered transpose, which f2py takes without a copy.
+    The reductions have 2N + 3 and 2 columns and stay on numpy's @.
     """
     b = math.isqrt(max(steps - 1, 0)) + 1
     n_blocks = steps // b + 1
@@ -233,12 +277,13 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
     states = np.empty((snap.size, x0.size))
     slab, nxt, sq = (np.empty((n_blocks, x0.size)) for _ in range(3))
     slab[0] = x0
-    Eb = np.linalg.matrix_power(E, b)
+    Eb = _power(E, b)
     for j in range(1, n_blocks):
         slab[j] = Eb @ slab[j - 1]
+    E_T = np.ascontiguousarray(E).T  # dgemm reads E from it with trans_a = 1
     for r in range(b):
         if r:
-            np.matmul(slab, E.T, out=nxt)
+            dgemm(1.0, E_T, slab.T, c=nxt.T, trans_a=1, overwrite_c=1)
             slab, nxt = nxt, slab
         np.matmul(slab, linear, out=lin[:, r])
         np.matmul(np.square(slab, out=sq), quadratic, out=quad[:, r])
@@ -272,9 +317,10 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
     state[n_x:] = w0[N:]
 
     steps = int(round(config.T / config.dt))
-    E = expm(A_cl * config.dt)
-    step_norm = float(np.linalg.norm(E, 2))
-    if not np.all(np.isfinite(E)) or _growth_log(E, step_norm, steps) > _OVERFLOW_LOG:
+    E = _exponential(A_cl, config.dt)
+    finite = bool(np.all(np.isfinite(E)))
+    step_norm = float(svdvals(E)[0]) if finite else math.inf
+    if not finite or _growth_log(E, step_norm, steps) > _OVERFLOW_LOG:
         raise StepRejected(
             f"one-step norm {step_norm:.3e} over {steps} steps would overflow")
 

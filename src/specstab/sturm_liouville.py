@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
+from ._blas import gemm
 from .errors import NonPositiveDiffusion
 
 NEUMANN_DIRICHLET = "neumann-dirichlet"
@@ -210,7 +211,7 @@ class Spectrum:
             kx = np.outer(_wavenumbers(self.boundary, count), x)
             return np.sqrt(2.0) * (np.cos(kx) if self.boundary.neumann_at_0 else np.sin(kx))
         rows = self.eigenfunctions[:count]
-        return rows @ _legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
+        return gemm(rows, _legendre(2.0 * x.ravel() - 1.0, rows.shape[1]))
 
     def modes(self, x, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """phi(x, count) and the modes' x-derivatives at the points x, one
@@ -374,16 +375,22 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     grows.  f(0) is the closed form sum c_n (-1)^n.  f'(0) is the weak-form
     flux p(0) f'(0) = int p f' + int (lambda - q)(1 - x) f: the closed form
     sum of c_n L_n'(-1) would multiply the coefficients' rounding by n^2.
+
+    The matrix products (T L, S, B, B X and C T) are _blas.gemm, on scipy's
+    BLAS, which eigh runs on too: numpy bundles another OpenBLAS, and a
+    threaded product there would leave its worker spinning through the
+    eigensolve.  The matrix-vector products stay on numpy's @, which does
+    not thread them at these sizes.
     """
     t, w = _leggauss(M + 8)
     x = 0.5 * (t + 1.0)
     p, q = coeffs.p(x), coeffs.q(x)
     T = _shen_basis(bspec, M)
     L = _legendre(t, M + 2)
-    phi, dphi = T @ L, T @ _legendre_slopes(L)
+    phi, dphi = gemm(T, L), gemm(T, _legendre_slopes(L))
     # x = (t + 1)/2: d/dx = 2 d/dt and dx = dt/2
-    S = 2.0 * (dphi * (w * p)) @ dphi.T + 0.5 * (phi * (w * q)) @ phi.T
-    B = 0.5 * (phi * w) @ phi.T
+    S = 2.0 * gemm(dphi * (w * p), dphi.T) + 0.5 * gemm(phi * (w * q), phi.T)
+    B = 0.5 * gemm(phi * w, phi.T)
     # the datum at x = 0 of sum_k c_k phi_k with eigenvalue lambda: c . (d0 + lambda d1)
     if bspec.neumann_at_0:
         d0, d1 = T @ (-1.0) ** np.arange(M + 2), np.zeros(M)
@@ -403,8 +410,8 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     X = X[:, ::-1]
     C = (s[:, None] * X).T
     datum = C @ d0 + lam * (C @ d1)
-    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(np.einsum("ij,ij->j", X, B @ X))
-    return lam, scale[:, None] * (C @ T), scale * datum
+    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(np.einsum("ij,ij->j", X, gemm(B, X)))
+    return lam, scale[:, None] * gemm(C, T), scale * datum
 
 
 def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,

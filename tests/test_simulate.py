@@ -11,7 +11,9 @@ from specstab.errors import (
     OrderMismatch,
     StepRejected,
 )
-from specstab.simulate import _OVERFLOW_LOG, _growth_log, field_energy
+from specstab import cli
+from specstab.simulate import (_OVERFLOW_LOG, _THETA13, _exponential, _growth_log, _propagate,
+                               field_energy)
 from specstab.synthesis import state_layout
 
 from conftest import (constructive_certificate, physical_generator, to_certificate_state,
@@ -224,10 +226,65 @@ def varcoef_size_loop():
     return plant, spectrum, reduced, gains, A
 
 
+@pytest.mark.parametrize("steps", [1, 2, 49, 50])
+def test_propagate_matches_sequential(dirichlet_pipeline, steps):
+    # steps = b^2 = 49 (b = 7) leaves one row in the last block; b^2 + 1 = 50
+    # takes b = 8 and cuts the last block after three rows
+    A, dt = ss.assemble_sim(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3, 50), 1e-3
+    rng = np.random.default_rng(steps)
+    x0 = rng.normal(size=A.shape[0])
+    linear, quadratic = rng.normal(size=(A.shape[0], 9)), rng.normal(size=(A.shape[0], 2))
+    ref = sequential_trajectory(A, x0, dt, steps)
+    lin, quad, states = _propagate(expm(A * dt), x0, steps, linear, quadratic, 3)
+    for got, expected in ((lin, ref @ linear), (quad, ref ** 2 @ quadratic), (states, ref[::3])):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_blocked_stepping_matches_sequential_at_varcoef_size():
     _, spectrum, reduced, _, A = varcoef_size_loop()
     config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=200, dt=1e-3, T=3.0)
     assert_matches_sequential(A, ss.run(A, config, reduced), 1e-3)
+
+
+@pytest.fixture(scope="module")
+def example_loops():
+    """The loops (A_cl, dt) that the two examples and the varcoef-fine
+    benchmark config simulate.  varcoef-fine is p = 1 + x/2, q = x^2,
+    c = 1, q_c = 3, delta = 0.5, 200 simulated modes at its certified N = 2."""
+    loops = {}
+    for preset in ("dirichlet-example", "neumann-example"):
+        config = cli.parse_config(preset)
+        record = cli.solve(config)
+        loops[preset] = (ss.assemble_sim(record.reduced, record.gains, record.N,
+                                         config["sim"]["n_sim"]), config["sim"]["dt"])
+    plant = ss.PlantSpec(ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0]), 3.0,
+                         ss.MeasurementSpec.bounded(np.ones_like), 0.5)
+    reduced = ss.reduce(plant, ss.solve_spectrum(plant.coeffs, plant.boundary, 201), 200)
+    loops["varcoef-fine"] = (ss.assemble_sim(reduced, ss.design_gains(reduced), 2, 200), 1e-4)
+    return loops
+
+
+@pytest.mark.parametrize("name, dim", [("dirichlet-example", 53), ("neumann-example", 53),
+                                       ("varcoef-fine", 203)])
+def test_exponential_matches_expm(example_loops, name, dim):
+    A, dt = example_loops[name]
+    assert A.shape == (dim, dim)
+    assert np.linalg.norm(A * dt, 1) > _THETA13  # so that the squarings are gemm's
+    E, ref = _exponential(A, dt), expm(A * dt)
+    assert np.linalg.norm(E - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+    # below theta13 nothing is squared, and the result is expm's own
+    short = 0.5 * _THETA13 / np.linalg.norm(A, 1)
+    assert np.array_equal(_exponential(A, short), expm(A * short))
+
+
+def test_step_rejected_when_the_step_overflows(dirichlet_pipeline):
+    # the open loop grows like e^(0.53 t): one step of dt = 2000 overflows E
+    pipe = dirichlet_pipeline
+    A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=2000.0, T=4000.0)
+    with pytest.raises(StepRejected, match="one-step norm inf"):
+        ss.run(A, config, pipe.reduced)
 
 
 def test_run_and_trace_memory_independent_of_trajectory_size():
