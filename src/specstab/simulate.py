@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, svdvals
-from scipy.linalg.blas import dgemm
 
 from ._blas import gemm
 from .certificate import Certificate
@@ -49,7 +48,7 @@ from .synthesis import GainSet, assemble_closed_loop, state_layout
 
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
 _SNAPSHOTS = 61        # a run stores the full state at about this many steps
-_THETA13 = 5.371920351148152  # 1-norm up to which expm's degree-13 Pade needs no squaring
+_THETA13 = 4.25  # 1-norm up to which scipy's expm does not square (see _exponential)
 
 
 @dataclass(frozen=True)
@@ -226,10 +225,15 @@ def _growth_log(E: np.ndarray, step_norm: float, steps: int) -> float:
 
 def _exponential(A: np.ndarray, dt: float) -> np.ndarray:
     """exp(A dt): expm of A dt / 2^s with s the least such that its 1-norm is at
-    most _THETA13 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), so
-    that expm's Pade step has nothing to square, then s squarings by gemm.
-    expm itself squares with numpy's @; this keeps the squarings on scipy's
-    BLAS, with its Pade step.  At s = 0 it is expm(A dt) itself."""
+    most _THETA13, then s squarings by gemm, on scipy's BLAS like expm's Pade
+    step.  expm's own squarings would be numpy's @.
+
+    scipy's expm is Al-Mohy & Higham's algorithm (SIAM J. Matrix Anal. Appl.
+    31(3), 2009).  At degree 13 it squares ceil(log2(eta / 4.25)) + ell
+    times, where eta is at most the 1-norm, and ell is 0 at a 1-norm of at
+    most 4.25: its alpha is at most 4.25^26 / 1.13e35, below the unit
+    roundoff.  So expm does not square A dt / 2^s.  At s = 0 the result is
+    expm(A dt) itself."""
     M = A * dt
     norm = float(np.linalg.norm(M, 1))
     s = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
@@ -263,10 +267,10 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
     reductions go to row r of each block in (blocks, b, .) buffers, so the
     reshaped buffers are in step order; the rows past x_steps are cut off.
 
-    E^b and each next slab, the thread-sized products, are scipy's dgemm,
-    on the pool that expm and svdvals use; the next slab is written in place
-    through its Fortran-ordered transpose, which f2py takes without a copy.
-    The reductions have 2N + 3 and 2 columns and stay on numpy's @.
+    E^b and each next slab, the thread-sized products, are gemm's, on the
+    pool that expm and svdvals use; the next slab is written in place, and
+    gemm raises rather than leave it unwritten.  The reductions have 2N + 3
+    and 2 columns and stay on numpy's @.
     """
     b = math.isqrt(max(steps - 1, 0)) + 1
     n_blocks = steps // b + 1
@@ -280,10 +284,9 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
     Eb = _power(E, b)
     for j in range(1, n_blocks):
         slab[j] = Eb @ slab[j - 1]
-    E_T = np.ascontiguousarray(E).T  # dgemm reads E from it with trans_a = 1
     for r in range(b):
         if r:
-            dgemm(1.0, E_T, slab.T, c=nxt.T, trans_a=1, overwrite_c=1)
+            gemm(slab, E.T, out=nxt)
             slab, nxt = nxt, slab
         np.matmul(slab, linear, out=lin[:, r])
         np.matmul(np.square(slab, out=sq), quadratic, out=quad[:, r])

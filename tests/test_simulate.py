@@ -278,6 +278,46 @@ def test_exponential_matches_expm(example_loops, name, dim):
     assert np.array_equal(_exponential(A, short), expm(A * short))
 
 
+@pytest.fixture
+def expm_scalings(monkeypatch):
+    """The (Pade degree, squarings) that each scipy expm call picks, in call
+    order, recorded by a wrapper around its choice."""
+    from scipy.linalg import _matfuncs
+    picked, choose = [], _matfuncs.pick_pade_structure
+
+    def recorded(Am):
+        picked.append(choose(Am))
+        return picked[-1]
+
+    monkeypatch.setattr(_matfuncs, "pick_pade_structure", recorded)
+    return picked
+
+
+@pytest.mark.parametrize("name", ["dirichlet-example", "neumann-example", "varcoef-fine"])
+def test_exponential_leaves_expm_nothing_to_square(example_loops, expm_scalings, name):
+    A, dt = example_loops[name]
+    _exponential(A, dt)
+    expm(A * dt)
+    # expm of the step itself squares; of _exponential's scaled step it does not
+    assert len(expm_scalings) == 2
+    assert expm_scalings[0][1] == 0 and expm_scalings[1][1] > 0
+
+
+def test_expm_squares_only_past_theta13(expm_scalings):
+    # a nonnegative matrix's eta is its 1-norm, so expm starts to square just
+    # past _THETA13; non-normal ones of 1-norm _THETA13 are not squared either
+    rng = np.random.default_rng(5)
+    ones = np.full((4, 4), 0.25)
+    expm(ones * _THETA13)
+    expm(ones * _THETA13 * (1 + 1e-12))
+    assert [s for _, s in expm_scalings] == [0, 1]
+    for n in (2, 9, 53):
+        for jordan in (np.diag(10.0 ** rng.uniform(0, 5, n - 1), 1) - np.eye(n),
+                       np.triu(rng.normal(size=(n, n)) * 1e3)):
+            expm(jordan * (_THETA13 / np.linalg.norm(jordan, 1)))
+    assert [s for _, s in expm_scalings[2:]] == [0] * 6
+
+
 def test_step_rejected_when_the_step_overflows(dirichlet_pipeline):
     # the open loop grows like e^(0.53 t): one step of dt = 2000 overflows E
     pipe = dirichlet_pipeline
