@@ -25,7 +25,6 @@ from .homogenize import (
     ReducedPlant,
     lifting_functions,
     reduce,
-    flux_consistency_residual,
     select_N0,
     tail_constants,
 )
@@ -34,7 +33,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     assemble_sim,
-    field_energy,
     fit_decay,
     lyapunov_trace,
     run,
@@ -84,7 +82,6 @@ __all__ = [
     "default_poles",
     "design_gains",
     "export_sdpa",
-    "field_energy",
     "fit_decay",
     "free_p_certificate",
     "lyapunov_norm_sweep",
@@ -96,7 +93,6 @@ __all__ = [
     "place_controller",
     "place_observer",
     "reduce",
-    "flux_consistency_residual",
     "run",
     "select_N0",
     "solve_spectrum",

@@ -364,18 +364,17 @@ def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = 10):
         margins)
 
 
-def lyapunov_norm_sweep(plant, spectrum: Spectrum, gains: GainSet | None = None,
-                        N_list=None) -> np.ndarray:
+def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
     """Spectral norms of the Lyapunov P^N (lyapunov_solve) over a list of orders N.
 
-    One reduction at max(N_list) serves every order; gains default to the
-    package pole rule on it.  With fixed gains the coupling blocks have
+    One reduction at max(N_list) serves every order, with the package pole
+    rule's gains on it.  With fixed gains the coupling blocks have
     N-independent norm bounds, so the sequence should stay bounded; this
     sweep records it empirically.
     """
     N_list = list(range(2, 13) if N_list is None else N_list)
     reduced = reduce(plant, spectrum, max(N_list))
-    gains = design_gains(reduced) if gains is None else gains
+    gains = design_gains(reduced)
     return np.array([
         np.linalg.norm(lyapunov_solve(assemble_closed_loop(reduced, gains, N).F,
                                       reduced.delta), 2)

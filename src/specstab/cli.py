@@ -11,6 +11,7 @@ deterministic report.json with floats printed at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -359,7 +360,7 @@ def _to_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 #: rows formatted and written per chunk by the CSV writers, which bounds the
@@ -496,7 +497,8 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
             say(f"  SDPA export (N = {record.N}, alpha = {alpha:.6g}) -> {export_sdpa_path}")
         try:
             _write_csvs(record, out)
-            (out / "report.json").write_text(_to_json(_report(record)) + "\n")
+            (out / "report.json").write_text(_to_json(_report(record)) + "\n",
+                                             encoding="utf-8")
         except OSError as exc:
             raise err.IoFailure(f"cannot write to output directory {out}: {exc}") from exc
         say(f"  report -> {out / 'report.json'}")

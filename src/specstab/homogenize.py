@@ -93,10 +93,10 @@ class PlantSpec:
 class ReducedPlant:
     """Modal plant data up to order n_coef, with tail constants.
 
-    out_coef holds c_n, phi_n(0), or phi_n'(0) depending on the measurement.
+    out_coef holds c_n for the bounded measurement and the spectrum's datum0,
+    phi_n(0) or phi_n'(0), for the left trace and the left flux.
     tail_constant is ||c||^2, M_1phi, or M_2phi(eps) as an upper bound safe
-    for the certificates; feedthrough is int x^2 c dx for the bounded
-    measurement and 0 otherwise.
+    for the certificates.
     """
 
     plant: PlantSpec
@@ -109,7 +109,6 @@ class ReducedPlant:
     tail_eps: float
     a_norm2: float
     b_norm2: float
-    feedthrough: float
 
     def __post_init__(self):
         for arr in (self.a_coef, self.b_coef, self.out_coef):
@@ -233,8 +232,7 @@ def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EP
     constant = plant.coeffs.constant_values()
     if tail_terms is None:
         tail_terms = DEFAULT_TAIL_TERMS if constant is not None else spectrum.n_modes
-    traces = spectrum.trace0 if kind == DIRICHLET_AT_0 else spectrum.dtrace0
-    return _trace_tail_sum(kind, spectrum.lambdas, traces, plant.coeffs.p_star,
+    return _trace_tail_sum(kind, spectrum.lambdas, spectrum.datum0, plant.coeffs.p_star,
                            eps, tail_terms, constant)
 
 
@@ -242,9 +240,8 @@ def _projection_rule(plant: PlantSpec, spectrum: Spectrum) -> tuple[np.ndarray, 
     """The spectrum's Gauss-Legendre rule at the lifting profiles' degree
     (at most deg p, deg q + k and k for the x^k lifting).
 
-    It integrates a_n, b_n and the squared norms of a and b exactly, and c_n,
-    ||c||^2 and int x^2 c too when c is a polynomial of degree at most the
-    modes'.
+    It integrates a_n, b_n and the squared norms of a and b exactly, and c_n
+    and ||c||^2 too when c is a polynomial of degree at most the modes'.
     """
     coeffs, k = plant.coeffs, plant.lifting_exponent
     return spectrum.quadrature(max(len(coeffs.p_coeffs) - 1, len(coeffs.q_coeffs) - 1 + k, k))
@@ -267,15 +264,11 @@ def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EP
     x, w = _projection_rule(plant, spectrum)
     weighted = spectrum.phi(x, N) * w
     a, b = lifting_functions(plant, x)
-    kind = plant.measurement.kind
-    if kind == BOUNDED:
+    if plant.measurement.kind == BOUNDED:
         c = np.broadcast_to(np.asarray(plant.measurement.c(x), dtype=float), x.shape)
         out_coef = weighted @ c
-        feedthrough = float(w @ (x ** 2 * c))
     else:
-        traces = spectrum.trace0 if kind == DIRICHLET_AT_0 else spectrum.dtrace0
-        out_coef = traces[:N].copy()
-        feedthrough = 0.0
+        out_coef = spectrum.datum0[:N].copy()
     return ReducedPlant(
         plant=plant, spectrum=spectrum,
         a_coef=weighted @ a, b_coef=weighted @ b, out_coef=out_coef,
@@ -284,23 +277,5 @@ def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EP
         tail_eps=eps,
         a_norm2=float(w @ (a * a)),
         b_norm2=float(w @ (b * b)),
-        feedthrough=feedthrough,
     )
 
-
-def flux_consistency_residual(reduced: ReducedPlant, n: int) -> float:
-    """Consistency residual a_n + (-lambda_n + q_c) b_n + p(1) phi_n'(1).
-
-    Integration by parts makes the first two terms equal -p(1) phi_n'(1)
-    exactly, so the residual certifies quadrature/solver consistency; its
-    nonvanishing reference value also witnesses controllability of the
-    actuated mode.
-    """
-    if not 1 <= n <= reduced.n_coef:
-        raise ValueError(f"mode index {n} outside 1..{reduced.n_coef}")
-    sp = reduced.spectrum
-    p1 = float(reduced.plant.coeffs.p(1.0))
-    i = n - 1
-    return float(reduced.a_coef[i]
-                 + (-sp.lambdas[i] + reduced.q_c) * reduced.b_coef[i]
-                 + p1 * sp.dtrace1()[i])

@@ -394,16 +394,3 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
     slope = np.polyfit(times[mask], np.log(y), 1)[0]
     return float(-slope)
 
-
-def field_energy(result: SimResult, step: int) -> float:
-    """int p w'^2 + q w^2 of the field w = sum_{n<=N_sim} w_n phi_n at a step,
-    by the spectrum's Gauss-Legendre rule, which is exact for it.
-
-    Cross-checks the modal energy sum via the spectral energy identity.
-    """
-    sp = result.reduced.spectrum
-    coeffs = result.reduced.plant.coeffs
-    x, w = sp.quadrature(max(len(coeffs.p_coeffs), len(coeffs.q_coeffs)) - 1)
-    phi, dphi = sp.modes(x, result.N_sim)
-    modes = result.modes([step])[0][0]
-    return float(w @ (coeffs.p(x) * (modes @ dphi) ** 2 + coeffs.q(x) * (modes @ phi) ** 2))

@@ -1,4 +1,4 @@
-"""Eigenpairs, boundary traces, and projections for -(pf')' + qf on (0,1).
+"""Eigenpairs, data at x = 0, and projections for -(pf')' + qf on (0,1).
 
 Two boundary configurations are supported: f'(0)=0, f(1)=0 (used by the
 in-domain and left-trace measurement paths) and f(0)=f(1)=0 (used by the
@@ -9,7 +9,7 @@ method in Shen's basis, whose functions meet the boundary conditions exactly:
 stiffness and mass matrices by Gauss-Legendre quadrature, and one
 symmetric-definite eigensolve for the lowest modes.  The Ritz eigenvalues bound
 the true ones from above.  Each mode is kept as its Legendre series, from the
-same Ritz vector as its trace at x = 0, so it is a polynomial: Spectrum.phi
+same Ritz vector as its datum at x = 0, so it is a polynomial: Spectrum.phi
 evaluates it at any point, and the Gauss rule of Spectrum.quadrature projects
 polynomial data on it exactly.
 """
@@ -160,23 +160,23 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues, unit eigenfunctions, and boundary traces.
+    """Eigenvalues, unit eigenfunctions, and one boundary datum per mode.
 
     A solved spectrum keeps each mode as its Legendre coefficients in
     t = 2x - 1, one row per mode of eigenfunctions; the closed form of
     p = 1, q = 0 keeps None there, its modes being sqrt2 cos((n - 1/2) pi x)
-    or sqrt2 sin(n pi x).  phi() reads the modes and modes() reads them
-    with their derivatives; these are the only ways to read a mode, and
-    quadrature() the one rule that projects data on the modes.  Each mode has
-    unit L2 norm and its first nonzero datum at x = 0 positive.  grid_size
-    sets only grid, the points where the field CSVs report.
+    or sqrt2 sin(n pi x).  phi() is the only way to read a mode, and
+    quadrature() the one rule that projects data on the modes.  datum0 holds
+    each mode's first nonzero datum at x = 0: phi_n(0) on the f'(0) = 0
+    domain, phi_n'(0) on the f(0) = 0 domain.  Each mode has unit L2 norm and
+    a positive datum0.  grid_size sets only grid, the points where the field
+    CSVs report.
     """
 
     boundary: BoundarySpec
     lambdas: np.ndarray
     eigenfunctions: np.ndarray | None
-    trace0: np.ndarray
-    dtrace0: np.ndarray
+    datum0: np.ndarray
     grid_size: int
 
     def __post_init__(self):
@@ -191,7 +191,7 @@ class Spectrum:
         if rows is not None and (rows.ndim != 2 or rows.shape[0] != lam.size
                                  or rows.shape[1] < 2):
             raise ValueError("eigenfunctions must hold a row of Legendre coefficients per mode")
-        for arr in (self.lambdas, rows, self.trace0, self.dtrace0):
+        for arr in (self.lambdas, rows, self.datum0):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -213,22 +213,6 @@ class Spectrum:
         rows = self.eigenfunctions[:count]
         return gemm(rows, _legendre(2.0 * x.ravel() - 1.0, rows.shape[1]))
 
-    def modes(self, x, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """phi(x, count) and the modes' x-derivatives at the points x, one
-        row per mode; only readers of the derivatives need this."""
-        x = np.asarray(x, dtype=float)
-        count = self.n_modes if count is None else count
-        if self.eigenfunctions is None:
-            k = _wavenumbers(self.boundary, count)
-            kx = np.outer(k, x)
-            cos, sin = np.sqrt(2.0) * np.cos(kx), np.sqrt(2.0) * np.sin(kx)
-            if self.boundary.neumann_at_0:
-                return cos, -k[:, None] * sin
-            return sin, k[:, None] * cos
-        rows = self.eigenfunctions[:count]
-        L = _legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
-        return rows @ L, 2.0 * (rows @ _legendre_slopes(L))  # d/dx = 2 d/dt
-
     def quadrature(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes and weights on [0, 1] that integrate exactly
         the product of two modes and a polynomial of the given degree.
@@ -239,10 +223,6 @@ class Spectrum:
         coefficients = galerkin_order(self.n_modes) + 2 if self.eigenfunctions is None \
             else self.eigenfunctions.shape[1]
         return _gauss(coefficients + degree // 2)
-
-    def dtrace1(self) -> np.ndarray:
-        """phi_n'(1) per mode."""
-        return self.modes(np.ones(1))[1][:, 0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -294,19 +274,16 @@ def analytic_spectrum(bspec: BoundarySpec, n_modes: int,
                       grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
     """Closed-form spectrum for p = 1, q = 0.
 
-    Eigenvalues and traces are exact, and Spectrum.phi evaluates the
+    Eigenvalues and data at x = 0 are exact, and Spectrum.phi evaluates the
     trigonometric modes themselves.  Serves as the oracle for solve_spectrum
     and as the fast path for constant-coefficient examples.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     k = _wavenumbers(bspec, n_modes)
-    if bspec.neumann_at_0:
-        trace0, dtrace0 = np.full(n_modes, np.sqrt(2.0)), np.zeros(n_modes)
-    else:
-        trace0, dtrace0 = np.zeros(n_modes), np.sqrt(2.0) * k
+    datum0 = np.sqrt(2.0) * (np.ones(n_modes) if bspec.neumann_at_0 else k)
     return Spectrum(boundary=bspec, lambdas=k ** 2, eigenfunctions=None,
-                    trace0=trace0, dtrace0=dtrace0, grid_size=grid_size)
+                    datum0=datum0, grid_size=grid_size)
 
 
 def galerkin_order(n_modes: int) -> int:
@@ -421,9 +398,8 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     A Legendre-Galerkin (Rayleigh-Ritz) solve in galerkin_order(n_modes)
     Shen basis functions, which meet the boundary conditions exactly, so
     the eigenvalues are upper bounds that only come down as the basis grows.
-    The Spectrum keeps each mode's Legendre coefficients; the first nonzero
-    datum at x = 0 is the trace, and the other trace is zero by the boundary
-    condition.  See _galerkin.
+    The Spectrum keeps each mode's Legendre coefficients and its first
+    nonzero datum at x = 0 as datum0.  See _galerkin.
 
     Parameters
     ----------
@@ -436,9 +412,6 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    lam, rows, datum = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
-    trace0, dtrace0 = datum, np.zeros(n_modes)
-    if not bspec.neumann_at_0:
-        trace0, dtrace0 = dtrace0, trace0
+    lam, rows, datum0 = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
     return Spectrum(boundary=bspec, lambdas=lam, eigenfunctions=rows,
-                    trace0=trace0, dtrace0=dtrace0, grid_size=2 * grid_size)
+                    datum0=datum0, grid_size=2 * grid_size)

@@ -1,5 +1,7 @@
 """Shared pipeline fixtures for the two constant-coefficient examples, and
-three test references: the a-priori eigenvalue band, the constructive
+test references: the a-priori eigenvalue band, the modes' slopes and what
+follows from them (phi_n'(1), the flux consistency residual, the field
+energy), the bounded weight's second moment int x^2 c, the constructive
 Lyapunov-P search and the closed-loop generator in physical coordinates."""
 
 import math
@@ -72,6 +74,59 @@ def validate_bounds(spectrum: ss.Spectrum,
         raise AssertionError(f"mode {i + 1}: margins ({lower[i]:.3e}, {upper[i]:.3e})")
     return lower, upper
 
+
+def mode_slopes(spectrum: ss.Spectrum, x, count: int | None = None) -> np.ndarray:
+    """Reference: the x-derivatives of the first count modes (all by default)
+    at the points x, one row per mode, as spectrum.phi lays out the values."""
+    x = np.asarray(x, dtype=float)
+    count = spectrum.n_modes if count is None else count
+    if spectrum.eigenfunctions is None:
+        k = ss.sturm_liouville._wavenumbers(spectrum.boundary, count)
+        kx = np.outer(k, x)
+        slope = -np.sin(kx) if spectrum.boundary.neumann_at_0 else np.cos(kx)
+        return np.sqrt(2.0) * k[:, None] * slope
+    rows = spectrum.eigenfunctions[:count]
+    L = ss.sturm_liouville._legendre(2.0 * x.ravel() - 1.0, rows.shape[1])
+    return 2.0 * (rows @ ss.sturm_liouville._legendre_slopes(L))  # d/dx = 2 d/dt
+
+
+def slopes_at_1(spectrum: ss.Spectrum) -> np.ndarray:
+    """Reference: phi_n'(1) per mode."""
+    return mode_slopes(spectrum, [1.0])[:, 0]
+
+
+def flux_residual(reduced: ss.ReducedPlant, n: int) -> float:
+    """Reference: a_n + (-lambda_n + q_c) b_n + p(1) phi_n'(1) of mode n.
+
+    Integration by parts makes the first two terms equal -p(1) phi_n'(1)
+    exactly, so the residual checks the projections against the modes; its
+    nonvanishing reference value also witnesses controllability of the
+    actuated mode.
+    """
+    i = n - 1
+    p1 = float(reduced.plant.coeffs.p(1.0))
+    return float(reduced.a_coef[i]
+                 + (-reduced.spectrum.lambdas[i] + reduced.q_c) * reduced.b_coef[i]
+                 + p1 * slopes_at_1(reduced.spectrum)[i])
+
+
+def second_moment(reduced: ss.ReducedPlant) -> float:
+    """Reference: int x^2 c of a bounded measurement's weight c, by the
+    reduction's projection rule."""
+    x, w = ss.homogenize._projection_rule(reduced.plant, reduced.spectrum)
+    return float(w @ (x ** 2 * reduced.plant.measurement.c(x)))
+
+
+def energy_by_quadrature(result: ss.SimResult, step: int) -> float:
+    """Reference: int p w'^2 + q w^2 of the field w = sum_{n<=N_sim} w_n phi_n
+    at a step, by the spectrum's Gauss-Legendre rule, which is exact for it;
+    the spectral energy identity makes it the modal sum energy_sq."""
+    sp = result.reduced.spectrum
+    coeffs = result.reduced.plant.coeffs
+    x, w = sp.quadrature(max(len(coeffs.p_coeffs), len(coeffs.q_coeffs)) - 1)
+    modes = result.modes([step])[0][0]
+    return float(w @ (coeffs.p(x) * (modes @ mode_slopes(sp, x, result.N_sim)) ** 2
+                      + coeffs.q(x) * (modes @ sp.phi(x, result.N_sim)) ** 2))
 
 def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.ndarray,
                  alpha: float) -> tuple[ss.Certificate, float]:

@@ -11,7 +11,8 @@ import pytest
 import specstab as ss
 from specstab.sdpa import read_sdpa
 
-from conftest import exact_search, validate_bounds, verified_free_p_certificate
+from conftest import (exact_search, flux_residual, mode_slopes, slopes_at_1, validate_bounds,
+                      verified_free_p_certificate)
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -173,13 +174,9 @@ def test_criterion_06_spectral_solver_accuracy():
         ana = ss.analytic_spectrum(bspec, 50, 200)
         worst_lam = max(worst_lam,
                         float(np.max(np.abs(num.lambdas - ana.lambdas) / ana.lambdas)))
-        if bspec.neumann_at_0:
-            worst_trace = max(worst_trace,
-                              float(np.max(np.abs(num.trace0 - SQ2) / SQ2)))
-        else:
-            exact = SQ2 * np.arange(1, 51) * np.pi
-            worst_trace = max(worst_trace,
-                              float(np.max(np.abs(num.dtrace0 - exact) / exact)))
+        # datum0: phi_n(0) = sqrt2 on ND, phi_n'(0) = sqrt2 n pi on DD
+        worst_trace = max(worst_trace,
+                          float(np.max(np.abs(num.datum0 - ana.datum0) / ana.datum0)))
         lo, hi = validate_bounds(num, coeffs)  # fails on a margin below the tolerance
         worst_margin = min(worst_margin, float(lo.min()), float(hi.min()))
     var = ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0, 1.0])
@@ -203,9 +200,9 @@ def test_criterion_07_flux_consistency_identity():
         plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c, measurement, 0.5)
         spectrum = ss.analytic_spectrum(plant.boundary, 21, 4000)
         reduced = ss.reduce(plant, spectrum, 20)
-        dtr1 = spectrum.dtrace1()
+        dtr1 = slopes_at_1(spectrum)
         for n in range(1, 21):
-            rel = abs(ss.flux_consistency_residual(reduced, n)) / abs(dtr1[n - 1])
+            rel = abs(flux_residual(reduced, n)) / abs(dtr1[n - 1])
             worst = max(worst, rel)
     ok = worst < 1e-6
     report(7, ok, f"max relative residual over n <= 20, both liftings: {worst:.1e} < 1e-6")
@@ -253,7 +250,7 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
     # orthonormality
     sp = ss.solve_spectrum(ss.CoefficientPair.constant(1.0, 0.0), ND, 20, 1000)
     x, w = sp.quadrature(0)
-    phi, dphi = sp.modes(x)
+    phi, dphi = sp.phi(x), mode_slopes(sp, x)
     gram = (phi * w) @ phi.T
     gram_dev = float(np.max(np.abs(gram - np.eye(20))))
     assert gram_dev < 1e-13
@@ -301,7 +298,7 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
         assert gamma_n <= -certn.theta3 * lamn[nn - 1] + 2 * certn.gamma * 10.5 + 1e-9
     # field boundary-condition residuals
     _, res = preset_sim(dirichlet_pipeline, [1.0, 0.0, 1.0], N=3, T=0.5)
-    dphi0 = dirichlet_pipeline.spectrum.modes([0.0], res.N_sim)[1][:, 0]
+    dphi0 = mode_slopes(dirichlet_pipeline.spectrum, [0.0], res.N_sim)[:, 0]
     bc_worst = 0.0
     for step, w in zip([0, 250, 500], res.fields([0, 250, 500])[0]):
         bc_worst = max(bc_worst, abs(w[-1]))

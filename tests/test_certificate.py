@@ -625,11 +625,13 @@ def test_lyapunov_norm_sweep_bounded(pipeline_name, request):
 
 def test_lyapunov_norm_sweep_zero_gains_rejected(dirichlet_pipeline):
     # zero gains leave the input integrator at eigenvalue 0, so F + delta*I
-    # cannot be Hurwitz and the sweep must refuse rather than fabricate P
-    with pytest.raises(NotHurwitzShifted):
-        ss.lyapunov_norm_sweep(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum,
-                               gains=zero_gains(dirichlet_pipeline.reduced.N0),
-                               N_list=[2, 3])
+    # cannot be Hurwitz and lyapunov_solve, the sweep's step at every order,
+    # must refuse rather than fabricate P
+    red = dirichlet_pipeline.reduced
+    for N in (2, 3):
+        F = ss.assemble_closed_loop(red, zero_gains(red.N0), N).F
+        with pytest.raises(NotHurwitzShifted):
+            ss.lyapunov_solve(F, red.delta)
 
 
 def test_lyapunov_diagonal_norm_constant_in_order():

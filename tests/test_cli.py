@@ -250,6 +250,19 @@ def test_bounded_config_runs_and_is_deterministic(tmp_path):
     assert report["certificate_feasible"] is True
 
 
+def test_report_is_json_for_a_name_with_a_tab_and_a_quote(tmp_path):
+    name = 'a\tb "c" \\d'
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("name = bounded-small", f"name = {name}"))
+    out = tmp_path / "r"
+    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 0
+    assert json.loads((out / "report.json").read_bytes().decode("utf-8"))["name"] == name
+    # the escaping is json's, non-ASCII text stays as it is
+    text = cli._to_json({"k": ["\x01\u00e9"]})
+    assert json.loads(text) == {"k": ["\x01\u00e9"]}
+    assert "\u00e9" in text
+
+
 def test_config_output_dir_used_when_no_flag(tmp_path):
     cfg = write_config(tmp_path)
     assert run_scenario(str(cfg), quiet=True) == 0

@@ -4,6 +4,8 @@ import pytest
 import specstab as ss
 from specstab.errors import DecayUnreachable, EpsOutOfRange, InsufficientModes
 
+from conftest import flux_residual, second_moment, slopes_at_1
+
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
 SQ2 = np.sqrt(2.0)
@@ -63,6 +65,23 @@ def test_reduce_neumann_first_mode(neumann_pipeline):
     assert red.out_coef[0] == pytest.approx(SQ2 * np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("measurement", [ss.MeasurementSpec.dirichlet(),
+                                         ss.MeasurementSpec.neumann()])
+@pytest.mark.parametrize("solved", [False, True])
+def test_left_measurement_reads_the_datum_at_zero(measurement, solved):
+    # the left trace reads phi_n(0) and the left flux phi_n'(0): each is the
+    # spectrum's datum0 on the domain its measurement implies, closed-form or
+    # Galerkin
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0]) if solved \
+        else ss.CoefficientPair.constant(1.0, 0.0)
+    plant = ss.PlantSpec(coeffs, 3.0, measurement, 0.5)
+    sp = ss.solve_spectrum(coeffs, plant.boundary, 12, 1000) if solved \
+        else ss.analytic_spectrum(plant.boundary, 12)
+    red = ss.reduce(plant, sp, 11)
+    assert np.array_equal(red.out_coef, sp.datum0[:11])
+    assert np.all(sp.datum0 > 0)
+
+
 def test_reduce_bounded_weight_equal_to_first_mode():
     sp = ss.analytic_spectrum(ND, 6, 2000)
     c = lambda x: SQ2 * np.cos(np.pi * np.asarray(x, float) / 2)  # noqa: E731
@@ -78,7 +97,7 @@ def test_reduce_norms_and_feedthrough(bounded_pipeline):
     # a = 2 + 3x^2: ||a||^2 = 4 + 4 + 9/5; b = -x^2: ||b||^2 = 1/5
     assert red.a_norm2 == pytest.approx(9.8, rel=1e-10)
     assert red.b_norm2 == pytest.approx(0.2, rel=1e-10)
-    assert red.feedthrough == pytest.approx(1.0 / 3.0, rel=1e-10)
+    assert second_moment(red) == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert red.tail_constant == pytest.approx(1.0, rel=1e-12)  # ||c||^2, c = 1
 
 
@@ -121,8 +140,8 @@ def test_bounded_weight_norms_are_exact():
     red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
     assert red.tail_constant == pytest.approx(P.polyval(1.0, P.polyint(P.polymul(c, c))),
                                               rel=1e-13)
-    assert red.feedthrough == pytest.approx(P.polyval(1.0, P.polyint(P.polymul([0, 0, 1], c))),
-                                            rel=1e-13)
+    assert second_moment(red) == pytest.approx(P.polyval(1.0, P.polyint(P.polymul([0, 0, 1], c))),
+                                             rel=1e-13)
 
 
 def test_reduce_requires_spare_mode():
@@ -215,7 +234,7 @@ def test_tail_constant_numeric_path_close_to_closed_form():
     plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.dirichlet(), 0.5)
     value = ss.tail_constants(plant, sp)
     # crude series estimate from the computed modes alone (lower bound)
-    partial = float(np.sum(sp.trace0[1:] ** 2 / sp.lambdas[1:]))
+    partial = float(np.sum(sp.datum0[1:] ** 2 / sp.lambdas[1:]))
     assert value >= partial
     assert value < 2.0 * M1_PHI  # same ballpark as the constant case
 
@@ -227,22 +246,22 @@ def test_flux_consistency_residual_examples(dirichlet_pipeline, neumann_pipeline
     # a_1 + (-lambda_1 + q_c) b_1 = -p(1) phi_1'(1) = sqrt2 pi / 2
     combo = red.a_coef[0] + (-red.spectrum.lambdas[0] + 3.0) * red.b_coef[0]
     assert combo == pytest.approx(SQ2 * np.pi / 2, rel=1e-7)
-    assert abs(ss.flux_consistency_residual(red, 1)) < 1e-6 * SQ2 * np.pi / 2
+    assert abs(flux_residual(red, 1)) < 1e-6 * SQ2 * np.pi / 2
 
     red_n = neumann_pipeline.reduced
     combo_n = red_n.a_coef[0] + (-red_n.spectrum.lambdas[0] + 10.0) * red_n.b_coef[0]
     assert combo_n == pytest.approx(SQ2 * np.pi, rel=1e-7)
-    assert abs(ss.flux_consistency_residual(red_n, 1)) < 1e-6 * SQ2 * np.pi
+    assert abs(flux_residual(red_n, 1)) < 1e-6 * SQ2 * np.pi
 
 
 @pytest.mark.parametrize("pipeline_name", ["dirichlet_pipeline", "neumann_pipeline"])
 def test_flux_consistency_relative_residual_first_twenty_modes(pipeline_name, request):
     red = request.getfixturevalue(pipeline_name).reduced
     sp = red.spectrum
-    dtr1 = sp.dtrace1()
+    dtr1 = slopes_at_1(sp)
     for n in range(1, 21):
         scale = abs(dtr1[n - 1])
-        assert abs(ss.flux_consistency_residual(red, n)) / scale < 1e-6
+        assert abs(flux_residual(red, n)) / scale < 1e-6
         # nonvanishing: the controllability witness stays well away from zero
         combo = red.a_coef[n - 1] + (-sp.lambdas[n - 1] + red.q_c) * red.b_coef[n - 1]
         assert abs(combo) > 0.5 * scale

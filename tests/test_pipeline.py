@@ -6,6 +6,8 @@ import pytest
 import specstab as ss
 from specstab.sdpa import read_sdpa
 
+from conftest import energy_by_quadrature, second_moment
+
 
 @pytest.fixture(scope="module")
 def variable_pipeline():
@@ -57,7 +59,7 @@ def test_bounded_nonuniform_weight_pipeline():
     assert reduced.out_coef[0] == pytest.approx(
         np.sqrt(2) * (2 / np.pi - 4 / np.pi ** 2), abs=1e-9)
     assert reduced.tail_constant == pytest.approx(1.0 / 3.0, rel=1e-10)  # ||x||^2
-    assert reduced.feedthrough == pytest.approx(0.25, rel=1e-10)  # int x^3
+    assert second_moment(reduced) == pytest.approx(0.25, rel=1e-10)  # int x^3
     gains = ss.design_gains(reduced)
     n_star, cert = ss.minimal_N(reduced, gains, N_max=10)
     assert cert.feasible and n_star <= 10
@@ -81,10 +83,9 @@ def test_neumann_field_energy_identity(neumann_pipeline):
     z0 = [0.0, -2.0 / 3.0, 1.0]  # x (x - 2/3)
     res = ss.run(A, ss.SimConfig(z0=z0, u0=1.0 / 3.0, N_sim=50, dt=1e-3, T=0.3),
                  pipe.reduced)
-    from specstab.simulate import field_energy
     for step in (0, 150, 300):
         modal = res.energy_sq[step]
-        assert abs(field_energy(res, step) - modal) <= 1e-4 * max(modal, 1e-12)
+        assert abs(energy_by_quadrature(res, step) - modal) <= 1e-4 * max(modal, 1e-12)
 
 
 def test_polynomial_coefficient_pair_derivative():

@@ -12,12 +12,11 @@ from specstab.errors import (
     StepRejected,
 )
 from specstab import cli
-from specstab.simulate import (_OVERFLOW_LOG, _THETA13, _exponential, _growth_log, _propagate,
-                               field_energy)
+from specstab.simulate import _OVERFLOW_LOG, _THETA13, _exponential, _growth_log, _propagate
 from specstab.synthesis import state_layout
 
-from conftest import (constructive_certificate, physical_generator, to_certificate_state,
-                      verified_free_p_certificate)
+from conftest import (constructive_certificate, energy_by_quadrature, mode_slopes,
+                      physical_generator, to_certificate_state, verified_free_p_certificate)
 
 
 def zero_gains(N0):
@@ -191,7 +190,7 @@ def test_run_matches_a_sequential_run_of_the_reference(request, fixture, N):
     res = ss.run(A, ss.SimConfig(z0=z0, u0=u0, N_sim=N_sim, dt=dt, T=1.0), pipe.reduced)
     k = pipe.plant.lifting_exponent
     x, weights = pipe.spectrum.quadrature(2)
-    w0 = pipe.spectrum.modes(x, N_sim)[0] @ (
+    w0 = pipe.spectrum.phi(x, N_sim) @ (
         weights * (np.polynomial.polynomial.polyval(x, z0) - x ** k * u0))
     x0 = np.concatenate([[u0], w0, np.zeros(N)])
     ref = sequential_trajectory(physical_generator(pipe.reduced, pipe.gains, N, N_sim),
@@ -433,7 +432,7 @@ def test_compatibility_checks(dirichlet_pipeline, neumann_pipeline):
 def test_reconstructed_boundary_conditions(dirichlet_pipeline, neumann_pipeline):
     steps = [0, 100, 500]
     _, res = dirichlet_run(dirichlet_pipeline, T=0.5)
-    dphi0 = dirichlet_pipeline.spectrum.modes([0.0], res.N_sim)[1][:, 0]
+    dphi0 = mode_slopes(dirichlet_pipeline.spectrum, [0.0], res.N_sim)[:, 0]
     w_rows, z_rows, _ = res.fields(steps)
     for step, w, z in zip(steps, w_rows, z_rows):
         assert abs(w[-1]) <= 1e-8
@@ -459,7 +458,7 @@ def test_fields_match_modal_sums(dirichlet_pipeline, neumann_pipeline, kind, str
     steps = np.arange(0, res.times.size, 37)
     w, z, error = res.fields(steps, stride)
     x = pipe.spectrum.grid[::stride]
-    phi = pipe.spectrum.modes(x)[0]
+    phi = pipe.spectrum.phi(x)
     # the physical states (u, w_1..w_N_sim, what_1..what_N) of the reference
     T = to_certificate_state(pipe.reduced, res.N, res.N_sim)
     states = [np.linalg.solve(T, res.state(i)) for i in steps]
@@ -475,7 +474,7 @@ def test_field_energy_matches_modal_sum(dirichlet_pipeline):
     _, res = dirichlet_run(dirichlet_pipeline, T=0.5)
     for step in (0, 250):
         modal = res.energy_sq[step]
-        quad = field_energy(res, step)
+        quad = energy_by_quadrature(res, step)
         assert abs(quad - modal) <= 1e-4 * max(modal, 1e-12)
 
 
@@ -484,15 +483,17 @@ def test_feedthrough_consistency_bounded(bounded_pipeline):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
     config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=1e-3, T=0.3)
     res = ss.run(A, config, pipe.reduced)
-    # y = int c z for c = 1 and z = sum w_n phi_n + x^2 u, at the spectrum's nodes
+    # y = int c z for c = 1 and z = sum w_n phi_n + x^2 u, at the spectrum's nodes;
+    # the feedthrough int x^2 c of the lifting is exact there too
     x, w = pipe.spectrum.quadrature(2)
-    phi = pipe.spectrum.modes(x, 50)[0]
+    phi = pipe.spectrum.phi(x, 50)
+    feedthrough = float(w @ x ** 2)
     steps = [0, 150, 300]
     for step in steps:
         modes = res.modes([step])[0][0]
         y_field = float(w @ (modes @ phi + x ** 2 * res.u[step]))
         y_tilde_modal = float(modes @ pipe.reduced.out_coef[:50])
-        reconstructed = y_field - pipe.reduced.feedthrough * res.u[step]
+        reconstructed = y_field - feedthrough * res.u[step]
         assert reconstructed == pytest.approx(y_tilde_modal, abs=1e-8)
 
 

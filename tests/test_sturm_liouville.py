@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import specstab as ss
 from specstab.errors import NonPositiveDiffusion
 
-from conftest import validate_bounds
+from conftest import mode_slopes, validate_bounds
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -27,15 +27,13 @@ def variable_coeffs():
 def test_analytic_neumann_dirichlet_mode1():
     sp = ss.analytic_spectrum(ND, 1, 200)
     assert sp.lambdas[0] == pytest.approx(np.pi ** 2 / 4, rel=1e-14)
-    assert sp.trace0[0] == pytest.approx(SQ2, rel=1e-14)
-    assert sp.dtrace0[0] == 0.0
+    assert sp.datum0[0] == pytest.approx(SQ2, rel=1e-14)  # phi_1(0)
 
 
 def test_analytic_dirichlet_dirichlet_mode1():
     sp = ss.analytic_spectrum(DD, 1, 200)
     assert sp.lambdas[0] == pytest.approx(np.pi ** 2, rel=1e-14)
-    assert sp.dtrace0[0] == pytest.approx(SQ2 * np.pi, rel=1e-14)
-    assert sp.trace0[0] == 0.0
+    assert sp.datum0[0] == pytest.approx(SQ2 * np.pi, rel=1e-14)  # phi_1'(0)
 
 
 def test_analytic_neumann_dirichlet_mode2():
@@ -46,7 +44,7 @@ def test_analytic_neumann_dirichlet_mode2():
 def test_analytic_norms_unit_under_quadrature():
     sp = ss.analytic_spectrum(ND, 50, 2000)
     x, w = sp.quadrature(0)
-    norms = sp.modes(x)[0] ** 2 @ w
+    norms = sp.phi(x) ** 2 @ w
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
@@ -75,10 +73,10 @@ def test_solver_matches_analytic_traces():
     coeffs = ss.CoefficientPair.constant(1.0, 0.0)
     num = ss.solve_spectrum(coeffs, DD, 10, 2000)
     exact = SQ2 * np.arange(1, 11) * np.pi
-    rel = np.abs(num.dtrace0 - exact) / exact
+    rel = np.abs(num.datum0 - exact) / exact
     assert np.max(rel) < 1e-4
     num_nd = ss.solve_spectrum(coeffs, ND, 10, 2000)
-    assert np.max(np.abs(num_nd.trace0 - SQ2)) / SQ2 < 1e-4
+    assert np.max(np.abs(num_nd.datum0 - SQ2)) / SQ2 < 1e-4
 
 
 def test_variable_coefficients_inside_band():
@@ -90,8 +88,8 @@ def test_variable_coefficients_inside_band():
 
 def test_solver_sign_convention():
     coeffs = ss.CoefficientPair.constant(1.0, 0.0)
-    assert np.all(ss.solve_spectrum(coeffs, ND, 8, 1000).trace0 > 0)
-    assert np.all(ss.solve_spectrum(coeffs, DD, 8, 1000).dtrace0 > 0)
+    for bspec in (ND, DD):
+        assert np.all(ss.solve_spectrum(coeffs, bspec, 8, 1000).datum0 > 0)
 
 
 # ---------------------------------------------------------------- bounds
@@ -122,12 +120,12 @@ def project(f, spectrum, degree):
     """<f, phi_n> for every mode, f a function of x, by the spectrum's rule for
     data of the given degree."""
     x, w = spectrum.quadrature(degree)
-    return spectrum.modes(x)[0] @ (w * f(x))
+    return spectrum.phi(x) @ (w * f(x))
 
 
 def test_project_orthonormality_of_modes():
     sp = ss.analytic_spectrum(ND, 3, 2000)
-    first = lambda x: sp.modes(x, 1)[0][0]  # noqa: E731
+    first = lambda x: sp.phi(x, 1)[0]  # noqa: E731
     assert project(first, sp, 0)[0] == pytest.approx(1.0, abs=1e-14)
     assert project(first, sp, 0)[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -149,7 +147,7 @@ def test_project_polynomial_against_quadrature_oracle():
 def test_gram_matrix_is_identity(build):
     sp = build()
     x, w = sp.quadrature(0)
-    phi = sp.modes(x)[0]
+    phi = sp.phi(x)
     gram = (phi * w) @ phi.T
     assert np.max(np.abs(gram - np.eye(sp.n_modes))) < 1e-13
 
@@ -158,7 +156,7 @@ def test_energy_identity_truncated_combination():
     coeffs = variable_coeffs()
     sp = ss.solve_spectrum(coeffs, ND, 8, 2000)
     x, w = sp.quadrature(1)
-    phi, dphi = sp.modes(x)
+    phi, dphi = sp.phi(x), mode_slopes(sp, x)
     rng = np.random.default_rng(7)
     for _ in range(5):
         c = rng.normal(size=8)
@@ -170,9 +168,9 @@ def test_energy_identity_truncated_combination():
 def test_trace_growth_constant_coefficients():
     coeffs = ss.CoefficientPair.constant(1.0, 0.0)
     nd = ss.solve_spectrum(coeffs, ND, 20, 1000)
-    assert np.ptp(nd.trace0) / np.mean(nd.trace0) < 1e-4
+    assert np.ptp(nd.datum0) / np.mean(nd.datum0) < 1e-4
     dd = ss.solve_spectrum(coeffs, DD, 20, 1000)
-    ratios = dd.dtrace0 / np.sqrt(dd.lambdas)
+    ratios = dd.datum0 / np.sqrt(dd.lambdas)
     assert np.ptp(ratios) / np.mean(ratios) < 1e-4
 
 
@@ -182,7 +180,7 @@ def test_energy_identity_analytic_combination():
     c = rng.normal(size=12)
     modal = float(np.sum(sp.lambdas * c ** 2))
     x, w = sp.quadrature(0)
-    quad = float(w @ (c @ sp.modes(x)[1]) ** 2)
+    quad = float(w @ (c @ mode_slopes(sp, x)) ** 2)
     assert abs(modal - quad) <= 1e-12 * modal
 
 
@@ -276,9 +274,8 @@ def test_constant_coefficients_match_the_closed_form(bspec):
     ana = ss.analytic_spectrum(bspec, 10, 4000)
     exact = 1.3 * ana.lambdas + 0.5
     assert np.max(np.abs(num.lambdas - exact) / exact) <= 1e-13
-    assert np.max(np.abs(num.trace0 - ana.trace0)) <= 1e-13 * SQ2
-    scale = np.maximum(ana.dtrace0, 1.0)
-    assert np.max(np.abs(num.dtrace0 - ana.dtrace0) / scale) <= 1e-13
+    scale = np.maximum(ana.datum0, 1.0)  # sqrt2, or sqrt2 k_n when f(0) = 0
+    assert np.max(np.abs(num.datum0 - ana.datum0) / scale) <= 1e-13
 
 
 #: lambda_1, lambda_3, lambda_51 and lambda_201 of p = 1 + x/2, q = x^2 with
@@ -312,11 +309,11 @@ def test_varcoef_modes_are_orthonormal_legendre_rows(bspec):
     # the same rows at the points of the spectrum's grid
     x = sp.grid[::40]
     legval = np.polynomial.legendre.legval(2 * x - 1, sp.eigenfunctions.T)
-    assert np.max(np.abs(sp.modes(x)[0] - legval)) <= 1e-13
+    assert np.max(np.abs(sp.phi(x) - legval)) <= 1e-13
 
 
 def _spectrum_arrays(sp):
-    return sp.lambdas, sp.eigenfunctions, sp.trace0, sp.dtrace0
+    return sp.lambdas, sp.eigenfunctions, sp.datum0
 
 
 def test_concurrent_solves_match_serial_solves():
