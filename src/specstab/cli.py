@@ -224,8 +224,9 @@ def _require_memory(config: dict, n_modes: int, galerkin: int):
 
     They are counted from below: four dense matrices of the closed loop's
     side 1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs)
-    and four Galerkin matrices of side `galerkin` (stiffness, mass and the
-    eigensolver's copies).
+    and four Galerkin matrices of side `galerkin` that the eigensolve holds
+    at once (mass, stiffness overwritten by its Cholesky factor, the reduced
+    standard matrix and its eigenvectors).
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -10,7 +10,7 @@ operator's eigenfunctions yields decoupled scalar mode dynamics
 plus measurement coefficients and the tail constants that the stability
 certificates quote.  Every projection is an integral of polynomial data
 against a mode, computed by the spectrum's Gauss-Legendre rule, which is
-exact for it.
+exact for it; Spectrum.projection supplies the modes at its nodes.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EP
         raise EpsOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
     kind = plant.measurement.kind
     if kind == BOUNDED:
-        x, w = _projection_rule(plant, spectrum)
+        x, w = spectrum.quadrature(_projection_degree(plant))
         c = np.broadcast_to(np.asarray(plant.measurement.c(x), dtype=float), x.shape)
         norm2 = float(w @ (c * c))
         if not np.isfinite(norm2):
@@ -236,15 +236,18 @@ def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EP
                            eps, tail_terms, constant)
 
 
-def _projection_rule(plant: PlantSpec, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum's Gauss-Legendre rule at the lifting profiles' degree
-    (at most deg p, deg q + k and k for the x^k lifting).
+def _projection_degree(plant: PlantSpec) -> int:
+    """The degree of the spectrum's Gauss-Legendre rule for the projections:
+    the lifting profiles' degree, at most deg p, deg q + k and k for the x^k
+    lifting, with trailing zero coefficients trimmed.
 
-    It integrates a_n, b_n and the squared norms of a and b exactly, and c_n
-    and ||c||^2 too when c is a polynomial of degree at most the modes'.
+    That rule integrates a_n, b_n and the squared norms of a and b exactly,
+    and c_n and ||c||^2 too when c is a polynomial of degree at most the
+    modes'.
     """
-    coeffs, k = plant.coeffs, plant.lifting_exponent
-    return spectrum.quadrature(max(len(coeffs.p_coeffs) - 1, len(coeffs.q_coeffs) - 1 + k, k))
+    deg_p, deg_q = plant.coeffs.degrees
+    k = plant.lifting_exponent
+    return max(deg_p, deg_q + k, k)
 
 
 def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EPS,
@@ -261,8 +264,8 @@ def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EP
         raise ValueError(
             f"spectrum domain {spectrum.boundary.kind} does not match the "
             f"measurement-implied domain {plant.boundary.kind}")
-    x, w = _projection_rule(plant, spectrum)
-    weighted = spectrum.phi(x, N) * w
+    x, w, modes = spectrum.projection(_projection_degree(plant), N)
+    weighted = modes * w
     a, b = lifting_functions(plant, x)
     if plant.measurement.kind == BOUNDED:
         c = np.broadcast_to(np.asarray(plant.measurement.c(x), dtype=float), x.shape)

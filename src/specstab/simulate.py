@@ -25,10 +25,11 @@ Only the current slab and the next one are alive, and the full state is
 copied at every snapshot_stride-th step.  A state between snapshots is
 recomputed from the snapshot before it.
 
-The spectrum of the ReducedPlant is the only one a run reads, and its modes
-are read only through Spectrum.phi: the initial data z0, a polynomial, is
-projected on them by the spectrum's Gauss-Legendre rule, exactly, and
-SimResult.fields evaluates them at the points of the spectrum's grid.
+The spectrum of the ReducedPlant is the only one a run reads.  The initial
+data z0, a polynomial, is projected on its modes by the spectrum's
+Gauss-Legendre rule, exactly, with the modes at the rule's nodes from
+Spectrum.projection, and SimResult.fields evaluates them by Spectrum.phi at
+the points of the spectrum's grid.
 """
 
 from __future__ import annotations
@@ -310,9 +311,8 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
     if defect is not None:
         raise ValueError(defect[1])
     k = reduced.plant.lifting_exponent
-    x, w = spectrum.quadrature(max(config.z0.size - 1, k))
-    w0 = spectrum.phi(x, N_sim) @ (w * (np.polynomial.polynomial.polyval(x, config.z0)
-                                        - x ** k * config.u0))
+    x, w, modes = spectrum.projection(max(config.z0.size - 1, k), N_sim)
+    w0 = modes @ (w * (np.polynomial.polynomial.polyval(x, config.z0) - x ** k * config.u0))
     what, error, scale = state_layout(reduced, N)
     state = np.zeros(dim)
     state[0] = config.u0

@@ -11,7 +11,9 @@ symmetric-definite eigensolve for the lowest modes.  The Ritz eigenvalues bound
 the true ones from above.  Each mode is kept as its Legendre series, from the
 same Ritz vector as its datum at x = 0, so it is a polynomial: Spectrum.phi
 evaluates it at any point, and the Gauss rule of Spectrum.quadrature projects
-polynomial data on it exactly.
+polynomial data on it exactly.  That rule is the solve's own whenever it is
+exact for the data, and the solve keeps the modes' values at its nodes, so a
+run evaluates the Legendre series at one rule's nodes once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import cholesky, eigh, eigvalsh_tridiagonal, solve_triangular
+from scipy.linalg.lapack import dsygst
 
 from ._blas import gemm
 from .errors import NonPositiveDiffusion
@@ -149,12 +152,17 @@ class CoefficientPair:
     def q_sup(self) -> float:
         return max(_polynomial_range(self.q_coeffs)[1], 0.0)
 
+    @property
+    def degrees(self) -> tuple[int, int]:
+        """Degrees of p and q once trailing zeros are trimmed."""
+        p, q = (np.polynomial.polynomial.polytrim(c) for c in (self.p_coeffs, self.q_coeffs))
+        return p.size - 1, q.size - 1
+
     def constant_values(self) -> tuple[float, float] | None:
         """(p0, q0) when both polynomials are constant once trailing zeros are
         trimmed, else None."""
-        p, q = (np.polynomial.polynomial.polytrim(c) for c in (self.p_coeffs, self.q_coeffs))
-        if p.size == q.size == 1:
-            return float(p[0]), float(q[0])
+        if self.degrees == (0, 0):
+            return self.p_coeffs[0], self.q_coeffs[0]
         return None
 
 
@@ -163,10 +171,12 @@ class Spectrum:
     """Eigenvalues, unit eigenfunctions, and one boundary datum per mode.
 
     A solved spectrum keeps each mode as its Legendre coefficients in
-    t = 2x - 1, one row per mode of eigenfunctions; the closed form of
-    p = 1, q = 0 keeps None there, its modes being sqrt2 cos((n - 1/2) pi x)
-    or sqrt2 sin(n pi x).  phi() is the only way to read a mode, and
-    quadrature() the one rule that projects data on the modes.  datum0 holds
+    t = 2x - 1, one row per mode of eigenfunctions, and the modes' values at
+    the nodes of its solve's Gauss rule in node_values; the closed form of
+    p = 1, q = 0 keeps None in both, its modes being sqrt2 cos((n - 1/2) pi x)
+    or sqrt2 sin(n pi x).  phi() evaluates the modes at any points,
+    quadrature() is the one rule that projects data on them, and
+    projection() pairs that rule with the modes at its nodes.  datum0 holds
     each mode's first nonzero datum at x = 0: phi_n(0) on the f'(0) = 0
     domain, phi_n'(0) on the f(0) = 0 domain.  Each mode has unit L2 norm and
     a positive datum0.  grid_size sets only grid, the points where the field
@@ -178,6 +188,7 @@ class Spectrum:
     eigenfunctions: np.ndarray | None
     datum0: np.ndarray
     grid_size: int
+    node_values: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -191,7 +202,11 @@ class Spectrum:
         if rows is not None and (rows.ndim != 2 or rows.shape[0] != lam.size
                                  or rows.shape[1] < 2):
             raise ValueError("eigenfunctions must hold a row of Legendre coefficients per mode")
-        for arr in (self.lambdas, rows, self.datum0):
+        values = self.node_values
+        if (values is None) != (rows is None) or values is not None and (
+                values.ndim != 2 or values.shape[0] != lam.size):
+            raise ValueError("node_values must hold a row of values per solved mode")
+        for arr in (self.lambdas, rows, self.datum0, values):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -217,23 +232,45 @@ class Spectrum:
         """Gauss-Legendre nodes and weights on [0, 1] that integrate exactly
         the product of two modes and a polynomial of the given degree.
 
-        A closed-form mode counts as a polynomial of the degree solve_spectrum
-        would give it, which the rule resolves to rounding.
+        A solved spectrum returns its solve's own rule whenever that rule is
+        exact for the degree.  A closed-form mode counts as a polynomial of
+        the degree solve_spectrum would give it, which the rule resolves to
+        rounding.
         """
-        coefficients = galerkin_order(self.n_modes) + 2 if self.eigenfunctions is None \
-            else self.eigenfunctions.shape[1]
-        return _gauss(coefficients + degree // 2)
+        return _gauss(self._rule_size(degree))[:2]
+
+    def projection(self, degree: int, count: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """quadrature(degree) and the first count modes (all by default) at
+        its nodes, one row per mode: (x, w, phi).  The modes are read from
+        node_values when the rule is the solve's own, else evaluated by phi()."""
+        m = self._rule_size(degree)
+        x, w, _ = _gauss(m)
+        if self.node_values is not None and m == self.node_values.shape[1]:
+            return x, w, self.node_values[:count]
+        return x, w, self.phi(x, count)
+
+    def _rule_size(self, degree: int) -> int:
+        """Nodes of quadrature(degree)."""
+        if self.eigenfunctions is None:
+            return galerkin_order(self.n_modes) + 2 + degree // 2
+        return max(self.eigenfunctions.shape[1] + degree // 2, self.node_values.shape[1])
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [0, 1], read-only; each costs
-    O(m^2) work, and a run asks for the same few rules again."""
+def _gauss(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [0, 1] as read-only nodes x and
+    weights, and the nodes t = 2x - 1 on [-1, 1] it was computed at; each
+    costs O(m^2) work, and a run asks for the same few rules again.
+
+    x is derived from t, not t from x: 2x - 1 loses t's last bits wherever
+    t + 1 rounds, and Legendre series are evaluated in t.
+    """
     t, w = _leggauss(m)
     x, w = 0.5 * (t + 1.0), 0.5 * w
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    for arr in (x, w, t):
+        arr.setflags(write=False)
+    return x, w, t
 
 
 def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,79 +353,121 @@ def _legendre_slopes(L: np.ndarray) -> np.ndarray:
     return dL
 
 
-def _shen_basis(bspec: BoundarySpec, M: int) -> np.ndarray:
-    """The M x (M + 2) matrix T of the Shen basis phi_k = L_k + a_k L_{k+1} + b_k L_{k+2}
-    in t = 2x - 1: phi_k = sum_n T[k, n] L_n.
+def _shen_diagonals(bspec: BoundarySpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_k and b_k, k < M, of the Shen basis phi_k = L_k + a_k L_{k+1} + b_k L_{k+2}
+    in t = 2x - 1.
 
-    a_k and b_k put f(1) = 0 and f'(0) = 0 (or f(0) = 0) into every phi_k,
-    from L_n(1) = 1, L_n(-1) = (-1)^n and L_n'(-1) = (-1)^(n+1) n(n+1)/2
+    They put f(1) = 0 and f'(0) = 0 (or f(0) = 0) into every phi_k, from
+    L_n(1) = 1, L_n(-1) = (-1)^n and L_n'(-1) = (-1)^(n+1) n(n+1)/2
     (J. Shen, SIAM J. Sci. Comput. 15, 1994).
     """
-    k = np.arange(M)
-    T = np.zeros((M, M + 2))
-    T[k, k] = 1.0
+    k = np.arange(M, dtype=float)
     if bspec.neumann_at_0:
-        T[k, k + 1] = -(2 * k + 3) / (k + 2) ** 2
-        T[k, k + 2] = -((k + 1) / (k + 2)) ** 2
-    else:
-        T[k, k + 2] = -1.0
-    return T
+        return -(2 * k + 3) / (k + 2) ** 2, -((k + 1) / (k + 2)) ** 2
+    return np.zeros(M), -np.ones(M)
 
 
-def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
-              M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shen_rows(a: np.ndarray, b: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Row k is L[k] + a_k L[k+1] + b_k L[k+2]: the M Shen functions from
+    M + 2 rows of Legendre data, such as their values or slopes at points."""
+    return L[:-2] + a[:, None] * L[1:-1] + b[:, None] * L[2:]
+
+
+def _legendre_rows(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Legendre coefficients of sum_k C[:, k] phi_k, one row per row of C."""
+    rows = np.zeros((C.shape[0], C.shape[1] + 2))
+    rows[:, :-2] = C
+    rows[:, 1:-1] += C * a
+    rows[:, 2:] += C * b
+    return rows
+
+
+def _rule_size(coeffs: CoefficientPair, M: int) -> int:
+    """Nodes of the Gauss rule that _galerkin assembles on: exact for
+    p phi_j' phi_k' (degree 2M + deg p), q phi_j phi_k (2M + 2 + deg q) and
+    the datum's integrals, with the degrees of the trimmed polynomials.  Never
+    fewer than M + 8, which is exact up to deg p = 15 and deg q = 13."""
+    deg_p, deg_q = coeffs.degrees
+    return M + max(8, (deg_p + 2) // 2, (deg_q + 4) // 2)
+
+
+def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int, M: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lowest n_modes Ritz pairs of -(pf')' + qf in the first M Shen basis functions.
 
     Returns the eigenvalues in ascending order, each mode's Legendre
-    coefficients in t = 2x - 1 (one row of M + 2 per mode), and each mode's
-    first nonzero datum at x = 0: f(0), or f'(0) when f(0) = 0.  Each mode
-    is scaled to unit norm under the mass matrix, which the Gauss rule
-    computes exactly, with that datum positive.
+    coefficients in t = 2x - 1 (one row of M + 2 per mode), each mode's
+    first nonzero datum at x = 0 (f(0), or f'(0) when f(0) = 0), and each
+    mode's values at the nodes of _gauss(_rule_size(coeffs, M)).  The modes
+    are orthonormal under the mass matrix, which that Gauss rule computes
+    exactly, and each datum is positive.
 
-    Stiffness S and mass B come from Gauss-Legendre quadrature on M + 8
-    nodes, exact for p of degree <= 15 and q of degree <= 13.  The swapped
-    problem B c = mu S c, diagonally scaled, gives lambda = 1/mu: solved the
-    other way round, the Cholesky factor of B costs lambda_1 digits as M
-    grows.  f(0) is the closed form sum c_n (-1)^n.  f'(0) is the weak-form
-    flux p(0) f'(0) = int p f' + int (lambda - q)(1 - x) f: the closed form
+    Stiffness S and mass B are quadrature products on that rule.  The basis
+    is applied by its two off-diagonals (_shen_rows), but S and B stay dense
+    products: assembled on the band alone they would hold exact zeros, and
+    the eigensolver's reduction of the pencil then decays into subnormal
+    numbers, which made it about 1.5 times slower.  The swapped problem
+    B c = mu S c, diagonally scaled, gives lambda = 1/mu: solved the other
+    way round, the Cholesky factor of B costs lambda_1 digits as M grows.
+
+    With S = F F^T, it is the standard problem of F^-1 B F^-T, solved whole
+    by the MRRR algorithm (LAPACK's syevr; Dhillon & Parlett, Linear Algebra
+    Appl. 387, 2004), and the top n_modes pairs are kept.  On the varcoef-fine
+    pencil that takes about half the time of bisection and inverse iteration
+    for the kept pairs alone (gvx).  Divide and conquer (gvd) is a little
+    faster still, but its vectors of the higher modes carry O(eps) errors
+    along every other mode, which the datum at x = 0 amplifies: at 201 modes
+    of p = 1.3, q = 0.5 its phi_n(0) is off the closed form by 1.6e-10, where
+    MRRR's is within 7e-13 and its eigenvalues within 1e-14.  Scaling the
+    vectors to unit mass would divide their O(eps) residuals by sqrt(mu), so
+    the high modes would lose B-orthonormality.  One Cholesky-QR in the B
+    inner product restores it.  It mixes each vector only with the lower
+    modes' vectors, and only by that much, so the residuals of the scaled
+    pencil stay at rounding.
+
+    f(0) is the closed form sum c_n (-1)^n.  f'(0) is the weak-form flux
+    p(0) f'(0) = int p f' + int (lambda - q)(1 - x) f: the closed form
     sum of c_n L_n'(-1) would multiply the coefficients' rounding by n^2.
 
-    The matrix products (T L, S, B, B X and C T) are _blas.gemm, on scipy's
-    BLAS, which eigh runs on too: numpy bundles another OpenBLAS, and a
-    threaded product there would leave its worker spinning through the
-    eigensolve.  The matrix-vector products stay on numpy's @, which does
-    not thread them at these sizes.
+    The matrix products (S, B, the Gram matrix and the values at the nodes)
+    are _blas.gemm, on scipy's BLAS, which eigh runs on too: numpy bundles
+    another OpenBLAS, and a threaded product there would leave its worker
+    spinning through the eigensolve.  The matrix-vector products stay on
+    numpy's @, which does not thread them at these sizes.
     """
-    t, w = _leggauss(M + 8)
-    x = 0.5 * (t + 1.0)
-    p, q = coeffs.p(x), coeffs.q(x)
-    T = _shen_basis(bspec, M)
+    x, w, t = _gauss(_rule_size(coeffs, M))
+    a, b = _shen_diagonals(bspec, M)
     L = _legendre(t, M + 2)
-    phi, dphi = gemm(T, L), gemm(T, _legendre_slopes(L))
-    # x = (t + 1)/2: d/dx = 2 d/dt and dx = dt/2
-    S = 2.0 * gemm(dphi * (w * p), dphi.T) + 0.5 * gemm(phi * (w * q), phi.T)
-    B = 0.5 * gemm(phi * w, phi.T)
+    phi, dphi = _shen_rows(a, b, L), _shen_rows(a, b, _legendre_slopes(L))
+    del L
+    p, q = coeffs.p(x), coeffs.q(x)
+    # x = (t + 1)/2: d/dx = 2 d/dt
+    S = 4.0 * gemm(dphi * (w * p), dphi.T) + gemm(phi * (w * q), phi.T)
+    B = gemm(phi * w, phi.T)
     # the datum at x = 0 of sum_k c_k phi_k with eigenvalue lambda: c . (d0 + lambda d1)
-    if bspec.neumann_at_0:
-        d0, d1 = T @ (-1.0) ** np.arange(M + 2), np.zeros(M)
+    if bspec.neumann_at_0:  # phi_k(-1) = (-1)^k (1 - a_k + b_k)
+        d0, d1 = (-1.0) ** np.arange(M) * (1.0 - a + b), np.zeros(M)
     else:
         p0 = float(coeffs.p(0.0))
-        d0 = (dphi @ (w * p) - 0.5 * phi @ (w * q * (1.0 - x))) / p0
-        d1 = 0.5 * phi @ (w * (1.0 - x)) / p0
-    del L, phi, dphi  # the eigensolve needs only S and B
+        d0 = (2.0 * (dphi @ (w * p)) - phi @ (w * q * (1.0 - x))) / p0
+        d1 = phi @ (w * (1.0 - x)) / p0
+    del dphi  # phi stays for the modes' values at the nodes
     s = 1.0 / np.sqrt(np.diag(S))
     S *= np.outer(s, s)
     B *= np.outer(s, s)
-    # gvx, not gvd: gvd takes half the time, but scaling to unit mass divides its
-    # O(eps) residuals by sqrt(mu), so the high modes lose B-orthonormality (1e-11)
-    mu, X = eigh(B, S, subset_by_index=[M - n_modes, M - 1], driver="gvx",
+    # B c = mu S c as the standard problem of F^-1 B F^-T, S = F F^T
+    F = cholesky(S, lower=True, overwrite_a=True, check_finite=False)
+    mu, Z = eigh(dsygst(B, F, lower=1)[0], lower=True, driver="evr", overwrite_a=True,
                  check_finite=False)
-    lam = 1.0 / mu[::-1]
-    X = X[:, ::-1]
-    C = (s[:, None] * X).T
+    lam = 1.0 / mu[:-n_modes - 1:-1]
+    X = solve_triangular(F, Z[:, :-n_modes - 1:-1], trans="T", lower=True, check_finite=False)
+    del F, Z
+    R = cholesky(gemm(X.T, gemm(B, X)), check_finite=False)
+    C = solve_triangular(R, X.T, trans="T", check_finite=False) * s
     datum = C @ d0 + lam * (C @ d1)
-    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(np.einsum("ij,ij->j", X, gemm(B, X)))
-    return lam, scale[:, None] * gemm(C, T), scale * datum
+    sign = np.where(datum < 0, -1.0, 1.0)
+    C *= sign[:, None]
+    return lam, _legendre_rows(C, a, b), sign * datum, gemm(C, phi)
 
 
 def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
@@ -398,8 +477,9 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     A Legendre-Galerkin (Rayleigh-Ritz) solve in galerkin_order(n_modes)
     Shen basis functions, which meet the boundary conditions exactly, so
     the eigenvalues are upper bounds that only come down as the basis grows.
-    The Spectrum keeps each mode's Legendre coefficients and its first
-    nonzero datum at x = 0 as datum0.  See _galerkin.
+    The Spectrum keeps each mode's Legendre coefficients, its values at the
+    nodes of the solve's Gauss rule, and its first nonzero datum at x = 0 as
+    datum0.  See _galerkin.
 
     Parameters
     ----------
@@ -412,6 +492,6 @@ def solve_spectrum(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int,
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    lam, rows, datum0 = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
-    return Spectrum(boundary=bspec, lambdas=lam, eigenfunctions=rows,
-                    datum0=datum0, grid_size=2 * grid_size)
+    lam, rows, datum0, values = _galerkin(coeffs, bspec, n_modes, galerkin_order(n_modes))
+    return Spectrum(boundary=bspec, lambdas=lam, eigenfunctions=rows, datum0=datum0,
+                    grid_size=2 * grid_size, node_values=values)

@@ -1,14 +1,17 @@
 """Shared pipeline fixtures for the two constant-coefficient examples, and
-test references: the a-priori eigenvalue band, the modes' slopes and what
-follows from them (phi_n'(1), the flux consistency residual, the field
-energy), the bounded weight's second moment int x^2 c, the constructive
-Lyapunov-P search and the closed-loop generator in physical coordinates."""
+test references: the a-priori eigenvalue band, the Galerkin pencil with the
+Shen basis as a dense matrix and its solve by bisection and inverse
+iteration, the modes' slopes and what follows from them (phi_n'(1), the flux
+consistency residual, the field energy), the bounded weight's second moment
+int x^2 c, the constructive Lyapunov-P search and the closed-loop generator
+in physical coordinates."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 import specstab as ss
@@ -75,6 +78,58 @@ def validate_bounds(spectrum: ss.Spectrum,
     return lower, upper
 
 
+def shen_basis(bspec: ss.BoundarySpec, M: int) -> np.ndarray:
+    """Reference: the M x (M + 2) matrix T of the Shen basis
+    phi_k = L_k + a_k L_{k+1} + b_k L_{k+2} in t = 2x - 1, phi_k = sum_n T[k, n] L_n,
+    from its closed-form coefficients."""
+    k = np.arange(M)
+    T = np.zeros((M, M + 2))
+    T[k, k] = 1.0
+    if bspec.neumann_at_0:
+        T[k, k + 1] = -(2 * k + 3) / (k + 2) ** 2
+        T[k, k + 2] = -((k + 1) / (k + 2)) ** 2
+    else:
+        T[k, k + 2] = -1.0
+    return T
+
+
+def shen_pencil(coeffs: ss.CoefficientPair, bspec: ss.BoundarySpec, M: int, nodes: int):
+    """Reference: the nodes-point Gauss rule on [0, 1] (x, w), the first M Shen
+    functions' values and t-slopes at its nodes, from the dense T, and their
+    stiffness S and mass B by that rule: (x, w, phi, dphi, S, B)."""
+    x, w, t = ss.sturm_liouville._gauss(nodes)
+    T = shen_basis(bspec, M)
+    L = ss.sturm_liouville._legendre(t, M + 2)
+    phi, dphi = T @ L, T @ ss.sturm_liouville._legendre_slopes(L)
+    # x = (t + 1)/2: d/dx = 2 d/dt
+    S = 4.0 * (dphi * (w * coeffs.p(x))) @ dphi.T + (phi * (w * coeffs.q(x))) @ phi.T
+    return x, w, phi, dphi, S, (phi * w) @ phi.T
+
+
+def galerkin_gvx(coeffs: ss.CoefficientPair, bspec: ss.BoundarySpec, n_modes: int,
+                 M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference: the lowest n_modes Ritz pairs in M Shen functions as
+    (lambda, Legendre rows, datum at x = 0), like sturm_liouville._galerkin,
+    by bisection and inverse iteration (eigh's gvx) for those pairs alone,
+    each vector scaled to unit mass, on the pencil of M + 8 Gauss nodes."""
+    x, w, phi, dphi, S, B = shen_pencil(coeffs, bspec, M, M + 8)
+    T = shen_basis(bspec, M)
+    if bspec.neumann_at_0:
+        d0, d1 = T @ (-1.0) ** np.arange(M + 2), np.zeros(M)
+    else:
+        p0 = float(coeffs.p(0.0))
+        d0 = (2.0 * (dphi @ (w * coeffs.p(x))) - phi @ (w * coeffs.q(x) * (1.0 - x))) / p0
+        d1 = phi @ (w * (1.0 - x)) / p0
+    s = 1.0 / np.sqrt(np.diag(S))
+    S, B = S * np.outer(s, s), B * np.outer(s, s)
+    mu, X = scipy.linalg.eigh(B, S, subset_by_index=[M - n_modes, M - 1], driver="gvx")
+    lam, X = 1.0 / mu[::-1], X[:, ::-1]
+    C = (s[:, None] * X).T
+    datum = C @ d0 + lam * (C @ d1)
+    scale = np.where(datum < 0, -1.0, 1.0) / np.sqrt(np.einsum("ij,ij->j", X, B @ X))
+    return lam, scale[:, None] * (C @ T), scale * datum
+
+
 def mode_slopes(spectrum: ss.Spectrum, x, count: int | None = None) -> np.ndarray:
     """Reference: the x-derivatives of the first count modes (all by default)
     at the points x, one row per mode, as spectrum.phi lays out the values."""
@@ -113,7 +168,7 @@ def flux_residual(reduced: ss.ReducedPlant, n: int) -> float:
 def second_moment(reduced: ss.ReducedPlant) -> float:
     """Reference: int x^2 c of a bounded measurement's weight c, by the
     reduction's projection rule."""
-    x, w = ss.homogenize._projection_rule(reduced.plant, reduced.spectrum)
+    x, w = reduced.spectrum.quadrature(ss.homogenize._projection_degree(reduced.plant))
     return float(w @ (x ** 2 * reduced.plant.measurement.c(x)))
 
 

@@ -236,6 +236,25 @@ def test_one_reduction_per_norm_sweep(reduce_calls):
     assert reduce_calls == [40]
 
 
+def test_one_legendre_table_per_variable_coefficient_run(tmp_path, monkeypatch):
+    # the varcoef-fine spectrum (201 modes of p = 1 + x/2, q = x^2): the
+    # solve evaluates the Legendre polynomials at its Gauss rule's nodes, and
+    # the reduction and the z0 projection read the modes there from its
+    # table; only the field CSVs' grid needs another table
+    sizes = []
+    legendre = ss.sturm_liouville._legendre
+
+    def counting(t, n):
+        sizes.append(t.size)
+        return legendre(t, n)
+
+    monkeypatch.setattr(ss.sturm_liouville, "_legendre", counting)
+    cfg = write_config(tmp_path, p="1, 0.5", q="0, 0, 1", n_sim=200)
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) == 0
+    M = ss.sturm_liouville.galerkin_order(201)
+    assert sizes == [M + 8, 2 * 8040 // 40 + 1]
+
+
 # ---------------------------------------------------------------- custom config
 
 def test_bounded_config_runs_and_is_deterministic(tmp_path):

@@ -131,6 +131,20 @@ def test_projections_are_exact_on_the_laplacian(kind):
     assert red.b_norm2 == pytest.approx(b_norm2, rel=1e-13)
 
 
+@pytest.mark.parametrize("p,q", [([1.0], [0.0]), ([1.0, 0.5], [0.0, 0.0, 1.0])])
+def test_projection_rule_ignores_trailing_zero_coefficients(p, q):
+    # the same plant written with trailing zeros takes the same rule, so the
+    # same projections bit for bit, on the closed-form and a solved spectrum
+    plants = [ss.PlantSpec(ss.CoefficientPair.from_polynomials(pc, qc), 3.0,
+                           ss.MeasurementSpec.dirichlet(), 0.5)
+              for pc, qc in ((p, q), (p + [0.0, 0.0], q + [0.0, 0.0, 0.0]))]
+    spectrum = ss.analytic_spectrum(ND, 21) if len(p) == 1 else \
+        ss.solve_spectrum(plants[0].coeffs, ND, 21)
+    assert len({ss.homogenize._projection_degree(plant) for plant in plants}) == 1
+    a = [ss.reduce(plant, spectrum, 20).a_coef for plant in plants]
+    assert np.array_equal(a[0], a[1])
+
+
 def test_bounded_weight_norms_are_exact():
     # c = 1 + x - x^3 on the Laplacian: ||c||^2 and int x^2 c as exact
     # polynomial integrals

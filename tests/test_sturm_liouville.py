@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import specstab as ss
 from specstab.errors import NonPositiveDiffusion
 
-from conftest import mode_slopes, validate_bounds
+from conftest import galerkin_gvx, mode_slopes, shen_basis, shen_pencil, validate_bounds
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -52,7 +52,7 @@ def test_analytic_norms_unit_under_quadrature():
 def test_gauss_rule_is_exact_near_the_ends(m):
     # x^(2m-1) lives at x = 1 and L_{m/2}^2 peaks at both ends, where the
     # weights are smallest; each integral is exact for an m-point rule
-    x, w = ss.sturm_liouville._gauss(m)
+    x, w, _ = ss.sturm_liouville._gauss(m)
     assert abs(w @ x ** (2 * m - 1) * (2 * m) - 1.0) <= 1e-13
     legendre = np.polynomial.legendre.legval(2.0 * x - 1.0, np.eye(m // 2 + 1)[-1])
     assert abs(w @ legendre ** 2 * (m + 1) - 1.0) <= 1e-13
@@ -310,6 +310,76 @@ def test_varcoef_modes_are_orthonormal_legendre_rows(bspec):
     x = sp.grid[::40]
     legval = np.polynomial.legendre.legval(2 * x - 1, sp.eigenfunctions.T)
     assert np.max(np.abs(sp.phi(x) - legval)) <= 1e-13
+
+
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_solve_matches_the_gvx_reference(bspec):
+    # the varcoef-fine case, 201 modes, against bisection and inverse
+    # iteration of the same pencil (conftest's galerkin_gvx)
+    M = ss.sturm_liouville.galerkin_order(201)
+    lam, rows, datum0, values = ss.sturm_liouville._galerkin(VARCOEF, bspec, 201, M)
+    ref_lam, ref_rows, ref_datum0 = galerkin_gvx(VARCOEF, bspec, 201, M)
+    lam_rel = np.abs(lam - ref_lam) / ref_lam
+    assert np.max(lam_rel) <= 1e-10
+    # the f(0) = 0 datum reads lambda (the weak-form flux), so there the
+    # reference's eigenvalue error moves its datum in proportion
+    slack = 0.0 if bspec.neumann_at_0 else lam_rel
+    assert np.all(np.abs(datum0 - ref_datum0) / np.maximum(ref_datum0, 1.0) <= 1e-13 + slack)
+    # mass Gram by the stored values at the solve's rule, which is exact for it
+    x, w, phi, dphi, S, B = shen_pencil(VARCOEF, bspec, M, values.shape[1])
+    assert np.max(np.abs((values * w) @ values.T - np.eye(201))) <= 1e-13
+    # Ritz residuals of the diagonally scaled pencil the solver sees, with each
+    # mode's Shen coefficients recovered from its Legendre row
+    s = 1.0 / np.sqrt(np.diag(S))
+    S, B = S * np.outer(s, s), B * np.outer(s, s)
+    Y = np.linalg.lstsq(shen_basis(bspec, M).T, rows.T, rcond=None)[0].T / s
+    residual = np.linalg.norm(Y @ S - lam[:, None] * (Y @ B), axis=1)
+    scale = (np.linalg.norm(S, 2) + lam * np.linalg.norm(B, 2)) * np.linalg.norm(Y, axis=1)
+    assert np.max(residual / scale) <= M * np.finfo(float).eps
+
+
+def _stiffness(coeffs, bspec, M, nodes):
+    return shen_pencil(coeffs, bspec, M, nodes)[4]
+
+
+def test_rule_size_follows_the_trimmed_coefficient_degrees():
+    # p = 1 + x^17/2: M + 8 nodes integrate p phi_j' phi_k' only up to
+    # deg p = 15; the solve's rule takes one node more, which matches a rule
+    # of 20 more nodes to rounding.  q = x + 0 x^2 counts as degree 1.
+    coeffs = ss.CoefficientPair.from_polynomials([1.0] + [0.0] * 16 + [0.5], [0.0, 1.0, 0.0])
+    assert coeffs.degrees == (17, 1)
+    M = 40
+    m = ss.sturm_liouville._rule_size(coeffs, M)
+    assert m == M + 9
+    assert ss.sturm_liouville._galerkin(coeffs, ND, 4, M)[3].shape == (4, m)
+    exact = _stiffness(coeffs, ND, M, m + 20)
+    tol = 1e-13 * np.max(np.abs(exact))
+    assert np.max(np.abs(_stiffness(coeffs, ND, M, m) - exact)) <= tol
+    assert np.max(np.abs(_stiffness(coeffs, ND, M, M + 8) - exact)) > 1e3 * tol
+    # degrees within the floor keep M + 8 nodes
+    assert ss.sturm_liouville._rule_size(VARCOEF, M) == M + 8
+
+
+@pytest.mark.parametrize("bspec", [ND, DD])
+def test_projections_read_the_solve_table(bspec):
+    sp = ss.solve_spectrum(VARCOEF, bspec, 201, 8040)
+    m = sp.node_values.shape[1]
+    assert m == ss.sturm_liouville._rule_size(VARCOEF, sp.eigenfunctions.shape[1] - 2)
+    coefficients = sp.eigenfunctions.shape[1]
+    # every degree up to 13 keeps the solve's rule and its stored values,
+    # which match the Legendre rows evaluated there to rounding
+    for degree in (0, 4, 13):
+        x, w, modes = sp.projection(degree, 50)
+        assert x is ss.sturm_liouville._gauss(m)[0] and np.shares_memory(modes, sp.node_values)
+        assert x is sp.quadrature(degree)[0]
+        data = w * (1.0 + x ** degree)
+        assert np.max(np.abs(modes @ data - sp.phi(x, 50) @ data)) <= 1e-13
+    # beyond the rule's exactness, the rule of coefficients + degree // 2 nodes
+    for degree in (14, 30):
+        x, w, modes = sp.projection(degree, 50)
+        assert x is ss.sturm_liouville._gauss(coefficients + degree // 2)[0]
+        assert x is sp.quadrature(degree)[0]
+        assert np.array_equal(modes, sp.phi(x, 50))
 
 
 def _spectrum_arrays(sp):
