@@ -322,9 +322,14 @@ def test_solve_matches_the_gvx_reference(bspec):
     lam_rel = np.abs(lam - ref_lam) / ref_lam
     assert np.max(lam_rel) <= 1e-10
     # the f(0) = 0 datum reads lambda (the weak-form flux), so there the
-    # reference's eigenvalue error moves its datum in proportion
+    # reference's eigenvalue error moves its datum in proportion.  The
+    # closed-form test's 1e-13 holds on the first 50 modes; the higher modes'
+    # data are determined only to a few 1e-13 (the gvx route is 7e-13 off
+    # the closed form of p = 1.3, q = 0.5 at 201 modes), and the two routes'
+    # agreement there moves with the BLAS thread count (6.8e-14 to 1.1e-13)
     slack = 0.0 if bspec.neumann_at_0 else lam_rel
-    assert np.all(np.abs(datum0 - ref_datum0) / np.maximum(ref_datum0, 1.0) <= 1e-13 + slack)
+    datum_error = np.abs(datum0 - ref_datum0) / np.maximum(ref_datum0, 1.0) - slack
+    assert np.max(datum_error[:50]) <= 1e-13 and np.max(datum_error) <= 1e-12
     # mass Gram by the stored values at the solve's rule, which is exact for it
     x, w, phi, dphi, S, B = shen_pencil(VARCOEF, bspec, M, values.shape[1])
     assert np.max(np.abs((values * w) @ values.T - np.eye(201))) <= 1e-13
