@@ -413,9 +413,9 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int, M: int
     With S = F F^T, it is the standard problem of F^-1 B F^-T, solved whole
     by the MRRR algorithm (LAPACK's syevr; Dhillon & Parlett, Linear Algebra
     Appl. 387, 2004), and the top n_modes pairs are kept.  On the varcoef-fine
-    pencil that takes about half the time of bisection and inverse iteration
-    for the kept pairs alone (gvx).  Divide and conquer (gvd) is a little
-    faster still, but its vectors of the higher modes carry O(eps) errors
+    pencil that takes about 40% less time than bisection and inverse
+    iteration for the kept pairs alone (gvx).  Divide and conquer (gvd) is a
+    little faster still, but its vectors of the higher modes carry O(eps) errors
     along every other mode, which the datum at x = 0 amplifies: at 201 modes
     of p = 1.3, q = 0.5 its phi_n(0) is off the closed form by 1.6e-10, where
     MRRR's is within 7e-13 and its eigenvalues within 1e-14.  Scaling the
