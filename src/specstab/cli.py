@@ -48,6 +48,7 @@ ERROR_EXIT_CODES = {
     err.StepRejected: 14,
     err.EpsOutOfRange: 15,
     err.IoFailure: 16,
+    err.NonPositiveSeries: 17,
 }
 
 _EXAMPLE = """[scenario]
@@ -285,6 +286,9 @@ def solve(config: dict) -> RunRecord:
     if defect is not None:
         raise err.ConfigParse(f"[sim] {defect[0]} breaks a boundary compatibility "
                               f"condition: {defect[1]}")
+    if u0 == 0.0 and not np.any(z0):
+        raise err.ConfigParse("[sim] z0 = 0 with u0 = 0 is the equilibrium: the loop stays "
+                              "at rest and has no decay to fit")
     # the field CSVs report at the points of the spectrum's grid
     spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
         solve_spectrum(coeffs, plant.boundary, n_modes, max(2000, 40 * n_modes))

@@ -1,6 +1,9 @@
 """Exception types raised across the package; cli.ERROR_EXIT_CODES gives a
-distinct exit code to each one a CLI run can raise, which leaves out
-NonPositiveDiffusion and InsufficientModes."""
+distinct exit code to each one a CLI run can raise.  It leaves out
+NonPositiveDiffusion, InsufficientModes and OrderMismatch, whose causes a
+run reports earlier (ConfigParse or OrderTooSmall); NoFeasibleN, which a run
+reports as exit 2; and DimensionMismatch and CertificateRequired, which the
+pipeline's own calls never raise."""
 
 
 class SpecstabError(Exception):

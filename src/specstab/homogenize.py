@@ -34,7 +34,6 @@ DIRICHLET_AT_0 = "dirichlet"
 NEUMANN_AT_0 = "neumann"
 
 DEFAULT_EPS = 0.125
-DEFAULT_TAIL_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -170,54 +169,52 @@ def select_N0(spectrum: Spectrum, q_c: float, delta: float) -> int:
     return max(n0, 1)
 
 
-def _trace_tail_sum(kind: str, lam: np.ndarray, traces: np.ndarray, p_star: float,
-                    eps: float, tail_terms: int,
-                    constant: tuple[float, float] | None) -> float:
-    """Partial sum of the trace series plus a safe analytic remainder bound."""
-    if kind == DIRICHLET_AT_0:
-        s_exp = 1.0          # sum phi_n(0)^2 / lambda_n
-    else:
-        s_exp = 1.5 + eps    # sum phi_n'(0)^2 / lambda_n^(3/2+eps)
-    total = float(np.sum(traces[1:] ** 2 / lam[1:] ** s_exp))
-    n_explicit = lam.size
-    trace_sq_max = float(np.max(traces ** 2)) if kind == DIRICHLET_AT_0 \
-        else float(np.max(traces ** 2 / lam))
-    if constant is not None and tail_terms > n_explicit:
-        # closed-form extension: lambda_n = p0 k_n^2 + q0 with exact traces
-        p0, q0 = constant
-        n = np.arange(n_explicit + 1, tail_terms + 1, dtype=float)
-        if kind == DIRICHLET_AT_0:
-            lam_ext = p0 * ((n - 0.5) * np.pi) ** 2 + q0
-            tr_sq = 2.0
-        else:
-            lam_ext = p0 * (n * np.pi) ** 2 + q0
-            tr_sq = 2.0 * (n * np.pi) ** 2
-        total += float(np.sum(tr_sq / lam_ext ** s_exp))
-        n_explicit = tail_terms
-        trace_sq_max = max(trace_sq_max, 2.0) if kind == DIRICHLET_AT_0 \
-            else max(trace_sq_max, float(np.max(tr_sq / lam_ext)))
-    # remainder over n > n_explicit: trace bound + lambda_n >= pi^2 (n-1)^2 p_star,
-    # then sum_{m >= M} m^-s <= M^-s + M^(1-s)/(s-1) with M = n_explicit
-    M = n_explicit
-    if kind == DIRICHLET_AT_0:
-        s = 2.0  # (n-1)^2 exponent
-        coef = trace_sq_max / (np.pi ** 2 * p_star)
-    else:
-        s = 1.0 + 2.0 * eps
-        coef = trace_sq_max / (np.pi ** 2 * p_star) ** (0.5 + eps)
-    remainder = coef * (M ** (-s) + M ** (1.0 - s) / (s - 1.0))
-    return total + remainder
+def _zeta_tail(s: float, a: float) -> float:
+    """U(s, a) >= sum_{k>=0} (a + k)^-s for s > 1, a > 0.
+
+    The Euler-Maclaurin sum cut just before its first negative term; the
+    summand is completely monotone, so U exceeds the sum by at most
+    s(s+1)(s+2) a^(-s-3)/720 (Olver, Asymptotics and Special Functions,
+    1974, ch. 8).
+    """
+    return a ** (1.0 - s) / (s - 1.0) + a ** -s / 2.0 + s * a ** (-s - 1.0) / 12.0
 
 
-def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EPS,
-                   tail_terms: int | None = None) -> float:
+def _trace_tail_sum(kind: str, spectrum: Spectrum, coeffs: CoefficientPair,
+                    eps: float) -> float:
+    """sum_{n>=2} r_n / lambda_n^e over the M computed modes, plus an upper
+    bound on the rest: r_bar (p_star pi^2)^-e U(2e, a).
+
+    Left trace: r_n = phi_n(0)^2, e = 1, k_n = (n - 1/2) pi, a = M + 1/2.
+    Left flux: r_n = phi_n'(0)^2/lambda_n, e = 1/2 + eps, k_n = n pi, a = M + 1.
+    Min-max against (p_star, q = 0) gives lambda_n >= p_star k_n^2 (Courant &
+    Hilbert, vol. I, ch. VI), an equality for constant p and q = 0.  r_bar
+    is sup_n r_n, 2 or 2/p0 for constant coefficients; otherwise it is the
+    computed modes' largest r_n, a sample.
+    """
+    lam, M = spectrum.lambdas, spectrum.n_modes
+    r = spectrum.datum0 ** 2
+    if kind == DIRICHLET_AT_0:
+        e, a = 1.0, M + 0.5
+    else:
+        r = r / lam
+        e, a = 0.5 + eps, M + 1.0
+    constant = coeffs.constant_values()
+    if constant is None:
+        r_bar = float(np.max(r))
+    else:
+        r_bar = 2.0 if kind == DIRICHLET_AT_0 else 2.0 / constant[0]
+    partial = float(np.sum(r[1:] / lam[1:] ** e))
+    return partial + r_bar * (coeffs.p_star * np.pi ** 2) ** -e * _zeta_tail(2.0 * e, a)
+
+
+def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EPS) -> float:
     """Upper bound on the measurement tail constant.
 
     Bounded measurement: ||c||^2.  Left trace: sum_{n>=2} phi_n(0)^2/lambda_n.
     Left flux: sum_{n>=2} phi_n'(0)^2/lambda_n^(3/2+eps).  The series is
-    summed over the spectrum's computed modes (extended by closed forms up to
-    tail_terms when the coefficients are constant) and closed with an
-    integral remainder bound, so the result never undershoots the series.
+    summed over the spectrum's computed modes and closed with the bound of
+    _trace_tail_sum on the rest.
     """
     if not 0.0 < eps <= 0.5:
         raise EpsOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
@@ -229,11 +226,7 @@ def tail_constants(plant: PlantSpec, spectrum: Spectrum, eps: float = DEFAULT_EP
         if not np.isfinite(norm2):
             raise ValueError("measurement weight c has non-finite L2 norm at the quadrature nodes")
         return norm2
-    constant = plant.coeffs.constant_values()
-    if tail_terms is None:
-        tail_terms = DEFAULT_TAIL_TERMS if constant is not None else spectrum.n_modes
-    return _trace_tail_sum(kind, spectrum.lambdas, spectrum.datum0, plant.coeffs.p_star,
-                           eps, tail_terms, constant)
+    return _trace_tail_sum(kind, spectrum, plant.coeffs, eps)
 
 
 def _projection_degree(plant: PlantSpec) -> int:
@@ -250,8 +243,7 @@ def _projection_degree(plant: PlantSpec) -> int:
     return max(deg_p, deg_q + k, k)
 
 
-def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EPS,
-           tail_terms: int | None = None) -> ReducedPlant:
+def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EPS) -> ReducedPlant:
     """Project the homogenized plant onto the first N modes.
 
     The spectrum must carry at least N+1 modes (the certificates need
@@ -276,7 +268,7 @@ def reduce(plant: PlantSpec, spectrum: Spectrum, N: int, eps: float = DEFAULT_EP
         plant=plant, spectrum=spectrum,
         a_coef=weighted @ a, b_coef=weighted @ b, out_coef=out_coef,
         N0=select_N0(spectrum, plant.q_c, plant.delta),
-        tail_constant=tail_constants(plant, spectrum, eps=eps, tail_terms=tail_terms),
+        tail_constant=tail_constants(plant, spectrum, eps=eps),
         tail_eps=eps,
         a_norm2=float(w @ (a * a)),
         b_norm2=float(w @ (b * b)),

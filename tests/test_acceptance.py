@@ -218,8 +218,7 @@ def test_criterion_08_tail_constants(dirichlet_pipeline, neumann_pipeline):
     terms = 2.0 * (n * np.pi) ** 2 / ((n * np.pi) ** 2) ** (1.5 + 0.125)
     M = 10 ** 6
     oracle = float(np.sum(terms)) + (2.0 / np.pi ** 1.25) * (M ** -1.25 + M ** -0.25 / 0.25)
-    m2 = ss.tail_constants(neumann_pipeline.plant, neumann_pipeline.spectrum,
-                           eps=0.125, tail_terms=10 ** 6)
+    m2 = ss.tail_constants(neumann_pipeline.plant, neumann_pipeline.spectrum, eps=0.125)
     m2_rel = abs(m2 - oracle) / oracle
     ok = m1_err < 1e-4 and m2_rel < 1e-4
     report(8, ok, f"M1 err {m1_err:.1e} < 1e-4 (abs), M2(1/8) vs 1e6-term oracle "

@@ -378,16 +378,21 @@ def test_free_p_takes_h2_from_the_observable_block(request, monkeypatch, fixture
     assert len(decided) == 1
 
 
-@pytest.mark.parametrize("N, margin", [(100, 154.6177881568973), (200, 38.0925590067841)])
+@pytest.mark.parametrize("N, margin", [(100, 154.61370680062393), (200, 38.09153373414121)])
 def test_dirichlet_margins_at_large_order(N, margin):
     # the left trace at q_c = 10 certifies no order below 1254 under the
     # default poles; its exact margins at N = 100 and 200 are those of the
-    # full-system norm
+    # full-system norm, and they do not depend on the reduction size
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
                          measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
-    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 202, 2000), 201)
-    cert, record = ss.certificate.certify_order(red, ss.design_gains(red), N)
-    assert cert is None and record["margin"] == pytest.approx(margin, rel=1e-12)
+    margins = []
+    for n_modes in (202, 802):
+        red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, n_modes, 2000), n_modes - 1)
+        cert, record = ss.certificate.certify_order(red, ss.design_gains(red), N)
+        assert cert is None
+        margins.append(record["margin"])
+    assert margins[0] == pytest.approx(margin, rel=1e-12)
+    assert margins[1] == pytest.approx(margins[0], rel=1e-12)
 
 
 def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):

@@ -13,7 +13,7 @@ from specstab import cli, homogenize
 from specstab._g17 import g17
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, IoFailure,
-                             StepRejected)
+                             NonPositiveSeries, StepRejected)
 from specstab.sdpa import read_sdpa
 
 BOUNDED_CONFIG = """
@@ -388,11 +388,11 @@ def test_mode_count_beyond_memory_exits_3_before_the_spectrum(tmp_path, monkeypa
 
 
 def preset_config(tmp_path, preset, **keys):
-    """A preset as a config file, with q_c, N, n_sim, z0 or u0 set in its section."""
+    """A preset as a config file, with q_c, N, n_sim, z0, u0, T or dt set in its section."""
     text = cli.PRESETS[preset]
     for key, value in keys.items():
         section = {"q_c": "[plant]", "N": "[design]", "n_sim": "[sim]", "z0": "[sim]",
-                   "u0": "[sim]"}[key]
+                   "u0": "[sim]", "T": "[sim]", "dt": "[sim]"}[key]
         lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
         text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
     path = tmp_path / f"{preset}.cfg"
@@ -458,6 +458,28 @@ def test_incompatible_initial_data_exits_3_before_the_spectrum(tmp_path, monkeyp
     assert spectra == []
     err = capsys.readouterr().err
     assert named in err and message in err
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_zero_initial_data_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys, preset):
+    # z0 = 0 with u0 = 0 is the equilibrium: the loop stays at rest and no
+    # decay rate can be fitted to it
+    spectra = []
+    for name in ("analytic_spectrum", "solve_spectrum"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: spectra.append(_name))
+    cfg = preset_config(tmp_path, preset, z0="0, 0")
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert spectra == []
+    assert "[sim] z0 = 0 with u0 = 0 is the equilibrium" in capsys.readouterr().err
+
+
+def test_underflowed_decay_series_has_its_own_exit_code(tmp_path, capsys):
+    # the certified neumann loop decays at about 1.23, so over T = 700 its eta
+    # underflows to 0 inside the fit window [1, T]
+    cfg = preset_config(tmp_path, "neumann-example", T=700, dt=0.1)
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
+        == ERROR_EXIT_CODES[NonPositiveSeries] == 17
+    assert "error[NonPositiveSeries]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("q_c", [0, 3, 10, 20])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,27 +212,64 @@ def test_select_n0_unreachable():
 
 # ---------------------------------------------------------------- tail constants
 
+MODE_COUNTS = (11, 51, 201, 801)
+
+
+def laplacian_tails(kind):
+    """tail_constants for p = 1, q = 0 on analytic spectra of MODE_COUNTS modes."""
+    plant = constant_plant(3.0, ss.MeasurementSpec(kind))
+    return [ss.tail_constants(plant, ss.analytic_spectrum(plant.boundary, m))
+            for m in MODE_COUNTS]
+
+
 def test_tail_constant_dirichlet_closed_form(dirichlet_pipeline):
     plant, sp = dirichlet_pipeline.plant, dirichlet_pipeline.spectrum
     value = ss.tail_constants(plant, sp)
     assert value == pytest.approx(M1_PHI, abs=1e-4)
     assert value >= M1_PHI  # safe upper bound
+    values = laplacian_tails(ss.DIRICHLET_AT_0)
+    assert all(v >= M1_PHI for v in values)
+    assert all(v - M1_PHI <= 1e-9 * M1_PHI for v in values[1:])
 
 
-def test_tail_constant_neumann_against_zeta(neumann_pipeline):
+def test_tail_constant_neumann_against_zeta():
+    # sum_{n>=2} 2 (n pi)^2 / (n pi)^(13/4) = 2 pi^(-5/4) (zeta(5/4) - 1)
     from scipy.special import zeta
-    plant, sp = neumann_pipeline.plant, neumann_pipeline.spectrum
     truth = 2.0 / np.pi ** 1.25 * (zeta(1.25) - 1.0)
-    value = ss.tail_constants(plant, sp, eps=0.125, tail_terms=10 ** 5)
-    assert value >= truth
-    assert value == pytest.approx(truth, rel=1e-4)
+    values = laplacian_tails(ss.NEUMANN_AT_0)
+    assert all(v >= truth for v in values)
+    assert all(v - truth <= 1e-9 * truth for v in values[1:])
 
 
-def test_tail_constant_monotone_in_explicit_terms(dirichlet_pipeline, neumann_pipeline):
-    for pipe in (dirichlet_pipeline, neumann_pipeline):
-        values = [ss.tail_constants(pipe.plant, pipe.spectrum, tail_terms=T)
-                  for T in (60, 120, 240, 960)]
-        assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+def test_tail_constant_monotone_in_explicit_terms():
+    # each computed mode replaces its share of the remainder bound by its term
+    for kind in (ss.DIRICHLET_AT_0, ss.NEUMANN_AT_0):
+        values = laplacian_tails(kind)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("kind", [ss.DIRICHLET_AT_0, ss.NEUMANN_AT_0])
+def test_variable_coefficient_tail_above_a_long_partial_sum(kind):
+    # p = 1 + x/2 has traces that rise with n, so the largest computed r_n
+    # is a sample below the limit; the bound must still clear the first 401
+    # terms of the series
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0])
+    plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec(kind), 0.5)
+    long = ss.solve_spectrum(coeffs, plant.boundary, 401, 2000)
+    e = 1.0 if kind == ss.DIRICHLET_AT_0 else 1.625
+    reference = float(np.sum(long.datum0[1:] ** 2 / long.lambdas[1:] ** e))
+    for m in (11, 51):
+        assert ss.tail_constants(plant, ss.solve_spectrum(coeffs, plant.boundary, m)) >= reference
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # the remainder bound U is a closed form, so a fresh import need not pay
+    # for loading scipy.special
+    src = str(Path(ss.__file__).resolve().parents[1])
+    code = "import sys, specstab; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_tail_constant_bounded_is_weight_norm(bounded_pipeline):
@@ -242,7 +284,8 @@ def test_tail_constant_eps_out_of_range(neumann_pipeline):
 
 
 def test_tail_constant_numeric_path_close_to_closed_form():
-    # solved spectrum, no constant-coefficient extension available beyond its modes
+    # solved spectrum of a variable p: the remainder bound takes the largest
+    # computed trace
     coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.1], [0.0])
     sp = ss.solve_spectrum(coeffs, ND, 30, 1200)
     plant = ss.PlantSpec(coeffs, 3.0, ss.MeasurementSpec.dirichlet(), 0.5)
