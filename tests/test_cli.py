@@ -474,8 +474,8 @@ def test_zero_initial_data_exits_3_before_the_spectrum(tmp_path, monkeypatch, ca
 
 
 def test_underflowed_decay_series_has_its_own_exit_code(tmp_path, capsys):
-    # the certified neumann loop decays at about 1.23, so over T = 700 its eta
-    # underflows to 0 inside the fit window [1, T]
+    # the certified neumann loop's spectral abscissa is about -1.23, so over
+    # T = 700 its eta underflows to 0 inside the fit window [1, T]
     cfg = preset_config(tmp_path, "neumann-example", T=700, dt=0.1)
     assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
         == ERROR_EXIT_CODES[NonPositiveSeries] == 17
