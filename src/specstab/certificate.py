@@ -15,7 +15,8 @@ is, and builds its point with one Riccati solve; optimal_alpha gives the
 best alpha in closed form, and export_sdpa writes the LMI in SDPA format.
 verify_certificate is the only proof of a point.  lyapunov_solve gives the
 P of the shifted Lyapunov equation F'P + PF + 2 delta P = -I, one
-admissible P, whose norms lyapunov_norm_sweep records over the order.
+admissible P, solved on the closed loop's blocks in O(N^2); its norms are
+what lyapunov_norm_sweep records over the order.
 
 Every order is certified on the caller's one ReducedPlant and GainSet: the
 closed loop at order N is assembled from the first N modes of that
@@ -29,8 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg import eigvalsh, schur, solve_continuous_are
+from scipy.linalg.lapack import ztrsyl as trsyl
 
+from ._blas import gemm
 from .errors import DimensionMismatch, NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
 from .sdpa import SdpaProblem
@@ -98,27 +101,101 @@ def _shifted(F: np.ndarray, delta: float) -> np.ndarray:
     return A
 
 
-def lyapunov_solve(F: np.ndarray, delta: float) -> np.ndarray:
-    """Unique P > 0 with F'P + PF + 2 delta P = -I.
+def _shifted_solves(Q: np.ndarray, T: np.ndarray, shifts: np.ndarray,
+                    R: np.ndarray) -> np.ndarray:
+    """X with (M + s_j I) X[:, j] = R[:, j] for every shift s_j, where M = Q T Q^H
+    is a complex Schur form of a real m-square M: one back substitution
+    through T's m rows serves all shifts, and X is real.  Q is passed as the
+    real m x 2m [Re Q, -Im Q], so that each product with R or X is one dgemm."""
+    m = T.shape[0]
+    Y = gemm(Q.T, R)  # [Re Q^H; Im Q^H] R
+    Y = Y[:m] + 1j * Y[m:]
+    D = T.diagonal()[:, None] + shifts
+    Y[-1] /= D[-1]
+    for i in range(m - 2, -1, -1):
+        Y[i] -= T[i, i + 1:] @ Y[i + 1:]
+        Y[i] /= D[i]
+    return gemm(Q, np.concatenate([Y.real, Y.imag]))
 
-    Solved by the Bartels-Stewart method (Schur form of A = F + delta I);
-    requires the spectral abscissa of A to be negative.  The residual
-    R = A'P + PA + I must meet the backward-error bound
-    |R|_F <= c n u |A|_F |P|_F with c = 10 and unit roundoff u (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, 16.2), so a solve
-    of large but well-determined P passes and a wrong P does not.
+
+def _sumsq(x: np.ndarray) -> float:
+    """The squared Frobenius norm, without BLAS."""
+    flat = x.ravel()
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def lyapunov_solve(model: ClosedLoopMatrices, delta: float) -> np.ndarray:
+    """Unique P > 0 with F'P + PF + 2 delta P = -I, solved on the model's blocks.
+
+    In the order (i3, c, i4) of ClosedLoopMatrices' blocks, A = F + delta I is
+    block upper triangular, [[E, F3c, 0], [0, Ac, u v'], [0, 0, E]] with
+    E = diag(e), e = d + delta and Ac = Fc + delta I.  So A'P + PA = -I splits
+    into one equation per block of P, each reading only blocks solved before
+    it:
+
+    - P33 = -1/(2e), diagonal;
+    - row n of P3c solves (Ac + e_n I)' x = -P33_n F3c[n];
+    - Pcc solves Ac'X + X Ac = -I - F3c'P3c - P3c'F3c, one m-square
+      Lyapunov equation (Bartels-Stewart);
+    - P34 = -(P3c u) v' / (e_n + e_k), elementwise;
+    - column k of Pc4 solves (Ac' + e_k I) x = -(F3c'P34 + Pcc u v')[:, k];
+    - P44 = -(I + v g' + g v') / (e_n + e_k), g = Pc4'u, elementwise.
+
+    The shifted solves and the core Lyapunov equation share one complex
+    Schur form of Ac', whose diagonal with e gives the Hurwitz test: A's eigenvalues are Ac's and e twice, and
+    the spectral abscissa must be negative.  The cost is O(N^2 + N m^2 + m^3)
+    for m = 2 N0 + 1, against O(N^3) for a dense solve of the (2N + 1)-square
+    A.  The residual R = PA + (PA)' + I is formed from PA by A's column
+    blocks, also in O(N^2 m), and must meet the backward-error bound
+    |R|_F <= c n u |A|_F |P|_F with c = 10, n = 2N + 1 and unit roundoff u
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 16.2), so
+    a solve of large but well-determined P passes and a wrong P does not.
+    P is returned over X, as state_layout lays it out.
     """
-    F = np.asarray(F, dtype=float)
-    n = F.shape[0]
-    if F.shape != (n, n):
-        raise DimensionMismatch(f"F must be square, got {F.shape}")
-    A = _shifted(F, delta)
-    eye = np.eye(n)
-    P = solve_continuous_lyapunov(A.T, -eye)
-    P = 0.5 * (P + P.T)
-    residual = float(np.linalg.norm(A.T @ P + P @ A + eye))
-    bound = _LYAP_BACKWARD_C * n * np.finfo(float).eps \
-        * float(np.linalg.norm(A)) * float(np.linalg.norm(P))
+    m, n3, dim = model.m, model.N - model.N0, model.dim
+    Ac = model.Fc + delta * np.eye(m)
+    e = model.d + delta
+    F3c, u, v = model.F3c, model.u, model.v
+    T, Q = schur(Ac.T, output="complex")
+    Qr = np.hstack([Q.real, -Q.imag])
+    abscissa = float(max(np.max(T.diagonal().real), np.max(e)))
+    if abscissa >= 0:
+        raise NotHurwitzShifted(
+            f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
+    esum = e[:, None] + e
+
+    p33 = -0.5 / e
+    P3c = _shifted_solves(Qr, T, e, (-p33[:, None] * F3c).T).T
+    FP3c = gemm(F3c.T, P3c)
+    # Bartels-Stewart on the same Schur form: T Y + Y T^H = Q^H C Q, X = Q Y Q^H
+    Qh = Q.conj().T
+    Y, scale, _ = trsyl(T, T, Qh @ (-np.eye(m) - FP3c - FP3c.T) @ Q, tranb="C")
+    Pcc = (Q @ Y @ Qh).real / scale
+    Pcc = 0.5 * (Pcc + Pcc.T)
+    P34 = np.outer(-(P3c @ u), v) / esum
+    Pc4 = _shifted_solves(Qr, T, e, -gemm(F3c.T, P34) - np.outer(Pcc @ u, v))
+    vg = np.outer(v, u @ Pc4)
+    P44 = np.diag(p33) - (vg + vg.T) / esum
+
+    c, i3, i4 = slice(0, m), slice(m, m + n3), slice(m + n3, dim)
+    P = np.zeros((dim, dim))
+    P[c, c] = Pcc
+    P[i3, c], P[c, i3] = P3c, P3c.T
+    P[i3, i3] = np.diag(p33)
+    P[i3, i4], P[i4, i3] = P34, P34.T
+    P[c, i4], P[i4, c] = Pc4, Pc4.T
+    P[i4, i4] = P44
+
+    # PA by A's column blocks; A'P = (PA)' as P is symmetric
+    PA = np.empty((dim, dim))
+    PA[:, c] = gemm(P[:, i3], F3c) + gemm(P[:, c], Ac)
+    PA[:, i3] = P[:, i3] * e
+    PA[:, i4] = np.outer(P[:, c] @ u, v) + P[:, i4] * e
+    R = PA + PA.T
+    R.flat[::dim + 1] += 1.0
+    norm_A = math.sqrt(_sumsq(Ac) + 2.0 * _sumsq(e) + _sumsq(F3c) + _sumsq(u) * _sumsq(v))
+    residual = math.sqrt(_sumsq(R))
+    bound = _LYAP_BACKWARD_C * dim * np.finfo(float).eps * norm_A * math.sqrt(_sumsq(P))
     if not residual <= bound:
         raise NotHurwitzShifted(
             f"Lyapunov residual {residual:.3e} exceeds the backward-error bound "
@@ -287,10 +364,11 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     is alpha h^2 / k - 1 (inf when k <= 0), and optimal_alpha's alpha* is the
     free-P optimum.  Every fixed P, the Lyapunov one included, is a point of
     this LMI, so no P certifies where the margin is >= 0.
-    h^2 and the Hurwitz test come from the leading 2 N0 + 1 rows and columns,
-    assemble_closed_loop's blocks i1 u i2: F is block triangular in the order
-    i4, i1 u i2, i3, G and Lcal vanish outside i1 u i2, and i3, i4 are
-    diagonal with -lambda_n + q_c + delta < 0 (the reduction's spectral gap).
+    h^2 and the Hurwitz test come from the model's core c = i1 u i2 (Fc, Gc
+    and u) alone: F is block triangular in the order i4, c, i3, G and Lcal
+    vanish outside c, and i3, i4 are diagonal with -lambda_n + q_c + delta < 0
+    (the reduction's spectral gap).  So an order whose margin is >= 0 never
+    builds the dense F; only the point of an order that certifies does.
     The point: X solves the Riccati equation with k1 = (alpha h^2 + k)/2 in
     place of k and alpha G + e I in place of alpha G, where e leaves the
     squared norm of that system below k1; then P = X, gamma = 1 and
@@ -304,12 +382,11 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    m = 2 * model.N0 + 1  # the observable block i1 u i2
-    A_obs = _shifted(model.F[:m, :m], reduced.delta)
+    A_obs = _shifted(model.Fc, reduced.delta)  # the observable core i1 u i2
     k = _beta_slope(model, reduced, alpha)
     if not k > 0.0:
         return None, math.inf
-    ah2 = alpha * _hinf_norm_sq(A_obs, model.G[:m, :m], model.Lcal[:m])
+    ah2 = alpha * _hinf_norm_sq(A_obs, model.Gc, model.u)
     margin = ah2 / k - 1.0
     if not ah2 < k:
         return None, margin
@@ -331,7 +408,8 @@ def certify_order(reduced: ReducedPlant, gains: GainSet,
     """Free-P certificate at order N and alpha = optimal_alpha, and its record.
 
     The closed loop is assembled from the first N modes of reduced with the
-    given gains and decided by free_p_certificate at alpha*.  Returns the
+    given gains and decided by free_p_certificate at alpha*, which reads the
+    model's core and lambda_(N+1) alone unless the order certifies.  Returns the
     verified Certificate, or None, and the record {"margin", "alpha"}: the
     exact margin alpha h^2 / k - 1 at alpha*, negative iff the LMI is
     feasible.  Since alpha* minimises that ratio, a margin >= 0 proves that
@@ -370,14 +448,15 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
     One reduction at max(N_list) serves every order, with the package pole
     rule's gains on it.  With fixed gains the coupling blocks have
     N-independent norm bounds, so the sequence should stay bounded; this
-    sweep records it empirically.
+    sweep records it empirically.  P > 0, so its spectral norm is its
+    largest eigenvalue, the 2N-th of the (2N + 1)-square P's, counted from 0.
     """
     N_list = list(range(2, 13) if N_list is None else N_list)
     reduced = reduce(plant, spectrum, max(N_list))
     gains = design_gains(reduced)
     return np.array([
-        np.linalg.norm(lyapunov_solve(assemble_closed_loop(reduced, gains, N).F,
-                                      reduced.delta), 2)
+        eigvalsh(lyapunov_solve(assemble_closed_loop(reduced, gains, N), reduced.delta),
+                 subset_by_index=[2 * N, 2 * N], check_finite=False)[0]
         for N in N_list])
 
 

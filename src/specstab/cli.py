@@ -493,8 +493,9 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
         except OSError as exc:
             raise err.IoFailure(f"cannot create output directory {out}: {exc}") from exc
         record = solve(config)
-        for line in _progress(record):
-            say(line)
+        if not quiet:  # the progress text is formatted only to be printed
+            for line in _progress(record):
+                print(line)
         if export_sdpa_path:
             model = assemble_closed_loop(record.reduced, record.gains, record.N)
             alpha = cert_mod.optimal_alpha(model, record.reduced)

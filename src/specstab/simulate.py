@@ -381,16 +381,25 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
 
 
 def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]) -> float:
-    """Least-squares decay rate of log(series) over [t_a, t_b], negated."""
+    """Least-squares decay rate of log(series) over [t_a, t_b], negated.
+
+    A series that reaches 0 in the window, as eta underflows on a long
+    horizon, is fitted on the window's samples before its first nonpositive
+    one; NonPositiveSeries when fewer than 2 samples come before it.
+    """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     ta, tb = window
     mask = (times >= ta) & (times <= tb)
     if not np.any(mask):
         raise ValueError(f"window [{ta}, {tb}] contains no samples")
-    y = series[mask]
-    if np.any(y <= 0):
-        raise NonPositiveSeries("series must be strictly positive on the fit window")
-    slope = np.polyfit(times[mask], np.log(y), 1)[0]
+    t, y = times[mask], series[mask]
+    nonpositive = np.flatnonzero(y <= 0)
+    if nonpositive.size:
+        if nonpositive[0] < 2:
+            raise NonPositiveSeries("series must be strictly positive on the first 2 samples "
+                                    "of the fit window")
+        t, y = t[:nonpositive[0]], y[:nonpositive[0]]
+    slope = np.polyfit(t, np.log(y), 1)[0]
     return float(-slope)
 

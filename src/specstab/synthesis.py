@@ -9,6 +9,7 @@ C1 stays bounded as N grows; state_layout says where each mode sits in X.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +41,68 @@ class GainSet:
 @dataclass(frozen=True)
 class ClosedLoopMatrices:
     """The certificate dynamics X' = F X + Lcal * zeta at observer order N, and
-    G; assemble_closed_loop places the design blocks in F."""
+    G, held as their blocks.
+
+    X's blocks (state_layout) are the core c = i1 u i2 (W_a-hat and the first
+    N0 errors, m = 2 N0 + 1 states), i3 (the estimates beyond N0) and i4 (the
+    scaled errors beyond N0).  F is block triangular in the order i4, c, i3:
+
+        F[c, c] = Fc,   F[c, i4] = u v',   F[i3, c] = F3c,
+        F[i3, i3] = F[i4, i4] = diag(d),
+
+    and zero elsewhere; Lcal is u on c and G is Gc on c, both zero elsewhere.
+    Every block but F3c (N - N0 by m) is m-square or a vector, so a model
+    costs O(N m) to build.  F, G and Lcal are built from the blocks on first
+    read, for the consumers that need them dense (verify_certificate,
+    assemble_sim, export_sdpa).
+    """
 
     N: int
     N0: int
-    F: np.ndarray
-    Lcal: np.ndarray
-    G: np.ndarray
+    Fc: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    F3c: np.ndarray
+    Gc: np.ndarray
 
     def __post_init__(self):
-        for name in ("F", "Lcal", "G"):
+        for name in ("Fc", "d", "u", "v", "F3c", "Gc"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return 2 * self.N0 + 1
 
     @property
     def dim(self) -> int:
         return 2 * self.N + 1
+
+    def _padded(self, core: np.ndarray) -> np.ndarray:
+        """A vector or square matrix over X that holds core on c, zero elsewhere."""
+        full = np.zeros((self.dim,) * core.ndim)
+        full[(slice(0, self.m),) * core.ndim] = core
+        full.setflags(write=False)
+        return full
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        m, (i3, i4) = self.m, _blocks(self.N0, self.N)[2:]
+        F = np.zeros((self.dim, self.dim))
+        F[:m, :m] = self.Fc
+        F[:m, i4] = np.outer(self.u, self.v)
+        F[i3, :m] = self.F3c
+        F[i3, i3] = F[i4, i4] = np.diag(self.d)
+        F.setflags(write=False)
+        return F
+
+    @functools.cached_property
+    def G(self) -> np.ndarray:
+        return self._padded(self.Gc)
+
+    @functools.cached_property
+    def Lcal(self) -> np.ndarray:
+        return self._padded(self.u)
 
 
 def _char_poly_matrix(A: np.ndarray, poles) -> np.ndarray:
@@ -176,14 +224,16 @@ def state_layout(reduced: ReducedPlant, N: int) -> tuple[np.ndarray, np.ndarray,
 
 
 def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> ClosedLoopMatrices:
-    """Build F, Lcal and G for observer order N.
+    """Build the blocks of F, Lcal and G for observer order N.
 
     X is laid out as state_layout says.  Blocks (1,1), (2,2), (3,3) and
     (4,4) of F are A1 + B1 K, A0 - L C0, A2 and A2; (1,4) = Ltilde C1 and
     (2,4) = -L C1 with C1 = out_coef / scale: raw c_n for the in-domain
     measurement, phi_n(0)/sqrt(lambda_n) for the left trace,
     phi_n'(0)/lambda_n for the left flux; block (4,4) is the matching
-    rescaled error dynamics.
+    rescaled error dynamics.  So the core is Fc = [[A1 + B1 K, Ltilde C0],
+    [0, A0 - L C0]], d = -lambda_n + q_c for n = N0+1..N, u = Lcal on the
+    core = (Ltilde, -L), v = C1, and F3c = b_n K plus a_n on X[0].
     """
     N0 = reduced.N0
     if N < N0 + 1:
@@ -193,32 +243,25 @@ def assemble_closed_loop(reduced: ReducedPlant, gains: GainSet, N: int) -> Close
             f"reduced plant carries {reduced.n_coef} modes, need {N}")
     if gains.N0 != N0:
         raise ValueError(f"gains were placed for N0 = {gains.N0}, plant has N0 = {N0}")
-    lam = reduced.spectrum.lambdas
     K, L = gains.K, gains.L
 
     A0, A1, B1 = _design_blocks(reduced)
-    A2 = np.diag(-lam[N0:N] + reduced.q_c)
     C0 = reduced.out_coef[:N0]
     C1 = reduced.out_coef[N0:N] / state_layout(reduced, N)[2][N0:]
     Ltilde = np.concatenate([[0.0], L])
 
-    dim = 2 * N + 1
-    i1, i2, i3, i4 = _blocks(N0, N)
-    F = np.zeros((dim, dim))
-    F[i1, i1] = A1 + np.outer(B1, K)
-    F[i1, i2] = np.outer(Ltilde, C0)
-    F[i1, i4] = np.outer(Ltilde, C1)
-    F[i2, i2] = A0 - np.outer(L, C0)
-    F[i2, i4] = -np.outer(L, C1)
-    F[i3, i1] = np.outer(reduced.b_coef[N0:N], K)
-    F[i3, 0] += reduced.a_coef[N0:N]
-    F[i3, i3] = A2
-    F[i4, i4] = A2
+    m = 2 * N0 + 1
+    i1, i2 = _blocks(N0, N)[:2]
+    Fc = np.zeros((m, m))
+    Fc[i1, i1] = A1 + np.outer(B1, K)
+    Fc[i1, i2] = np.outer(Ltilde, C0)
+    Fc[i2, i2] = A0 - np.outer(L, C0)
+    F3c = np.zeros((N - N0, m))
+    F3c[:, i1] = np.outer(reduced.b_coef[N0:N], K)
+    F3c[:, 0] += reduced.a_coef[N0:N]
 
-    Lcal = np.zeros(dim)
-    Lcal[i1] = Ltilde
-    Lcal[i2] = -L
-    G = np.zeros((dim, dim))
-    G[i1, i1] = reduced.b_norm2 * np.outer(K, K)
-    G[0, 0] += reduced.a_norm2
-    return ClosedLoopMatrices(N=N, N0=N0, F=F, Lcal=Lcal, G=G)
+    Gc = np.zeros((m, m))
+    Gc[i1, i1] = reduced.b_norm2 * np.outer(K, K)
+    Gc[0, 0] += reduced.a_norm2
+    return ClosedLoopMatrices(N=N, N0=N0, Fc=Fc, d=-reduced.spectrum.lambdas[N0:N] + reduced.q_c,
+                              u=np.concatenate([Ltilde, -L]), v=C1, F3c=F3c, Gc=Gc)

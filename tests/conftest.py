@@ -3,8 +3,8 @@ test references: the a-priori eigenvalue band, the Galerkin pencil with the
 Shen basis as a dense matrix and its solve by bisection and inverse
 iteration, the modes' slopes and what follows from them (phi_n'(1), the flux
 consistency residual, the field energy), the bounded weight's second moment
-int x^2 c, the constructive Lyapunov-P search and the closed-loop generator
-in physical coordinates."""
+int x^2 c, the dense Lyapunov solve of the full F, the constructive
+Lyapunov-P search and the closed-loop generator in physical coordinates."""
 
 import math
 from dataclasses import dataclass
@@ -183,6 +183,15 @@ def energy_by_quadrature(result: ss.SimResult, step: int) -> float:
     return float(w @ (coeffs.p(x) * (modes @ mode_slopes(sp, x, result.N_sim)) ** 2
                       + coeffs.q(x) * (modes @ sp.phi(x, result.N_sim)) ** 2))
 
+
+def dense_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
+    """Reference: P with (F + delta I)'P + P(F + delta I) = -I by one dense
+    Bartels-Stewart solve of the full (2N + 1)-square F, symmetrized."""
+    n = F.shape[0]
+    P = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(n)).T, -np.eye(n))
+    return 0.5 * (P + P.T)
+
+
 def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.ndarray,
                  alpha: float) -> tuple[ss.Certificate, float]:
     """Reference: best (beta, gamma) for a Lyapunov P at fixed alpha > 1, and its margin.
@@ -240,7 +249,7 @@ def constructive_certificate(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPl
                              alpha: float) -> ss.Certificate:
     """The constructive certificate at fixed alpha, verified or not: P from the
     shifted Lyapunov equation, (beta, gamma) from the exact scalar problem."""
-    P = ss.lyapunov_solve(model.F, reduced.delta)
+    P = ss.lyapunov_solve(model, reduced.delta)
     return exact_search(model, reduced, P, alpha)[0]
 
 

@@ -100,7 +100,7 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     # in the hundreds); the exact margins of those failures are recorded
     def constructive_margin(pipe, N):
         model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, N)
-        P = ss.lyapunov_solve(model.F, pipe.reduced.delta)
+        P = ss.lyapunov_solve(model, pipe.reduced.delta)
         return exact_search(model, pipe.reduced, P, ss.optimal_alpha(model, pipe.reduced))[1]
 
     dirichlet_5 = constructive_margin(dirichlet_pipeline, 5)
@@ -267,7 +267,7 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
     for P, beta, gamma in [
         (free_p.P, free_p.beta, free_p.gamma),
         (np.eye(n), 1.0, 1.0),
-        (ss.lyapunov_solve(model.F, 0.5), 50.0, 0.02),
+        (ss.lyapunov_solve(model, 0.5), 50.0, 0.02),
     ]:
         S = model.F.T @ P + P @ model.F + red.delta * 2 * P + 2.0 * gamma * model.G
         T1 = np.zeros((n + 1, n + 1))

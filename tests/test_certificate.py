@@ -13,7 +13,8 @@ import specstab as ss
 from specstab.errors import NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from specstab.sdpa import read_sdpa
 
-from conftest import constructive_certificate, exact_search, verified_free_p_certificate
+from conftest import (constructive_certificate, dense_lyapunov, exact_search,
+                      verified_free_p_certificate)
 
 
 def zero_gains(N0):
@@ -23,43 +24,77 @@ def zero_gains(N0):
 
 # ---------------------------------------------------------------- lyapunov_solve
 
+def uncoupled(core, tail, N0):
+    """A closed loop whose couplings vanish: F = diag(core, tail, tail) over
+    X's blocks c, i3 and i4, with core (2 N0 + 1)-square and N = N0 + len(tail)."""
+    m, n = 2 * N0 + 1, len(tail)
+    return ss.ClosedLoopMatrices(N=N0 + n, N0=N0, Fc=np.array(core, dtype=float),
+                                 d=np.array(tail, dtype=float), u=np.zeros(m), v=np.zeros(n),
+                                 F3c=np.zeros((n, m)), Gc=np.zeros((m, m)))
+
+
+def kronecker_lyapunov(F, delta):
+    """Reference: the vectorized solve of (I x A' + A' x I) vec(P) = -vec(I)."""
+    n = F.shape[0]
+    A = F + delta * np.eye(n)
+    eye = np.eye(n)
+    M = np.kron(eye, A.T) + np.kron(A.T, eye)
+    return np.linalg.solve(M, -eye.reshape(-1)).reshape(n, n)
+
+
 def test_lyapunov_identity_case():
-    P = ss.lyapunov_solve(-np.eye(2), 0.0)
-    assert np.allclose(P, 0.5 * np.eye(2), atol=1e-12)
+    model = uncoupled(-np.eye(3), [-1.0], N0=1)
+    P = ss.lyapunov_solve(model, 0.0)
+    assert np.allclose(P, 0.5 * np.eye(5), atol=1e-12)
 
 
 def test_lyapunov_diagonal_case():
-    P = ss.lyapunov_solve(np.diag([-2.0, -3.0]), 0.5)
-    assert np.allclose(P, np.diag([1.0 / 3.0, 1.0 / 5.0]), atol=1e-12)
+    model = uncoupled(np.diag([-2.0, -3.0, -2.0]), [-3.0], N0=1)
+    P = ss.lyapunov_solve(model, 0.5)
+    assert np.allclose(P, np.diag([1 / 3, 1 / 5, 1 / 3, 1 / 5, 1 / 5]), atol=1e-12)
 
 
 def test_lyapunov_residual_small(dirichlet_pipeline):
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
-    P = ss.lyapunov_solve(model.F, 0.5)
+    P = ss.lyapunov_solve(model, 0.5)
     n = model.dim
     residual = model.F.T @ P + P @ model.F + 2 * 0.5 * P + np.eye(n)
     assert np.max(np.abs(residual)) < 1e-9
     assert np.linalg.eigvalsh(P)[0] > 0
 
 
-def test_lyapunov_matches_kronecker_reference(dirichlet_pipeline):
-    # dense vectorized solve of (I x A' + A' x I) vec(P) = -vec(I) at n = 21
-    red = dirichlet_pipeline.reduced
-    model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 10)
-    n = model.dim
-    assert n == 21
-    A = model.F + red.delta * np.eye(n)
-    eye = np.eye(n)
-    M = np.kron(eye, A.T) + np.kron(A.T, eye)
-    P_ref = np.linalg.solve(M, -eye.reshape(-1)).reshape(n, n)
-    P = ss.lyapunov_solve(model.F, red.delta)
+def test_lyapunov_matches_kronecker_reference(dirichlet_pipeline, neumann_pipeline,
+                                              bounded_pipeline):
+    # every measurement kind, at the smallest order and two larger ones; the
+    # Kronecker system has n^4 entries, so N = 40 (n = 81) takes the dense
+    # Bartels-Stewart solve of the full F as its reference
+    for pipe in (dirichlet_pipeline, neumann_pipeline, bounded_pipeline):
+        red = pipe.reduced
+        for N in (red.N0 + 1, 10, 40):
+            model = ss.assemble_closed_loop(red, pipe.gains, N)
+            reference = kronecker_lyapunov if N <= 10 else dense_lyapunov
+            P_ref = reference(model.F, red.delta)
+            P = ss.lyapunov_solve(model, red.delta)
+            assert np.linalg.norm(P - P_ref) <= 1e-12 * np.linalg.norm(P_ref), \
+                (red.plant.measurement.kind, N)
+
+
+def test_lyapunov_matches_dense_reference_at_large_order():
+    # left trace at q_c = 10, N = 200: |P| is about 1e4 and the full F is 401-square
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 202, 2000), 201)
+    model = ss.assemble_closed_loop(red, ss.design_gains(red), 200)
+    P_ref = dense_lyapunov(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     assert np.linalg.norm(P - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
+    assert np.array_equal(P, P.T)
 
 
 def test_lyapunov_not_hurwitz_shifted(dirichlet_pipeline):
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
     with pytest.raises(NotHurwitzShifted):
-        ss.lyapunov_solve(model.F, 5.0)
+        ss.lyapunov_solve(model, 5.0)
 
 
 def test_lyapunov_backward_error_accepts_a_large_well_solved_p():
@@ -72,13 +107,54 @@ def test_lyapunov_backward_error_accepts_a_large_well_solved_p():
 
 
 def test_lyapunov_backward_error_rejects_a_wrong_p(dirichlet_pipeline, monkeypatch):
-    # a P off by 1e-6 relative leaves the residual -1e-6 I, far above the bound
+    # the core block of P off by 1e-6 relative leaves a residual of about 1e-6
+    # there, far above the bound, although every later block solves exactly
+    # against it
     model = ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 3)
-    solve = ss.certificate.solve_continuous_lyapunov
-    monkeypatch.setattr(ss.certificate, "solve_continuous_lyapunov",
-                        lambda a, q: solve(a, q) * (1.0 + 1e-6))
+    trsyl = ss.certificate.trsyl
+
+    def perturbed(*args, **kwargs):
+        Y, scale, info = trsyl(*args, **kwargs)
+        return Y * (1.0 + 1e-6), scale, info
+
+    monkeypatch.setattr(ss.certificate, "trsyl", perturbed)
     with pytest.raises(NotHurwitzShifted, match="backward-error bound"):
-        ss.lyapunov_solve(model.F, 0.5)
+        ss.lyapunov_solve(model, 0.5)
+
+
+@pytest.mark.parametrize("stage", ["lyapunov_solve", "certify_order"])
+def test_large_order_touches_no_dense_matrix_beyond_the_core(stage, monkeypatch):
+    # left trace at q_c = 10 on an 801-mode reduction, N = 200: every dense
+    # eigenvalue, Schur, Sylvester, Lyapunov or Riccati routine sees at most
+    # the m = 2 N0 + 1 core; the Hamiltonian of the m-state core in
+    # _hinf_norm_sq is 2m-square
+    import scipy.linalg
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 802, 2000), 801)
+    gains = ss.design_gains(red)
+    m = 2 * red.N0 + 1
+    sizes = []
+
+    def recorded(fn, name):
+        def wrapper(a, *args, **kwargs):
+            sizes.append((name, np.shape(a)[0]))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for module in (ss.certificate, scipy.linalg, np.linalg):
+        for name in ("eigvals", "schur", "trsyl", "solve_continuous_lyapunov",
+                     "solve_continuous_are"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded(getattr(module, name), name))
+    if stage == "lyapunov_solve":
+        ss.lyapunov_solve(ss.assemble_closed_loop(red, gains, 200), red.delta)
+        assert sizes and all(size <= m for _, size in sizes), sizes
+    else:
+        cert, record = ss.certificate.certify_order(red, gains, 200)
+        assert cert is None and record["margin"] > 0
+        assert sizes and all(size <= (2 * m if name == "eigvals" else m)
+                             for name, size in sizes), sizes
 
 
 # ---------------------------------------------------------------- verify_certificate
@@ -89,7 +165,7 @@ def test_verify_limit_structure_small_beta_gamma(dirichlet_pipeline):
     # hinges entirely on the beta/gamma balance against the tail term
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 3)
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     alpha, gamma = 2.0, 1e-9
     top = model.F.T @ P + P @ model.F + 2 * red.delta * P + alpha * gamma * model.G
     g = red.a_norm2 + red.b_norm2 * float(gains.K @ gains.K)  # |G| <= g
@@ -224,7 +300,7 @@ def test_optimal_alpha_dominates_every_alpha(
     pipe = (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)[which]
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, N)
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     star = ss.optimal_alpha(model, red)
     cert, margin = exact_search(model, red, P, alpha)
     cert_star, margin_star = exact_search(model, red, P, star)
@@ -240,7 +316,7 @@ def test_optimal_alpha_dominates_every_alpha(
 
 def _scan_finds_feasible(model, red, alpha):
     """Dense (beta, gamma) scan with the Lyapunov P: strict signs, full Theta1 spectrum."""
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     n = model.dim
     # Theta1's top-left block -I + alpha gamma G must stay negative definite
     gamma_max = 1.0 / (alpha * np.linalg.eigvalsh(model.G)[-1])
@@ -396,11 +472,13 @@ def test_dirichlet_margins_at_large_order(N, margin):
 
 
 def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):
-    # Lcal = 0, as a zero observer gain gives: Theta1 no longer couples to
+    # Lcal = 0, as a zero observer gain gives (and with it F's coupling
+    # u v' to the scaled errors beyond N0): Theta1 no longer couples to
     # beta, so the LMI is feasible iff k > 0 (F + delta I being Hurwitz)
     red = dirichlet_pipeline.reduced
     model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 3)
-    model = dataclasses.replace(model, Lcal=np.zeros(model.dim))
+    model = dataclasses.replace(model, u=np.zeros(model.m))
+    assert not model.Lcal.any()
     alpha = ss.optimal_alpha(model, red)
     assert ss.certificate._beta_slope(model, red, alpha) > 0.0
     cert, margin = ss.free_p_certificate(model, red, alpha)
@@ -409,7 +487,7 @@ def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):
     # one included, has a margin
     assert ss.certificate._beta_slope(model, red, 1.01) < 0.0
     assert ss.free_p_certificate(model, red, 1.01) == (None, math.inf)
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     assert exact_search(model, red, P, 1.01)[1] == math.inf
 
 
@@ -551,7 +629,7 @@ def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 5)
     star = ss.optimal_alpha(model, red)
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     _, margin_star = exact_search(model, red, P, star)
     _, margin = exact_search(model, red, P, alpha)
     assert 0 < margin_star <= margin
@@ -596,7 +674,7 @@ def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipe
     model = ss.assemble_closed_loop(red, neumann_pipeline.gains, 2)
     alpha = 1.1
     assert ss.certificate._beta_slope(model, red, alpha) < 0
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     cert, margin = exact_search(model, red, P, alpha)
     assert not cert.feasible
     assert all(math.isfinite(v) for v in (cert.theta1_max_eig, cert.theta2, cert.theta3))
@@ -634,9 +712,9 @@ def test_lyapunov_norm_sweep_zero_gains_rejected(dirichlet_pipeline):
     # must refuse rather than fabricate P
     red = dirichlet_pipeline.reduced
     for N in (2, 3):
-        F = ss.assemble_closed_loop(red, zero_gains(red.N0), N).F
+        model = ss.assemble_closed_loop(red, zero_gains(red.N0), N)
         with pytest.raises(NotHurwitzShifted):
-            ss.lyapunov_solve(F, red.delta)
+            ss.lyapunov_solve(model, red.delta)
 
 
 def test_lyapunov_diagonal_norm_constant_in_order():
@@ -646,8 +724,8 @@ def test_lyapunov_diagonal_norm_constant_in_order():
     q_c, delta = 0.0, 0.25
     norms = []
     for N in range(2, 13):
-        F = np.diag(np.concatenate([-lam[:N] + q_c, -lam[:N] + q_c]))
-        P = ss.lyapunov_solve(F, delta)
+        model = uncoupled(np.diag(np.full(3, -lam[0] + q_c)), -lam[1:N] + q_c, N0=1)
+        P = ss.lyapunov_solve(model, delta)
         norms.append(np.linalg.norm(P, 2))
     expected = 1.0 / (2.0 * (lam[0] - q_c - delta))
     assert np.allclose(norms, expected, rtol=1e-10)
@@ -725,7 +803,7 @@ def test_verify_reads_eps_from_the_reduction(which, request):
     pipe = request.getfixturevalue(which)
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, 3)
-    P = ss.lyapunov_solve(model.F, red.delta)
+    P = ss.lyapunov_solve(model, red.delta)
     assert ss.verify_certificate(model, red, P, 2.0, 1.0, 0.1).eps == red.tail_eps
     with pytest.raises(ValueError, match="tail_eps"):
         ss.verify_certificate(model, red, P, 2.0, 1.0, 0.1, 0.25)

@@ -13,7 +13,7 @@ from specstab import cli, homogenize
 from specstab._g17 import g17
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, IoFailure,
-                             NonPositiveSeries, StepRejected)
+                             StepRejected)
 from specstab.sdpa import read_sdpa
 
 BOUNDED_CONFIG = """
@@ -473,13 +473,28 @@ def test_zero_initial_data_exits_3_before_the_spectrum(tmp_path, monkeypatch, ca
     assert "[sim] z0 = 0 with u0 = 0 is the equilibrium" in capsys.readouterr().err
 
 
-def test_underflowed_decay_series_has_its_own_exit_code(tmp_path, capsys):
+def test_quiet_run_formats_no_progress_text(tmp_path, monkeypatch, capsys):
+    # --quiet prints nothing and builds no progress line to throw away
+    def refuse(record):
+        raise AssertionError("progress text built under --quiet")
+
+    monkeypatch.setattr(cli, "_progress", refuse)
+    assert run_scenario("dirichlet-example", out_dir=tmp_path, quiet=True) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_long_horizon_fits_the_decay_before_eta_underflows(tmp_path):
     # the certified neumann loop's spectral abscissa is about -1.23, so over
-    # T = 700 its eta underflows to 0 inside the fit window [1, T]
-    cfg = preset_config(tmp_path, "neumann-example", T=700, dt=0.1)
-    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
-        == ERROR_EXIT_CODES[NonPositiveSeries] == 17
-    assert "error[NonPositiveSeries]" in capsys.readouterr().err
+    # T = 500 or 700 its eta underflows to 0 inside the fit window [1, T];
+    # the fit takes the samples before the first zero, and the run reports
+    for T in (500, 700):
+        out = tmp_path / f"out{T}"
+        cfg = preset_config(tmp_path, "neumann-example", T=T, dt=0.1)
+        assert run_scenario(str(cfg), out_dir=out, quiet=True) == 0
+        rep = load_report(out)
+        assert rep["certificate_feasible"] and (out / "eta.csv").exists()
+        assert rep["simulation"]["eta_end"] == 0.0
+        assert rep["simulation"]["fitted_decay_rate"] >= rep["plant"]["delta"]
 
 
 @pytest.mark.parametrize("q_c", [0, 3, 10, 20])

@@ -515,6 +515,18 @@ def test_fit_decay_rejects_nonpositive():
         ss.fit_decay(t, t - 0.5, (0.0, 1.0))
 
 
+def test_fit_decay_stops_at_the_first_zero():
+    # an underflowed tail (and anything after it) is left out of the fit;
+    # a zero among the window's first 2 samples leaves nothing to fit
+    t = np.linspace(0, 10, 101)
+    y = np.exp(-0.7 * t)
+    y[60:] = 0.0
+    y[80] = 1.0
+    assert ss.fit_decay(t, y, (1.0, 10.0)) == pytest.approx(0.7, abs=1e-9)
+    with pytest.raises(NonPositiveSeries):
+        ss.fit_decay(t, y, (5.9, 10.0))
+
+
 # ---------------------------------------------------------------- lyapunov trace
 
 def test_lyapunov_trace_monotone_dirichlet(dirichlet_pipeline):
