@@ -13,6 +13,8 @@ the measurement tail constant.  The conditions form an LMI in
 real lemma, as one H-infinity norm of a (2 N0 + 1)-state block whatever N
 is, and builds its point with one Riccati solve; optimal_alpha gives the
 best alpha in closed form, and export_sdpa writes the LMI in SDPA format.
+That norm is the same at every order, so minimal_N computes it once and
+decides each order by a scalar test in lambda_(N+1).
 verify_certificate is the only proof of a point.  lyapunov_solve gives the
 P of the shifted Lyapunov equation F'P + PF + 2 delta P = -I, one
 admissible P, solved on the closed loop's blocks in O(N^2); its norms are
@@ -34,7 +36,8 @@ from scipy.linalg import eigvalsh, schur, solve_continuous_are
 from scipy.linalg.lapack import ztrsyl as trsyl
 
 from ._blas import gemm
-from .errors import DimensionMismatch, NoFeasibleN, NotHurwitzShifted, OrderTooSmall
+from .errors import (DimensionMismatch, InsufficientModes, NoFeasibleN, NotHurwitzShifted,
+                     OrderTooSmall)
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
 from .sdpa import SdpaProblem
 from .sturm_liouville import Spectrum
@@ -203,9 +206,9 @@ def lyapunov_solve(model: ClosedLoopMatrices, delta: float) -> np.ndarray:
     return P
 
 
-def _tail_factor(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
-    """Coefficient of beta in Theta2 for the relevant measurement kind."""
-    lam_next = float(reduced.spectrum.lambdas[model.N])
+def _tail_factor(reduced: ReducedPlant, N: int) -> float:
+    """Coefficient of beta in Theta2 at order N for the relevant measurement kind."""
+    lam_next = float(reduced.spectrum.lambdas[N])
     kind = reduced.plant.measurement.kind
     if kind == BOUNDED:
         return reduced.tail_constant / lam_next
@@ -214,11 +217,11 @@ def _tail_factor(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
     return reduced.tail_constant
 
 
-def _theta_scalars(model: ClosedLoopMatrices, reduced: ReducedPlant,
+def _theta_scalars(reduced: ReducedPlant, N: int,
                    alpha: float, beta: float, gamma: float) -> tuple[float, float]:
-    lam_next = float(reduced.spectrum.lambdas[model.N])
+    lam_next = float(reduced.spectrum.lambdas[N])
     theta2 = 2.0 * gamma * (-(1.0 - 1.0 / alpha) * lam_next + reduced.q_c + reduced.delta) \
-        + beta * _tail_factor(model, reduced)
+        + beta * _tail_factor(reduced, N)
     if reduced.plant.measurement.kind == NEUMANN_AT_0:
         theta3 = 2.0 * gamma * (1.0 - 1.0 / alpha) \
             - beta * reduced.tail_constant / lam_next ** (0.5 - reduced.tail_eps)
@@ -262,11 +265,11 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     T1 = _theta1(model, P, alpha, beta, gamma, reduced.delta)
     T1 = 0.5 * (T1 + T1.T)
     theta1_max = float(np.linalg.eigvalsh(T1)[-1])
-    theta2, theta3 = _theta_scalars(model, reduced, alpha, beta, gamma)
+    theta2, theta3 = _theta_scalars(reduced, model.N, alpha, beta, gamma)
     p_min = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
     tol1 = _FEAS_TOL * max(1.0, float(np.max(np.abs(T1))))
     lam_next = float(reduced.spectrum.lambdas[model.N])
-    scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(model, reduced))
+    scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(reduced, model.N))
     tol2 = _FEAS_TOL * scale2
     tolP = _FEAS_TOL * max(1.0, float(np.max(np.abs(P))))
     feasible = (p_min > tolP) and (theta1_max < -tol1) and (theta2 < -tol2)
@@ -279,7 +282,7 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        N=model.N, N0=model.N0)
 
 
-def _theta_forms(model: ClosedLoopMatrices, reduced: ReducedPlant,
+def _theta_forms(reduced: ReducedPlant, N: int,
                  alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """(gamma, beta) coefficients of Theta2 and of Theta3 (inf unless left flux).
 
@@ -287,19 +290,19 @@ def _theta_forms(model: ClosedLoopMatrices, reduced: ReducedPlant,
     _theta_scalars at the unit points; every product by 0, 1 or 2 there is
     exact, so each coefficient is bit-identical to its term in the formula.
     """
-    (g2, g3), (b2, b3) = (_theta_scalars(model, reduced, alpha, beta, gamma)
+    (g2, g3), (b2, b3) = (_theta_scalars(reduced, N, alpha, beta, gamma)
                           for beta, gamma in ((0.0, 1.0), (1.0, 0.0)))
     return (g2, b2), (g3, b3)
 
 
-def _beta_slope(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float) -> float:
+def _beta_slope(reduced: ReducedPlant, N: int, alpha: float) -> float:
     """Largest beta/gamma with Theta2 <= 0 (and Theta3 >= 0 for the left flux)."""
-    (g2, b2), (g3, b3) = _theta_forms(model, reduced, alpha)
+    (g2, b2), (g3, b3) = _theta_forms(reduced, N, alpha)
     return -g2 / b2 if math.isinf(g3) else min(-g2 / b2, g3 / -b3)
 
 
-def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
-    """The alpha > 1 maximising k(alpha)/alpha, in closed form.
+def optimal_alpha(reduced: ReducedPlant, N: int) -> float:
+    """The alpha > 1 maximising k(alpha)/alpha at order N, in closed form.
 
     Theta1 depends on alpha only through s = alpha gamma and the other
     conditions read beta <= (k/alpha) s, so feasibility, for any fixed P and
@@ -309,7 +312,7 @@ def optimal_alpha(model: ClosedLoopMatrices, reduced: ReducedPlant) -> float:
     eps, binding only when c <= 0 (then u = 1/2).  Otherwise the vertex
     u = (lambda - c)/(2 lambda) maximises; lambda > c holds beyond N0.
     """
-    lam_next = float(reduced.spectrum.lambdas[model.N])
+    lam_next = float(reduced.spectrum.lambdas[N])
     c = reduced.q_c + reduced.delta
     if reduced.plant.measurement.kind == NEUMANN_AT_0 and c <= 0.0:
         return 2.0
@@ -350,6 +353,42 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     return g
 
 
+def _core_norm_sq(model: ClosedLoopMatrices, delta: float) -> float:
+    """h^2 of free_p_certificate, from the model's core (Fc, Gc, u), which every
+    order of one reduction and gain set shares; NotHurwitzShifted unless
+    Fc + delta I is Hurwitz."""
+    return _hinf_norm_sq(_shifted(model.Fc, delta), model.Gc, model.u)
+
+
+def _decide(reduced: ReducedPlant, N: int, alpha: float,
+            h2: float) -> tuple[float, float | None]:
+    """The free-P verdict at order N from the core's h^2, a scalar test in
+    lambda_(N+1): the exact margin alpha h^2 / k - 1 (inf when k <= 0), and k
+    when alpha h^2 < k, that is when the LMI is feasible, else None."""
+    k = _beta_slope(reduced, N, alpha)
+    if not k > 0.0:
+        return math.inf, None
+    ah2 = alpha * h2
+    return ah2 / k - 1.0, (k if ah2 < k else None)
+
+
+def _riccati_point(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
+                   h2: float, k: float) -> Certificate | None:
+    """free_p_certificate's point at an order _decide found feasible, if it verifies."""
+    ah2 = alpha * h2
+    eye = np.eye(model.dim)
+    A = model.F + reduced.delta * eye
+    k1 = 0.5 * (ah2 + k)
+    h2_full = _hinf_norm_sq(A, eye, model.Lcal)
+    e = 0.5 * (k1 - ah2) / h2_full if h2_full > 0.0 else 1.0  # Lcal = 0: any e > 0
+    try:
+        X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye, [[-k1]])
+    except np.linalg.LinAlgError:  # no stabilising solution at rounding level
+        return None
+    cert = verify_certificate(model, reduced, 0.5 * (X + X.T), alpha, math.sqrt(k1 * k), 1.0)
+    return cert if cert.feasible else None
+
+
 def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        alpha: float) -> tuple[Certificate | None, float]:
     """Free-P certificate at fixed alpha, decided exactly by the bounded real lemma.
@@ -382,25 +421,9 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    A_obs = _shifted(model.Fc, reduced.delta)  # the observable core i1 u i2
-    k = _beta_slope(model, reduced, alpha)
-    if not k > 0.0:
-        return None, math.inf
-    ah2 = alpha * _hinf_norm_sq(A_obs, model.Gc, model.u)
-    margin = ah2 / k - 1.0
-    if not ah2 < k:
-        return None, margin
-    eye = np.eye(model.dim)
-    A = model.F + reduced.delta * eye
-    k1 = 0.5 * (ah2 + k)
-    h2 = _hinf_norm_sq(A, eye, model.Lcal)
-    e = 0.5 * (k1 - ah2) / h2 if h2 > 0.0 else 1.0  # Lcal = 0: any e > 0
-    try:
-        X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye, [[-k1]])
-    except np.linalg.LinAlgError:  # no stabilising solution at rounding level
-        return None, margin
-    cert = verify_certificate(model, reduced, 0.5 * (X + X.T), alpha, math.sqrt(k1 * k), 1.0)
-    return (cert if cert.feasible else None), margin
+    h2 = _core_norm_sq(model, reduced.delta)
+    margin, k = _decide(reduced, model.N, alpha, h2)
+    return (None if k is None else _riccati_point(model, reduced, alpha, h2, k)), margin
 
 
 def certify_order(reduced: ReducedPlant, gains: GainSet,
@@ -416,30 +439,68 @@ def certify_order(reduced: ReducedPlant, gains: GainSet,
     no P certifies this N at any alpha.
     """
     model = assemble_closed_loop(reduced, gains, N)
-    alpha = optimal_alpha(model, reduced)
+    alpha = optimal_alpha(reduced, N)
     cert, margin = free_p_certificate(model, reduced, alpha)
     return cert, {"margin": margin, "alpha": alpha}
+
+
+def _orders(Ns: list[int]) -> str:
+    """Ascending orders as runs: [2, 3, 4, 7] reads "2..4, 7"."""
+    runs = [[Ns[0], Ns[0]]]
+    for N in Ns[1:]:
+        if N == runs[-1][1] + 1:
+            runs[-1][1] = N
+        else:
+            runs.append([N, N])
+    return ", ".join(str(a) if a == b else f"{a}..{b}" for a, b in runs)
+
+
+def _unverified(margins: dict) -> str:
+    """What the records of orders without a verified certificate show: the
+    orders decided feasible (negative margin) whose point did not verify,
+    or else that no P certifies any of them, with the smallest margin."""
+    feasible = sorted(N for N, rec in margins.items() if rec["margin"] < 0.0)
+    if feasible:
+        values = [margins[N]["margin"] for N in feasible]
+        return (f"N = {_orders(feasible)} decided feasible but not verified (margins "
+                f"{max(values):.3g} to {min(values):.3g})")
+    best = min(margins, key=lambda N: margins[N]["margin"])
+    return (f"every exact margin is >= 0, so no P certifies these orders at any alpha "
+            f"(smallest {margins[best]['margin']:.3g} at N = {best})")
 
 
 def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = 10):
     """Smallest N <= N_max with a verified free-P certificate.
 
-    Every N from N0+1 up goes through certify_order on the same reduction
-    (monotonicity in N is not assumed); reduced must carry at least N_max
-    modes.  Returns (N, Certificate).  Raises NoFeasibleN carrying each N's
-    record; a margin >= 0 at alpha* proves that no P certifies that N at any
-    alpha.
+    Every N from N0+1 up is decided on the same reduction, exactly as
+    certify_order decides it (monotonicity in N is not assumed); reduced
+    must carry at least N_max modes.  The core's Hurwitz test and h^2 run
+    once, so each order's verdict is a scalar test in lambda_(N+1); an
+    order's closed loop is assembled only for the point of an order decided
+    feasible.  Returns (N, Certificate).  Raises NoFeasibleN carrying each
+    N's record; a margin >= 0 at alpha* proves that no P certifies that N at
+    any alpha.
     """
-    if N_max < reduced.N0 + 1:
-        raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {reduced.N0 + 1}")
+    N0 = reduced.N0
+    if N_max < N0 + 1:
+        raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {N0 + 1}")
+    model = assemble_closed_loop(reduced, gains, N0 + 1)  # its core serves every order
+    h2 = _core_norm_sq(model, reduced.delta)
     margins: dict[int, dict] = {}
-    for N in range(reduced.N0 + 1, N_max + 1):
-        cert, margins[N] = certify_order(reduced, gains, N)
-        if cert is not None:
-            return N, cert
-    raise NoFeasibleN(
-        f"no verified certificate for N <= {N_max} (exact margins per N recorded)",
-        margins)
+    for N in range(N0 + 1, N_max + 1):
+        if N > reduced.n_coef:
+            raise InsufficientModes(f"reduced plant carries {reduced.n_coef} modes, need {N}")
+        alpha = optimal_alpha(reduced, N)
+        margin, k = _decide(reduced, N, alpha, h2)
+        margins[N] = {"margin": margin, "alpha": alpha}
+        if k is not None:
+            if model.N != N:
+                model = assemble_closed_loop(reduced, gains, N)
+            cert = _riccati_point(model, reduced, alpha, h2, k)
+            if cert is not None:
+                return N, cert
+    raise NoFeasibleN(f"no verified certificate for N <= {N_max}: {_unverified(margins)}",
+                      margins)
 
 
 def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
@@ -478,7 +539,7 @@ def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
     mu = 1e-6
     n_pvars = n * (n + 1) // 2
     k_beta, k_gamma = n_pvars + 1, n_pvars + 2
-    (g2, b2), (g3, b3) = _theta_forms(model, reduced, alpha)
+    (g2, b2), (g3, b3) = _theta_forms(reduced, model.N, alpha)
     neumann = math.isfinite(g3)
     prob = SdpaProblem(m_dim=n_pvars + 2, block_sizes=[n + 1, n, -1, -1, -1] + ([-1] if neumann else []))
 

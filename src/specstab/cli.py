@@ -223,11 +223,14 @@ def _require_memory(config: dict, n_modes: int, galerkin: int):
     """ConfigParse, naming the key that sets n_modes, unless the run's largest
     arrays fit in physical memory.
 
-    They are counted from below: four dense matrices of the closed loop's
-    side 1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs)
-    and four Galerkin matrices of side `galerkin` that the eigensolve holds
-    at once (mass, stiffness overwritten by its Cholesky factor, the reduced
-    standard matrix and its eigenvectors).
+    They are counted as four dense matrices of the closed loop's side
+    1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs) and
+    six Galerkin arrays of side `galerkin`.  The Galerkin solve holds five at
+    its peak: first the Legendre values and slopes, the Shen values and two
+    temporaries of the Shen slopes; then the Shen values, the mass matrix,
+    the stiffness's Cholesky factor, the reduced standard matrix and its
+    eigenvectors.  The sixth covers the rule's nodes beyond `galerkin` and
+    the smaller arrays.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -235,7 +238,7 @@ def _require_memory(config: dict, n_modes: int, galerkin: int):
         return
     n_sim = config["sim"]["n_sim"]
     side = 1 + n_sim + (config["design"]["N"] or config["design"]["n_max"])
-    need = 8 * (4 * side ** 2 + 4 * galerkin ** 2)
+    need = 8 * (4 * side ** 2 + 6 * galerkin ** 2)
     if need > physical:
         key, value = (("[sim] n_sim", n_sim) if n_sim >= config["design"]["n_max"]
                       else ("[design] n_max", config["design"]["n_max"]))
@@ -424,6 +427,8 @@ def _progress(record: RunRecord) -> list[str]:
     else:
         lines.append(f"  no verified certificate for N <= {record.config['design']['n_max']}"
                      " (exact free-P decision at each order's alpha*)")
+    if cert is None:
+        lines.append(f"  {cert_mod._unverified(record.search_margins)}")
     lines.append(f"  simulated N_sim = {record.config['sim']['n_sim']}: spectral abscissa = "
                  f"{record.abscissa:.4f}, fitted eta decay rate = {record.decay_rate:.4f}")
     if record.lyapunov is not None:
@@ -498,7 +503,7 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
                 print(line)
         if export_sdpa_path:
             model = assemble_closed_loop(record.reduced, record.gains, record.N)
-            alpha = cert_mod.optimal_alpha(model, record.reduced)
+            alpha = cert_mod.optimal_alpha(record.reduced, record.N)
             cert_mod.export_sdpa(model, record.reduced, alpha, export_sdpa_path)
             say(f"  SDPA export (N = {record.N}, alpha = {alpha:.6g}) -> {export_sdpa_path}")
         try:

@@ -457,6 +457,7 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int, M: int
     B *= np.outer(s, s)
     # B c = mu S c as the standard problem of F^-1 B F^-T, S = F F^T
     F = cholesky(S, lower=True, overwrite_a=True, check_finite=False)
+    del S  # cholesky may return a copy: the eigensolve must not hold S beside it
     mu, Z = eigh(dsygst(B, F, lower=1)[0], lower=True, driver="evr", overwrite_a=True,
                  check_finite=False)
     lam = 1.0 / mu[:-n_modes - 1:-1]

@@ -211,7 +211,7 @@ def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.n
     g, U = np.linalg.eigh(model.G)
     g = np.clip(g, 0.0, None)
     v2, c = float(v @ v), (U.T @ v) ** 2
-    k = ss.certificate._beta_slope(model, reduced, alpha)
+    k = ss.certificate._beta_slope(reduced, model.N, alpha)
 
     def h(gamma: float) -> float:
         s = alpha * gamma * g

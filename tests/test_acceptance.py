@@ -101,7 +101,7 @@ def test_criterion_03_certificate_feasibility(dirichlet_pipeline, neumann_pipeli
     def constructive_margin(pipe, N):
         model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, N)
         P = ss.lyapunov_solve(model, pipe.reduced.delta)
-        return exact_search(model, pipe.reduced, P, ss.optimal_alpha(model, pipe.reduced))[1]
+        return exact_search(model, pipe.reduced, P, ss.optimal_alpha(pipe.reduced, N))[1]
 
     dirichlet_5 = constructive_margin(dirichlet_pipeline, 5)
     neumann_margins = {N: constructive_margin(neumann_pipeline, N) for N in range(2, 11)}

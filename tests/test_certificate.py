@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import specstab as ss
-from specstab.errors import NoFeasibleN, NotHurwitzShifted, OrderTooSmall
+from specstab.errors import InsufficientModes, NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from specstab.sdpa import read_sdpa
 
 from conftest import (constructive_certificate, dense_lyapunov, exact_search,
@@ -269,14 +269,12 @@ def test_optimal_alpha_maximises_slope_ratio(dirichlet_pipeline, neumann_pipelin
     for red, gains in _optimal_alpha_cases(
             (dirichlet_pipeline, neumann_pipeline, bounded_pipeline)):
         for N in range(2, 11):
-            model = ss.assemble_closed_loop(red, gains, N)
-            alpha = ss.optimal_alpha(model, red)
-            ratio = np.array([ss.certificate._beta_slope(model, red, a)
-                              for a in alphas]) / alphas
-            best = ss.certificate._beta_slope(model, red, alpha) / alpha
+            alpha = ss.optimal_alpha(red, N)
+            ratio = np.array([ss.certificate._beta_slope(red, N, a) for a in alphas]) / alphas
+            best = ss.certificate._beta_slope(red, N, alpha) / alpha
             assert abs(alpha - alphas[np.argmax(ratio)]) <= step
             assert best >= ratio.max() - 1e-12 * abs(ratio.max())
-    assert ss.optimal_alpha(model, red) == 2.0  # the q_c + delta <= 0 left flux
+    assert ss.optimal_alpha(red, 10) == 2.0  # the q_c + delta <= 0 left flux
 
 
 def test_optimal_alpha_rejects_no_maximiser():
@@ -284,9 +282,8 @@ def test_optimal_alpha_rejects_no_maximiser():
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=-100.0,
                          measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
     red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 12, 2000), 10)
-    model = ss.assemble_closed_loop(red, ss.design_gains(red), 2)
     with pytest.raises(ValueError, match="lambda_\\(N\\+1\\) \\+ q_c \\+ delta"):
-        ss.optimal_alpha(model, red)
+        ss.optimal_alpha(red, 2)
 
 
 @settings(max_examples=30)
@@ -301,7 +298,7 @@ def test_optimal_alpha_dominates_every_alpha(
     red = pipe.reduced
     model = ss.assemble_closed_loop(red, pipe.gains, N)
     P = ss.lyapunov_solve(model, red.delta)
-    star = ss.optimal_alpha(model, red)
+    star = ss.optimal_alpha(red, N)
     cert, margin = exact_search(model, red, P, alpha)
     cert_star, margin_star = exact_search(model, red, P, star)
     # equal up to rounding where alpha is alpha* itself
@@ -327,7 +324,7 @@ def _scan_finds_feasible(model, red, alpha):
     T1[:, :n, :n] += alpha * gamma[:, None, None] * model.G
     T1[:, :n, n] = T1[:, n, :n] = P @ model.Lcal
     T1[:, n, n] = -beta
-    theta2, theta3 = ss.certificate._theta_scalars(model, red, alpha, beta, gamma)
+    theta2, theta3 = ss.certificate._theta_scalars(red, model.N, alpha, beta, gamma)
     feasible = (np.linalg.eigvalsh(T1)[:, -1] < 0) & (theta2 < 0) & (theta3 > 0)
     return bool(feasible.any())
 
@@ -443,8 +440,8 @@ def test_free_p_takes_h2_from_the_observable_block(request, monkeypatch, fixture
     decided = set()
     for N in range(2, 41):
         model = ss.assemble_closed_loop(red, gains, N)
-        alpha = ss.optimal_alpha(model, red)
-        assert ss.certificate._beta_slope(model, red, alpha) > 0.0
+        alpha = ss.optimal_alpha(red, N)
+        assert ss.certificate._beta_slope(red, N, alpha) > 0.0
         with pytest.raises(_FirstNorm) as norm:
             ss.free_p_certificate(model, red, alpha)
         h2 = norm.value.args[0]
@@ -479,13 +476,13 @@ def test_free_p_with_zero_observer_injection_decides_on_k(dirichlet_pipeline):
     model = ss.assemble_closed_loop(red, dirichlet_pipeline.gains, 3)
     model = dataclasses.replace(model, u=np.zeros(model.m))
     assert not model.Lcal.any()
-    alpha = ss.optimal_alpha(model, red)
-    assert ss.certificate._beta_slope(model, red, alpha) > 0.0
+    alpha = ss.optimal_alpha(red, model.N)
+    assert ss.certificate._beta_slope(red, model.N, alpha) > 0.0
     cert, margin = ss.free_p_certificate(model, red, alpha)
     assert cert is not None and margin == -1.0  # h = 0
     # alpha close to 1 leaves Theta2 no room: k < 0, and no P, the Lyapunov
     # one included, has a margin
-    assert ss.certificate._beta_slope(model, red, 1.01) < 0.0
+    assert ss.certificate._beta_slope(red, model.N, 1.01) < 0.0
     assert ss.free_p_certificate(model, red, 1.01) == (None, math.inf)
     P = ss.lyapunov_solve(model, red.delta)
     assert exact_search(model, red, P, 1.01)[1] == math.inf
@@ -618,7 +615,7 @@ def test_minimal_n_dirichlet(dirichlet_pipeline):
     constructive = {}
     for N in (5, 6):
         model = ss.assemble_closed_loop(red, gains, N)
-        constructive[N] = constructive_certificate(model, red, ss.optimal_alpha(model, red))
+        constructive[N] = constructive_certificate(model, red, ss.optimal_alpha(red, N))
     assert not constructive[5].feasible and constructive[6].feasible
 
 
@@ -628,7 +625,7 @@ def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
     # larger than at any other; the exact free-P decision certifies N = 5
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 5)
-    star = ss.optimal_alpha(model, red)
+    star = ss.optimal_alpha(red, 5)
     P = ss.lyapunov_solve(model, red.delta)
     _, margin_star = exact_search(model, red, P, star)
     _, margin = exact_search(model, red, P, alpha)
@@ -646,7 +643,7 @@ def test_minimal_n_bounded(bounded_pipeline):
     assert cert.feasible
     # the constructive reference fails N = 2
     model = ss.assemble_closed_loop(red, gains, 2)
-    assert not constructive_certificate(model, red, ss.optimal_alpha(model, red)).feasible
+    assert not constructive_certificate(model, red, ss.optimal_alpha(red, 2)).feasible
 
 
 def test_minimal_n_reports_margins_when_exhausted():
@@ -662,8 +659,67 @@ def test_minimal_n_reports_margins_when_exhausted():
     for N, rec in exc.value.margins.items():
         assert sorted(rec) == ["alpha", "margin"]
         assert rec["margin"] > 0
-        model = ss.assemble_closed_loop(red, gains, N)
-        assert rec["alpha"] == ss.optimal_alpha(model, red)
+        assert rec["alpha"] == ss.optimal_alpha(red, N)
+
+
+def _left_trace_q10(n_modes):
+    """Left trace at q_c = 10 (N* = 1254) on an n_modes-mode analytic spectrum,
+    reduced at n_modes - 1, with the default gains."""
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
+    red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, n_modes, 2000), n_modes - 1)
+    return red, ss.design_gains(red)
+
+
+def test_minimal_n_records_equal_every_order_decided_alone():
+    # one h^2 decides the whole search: its records are certify_order's at
+    # every order up to 1253, bit for bit (N = 1254, the first feasible
+    # order, would build an hour-long point)
+    red, gains = _left_trace_q10(1301)
+    with pytest.raises(NoFeasibleN) as exc:
+        ss.minimal_N(red, gains, N_max=1253)
+    margins = exc.value.margins
+    alone = {N: ss.certificate.certify_order(red, gains, N)[1] for N in range(2, 1254)}
+    assert repr(margins) == repr(alone)
+    assert margins[1253]["margin"] == 9.300244334942143e-05
+    assert "smallest 9.3e-05 at N = 1253" in str(exc.value)
+
+
+def test_minimal_n_runs_one_core_hamiltonian_iteration(monkeypatch, dirichlet_pipeline):
+    # 39 uncertified orders share the core's one norm; a search that certifies
+    # adds the point's full-state norm of that order
+    hinf, sizes = ss.certificate._hinf_norm_sq, []
+
+    def counted(A, Q, b):
+        sizes.append(A.shape[0])
+        return hinf(A, Q, b)
+
+    monkeypatch.setattr(ss.certificate, "_hinf_norm_sq", counted)
+    red, gains = _left_trace_q10(42)
+    with pytest.raises(NoFeasibleN) as exc:
+        ss.minimal_N(red, gains, N_max=40)
+    assert len(exc.value.margins) == 39
+    assert sizes == [2 * red.N0 + 1]
+    sizes.clear()
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    N, cert = ss.minimal_N(red, gains, N_max=10)
+    assert sizes == [2 * red.N0 + 1, 2 * N + 1]
+
+
+def test_minimal_n_beyond_the_reduction_decides_the_orders_below_first(monkeypatch,
+                                                                       dirichlet_pipeline):
+    # an N_max beyond the reduction's 11 modes raises InsufficientModes on
+    # reaching N = 12, after deciding N = 2..11; a search that certifies
+    # below that order returns
+    alpha, decided = ss.certificate.optimal_alpha, []
+    monkeypatch.setattr(ss.certificate, "optimal_alpha",
+                        lambda red, N: decided.append(N) or alpha(red, N))
+    red, gains = _left_trace_q10(12)
+    with pytest.raises(InsufficientModes, match="carries 11 modes, need 12"):
+        ss.minimal_N(red, gains, N_max=13)
+    assert decided == list(range(2, 12))
+    assert ss.minimal_N(dirichlet_pipeline.reduced, dirichlet_pipeline.gains,
+                        N_max=60)[0] == 2
 
 
 def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipeline):
@@ -673,7 +729,7 @@ def test_exact_search_nonpositive_beta_slope_reports_finite_margins(neumann_pipe
     red = neumann_pipeline.reduced
     model = ss.assemble_closed_loop(red, neumann_pipeline.gains, 2)
     alpha = 1.1
-    assert ss.certificate._beta_slope(model, red, alpha) < 0
+    assert ss.certificate._beta_slope(red, 2, alpha) < 0
     P = ss.lyapunov_solve(model, red.delta)
     cert, margin = exact_search(model, red, P, alpha)
     assert not cert.feasible

@@ -142,7 +142,7 @@ def test_neumann_preset_export_is_free_p_feasible(neumann_preset_run, neumann_pi
     reduced, gains = neumann_pipeline.reduced, neumann_pipeline.gains
     assert load_report(out)["simulation"]["N"] == 2
     model = ss.assemble_closed_loop(reduced, gains, 2)
-    alpha = ss.optimal_alpha(model, reduced)
+    alpha = ss.optimal_alpha(reduced, 2)
     again = out / "again.dat-s"
     ss.export_sdpa(model, reduced, alpha, again)
     assert (out / "problem.dat-s").read_bytes() == again.read_bytes()
@@ -385,6 +385,48 @@ def test_mode_count_beyond_memory_exits_3_before_the_spectrum(tmp_path, monkeypa
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
     assert spectra == []
     assert f"{named} = {value}" in capsys.readouterr().err
+
+
+def test_memory_guard_counts_the_galerkin_peak(monkeypatch):
+    # the Galerkin arrays that _require_memory counts hold the traced peak
+    # of the solve, within a factor of 2: 201 modes of p = 1 + x/2, q = x^2
+    import tracemalloc
+    coeffs = ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0])
+    bspec = ss.PlantSpec(coeffs, q_c=10.0, measurement=ss.MeasurementSpec.dirichlet(),
+                         delta=0.5).boundary
+    ss.solve_spectrum(coeffs, bspec, 201)  # the Gauss rule's cache, outside the trace
+    tracemalloc.start()
+    try:
+        ss.solve_spectrum(coeffs, bspec, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # n_sim = n_max = 0: the closed loop is counted at side 1, 4 * 8 bytes
+    config = {"sim": {"n_sim": 0}, "design": {"N": None, "n_max": 0}}
+    physical = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: physical.get(name, physical["pages"]))
+    physical["pages"] = 32 + peak - 1
+    with pytest.raises(ConfigParse):
+        cli._require_memory(config, 202, ss.sturm_liouville.galerkin_order(201))
+    physical["pages"] = 32 + 2 * peak
+    cli._require_memory(config, 202, ss.sturm_liouville.galerkin_order(201))
+
+
+def test_unverified_feasible_orders_are_named(tmp_path, monkeypatch, capsys):
+    # every order is decided feasible, but with no Riccati point none verifies:
+    # exit 2 then says so, instead of claiming that no P works
+    def no_point(*args, **kwargs):
+        raise np.linalg.LinAlgError("no stabilising solution")
+
+    monkeypatch.setattr(ss.certificate, "solve_continuous_are", no_point)
+    assert run_scenario("dirichlet-example", out_dir=tmp_path, quiet=False) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "  no verified certificate for N <= 10 (exact free-P decision at each order's " \
+        "alpha*)" in lines
+    assert "  N = 2..10 decided feasible but not verified (margins -0.712 to -0.985)" in lines
+    margins = load_report(tmp_path)["search_margins"]
+    assert sorted(map(int, margins)) == list(range(2, 11))
+    assert all(rec["margin"] < 0 for rec in margins.values())
 
 
 def preset_config(tmp_path, preset, **keys):

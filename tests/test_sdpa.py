@@ -166,7 +166,7 @@ def test_free_p_infeasible_reports_finite_margins(neumann_pipeline, N):
     # no point is returned, and the margin alpha h^2 / k - 1 is finite
     alpha, ratio = {2: (1.15, 6.33), 3: (1.1, 2.44)}[N]
     model = ss.assemble_closed_loop(neumann_pipeline.reduced, neumann_pipeline.gains, N)
-    assert ss.certificate._beta_slope(model, neumann_pipeline.reduced, alpha) > 0
+    assert ss.certificate._beta_slope(neumann_pipeline.reduced, N, alpha) > 0
     cert, margin = ss.free_p_certificate(model, neumann_pipeline.reduced, alpha)
     assert cert is None
     assert margin == pytest.approx(ratio - 1.0, abs=5e-3)
