@@ -94,16 +94,6 @@ class Certificate:
         )
 
 
-def _shifted(F: np.ndarray, delta: float) -> np.ndarray:
-    """A = F + delta I; NotHurwitzShifted unless its spectral abscissa is negative."""
-    A = F + delta * np.eye(F.shape[0])
-    abscissa = float(np.max(np.linalg.eigvals(A).real))
-    if abscissa >= 0:
-        raise NotHurwitzShifted(
-            f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
-    return A
-
-
 def _shifted_solves(Q: np.ndarray, T: np.ndarray, shifts: np.ndarray,
                     R: np.ndarray) -> np.ndarray:
     """X with (M + s_j I) X[:, j] = R[:, j] for every shift s_j, where M = Q T Q^H
@@ -230,18 +220,6 @@ def _theta_scalars(reduced: ReducedPlant, N: int,
     return theta2, theta3
 
 
-def _theta1(model: ClosedLoopMatrices, P: np.ndarray, alpha: float,
-            beta: float, gamma: float, delta: float) -> np.ndarray:
-    n = model.dim
-    T = np.empty((n + 1, n + 1))
-    T[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * delta * P + alpha * gamma * model.G
-    PL = P @ model.Lcal
-    T[:n, n] = PL
-    T[n, :n] = PL
-    T[n, n] = -beta
-    return T
-
-
 def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
                        P: np.ndarray, alpha: float, beta: float, gamma: float,
                        eps: float | None = None) -> Certificate:
@@ -262,7 +240,10 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
         raise DimensionMismatch(f"P must be {n}x{n} for N = {model.N}, got {P.shape}")
     if reduced.n_coef < model.N or reduced.spectrum.n_modes < model.N + 1:
         raise DimensionMismatch("reduced plant does not cover the model order")
-    T1 = _theta1(model, P, alpha, beta, gamma, reduced.delta)
+    T1 = np.empty((n + 1, n + 1))
+    T1[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * reduced.delta * P + alpha * gamma * model.G
+    T1[:n, n] = T1[n, :n] = P @ model.Lcal
+    T1[n, n] = -beta
     T1 = 0.5 * (T1 + T1.T)
     theta1_max = float(np.linalg.eigvalsh(T1)[-1])
     theta2, theta3 = _theta_scalars(reduced, model.N, alpha, beta, gamma)
@@ -324,7 +305,8 @@ def optimal_alpha(reduced: ReducedPlant, N: int) -> float:
 
 
 def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
-    """Squared H-infinity norm sup_w |Q^(1/2) (jw I - A)^-1 b|^2, A Hurwitz, Q >= 0.
+    """Squared H-infinity norm sup_w |Q^(1/2) (jw I - A)^-1 b|^2 for Q >= 0;
+    NotHurwitzShifted, for b = 0 too, unless A = F + delta I is Hurwitz.
 
     Bruinsma & Steinbuch (Systems & Control Letters 14, 1990): g bounds the
     squared norm iff the Hamiltonian [[A, b b'/g], [-Q, -A']] has no
@@ -333,6 +315,11 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     raises the lower bound.  Returns an upper bound, 2e-10 relative above
     a gain the system attains, and 0 for b = 0.
     """
+    ev = np.linalg.eigvals(A)
+    abscissa = float(np.max(ev.real))
+    if abscissa >= 0:
+        raise NotHurwitzShifted(
+            f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
     if not np.any(b):
         return 0.0
     eye = np.eye(A.shape[0])
@@ -341,7 +328,7 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
         x = np.linalg.solve(1j * w * eye - A, b)
         return float(np.real(np.conj(x) @ Q @ x))
 
-    lower = max(gain(w) for w in np.append(0.0, np.abs(np.linalg.eigvals(A))))
+    lower = max(gain(w) for w in np.append(0.0, np.abs(ev)))
     for _ in range(50):
         g = (1.0 + 2e-10) * lower
         ev = np.linalg.eigvals(np.block([[A, np.outer(b, b) / g], [-Q, -A.T]]))
@@ -351,13 +338,6 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
             break
         lower = best
     return g
-
-
-def _core_norm_sq(model: ClosedLoopMatrices, delta: float) -> float:
-    """h^2 of free_p_certificate, from the model's core (Fc, Gc, u), which every
-    order of one reduction and gain set shares; NotHurwitzShifted unless
-    Fc + delta I is Hurwitz."""
-    return _hinf_norm_sq(_shifted(model.Fc, delta), model.Gc, model.u)
 
 
 def _decide(reduced: ReducedPlant, N: int, alpha: float,
@@ -421,7 +401,7 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    h2 = _core_norm_sq(model, reduced.delta)
+    h2 = _hinf_norm_sq(model.Fc + reduced.delta * np.eye(model.m), model.Gc, model.u)
     margin, k = _decide(reduced, model.N, alpha, h2)
     return (None if k is None else _riccati_point(model, reduced, alpha, h2, k)), margin
 
@@ -485,7 +465,7 @@ def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = 10):
     if N_max < N0 + 1:
         raise OrderTooSmall(f"N_max = {N_max} < N0+1 = {N0 + 1}")
     model = assemble_closed_loop(reduced, gains, N0 + 1)  # its core serves every order
-    h2 = _core_norm_sq(model, reduced.delta)
+    h2 = _hinf_norm_sq(model.Fc + reduced.delta * np.eye(model.m), model.Gc, model.u)
     margins: dict[int, dict] = {}
     for N in range(N0 + 1, N_max + 1):
         if N > reduced.n_coef:
@@ -530,6 +510,12 @@ def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
     beta - mu >= 0, gamma - mu >= 0, -Theta2 >= 0, and Theta3 >= 0 for the
     left-flux measurement; every block is affine in the variables because
     alpha and eps (the reduction's tail_eps) are fixed.
+
+    In block 1, p_rs enters as -(F'Phi + Phi F + 2 delta Phi) and -Phi Lcal,
+    Phi = e_r e_s' + e_s e_r' (e_r e_r' if r = s): row r is -(row s of
+    [F, Lcal]) and row s is -(row r of it), but (r, r), (s, s) and (r, s) read
+    -2 F_sr, -2 F_rs and -((F_rr + F_ss) + 2 delta).  Only those two rows'
+    nonzeros are written, each bit for bit the entry of the dense products.
     """
     if model.N < model.N0 + 1:
         raise OrderTooSmall(f"N must be >= N0+1 = {model.N0 + 1}, got {model.N}")
@@ -542,31 +528,35 @@ def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
     (g2, b2), (g3, b3) = _theta_forms(reduced, model.N, alpha)
     neumann = math.isfinite(g3)
     prob = SdpaProblem(m_dim=n_pvars + 2, block_sizes=[n + 1, n, -1, -1, -1] + ([-1] if neumann else []))
+    F = model.F
+    FL = np.hstack([F, model.Lcal[:, None]])
 
-    def add_theta1(k: int, P: np.ndarray, beta: float, gamma: float):
-        # block 1: -Theta1 is linear in (P, beta, gamma), so variable k's
-        # coefficient is -Theta1 at its unit point
-        coef = -_theta1(model, P, alpha, beta, gamma, reduced.delta)
-        for i, j in zip(*np.triu_indices(n + 1)):
-            prob.add(k, 1, int(i) + 1, int(j) + 1, float(coef[i, j]))
+    def add_row(k: int, i: int, row: np.ndarray):
+        # block 1, row i of variable k's coefficient; add() mirrors j < i
+        for j in np.flatnonzero(row):
+            prob.add(k, 1, i + 1, int(j) + 1, float(row[j]))
 
-    zero = np.zeros((n, n))
     k = 0
     for r in range(n):
         for s in range(r, n):
             k += 1
-            # basis matrix of the p_rs entry: Phi = e_r e_s' (+ e_s e_r' if r != s)
-            Phi = np.zeros((n, n))
-            Phi[r, s] += 1.0
-            Phi[s, r] += 1.0 if r != s else 0.0
-            add_theta1(k, Phi, 0.0, 0.0)
+            row = -FL[s]
+            row[r] = -2.0 * F[s, r]
+            row[s] = -((F[r, r] + F[s, s]) + 2.0 * reduced.delta)  # at r = s, row[r] again
+            add_row(k, r, row)
+            if r != s:
+                mirror = -FL[r]
+                mirror[r], mirror[s] = 0.0, -2.0 * F[r, s]  # (s, r) is row r's (r, s)
+                add_row(k, s, mirror)
             # block 2: P - mu I
             prob.add(k, 2, r + 1, s + 1, 1.0)
     # F0 for block 2: mu I
     for r in range(n):
         prob.add(0, 2, r + 1, r + 1, mu)
-    add_theta1(k_gamma, zero, 0.0, 1.0)
-    add_theta1(k_beta, zero, 1.0, 0.0)
+    # block 1: gamma's coefficient is -alpha G, on the core; beta's is +1 in the corner
+    for i, j in zip(*np.nonzero(np.triu(model.Gc))):
+        prob.add(k_gamma, 1, int(i) + 1, int(j) + 1, -float(alpha * model.Gc[i, j]))
+    prob.add(k_beta, 1, n + 1, n + 1, 1.0)
     # block 3: beta positivity
     prob.add(k_beta, 3, 1, 1, 1.0)
     prob.add(0, 3, 1, 1, mu)

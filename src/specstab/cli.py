@@ -30,7 +30,7 @@ from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec,
                          ReducedPlant, reduce as reduce_plant)
 from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim,
                        compatibility_defect, fit_decay, lyapunov_trace, run as run_sim)
-from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_order, solve_spectrum
+from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_bytes, solve_spectrum
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
 EXIT_OK = 0
@@ -219,18 +219,14 @@ class RunRecord:
     lyapunov: LyapunovTrace | None
 
 
-def _require_memory(config: dict, n_modes: int, galerkin: int):
+def _require_memory(config: dict, n_modes: int, coeffs: CoefficientPair | None):
     """ConfigParse, naming the key that sets n_modes, unless the run's largest
     arrays fit in physical memory.
 
     They are counted as four dense matrices of the closed loop's side
     1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs) and
-    six Galerkin arrays of side `galerkin`.  The Galerkin solve holds five at
-    its peak: first the Legendre values and slopes, the Shen values and two
-    temporaries of the Shen slopes; then the Shen values, the mass matrix,
-    the stiffness's Cholesky factor, the reduced standard matrix and its
-    eigenvectors.  The sixth covers the rule's nodes beyond `galerkin` and
-    the smaller arrays.
+    the Galerkin solve's peak (sturm_liouville.galerkin_bytes) of n_modes of
+    coeffs; coeffs is None when the spectrum is the closed form.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -238,7 +234,7 @@ def _require_memory(config: dict, n_modes: int, galerkin: int):
         return
     n_sim = config["sim"]["n_sim"]
     side = 1 + n_sim + (config["design"]["N"] or config["design"]["n_max"])
-    need = 8 * (4 * side ** 2 + 6 * galerkin ** 2)
+    need = 8 * 4 * side ** 2 + (0 if coeffs is None else galerkin_bytes(coeffs, n_modes))
     if need > physical:
         key, value = (("[sim] n_sim", n_sim) if n_sim >= config["design"]["n_max"]
                       else ("[design] n_max", config["design"]["n_max"]))
@@ -280,7 +276,7 @@ def solve(config: dict) -> RunRecord:
         _require_sim_order(n_sim, design_cfg["N"])
     n_modes = max(n_sim, n_max) + 1
     laplacian = coeffs.constant_values() == (1.0, 0.0)
-    _require_memory(config, n_modes, 0 if laplacian else galerkin_order(n_modes))
+    _require_memory(config, n_modes, None if laplacian else coeffs)
     # the initial data are checked before the spectrum is computed
     z0 = sim_cfg["z0"]
     u0 = float(np.polynomial.polynomial.polyval(1.0, z0)) if sim_cfg["u0"] is None \

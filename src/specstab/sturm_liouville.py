@@ -391,6 +391,18 @@ def _rule_size(coeffs: CoefficientPair, M: int) -> int:
     return M + max(8, (deg_p + 2) // 2, (deg_q + 4) // 2)
 
 
+def galerkin_bytes(coeffs: CoefficientPair, n_modes: int) -> int:
+    """Bytes that solve_spectrum holds at its peak for n_modes of coeffs: six
+    arrays of M + 2 by R doubles, M = galerkin_order(n_modes) and R =
+    _rule_size(coeffs, M).  Five are held at the peak: the Legendre values and
+    slopes, the Shen values and two temporaries of the Shen slopes; then the
+    Shen values, the mass matrix, the stiffness's Cholesky factor, the reduced
+    matrix and its eigenvectors.  The sixth covers the vectors and MRRR's O(M)
+    workspace, which weigh most at small M (0.7% to spare at 10 modes)."""
+    M = galerkin_order(n_modes)
+    return 8 * 6 * (M + 2) * _rule_size(coeffs, M)
+
+
 def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int, M: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lowest n_modes Ritz pairs of -(pf')' + qf in the first M Shen basis functions.

@@ -3,8 +3,9 @@ test references: the a-priori eigenvalue band, the Galerkin pencil with the
 Shen basis as a dense matrix and its solve by bisection and inverse
 iteration, the modes' slopes and what follows from them (phi_n'(1), the flux
 consistency residual, the field energy), the bounded weight's second moment
-int x^2 c, the dense Lyapunov solve of the full F, the constructive
-Lyapunov-P search and the closed-loop generator in physical coordinates."""
+int x^2 c, the dense Lyapunov solve of the full F, the SDPA export's
+Theta1 coefficients by unit points, the constructive Lyapunov-P search and
+the closed-loop generator in physical coordinates."""
 
 import math
 from dataclasses import dataclass
@@ -190,6 +191,33 @@ def dense_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
     n = F.shape[0]
     P = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(n)).T, -np.eye(n))
     return 0.5 * (P + P.T)
+
+
+def sdpa_theta1_coefficients(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant,
+                             alpha: float) -> list[np.ndarray]:
+    """Reference: export_sdpa's block-1 coefficient of each variable (the P
+    entries in row-major upper-triangle order, then beta, then gamma), as
+    the upper triangle of -Theta1 at the variable's unit point: a dense
+    Phi = e_r e_s' + e_s e_r' for p_rs (e_r e_r' when r = s), beta = 1 or
+    gamma = 1.  Theta1 is linear in (P, beta, gamma), so that is the
+    coefficient; it is evaluated densely as verify_certificate evaluates it."""
+    n = model.dim
+
+    def minus_theta1(P, beta, gamma):
+        T = np.empty((n + 1, n + 1))
+        T[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * reduced.delta * P \
+            + alpha * gamma * model.G
+        T[:n, n] = T[n, :n] = P @ model.Lcal
+        T[n, n] = -beta
+        return np.triu(-T)
+
+    coefs = []
+    for r, s in zip(*np.triu_indices(n)):
+        Phi = np.zeros((n, n))
+        Phi[r, s] = Phi[s, r] = 1.0
+        coefs.append(minus_theta1(Phi, 0.0, 0.0))
+    zero = np.zeros((n, n))
+    return coefs + [minus_theta1(zero, 1.0, 0.0), minus_theta1(zero, 0.0, 1.0)]
 
 
 def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.ndarray,

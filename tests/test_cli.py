@@ -407,9 +407,9 @@ def test_memory_guard_counts_the_galerkin_peak(monkeypatch):
     monkeypatch.setattr(cli.os, "sysconf", lambda name: physical.get(name, physical["pages"]))
     physical["pages"] = 32 + peak - 1
     with pytest.raises(ConfigParse):
-        cli._require_memory(config, 202, ss.sturm_liouville.galerkin_order(201))
+        cli._require_memory(config, 201, coeffs)
     physical["pages"] = 32 + 2 * peak
-    cli._require_memory(config, 202, ss.sturm_liouville.galerkin_order(201))
+    cli._require_memory(config, 201, coeffs)
 
 
 def test_unverified_feasible_orders_are_named(tmp_path, monkeypatch, capsys):

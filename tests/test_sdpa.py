@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import specstab as ss
-from specstab.sdpa import read_sdpa
+from specstab.sdpa import SdpaProblem, read_sdpa
 
-from conftest import verified_free_p_certificate
+from conftest import sdpa_theta1_coefficients, verified_free_p_certificate
 
 
 def export(pipeline, N, alpha=2.0, path=None):
@@ -47,6 +47,68 @@ def test_export_values_survive_parsing(dirichlet_pipeline, tmp_path):
     for (block, i, j), v in prob.entries[k_gamma].items():
         if block == 1:
             assert v == -2.0 * G[i - 1, j - 1]
+
+
+def _export_case(measurement: str, coefficients: str):
+    """(reduced, gains) of one plant of the export matrix, delta = 0.5, 51 modes:
+    the left trace at q_c = 3, the left flux at q_c = 10 and 3, or the weight
+    c = 1 + x/2 at q_c = 3; p = 1, q = 0 or p = 1 + x/2, q = x^2."""
+    q_c, meas = {"trace3": (3.0, ss.MeasurementSpec.dirichlet()),
+                 "flux10": (10.0, ss.MeasurementSpec.neumann()),
+                 "flux3": (3.0, ss.MeasurementSpec.neumann()),
+                 "bounded": (3.0, ss.MeasurementSpec.bounded(
+                     lambda x: 1.0 + 0.5 * np.asarray(x, dtype=float)))}[measurement]
+    coeffs = ss.CoefficientPair.constant(1.0, 0.0) if coefficients == "const" else \
+        ss.CoefficientPair.from_polynomials([1.0, 0.5], [0.0, 0.0, 1.0])
+    plant = ss.PlantSpec(coeffs=coeffs, q_c=q_c, measurement=meas, delta=0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 51, 2000) if coefficients == "const" \
+        else ss.solve_spectrum(coeffs, plant.boundary, 51)
+    reduced = ss.reduce(plant, spectrum, 50)
+    return reduced, ss.design_gains(reduced)
+
+
+@pytest.mark.parametrize("measurement, coefficients, order, alpha", [
+    *((m, c, "N0+3", "star") for m in ("trace3", "flux10", "flux3", "bounded")
+      for c in ("const", "var")),
+    ("trace3", "const", "N0+1", 2.0), ("flux10", "var", "N0+1", 7.5),
+    ("bounded", "var", 12, 2.0), ("flux3", "const", 12, 7.5), ("trace3", "var", 20, "star")])
+def test_export_theta1_matches_the_unit_point_route(measurement, coefficients, order,
+                                                    alpha, tmp_path):
+    # block 1 is written from the rows of [F, Lcal]; every variable's
+    # coefficient, read back, is bit for bit -Theta1 at its unit point: the
+    # diagonal and off-diagonal P entries, core, i3 and i4 rows alike
+    reduced, gains = _export_case(measurement, coefficients)
+    N = reduced.N0 + int(order[3:]) if isinstance(order, str) else order  # "N0+k"
+    alpha = ss.optimal_alpha(reduced, N) if alpha == "star" else alpha
+    model = ss.assemble_closed_loop(reduced, gains, N)
+    path = tmp_path / "theta1.dat-s"
+    ss.export_sdpa(model, reduced, alpha, path)
+    prob = read_sdpa(path)
+    n = model.dim
+    for k, expected in enumerate(sdpa_theta1_coefficients(model, reduced, alpha), start=1):
+        got = np.zeros((n + 1, n + 1))
+        for (b, i, j), v in prob.entries.get(k, {}).items():
+            if b == 1:
+                got[i - 1, j - 1] = v
+        assert np.array_equal(got, expected), f"variable {k}"
+
+
+def test_export_adds_only_what_it_writes(dirichlet_pipeline, tmp_path, monkeypatch):
+    # at N = 20 the export hands SdpaProblem.add at most two calls per entry
+    # it writes; the unit-point route scanned every variable's whole Theta1
+    # (780,197 calls)
+    calls = [0]
+    add = SdpaProblem.add
+
+    def counted(self, *args):
+        calls[0] += 1
+        add(self, *args)
+
+    monkeypatch.setattr(SdpaProblem, "add", counted)
+    path = tmp_path / "d20.dat-s"
+    export(dirichlet_pipeline, 20, path=path)
+    written = len(path.read_text().splitlines()) - 4
+    assert calls[0] <= 2 * written
 
 
 def _materialize(prob, x):
