@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvals
 
 from . import certificate as cert_mod
 from . import errors as err
@@ -28,8 +27,8 @@ from ._g17 import WIDTH, g17
 from .certificate import Certificate
 from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
                          ReducedPlant, reduce as reduce_plant)
-from .simulate import (LyapunovTrace, SimConfig, SimResult, assemble_sim,
-                       compatibility_defect, fit_decay, lyapunov_trace, run as run_sim)
+from .simulate import (LyapunovTrace, SimConfig, SimResult, compatibility_defect, fit_decay,
+                       lyapunov_trace, run as run_sim, step_times)
 from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_bytes, solve_spectrum
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
@@ -138,14 +137,15 @@ _KEYS = {
                "controller_poles": (_NUMBERS.or_auto(), "auto"),
                "observer_poles": (_NUMBERS.or_auto(), "auto")},
     "sim": {"n_sim": (_COUNT, "50"), "dt": (_POSITIVE, "0.001"), "T": (_POSITIVE, "3.0"),
-            "z0": (_NUMBERS, _REQUIRED), "u0": (_NUMBER.or_auto(), "auto")},
+            "z0": (_NUMBERS, _REQUIRED)},
     "output": {"dir": (_TEXT, "specstab-out")},
 }
 
 
 def _read(text: str, source) -> dict[str, dict[str, str]]:
-    """The value text of each key that config text sets, per section."""
+    """The value text of each key that config text sets once, per section."""
     values: dict[str, dict[str, str]] = {section: {} for section in _KEYS}
+    set_on: dict[tuple[str, str], int] = {}  # the line that sets each key
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -164,7 +164,12 @@ def _read(text: str, source) -> dict[str, dict[str, str]]:
         keys = {k.lower(): k for k in _KEYS[current]}  # keys are case-insensitive
         if key.lower() not in keys:
             raise err.ConfigParse(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
-        values[current][keys[key.lower()]] = value
+        name = keys[key.lower()]
+        first = set_on.setdefault((current, name), lineno)
+        if first != lineno:
+            raise err.ConfigParse(f"{source}: [{current}] {name} is set on lines {first} "
+                                  f"and {lineno}")
+        values[current][name] = value
     return values
 
 
@@ -214,7 +219,6 @@ class RunRecord:
     certificate: Certificate | None
     search_margins: dict | None  # each failed order's record, when none certifies
     sim: SimResult
-    abscissa: float
     decay_rate: float
     lyapunov: LyapunovTrace | None
 
@@ -277,17 +281,18 @@ def solve(config: dict) -> RunRecord:
     n_modes = max(n_sim, n_max) + 1
     laplacian = coeffs.constant_values() == (1.0, 0.0)
     _require_memory(config, n_modes, None if laplacian else coeffs)
-    # the initial data are checked before the spectrum is computed
-    z0 = sim_cfg["z0"]
-    u0 = float(np.polynomial.polynomial.polyval(1.0, z0)) if sim_cfg["u0"] is None \
-        else sim_cfg["u0"]
-    defect = compatibility_defect(z0, u0, plant.measurement.kind)
+    # the initial data and the decay-fit window are checked before the spectrum
+    z0, T, dt = sim_cfg["z0"], sim_cfg["T"], sim_cfg["dt"]
+    defect = compatibility_defect(z0, plant.measurement.kind)
     if defect is not None:
-        raise err.ConfigParse(f"[sim] {defect[0]} breaks a boundary compatibility "
-                              f"condition: {defect[1]}")
-    if u0 == 0.0 and not np.any(z0):
-        raise err.ConfigParse("[sim] z0 = 0 with u0 = 0 is the equilibrium: the loop stays "
-                              "at rest and has no decay to fit")
+        raise err.ConfigParse(f"[sim] z0 breaks a boundary compatibility condition: {defect}")
+    if not np.any(z0):
+        raise err.ConfigParse("[sim] z0 = 0 is the equilibrium: the loop stays at rest and "
+                              "has no decay to fit")
+    window, times = (min(1.0, T / 2), T), step_times(T, dt)
+    if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:
+        raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
+                              f"the decay-fit window [min(1, T/2), T], got {T}")
     # the field CSVs report at the points of the spectrum's grid
     spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
         solve_spectrum(coeffs, plant.boundary, n_modes, max(2000, 40 * n_modes))
@@ -311,10 +316,8 @@ def solve(config: dict) -> RunRecord:
             search_margins = {N: record}
 
     _require_sim_order(n_sim, N)
-    A_cl = assemble_sim(reduced, gains, N, n_sim)
-    T, dt = sim_cfg["T"], sim_cfg["dt"]
     try:
-        result = run_sim(A_cl, SimConfig(z0=z0, u0=u0, N_sim=n_sim, dt=dt, T=T), reduced)
+        result = run_sim(reduced, gains, N, SimConfig(z0=z0, N_sim=n_sim, dt=dt, T=T))
     except err.StepRejected as exc:
         if certificate is not None:
             raise
@@ -322,14 +325,9 @@ def solve(config: dict) -> RunRecord:
         raise err.StepRejected(f"the loop simulated at N = {N} is uncertified (smallest exact "
                                f"margin {search_margins[best]['margin']:.6g} at N = {best}): "
                                f"{exc}") from None
-    window = (min(1.0, T / 2), T)
-    if np.count_nonzero((result.times >= window[0]) & (result.times <= window[1])) < 2:
-        raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
-                              f"the decay-fit window [min(1, T/2), T], got {T}")
     return RunRecord(
         config=config, reduced=reduced, gains=gains, N=N,
         certificate=certificate, search_margins=search_margins, sim=result,
-        abscissa=float(np.max(eigvals(A_cl).real)),
         decay_rate=fit_decay(result.times, result.eta, window),
         lyapunov=None if certificate is None else lyapunov_trace(result, certificate))
 
@@ -366,6 +364,9 @@ def _to_json(obj, indent: int = 0) -> str:
         return _format_float(float(obj))
     return json.dumps(str(obj), ensure_ascii=False)
 
+
+#: the field CSVs hold every _FIELD_STRIDE-th point of the spectrum's grid
+_FIELD_STRIDE = 40
 
 #: rows formatted and written per chunk by the CSV writers, which bounds the
 #: text they hold at once
@@ -426,7 +427,7 @@ def _progress(record: RunRecord) -> list[str]:
     if cert is None:
         lines.append(f"  {cert_mod._unverified(record.search_margins)}")
     lines.append(f"  simulated N_sim = {record.config['sim']['n_sim']}: spectral abscissa = "
-                 f"{record.abscissa:.4f}, fitted eta decay rate = {record.decay_rate:.4f}")
+                 f"{record.sim.abscissa:.4f}, fitted eta decay rate = {record.decay_rate:.4f}")
     if record.lyapunov is not None:
         lines.append(f"  V e^(2 delta t) max increment = {record.lyapunov.max_increment:.3e}")
     return lines
@@ -442,8 +443,8 @@ def _write_csvs(record: RunRecord, out: Path):
     for name, values in series.items():
         _write_series(out / f"{name}.csv", times, values)
     snap = result.snapshot_steps
-    _, z_field, error_field = result.fields(snap, 40)
-    x = g17(record.reduced.spectrum.grid[::40])
+    _, z_field, error_field = result.fields(snap, _FIELD_STRIDE)
+    x = g17(record.reduced.spectrum.grid[::_FIELD_STRIDE])
     _write_field(out / "state_field.csv", x, times[snap], z_field)
     _write_field(out / "error_field.csv", x, times[snap], error_field)
 
@@ -468,7 +469,7 @@ def _report(record: RunRecord) -> dict:
         if record.search_margins else None,
         "simulation": {
             "N": record.N, "N_sim": sim_cfg["n_sim"], "dt": sim_cfg["dt"], "T": sim_cfg["T"],
-            "spectral_abscissa": record.abscissa,
+            "spectral_abscissa": result.abscissa,
             "fitted_decay_rate": record.decay_rate,
             "eta_start": float(result.eta[0]),
             "eta_end": float(result.eta[-1]),

@@ -1,6 +1,6 @@
 """Closed-loop simulation: truncated plant + observer + input integrator.
 
-A run steps the certificate's own closed loop: the state X of
+A run steps the certificate's own closed loop at order N: the state X of
 synthesis.assemble_closed_loop and the plant tail w_{N+1..N_sim}.  It is
 linear and time-invariant, so each run computes one matrix exponential E of
 A_cl*dt (scaling-and-squaring Pade) and steps exactly.  The steps are
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, svdvals
+from scipy.linalg import eigvals, expm, svdvals
 
 from ._blas import gemm
 from .certificate import Certificate
@@ -57,11 +57,10 @@ class SimConfig:
     """Run settings: plant truncation, stepping, horizon, initial data.
 
     z0 holds the initial profile's ascending polynomial coefficients in x,
-    kept as a private read-only 1-D float copy.
+    kept as a private read-only 1-D float copy; the input starts at z0(1).
     """
 
     z0: np.ndarray
-    u0: float
     N_sim: int = 50
     dt: float = 1e-3
     T: float = 3.0
@@ -93,6 +92,7 @@ class SimResult:
     snapshot_stride: int
     snapshot_states: np.ndarray  # (snapshots, 1+N_sim+N) at steps 0, stride, ...
     E: np.ndarray               # one-step matrix exp(A_cl dt)
+    abscissa: float             # spectral abscissa max Re eig(A_cl)
     N: int
     N_sim: int
     reduced: ReducedPlant
@@ -162,39 +162,36 @@ def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> n
     if reduced.n_coef < N_sim:
         raise OrderMismatch(
             f"reduced plant carries {reduced.n_coef} modes, need N_sim = {N_sim}")
-    N0 = reduced.N0
-    if N < N0 + 1:
-        raise OrderMismatch(f"N = {N} < N0+1 = {N0 + 1}")
-    if gains.N0 != N0:
-        raise OrderMismatch(f"gains placed for N0 = {gains.N0}, plant has N0 = {N0}")
     model = assemble_closed_loop(reduced, gains, N)
     n, tail = model.dim, slice(N, N_sim)
     A = np.zeros((1 + N_sim + N, 1 + N_sim + N))
     A[:n, :n] = model.F
     A[:n, n:] = np.outer(model.Lcal, reduced.out_coef[tail])
-    A[n:, : N0 + 1] = np.outer(reduced.b_coef[tail], gains.K)
+    A[n:, : reduced.N0 + 1] = np.outer(reduced.b_coef[tail], gains.K)
     A[n:, 0] += reduced.a_coef[tail]
     A[n:, n:] = np.diag(-reduced.spectrum.lambdas[tail] + reduced.q_c)
     return A
 
 
-def compatibility_defect(z0, u0: float, kind: str) -> tuple[str, str] | None:
-    """The first compatibility condition, to 1e-6 of max(1, max |z0| on [0, 1]),
-    that z0 (ascending polynomial coefficients) and u0 break, as ("z0" or "u0",
-    message), or None.  z0(1), z0(0) and z0'(0) are read off the coefficients."""
+def compatibility_defect(z0, kind: str) -> str | None:
+    """The compatibility condition at x = 0, to 1e-6 of max(1, max |z0| on [0, 1]),
+    that z0 (ascending polynomial coefficients) breaks, as a message, or None.
+    The one at x = 1 holds by construction, as a run starts at u = z0(1)."""
     z0 = np.asarray(z0, dtype=float)
     low, high = _polynomial_range(z0)
     tol = 1e-6 * max(1.0, -low, high)
-    z1 = float(np.polynomial.polynomial.polyval(1.0, z0))
-    if abs(z1 - u0) > tol:
-        return "u0", f"z0(1) = {z1:.6g} does not match u0 = {u0:.6g}"
     if kind in (BOUNDED, DIRICHLET_AT_0):
         d0 = float(z0[1]) if z0.size > 1 else 0.0
         if abs(d0) > tol:
-            return "z0", f"z0'(0) = {d0:.3e} violates the flat-at-0 compatibility"
+            return f"z0'(0) = {d0:.3e} violates the flat-at-0 compatibility"
     elif abs(z0[0]) > tol:
-        return "z0", f"z0(0) = {z0[0]:.3e} violates the pinned-at-0 compatibility"
+        return f"z0(0) = {z0[0]:.3e} violates the pinned-at-0 compatibility"
     return None
+
+
+def step_times(T: float, dt: float) -> np.ndarray:
+    """The times of a run's steps 0..round(T / dt), dt apart."""
+    return np.arange(int(round(T / dt)) + 1) * dt
 
 
 def _growth_log(E: np.ndarray, step_norm: float, steps: int) -> float:
@@ -298,28 +295,28 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
             states)
 
 
-def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult:
-    """Exact LTI stepping of assemble_sim's loop from X(0) = (u0, what = 0,
-    scale_n w0_n) and the tail w0_{N+1..N_sim}, with w0 = z0 - x^k u0
-    projected on the modes of reduced.spectrum."""
-    dim = A_cl.shape[0]
-    N = dim - 1 - config.N_sim
-    if N < reduced.N0 + 1:
-        raise OrderMismatch("A_cl dimension inconsistent with N_sim")
+def run(reduced: ReducedPlant, gains: GainSet, N: int, config: SimConfig) -> SimResult:
+    """Exact LTI stepping of assemble_sim's loop at order N from X(0) = (u0,
+    what = 0, scale_n w0_n) and the tail w0_{N+1..N_sim}, where u0 = z0(1)
+    and w0 = z0 - x^k u0 is projected on the modes of reduced.spectrum."""
     N_sim, spectrum, n_x = config.N_sim, reduced.spectrum, 2 * N + 1
-    defect = compatibility_defect(config.z0, config.u0, reduced.plant.measurement.kind)
+    dim = 1 + N_sim + N
+    defect = compatibility_defect(config.z0, reduced.plant.measurement.kind)
     if defect is not None:
-        raise ValueError(defect[1])
+        raise ValueError(defect)
+    A_cl = assemble_sim(reduced, gains, N, N_sim)
+    u0 = float(np.polynomial.polynomial.polyval(1.0, config.z0))
     k = reduced.plant.lifting_exponent
     x, w, modes = spectrum.projection(max(config.z0.size - 1, k), N_sim)
-    w0 = modes @ (w * (np.polynomial.polynomial.polyval(x, config.z0) - x ** k * config.u0))
+    w0 = modes @ (w * (np.polynomial.polynomial.polyval(x, config.z0) - x ** k * u0))
     what, error, scale = state_layout(reduced, N)
     state = np.zeros(dim)
-    state[0] = config.u0
+    state[0] = u0
     state[error] = scale * w0[:N]
     state[n_x:] = w0[N:]
 
-    steps = int(round(config.T / config.dt))
+    times = step_times(config.T, config.dt)
+    steps = times.size - 1
     E = _exponential(A_cl, config.dt)
     finite = bool(np.all(np.isfinite(E)))
     step_norm = float(svdvals(E)[0]) if finite else math.inf
@@ -346,10 +343,11 @@ def run(A_cl: np.ndarray, config: SimConfig, reduced: ReducedPlant) -> SimResult
     energy_sq = w_sq @ lam[:N] + tail_energy_sq
     eta = np.sqrt(np.square(X[:, 0]) + np.square(X[:, what]).sum(axis=1)
                   + l2_sq + energy_sq)
-    return SimResult(times=np.arange(steps + 1) * config.dt, X=X, v=lin[:, n_x],
+    return SimResult(times=times, X=X, v=lin[:, n_x],
                      zeta=lin[:, n_x + 1], l2_sq=l2_sq, energy_sq=energy_sq, eta=eta,
                      tail_energy_sq=tail_energy_sq,
                      snapshot_stride=stride, snapshot_states=states, E=E,
+                     abscissa=float(np.max(eigvals(A_cl).real)),
                      N=N, N_sim=N_sim, reduced=reduced)
 
 

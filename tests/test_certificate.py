@@ -685,6 +685,14 @@ def test_minimal_n_records_equal_every_order_decided_alone():
     assert "smallest 9.3e-05 at N = 1253" in str(exc.value)
 
 
+def test_unverified_orders_read_as_runs():
+    # feasible orders 2, 3, 4 and 7 among 2..8: a run, then a lone order
+    margins = {N: {"margin": -0.5 if N in (2, 3, 4, 7) else 0.25, "alpha": 2.0}
+               for N in range(2, 9)}
+    assert ss.certificate._unverified(margins) == \
+        "N = 2..4, 7 decided feasible but not verified (margins -0.5 to -0.5)"
+
+
 def test_minimal_n_runs_one_core_hamiltonian_iteration(monkeypatch, dirichlet_pipeline):
     # 39 uncertified orders share the core's one norm; a search that certifies
     # adds the point's full-state norm of that order

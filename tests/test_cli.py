@@ -34,7 +34,6 @@ n_sim = 20
 dt = 0.001
 T = 1.0
 z0 = 1, 0, 1    # 1 + x^2
-u0 = auto
 [output]
 dir = {out}
 """
@@ -430,11 +429,11 @@ def test_unverified_feasible_orders_are_named(tmp_path, monkeypatch, capsys):
 
 
 def preset_config(tmp_path, preset, **keys):
-    """A preset as a config file, with q_c, N, n_sim, z0, u0, T or dt set in its section."""
+    """A preset as a config file, with q_c, N, n_sim, z0, T or dt set in its section."""
     text = cli.PRESETS[preset]
     for key, value in keys.items():
         section = {"q_c": "[plant]", "N": "[design]", "n_sim": "[sim]", "z0": "[sim]",
-                   "u0": "[sim]", "T": "[sim]", "dt": "[sim]"}[key]
+                   "T": "[sim]", "dt": "[sim]"}[key]
         lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
         text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
     path = tmp_path / f"{preset}.cfg"
@@ -486,10 +485,8 @@ def test_fixed_order_above_n_sim_exits_3_before_the_spectrum(tmp_path, monkeypat
 
 @pytest.mark.parametrize("preset, keys, named, message", [
     ("dirichlet-example", {"z0": "1, 1"}, "[sim] z0", "z0'(0) = 1.000e+00"),
-    ("dirichlet-example", {"z0": "1, 0, 1", "u0": 5}, "[sim] u0",
-     "z0(1) = 2 does not match u0 = 5"),
     ("neumann-example", {"z0": "1, 1"}, "[sim] z0", "z0(0) = 1.000e+00")],
-    ids=["dirichlet-z0-slope", "dirichlet-u0", "neumann-z0-value"])
+    ids=["dirichlet-z0-slope", "neumann-z0-value"])
 def test_incompatible_initial_data_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys,
                                                                preset, keys, named, message):
     spectra = []
@@ -504,15 +501,92 @@ def test_incompatible_initial_data_exits_3_before_the_spectrum(tmp_path, monkeyp
 
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
 def test_zero_initial_data_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys, preset):
-    # z0 = 0 with u0 = 0 is the equilibrium: the loop stays at rest and no
-    # decay rate can be fitted to it
+    # z0 = 0 is the equilibrium: the loop stays at rest and no decay rate can
+    # be fitted to it
     spectra = []
     for name in ("analytic_spectrum", "solve_spectrum"):
         monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: spectra.append(_name))
     cfg = preset_config(tmp_path, preset, z0="0, 0")
     assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
     assert spectra == []
-    assert "[sim] z0 = 0 with u0 = 0 is the equilibrium" in capsys.readouterr().err
+    assert "[sim] z0 = 0 is the equilibrium" in capsys.readouterr().err
+
+
+def refuse_spectra(monkeypatch):
+    """Make every spectrum solve that cli can reach raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum computed")
+
+    for name in ("analytic_spectrum", "solve_spectrum"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("preset", ["dirichlet-example", "varcoef"])
+def test_short_horizon_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys, preset):
+    # dt = T leaves 1 step in the decay-fit window [min(1, T/2), T]; the
+    # check reads the run's own step times, before any spectrum is solved
+    refuse_spectra(monkeypatch)
+    if preset == "varcoef":
+        cfg = write_config(tmp_path, p="1, 0.5", q="0, 0, 1", dt="1e-4", T="1e-4")
+    else:
+        cfg = preset_config(tmp_path, preset, dt="0.001", T="0.001")
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert "[sim] T must be long enough for 2 steps of dt" in capsys.readouterr().err
+
+
+def test_key_set_twice_exits_3_naming_both_lines(tmp_path, monkeypatch, capsys):
+    # keys are case-insensitive, so Q_C sets q_c again
+    refuse_spectra(monkeypatch)
+    cfg = write_config(tmp_path)
+    text = cfg.read_text().replace("q_c = 3", "q_c = 3\nQ_C = 10")
+    cfg.write_text(text)
+    lines = text.splitlines()
+    first, second = lines.index("q_c = 3") + 1, lines.index("Q_C = 10") + 1
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert f"[plant] q_c is set on lines {first} and {second}" in capsys.readouterr().err
+
+
+def test_a_section_may_reopen(tmp_path):
+    cfg = write_config(tmp_path)
+    text = cfg.read_text()
+    assert "\nc = 1\n" in text
+    cfg.write_text(text.replace("\nc = 1\n", "\n").replace("[output]",
+                                                              "[plant]\nc = 1\n[output]"))
+    assert parse_config(cfg) == parse_config(write_config(tmp_path, name="plain.cfg"))
+
+
+def test_flags_still_override_the_config(tmp_path, monkeypatch):
+    # --n-max and --eps replace the config's n_max and eps, and are no second setting
+    designs = []
+
+    def stop(config):
+        designs.append(config["design"])
+        raise ConfigParse("stopped before the pipeline")
+
+    monkeypatch.setattr(cli, "solve", stop)
+    cfg = write_config(tmp_path)
+    assert "n_max = 6" in cfg.read_text()
+    assert run_scenario(str(cfg), n_max=3, eps=0.25, quiet=True) == 3
+    assert (designs[0]["n_max"], designs[0]["eps"]) == (3, 0.25)
+
+
+def test_u0_is_an_unknown_key(tmp_path, capsys):
+    # the input starts at z0(1); there is no u0 to set
+    cfg = preset_config(tmp_path, "dirichlet-example")
+    cfg.write_text(cfg.read_text().replace("[sim]", "[sim]\nu0 = auto"))
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert "unknown key 'u0' in [sim]" in capsys.readouterr().err
+
+
+def test_u_starts_at_z0_of_1(neumann_preset_run):
+    # z0 = x^2 - 0.6666666666666666 x, so z0(1) = 0.33333333333333337, not 1/3
+    _, out = neumann_preset_run
+    z0 = parse_config("neumann-example")["sim"]["z0"]
+    u1 = float(np.polynomial.polynomial.polyval(1.0, z0))
+    assert u1 != 1.0 / 3.0
+    assert cli.solve(parse_config("neumann-example")).sim.u[0] == u1
+    first = (out / "u.csv").read_text().splitlines()[1].split(",")
+    assert float(first[0]) == 0.0 and float(first[1]) == u1
 
 
 def test_quiet_run_formats_no_progress_text(tmp_path, monkeypatch, capsys):
@@ -636,8 +710,8 @@ def assert_run_csvs_match_a_per_line_writer(record, tmp_path):
         ("l2_norm", np.sqrt(result.l2_sq)), ("energy", result.energy_sq),
         ("lyapunov", record.lyapunov.V))}
     snap = result.snapshot_steps
-    _, z_field, error_field = result.fields(snap, 40)
-    x = record.reduced.spectrum.grid[::40]
+    _, z_field, error_field = result.fields(snap, cli._FIELD_STRIDE)
+    x = record.reduced.spectrum.grid[::cli._FIELD_STRIDE]
     expected["state_field.csv"] = reference_field(x, result.times[snap], z_field)
     expected["error_field.csv"] = reference_field(x, result.times[snap], error_field)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
@@ -739,8 +813,7 @@ def test_auto_order_in_any_case(tmp_path, value):
     assert load_report(out)["N_star"] == 2
 
 
-@pytest.mark.parametrize("section,key,value", [("sim", "u0", "Auto"),
-                                               ("design", "controller_poles", "AUTO"),
+@pytest.mark.parametrize("section,key,value", [("design", "controller_poles", "AUTO"),
                                                ("design", "observer_poles", "Auto")])
 def test_auto_values_in_any_case(tmp_path, section, key, value):
     reports = []

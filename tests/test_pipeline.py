@@ -35,11 +35,9 @@ def test_variable_coefficients_certify_at_minimal_order(variable_pipeline):
 def test_variable_coefficients_closed_loop_decay(variable_pipeline):
     plant, spectrum, reduced, gains = variable_pipeline
     n_star, cert = ss.minimal_N(reduced, gains, N_max=8)
-    A = ss.assemble_sim(reduced, gains, n_star, 11)
-    assert float(np.max(np.linalg.eigvals(A).real)) < -0.5
     z0 = [1.0, 0.0, 1.0, -2.0 / 3.0]  # 1 + x^2 - 2x^3/3: z0'(0) = 0
-    res = ss.run(A, ss.SimConfig(z0=z0, u0=float(np.sum(z0)), N_sim=11, dt=1e-3, T=3.0),
-                 reduced)
+    res = ss.run(reduced, gains, n_star, ss.SimConfig(z0=z0, N_sim=11, dt=1e-3, T=3.0))
+    assert res.abscissa < -0.5
     assert ss.fit_decay(res.times, res.eta, (1.0, 3.0)) >= 0.5
     trace = ss.lyapunov_trace(res, cert)
     assert trace.max_increment <= 1e-6 * trace.V[0]
@@ -79,10 +77,8 @@ def test_bounded_export_has_five_blocks(bounded_pipeline, tmp_path):
 
 def test_neumann_field_energy_identity(neumann_pipeline):
     pipe = neumann_pipeline
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, 2, 50)
     z0 = [0.0, -2.0 / 3.0, 1.0]  # x (x - 2/3)
-    res = ss.run(A, ss.SimConfig(z0=z0, u0=1.0 / 3.0, N_sim=50, dt=1e-3, T=0.3),
-                 pipe.reduced)
+    res = ss.run(pipe.reduced, pipe.gains, 2, ss.SimConfig(z0=z0, N_sim=50, dt=1e-3, T=0.3))
     for step in (0, 150, 300):
         modal = res.energy_sq[step]
         assert abs(energy_by_quadrature(res, step) - modal) <= 1e-4 * max(modal, 1e-12)

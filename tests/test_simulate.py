@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigvals, expm
 
 import specstab as ss
 from specstab.errors import (
     CertificateRequired,
     NonPositiveSeries,
     OrderMismatch,
+    OrderTooSmall,
     StepRejected,
 )
 from specstab import cli
@@ -26,14 +27,14 @@ def zero_gains(N0):
 
 def dirichlet_run(pipe, N=3, T=3.0, dt=1e-3, N_sim=50):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=N_sim, dt=dt, T=T)
-    return A, ss.run(A, config, pipe.reduced)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=N_sim, dt=dt, T=T)
+    return A, ss.run(pipe.reduced, pipe.gains, N, config)
 
 
 def neumann_run(pipe, N=2, T=3.0, dt=1e-3, N_sim=50):
     A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    config = ss.SimConfig(z0=[0.0, -2.0 / 3.0, 1.0], u0=1.0 / 3.0, N_sim=N_sim, dt=dt, T=T)
-    return A, ss.run(A, config, pipe.reduced)
+    config = ss.SimConfig(z0=[0.0, -2.0 / 3.0, 1.0], N_sim=N_sim, dt=dt, T=T)
+    return A, ss.run(pipe.reduced, pipe.gains, N, config)
 
 
 # ---------------------------------------------------------------- assembly
@@ -50,26 +51,53 @@ def test_zero_gain_generator_block_diagonal():
     assert np.allclose(eigs, expected, atol=1e-9)
 
 
-def test_closed_loop_abscissa(dirichlet_pipeline):
-    A, _ = dirichlet_run(dirichlet_pipeline, T=0.01)
-    assert A.shape == (54, 54)
-    assert np.max(np.linalg.eigvals(A).real) < -0.5
+def test_closed_loop_abscissa(dirichlet_pipeline, neumann_pipeline):
+    # the run reports the spectral abscissa of the generator it steps, bit for bit
+    for make, pipe, dim in ((dirichlet_run, dirichlet_pipeline, 54),
+                            (neumann_run, neumann_pipeline, 53)):
+        A, res = make(pipe, T=0.01)
+        assert A.shape == (dim, dim)
+        assert res.abscissa == float(np.max(eigvals(A).real)) < -0.5
+
+
+def test_run_takes_its_order_from_the_caller(dirichlet_pipeline):
+    # N_sim = 48 with N = 2 is a 53-square loop, the side of N = 3 with
+    # N_sim = 47 and of N = 4 with N_sim = 46: the order is never inferred
+    pipe = dirichlet_pipeline
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=48, dt=1e-3, T=0.1)
+    res = ss.run(pipe.reduced, pipe.gains, 2, config)
+    assert (res.N, res.N_sim) == (2, 48)
+    assert res.X.shape[1] == 5 and res.snapshot_states.shape[1] == 1 + 48 + 2
+
+
+def test_run_starts_the_input_at_z0_of_1(dirichlet_pipeline, neumann_pipeline):
+    for pipe, z0 in ((dirichlet_pipeline, [1.0, 0.0, 1.0]),
+                     (neumann_pipeline, [0.0, -2.0 / 3.0, 1.0])):
+        config = ss.SimConfig(z0=z0, N_sim=50, dt=1e-3, T=0.01)
+        res = ss.run(pipe.reduced, pipe.gains, 2, config)
+        assert res.u[0] == float(np.polynomial.polynomial.polyval(1.0, z0))
 
 
 def test_order_mismatch_guards(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=50, dt=1e-3, T=0.01)
     with pytest.raises(OrderMismatch):
         ss.assemble_sim(red, gains, 10, 5)
     with pytest.raises(OrderMismatch):
+        ss.assemble_sim(red, gains, 3, red.n_coef + 1)
+    with pytest.raises(OrderTooSmall):
         ss.assemble_sim(red, gains, 1, 50)  # N < N0+1
+    with pytest.raises(OrderTooSmall):
+        ss.run(red, gains, 1, config)
+    with pytest.raises(ValueError, match="gains were placed for N0 = 2"):
+        ss.run(red, zero_gains(2), 3, config)
 
 
 def test_no_tail_when_observer_covers_plant(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     N = N_sim = 6
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=N_sim, dt=1e-3, T=0.5)
-    res = ss.run(A, config, pipe.reduced)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=N_sim, dt=1e-3, T=0.5)
+    res = ss.run(pipe.reduced, pipe.gains, N, config)
     assert np.max(np.abs(res.zeta)) == 0.0
     # without a tail the unestimated-gain errors decouple exactly:
     # e_n(t) = e_n(0) exp((-lambda_n+q_c) t) for n > N0
@@ -180,14 +208,14 @@ def test_generator_is_the_reference_in_certificate_coordinates(request, fixture,
 @pytest.mark.parametrize("N", [2, 3, 8])
 @pytest.mark.parametrize("fixture", PIPELINES)
 def test_run_matches_a_sequential_run_of_the_reference(request, fixture, N):
-    # the physical initial state (u0, w0, what = 0), with w0 the projection of
-    # z0 - x^k u0, stepped by the reference generator one product at a time
+    # the physical initial state (u0, w0, what = 0), with u0 = z0(1) and w0
+    # the projection of z0 - x^k u0, stepped by the reference generator one
+    # product at a time
     pipe = request.getfixturevalue(fixture)
     N_sim, dt = 50, 1e-3
-    z0, u0 = ([0.0, -2.0 / 3.0, 1.0], 1.0 / 3.0) if fixture == "neumann_pipeline" \
-        else ([1.0, 0.0, 1.0], 2.0)
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, N, N_sim)
-    res = ss.run(A, ss.SimConfig(z0=z0, u0=u0, N_sim=N_sim, dt=dt, T=1.0), pipe.reduced)
+    z0 = [0.0, -2.0 / 3.0, 1.0] if fixture == "neumann_pipeline" else [1.0, 0.0, 1.0]
+    u0 = np.polynomial.polynomial.polyval(1.0, z0)
+    res = ss.run(pipe.reduced, pipe.gains, N, ss.SimConfig(z0=z0, N_sim=N_sim, dt=dt, T=1.0))
     k = pipe.plant.lifting_exponent
     x, weights = pipe.spectrum.quadrature(2)
     w0 = pipe.spectrum.phi(x, N_sim) @ (
@@ -241,9 +269,9 @@ def test_propagate_matches_sequential(dirichlet_pipeline, steps):
 
 
 def test_blocked_stepping_matches_sequential_at_varcoef_size():
-    _, spectrum, reduced, _, A = varcoef_size_loop()
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=200, dt=1e-3, T=3.0)
-    assert_matches_sequential(A, ss.run(A, config, reduced), 1e-3)
+    _, spectrum, reduced, gains, A = varcoef_size_loop()
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=200, dt=1e-3, T=3.0)
+    assert_matches_sequential(A, ss.run(reduced, gains, 2, config), 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -320,10 +348,9 @@ def test_expm_squares_only_past_theta13(expm_scalings):
 def test_step_rejected_when_the_step_overflows(dirichlet_pipeline):
     # the open loop grows like e^(0.53 t): one step of dt = 2000 overflows E
     pipe = dirichlet_pipeline
-    A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=2000.0, T=4000.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=50, dt=2000.0, T=4000.0)
     with pytest.raises(StepRejected, match="one-step norm inf"):
-        ss.run(A, config, pipe.reduced)
+        ss.run(pipe.reduced, zero_gains(pipe.reduced.N0), 3, config)
 
 
 def test_run_and_trace_memory_independent_of_trajectory_size():
@@ -332,18 +359,17 @@ def test_run_and_trace_memory_independent_of_trajectory_size():
     # cost of expm and of the step norm would dominate the bound
     _, spectrum, reduced, gains, _ = varcoef_size_loop()
     n_star, cert = ss.minimal_N(reduced, gains, N_max=10)
-    A = ss.assemble_sim(reduced, gains, n_star, 200)
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=200, dt=1e-4, T=3.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=200, dt=1e-4, T=3.0)
     tracemalloc.start()
     try:
-        res = ss.run(A, config, reduced)
+        res = ss.run(reduced, gains, n_star, config)
         trace = ss.lyapunov_trace(res, cert)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     steps = res.times.size - 1
     assert steps == 30000 and trace.V.size == steps + 1
-    assert peak < (steps + 1) * A.shape[0] * 8 / 4
+    assert peak < (steps + 1) * res.E.shape[0] * 8 / 4
 
 
 def test_open_loop_growth_rate(dirichlet_pipeline):
@@ -351,8 +377,8 @@ def test_open_loop_growth_rate(dirichlet_pipeline):
     A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
     dominant = float(np.max(np.linalg.eigvals(A).real))
     assert dominant == pytest.approx(3.0 - np.pi ** 2 / 4, rel=1e-9)  # ~0.5326
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=1e-3, T=10.0)
-    res = ss.run(A, config, pipe.reduced)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=50, dt=1e-3, T=10.0)
+    res = ss.run(pipe.reduced, zero_gains(pipe.reduced.N0), 3, config)
     # fit late enough that the constant forced response is negligible
     rate = ss.fit_decay(res.times, res.eta, (8.0, 10.0))
     assert -rate == pytest.approx(dominant, abs=2e-2)
@@ -360,10 +386,9 @@ def test_open_loop_growth_rate(dirichlet_pipeline):
 
 def test_step_rejected_on_overflow_horizon(dirichlet_pipeline):
     pipe = dirichlet_pipeline
-    A = ss.assemble_sim(pipe.reduced, zero_gains(pipe.reduced.N0), 3, 50)
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=0.1, T=1300.0)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=50, dt=0.1, T=1300.0)
     with pytest.raises(StepRejected):
-        ss.run(A, config, pipe.reduced)
+        ss.run(pipe.reduced, zero_gains(pipe.reduced.N0), 3, config)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -396,35 +421,28 @@ def test_growth_bound_rejects_a_growing_step():
 def test_sim_config_keeps_a_private_copy_of_z0(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     z0 = np.array([1.0, 0.0, 1.0])  # 1 + x^2
-    config = ss.SimConfig(z0=z0, u0=2.0, N_sim=50, dt=1e-3, T=0.01)
+    config = ss.SimConfig(z0=z0, N_sim=50, dt=1e-3, T=0.01)
     assert z0.flags.writeable and not config.z0.flags.writeable
     z0[0] = 7.0
     assert config.z0[0] == 1.0
-    from_list = ss.SimConfig(z0=[1, 0, 1], u0=2.0, N_sim=50, dt=1e-3, T=0.01)
+    from_list = ss.SimConfig(z0=[1, 0, 1], N_sim=50, dt=1e-3, T=0.01)
     assert from_list.z0.dtype == float and from_list.z0.shape == (3,)
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
-    a = ss.run(A, config, pipe.reduced)
-    b = ss.run(A, from_list, pipe.reduced)
+    a = ss.run(pipe.reduced, pipe.gains, 3, config)
+    b = ss.run(pipe.reduced, pipe.gains, 3, from_list)
     assert np.array_equal(a.eta, b.eta)
     for bad in (np.ones((2, 3)), 1.0, []):
         with pytest.raises(ValueError):
-            ss.SimConfig(z0=bad, u0=1.0)
+            ss.SimConfig(z0=bad)
 
 
 def test_compatibility_checks(dirichlet_pipeline, neumann_pipeline):
     pipe = dirichlet_pipeline
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
     with pytest.raises(ValueError):  # z0'(0) != 0 on the flat-at-0 path
-        ss.run(A, ss.SimConfig(z0=[0.0, 1.0], u0=1.0, N_sim=50, dt=1e-3, T=0.1),
-               pipe.reduced)
-    with pytest.raises(ValueError):  # z0(1) != u0
-        ss.run(A, ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=0.5, N_sim=50, dt=1e-3, T=0.1),
-               pipe.reduced)
+        ss.run(pipe.reduced, pipe.gains, 3, ss.SimConfig(z0=[0.0, 1.0], N_sim=50, dt=1e-3,
+                                                         T=0.1))
     pn = neumann_pipeline
-    An = ss.assemble_sim(pn.reduced, pn.gains, 2, 50)
     with pytest.raises(ValueError):  # z0(0) != 0 on the pinned-at-0 path
-        ss.run(An, ss.SimConfig(z0=[1.0], u0=1.0, N_sim=50, dt=1e-3, T=0.1),
-               pn.reduced)
+        ss.run(pn.reduced, pn.gains, 2, ss.SimConfig(z0=[1.0], N_sim=50, dt=1e-3, T=0.1))
 
 
 # ---------------------------------------------------------------- fields
@@ -480,9 +498,8 @@ def test_field_energy_matches_modal_sum(dirichlet_pipeline):
 
 def test_feedthrough_consistency_bounded(bounded_pipeline):
     pipe = bounded_pipeline
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, 3, 50)
-    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], u0=2.0, N_sim=50, dt=1e-3, T=0.3)
-    res = ss.run(A, config, pipe.reduced)
+    config = ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=50, dt=1e-3, T=0.3)
+    res = ss.run(pipe.reduced, pipe.gains, 3, config)
     # y = int c z for c = 1 and z = sum w_n phi_n + x^2 u, at the spectrum's nodes;
     # the feedthrough int x^2 c of the lifting is exact there too
     x, w = pipe.spectrum.quadrature(2)
@@ -551,9 +568,8 @@ def test_lyapunov_trace_zero_initial_data(dirichlet_pipeline):
     pipe = dirichlet_pipeline
     model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
     cert = constructive_certificate(model, pipe.reduced, 2.0)
-    A = ss.assemble_sim(pipe.reduced, pipe.gains, 8, 50)
-    config = ss.SimConfig(z0=[0.0], u0=0.0, N_sim=50, dt=1e-3, T=0.2)
-    res = ss.run(A, config, pipe.reduced)
+    config = ss.SimConfig(z0=[0.0], N_sim=50, dt=1e-3, T=0.2)
+    res = ss.run(pipe.reduced, pipe.gains, 8, config)
     trace = ss.lyapunov_trace(res, cert)
     assert np.max(np.abs(trace.V)) == 0.0
 
