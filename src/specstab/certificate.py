@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, schur, solve_continuous_are
-from scipy.linalg.lapack import ztrsyl as trsyl
+from scipy.linalg import schur, solve_continuous_are
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork, ztrsyl as trsyl
 
 from ._blas import gemm
 from .errors import (DimensionMismatch, InsufficientModes, NoFeasibleN, NotHurwitzShifted,
@@ -117,6 +117,84 @@ def _sumsq(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
+def _lyapunov_solver(model: ClosedLoopMatrices, delta: float):
+    """lyapunov_solve at every order N0 < N <= model.N of one model, as a
+    function solve(N) -> P.
+
+    The work that does not depend on the order is done here, once: the
+    complex Schur form of Ac' with [Re Q, -Im Q] and the core's spectral
+    abscissa, and the elementwise per-mode blocks e = d + delta,
+    p33 = -1/(2e) and e_n + e_k.  Order N reads the first N - N0 rows of
+    them, as of d, v and F3c (ClosedLoopMatrices.prefix).  One Schur form
+    serves every shift and right-hand side (Bartels & Stewart, CACM 15,
+    1972; Golub, Nash & Van Loan, IEEE TAC 24, 1979).
+
+    Every order keeps the bits of lyapunov_solve on the model assembled at
+    N.  So P3c, like every block that is not elementwise, is solved per
+    order on its N - N0 rows: BLAS and numpy take other kernels for a block
+    of 1 or 3 rows, and rows read from a wider solve differ there in the
+    last bits.
+    """
+    m = model.m
+    Ac = model.Fc + delta * np.eye(m)
+    e = model.d + delta
+    u = model.u
+    T, Q = schur(Ac.T, output="complex")
+    Qr = np.hstack([Q.real, -Q.imag])
+    Qh = Q.conj().T
+    core_abscissa = np.max(T.diagonal().real)
+    p33 = -0.5 / e
+    esum = e[:, None] + e
+
+    def solve(N: int) -> np.ndarray:
+        sub = model.prefix(N)
+        n3, dim, F3c, v = N - model.N0, sub.dim, sub.F3c, sub.v
+        e_n, p33_n, esum_n = e[:n3], p33[:n3], esum[:n3, :n3]
+        abscissa = float(max(core_abscissa, np.max(e_n)))
+        if abscissa >= 0:
+            raise NotHurwitzShifted(
+                f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
+
+        P3c = _shifted_solves(Qr, T, e_n, (-p33_n[:, None] * F3c).T).T
+        FP3c = gemm(F3c.T, P3c)
+        # Bartels-Stewart on the shared Schur form: T Y + Y T^H = Q^H C Q, X = Q Y Q^H
+        Y, scale, _ = trsyl(T, T, Qh @ (-np.eye(m) - FP3c - FP3c.T) @ Q, tranb="C")
+        Pcc = (Q @ Y @ Qh).real / scale
+        Pcc = 0.5 * (Pcc + Pcc.T)
+        P34 = np.outer(-(P3c @ u), v) / esum_n
+        Pc4 = _shifted_solves(Qr, T, e_n, -gemm(F3c.T, P34) - np.outer(Pcc @ u, v))
+        vg = np.outer(v, u @ Pc4)
+        P44 = np.diag(p33_n) - (vg + vg.T) / esum_n
+
+        c, i3, i4 = slice(0, m), slice(m, m + n3), slice(m + n3, dim)
+        P = np.zeros((dim, dim))
+        P[c, c] = Pcc
+        P[i3, c], P[c, i3] = P3c, P3c.T
+        P[i3, i3] = np.diag(p33_n)
+        P[i3, i4], P[i4, i3] = P34, P34.T
+        P[c, i4], P[i4, c] = Pc4, Pc4.T
+        P[i4, i4] = P44
+
+        # PA by A's column blocks; A'P = (PA)' as P is symmetric
+        PA = np.empty((dim, dim))
+        PA[:, c] = gemm(P[:, i3], F3c) + gemm(P[:, c], Ac)
+        PA[:, i3] = P[:, i3] * e_n
+        PA[:, i4] = np.outer(P[:, c] @ u, v) + P[:, i4] * e_n
+        R = PA + PA.T
+        R.flat[::dim + 1] += 1.0
+        norm_A = math.sqrt(_sumsq(Ac) + 2.0 * _sumsq(e_n) + _sumsq(F3c)
+                           + _sumsq(u) * _sumsq(v))
+        residual = math.sqrt(_sumsq(R))
+        bound = _LYAP_BACKWARD_C * dim * np.finfo(float).eps * norm_A * math.sqrt(_sumsq(P))
+        if not residual <= bound:
+            raise NotHurwitzShifted(
+                f"Lyapunov residual {residual:.3e} exceeds the backward-error bound "
+                f"{bound:.3e} (ill-conditioned solve)")
+        return P
+
+    return solve
+
+
 def lyapunov_solve(model: ClosedLoopMatrices, delta: float) -> np.ndarray:
     """Unique P > 0 with F'P + PF + 2 delta P = -I, solved on the model's blocks.
 
@@ -143,57 +221,24 @@ def lyapunov_solve(model: ClosedLoopMatrices, delta: float) -> np.ndarray:
     |R|_F <= c n u |A|_F |P|_F with c = 10, n = 2N + 1 and unit roundoff u
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 16.2), so
     a solve of large but well-determined P passes and a wrong P does not.
-    P is returned over X, as state_layout lays it out.
+    P is returned over X, as state_layout lays it out.  It is the solve that
+    lyapunov_norm_sweep runs at each of its orders, here at model.N alone.
     """
-    m, n3, dim = model.m, model.N - model.N0, model.dim
-    Ac = model.Fc + delta * np.eye(m)
-    e = model.d + delta
-    F3c, u, v = model.F3c, model.u, model.v
-    T, Q = schur(Ac.T, output="complex")
-    Qr = np.hstack([Q.real, -Q.imag])
-    abscissa = float(max(np.max(T.diagonal().real), np.max(e)))
-    if abscissa >= 0:
-        raise NotHurwitzShifted(
-            f"spectral abscissa of F + delta*I is {abscissa:.3e} >= 0")
-    esum = e[:, None] + e
+    return _lyapunov_solver(model, delta)(model.N)
 
-    p33 = -0.5 / e
-    P3c = _shifted_solves(Qr, T, e, (-p33[:, None] * F3c).T).T
-    FP3c = gemm(F3c.T, P3c)
-    # Bartels-Stewart on the same Schur form: T Y + Y T^H = Q^H C Q, X = Q Y Q^H
-    Qh = Q.conj().T
-    Y, scale, _ = trsyl(T, T, Qh @ (-np.eye(m) - FP3c - FP3c.T) @ Q, tranb="C")
-    Pcc = (Q @ Y @ Qh).real / scale
-    Pcc = 0.5 * (Pcc + Pcc.T)
-    P34 = np.outer(-(P3c @ u), v) / esum
-    Pc4 = _shifted_solves(Qr, T, e, -gemm(F3c.T, P34) - np.outer(Pcc @ u, v))
-    vg = np.outer(v, u @ Pc4)
-    P44 = np.diag(p33) - (vg + vg.T) / esum
 
-    c, i3, i4 = slice(0, m), slice(m, m + n3), slice(m + n3, dim)
-    P = np.zeros((dim, dim))
-    P[c, c] = Pcc
-    P[i3, c], P[c, i3] = P3c, P3c.T
-    P[i3, i3] = np.diag(p33)
-    P[i3, i4], P[i4, i3] = P34, P34.T
-    P[c, i4], P[i4, c] = Pc4, Pc4.T
-    P[i4, i4] = P44
-
-    # PA by A's column blocks; A'P = (PA)' as P is symmetric
-    PA = np.empty((dim, dim))
-    PA[:, c] = gemm(P[:, i3], F3c) + gemm(P[:, c], Ac)
-    PA[:, i3] = P[:, i3] * e
-    PA[:, i4] = np.outer(P[:, c] @ u, v) + P[:, i4] * e
-    R = PA + PA.T
-    R.flat[::dim + 1] += 1.0
-    norm_A = math.sqrt(_sumsq(Ac) + 2.0 * _sumsq(e) + _sumsq(F3c) + _sumsq(u) * _sumsq(v))
-    residual = math.sqrt(_sumsq(R))
-    bound = _LYAP_BACKWARD_C * dim * np.finfo(float).eps * norm_A * math.sqrt(_sumsq(P))
-    if not residual <= bound:
-        raise NotHurwitzShifted(
-            f"Lyapunov residual {residual:.3e} exceeds the backward-error bound "
-            f"{bound:.3e} (ill-conditioned solve)")
-    return P
+def _largest_eigenvalue(P: np.ndarray) -> float:
+    """The largest eigenvalue of symmetric P from its lower triangle, by one
+    LAPACK dsyevr call with the arguments and workspace that
+    eigvalsh(P, subset_by_index=[n - 1, n - 1]) passes, so with its bits, but
+    without its validation; LinAlgError unless dsyevr reports success."""
+    n = P.shape[0]
+    lwork, liwork, _ = dsyevr_lwork(n, lower=1)
+    w, _, _, _, info = dsyevr(P, compute_v=0, range="I", lower=1, il=n, iu=n,
+                              lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
+    return w[0]
 
 
 def _tail_factor(reduced: ReducedPlant, N: int) -> float:
@@ -487,18 +532,20 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
     """Spectral norms of the Lyapunov P^N (lyapunov_solve) over a list of orders N.
 
     One reduction at max(N_list) serves every order, with the package pole
-    rule's gains on it.  With fixed gains the coupling blocks have
-    N-independent norm bounds, so the sequence should stay bounded; this
-    sweep records it empirically.  P > 0, so its spectral norm is its
-    largest eigenvalue, the 2N-th of the (2N + 1)-square P's, counted from 0.
+    rule's gains on it, and so does one closed loop assembled there: its
+    core's Schur form and its elementwise per-mode blocks are computed once
+    (_lyapunov_solver), and each order solves from their prefixes, with its
+    own Hurwitz test and residual bound, to the bits of lyapunov_solve on
+    the closed loop assembled at that order.  With fixed gains the coupling
+    blocks have N-independent norm bounds, so the sequence should stay
+    bounded; this sweep records it empirically.  P > 0, so its spectral norm
+    is its largest eigenvalue.
     """
     N_list = list(range(2, 13) if N_list is None else N_list)
     reduced = reduce(plant, spectrum, max(N_list))
     gains = design_gains(reduced)
-    return np.array([
-        eigvalsh(lyapunov_solve(assemble_closed_loop(reduced, gains, N), reduced.delta),
-                 subset_by_index=[2 * N, 2 * N], check_finite=False)[0]
-        for N in N_list])
+    solve = _lyapunov_solver(assemble_closed_loop(reduced, gains, max(N_list)), reduced.delta)
+    return np.array([_largest_eigenvalue(solve(N)) for N in N_list])
 
 
 def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,

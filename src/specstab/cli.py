@@ -224,28 +224,40 @@ class RunRecord:
 
 
 def _require_memory(config: dict, n_modes: int, coeffs: CoefficientPair | None):
-    """ConfigParse, naming the key that sets n_modes, unless the run's largest
-    arrays fit in physical memory.
+    """ConfigParse, naming the keys that size the larger part, unless the
+    run's largest arrays fit in physical memory.
 
     They are counted as four dense matrices of the closed loop's side
-    1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs) and
-    the Galerkin solve's peak (sturm_liouville.galerkin_bytes) of n_modes of
-    coeffs; coeffs is None when the spectrum is the closed form.
+    1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs), the
+    Galerkin solve's peak (sturm_liouville.galerkin_bytes) of n_modes of
+    coeffs, and the run's per-step series: round(T / dt) + 1 steps of the
+    SimResult's 2N + 8 doubles (times, X, v, zeta and its four other series)
+    and of the time column's WIDTH bytes of text.  N is the largest order
+    the run can take, [design] N or else n_max, and coeffs is None when the
+    spectrum is the closed form.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
         return
-    n_sim = config["sim"]["n_sim"]
-    side = 1 + n_sim + (config["design"]["N"] or config["design"]["n_max"])
-    need = 8 * 4 * side ** 2 + (0 if coeffs is None else galerkin_bytes(coeffs, n_modes))
+    n_sim, n_max = config["sim"]["n_sim"], config["design"]["n_max"]
+    T, dt = config["sim"]["T"], config["sim"]["dt"]
+    N = config["design"]["N"] or n_max
+    matrices = 8 * 4 * (1 + n_sim + N) ** 2 + \
+        (0 if coeffs is None else galerkin_bytes(coeffs, n_modes))
+    steps = round(T / dt) + 1 if math.isfinite(T / dt) else math.inf
+    series = steps * (8 * (2 * N + 8) + WIDTH)
+    need = matrices + series
     if need > physical:
-        key, value = (("[sim] n_sim", n_sim) if n_sim >= config["design"]["n_max"]
-                      else ("[design] n_max", config["design"]["n_max"]))
+        if series > matrices:
+            sets = f"[sim] T = {T} and [sim] dt = {dt} set {steps:.4g} steps"
+        else:
+            key, value = (("[sim] n_sim", n_sim) if n_sim >= n_max
+                          else ("[design] n_max", n_max))
+            sets = f"{key} = {value} sets {n_modes} modes"
         raise err.ConfigParse(
-            f"{key} = {value} sets {n_modes} modes, and the run's arrays need at least "
-            f"{need / 2 ** 30:.1f} GiB, more than the {physical / 2 ** 30:.1f} GiB of "
-            "physical memory")
+            f"{sets}, and the run's arrays need at least {need / 2 ** 30:.1f} GiB, more "
+            f"than the {physical / 2 ** 30:.1f} GiB of physical memory")
 
 
 def _require_sim_order(n_sim: int, N: int):
@@ -253,6 +265,22 @@ def _require_sim_order(n_sim: int, N: int):
     if n_sim < N:
         raise err.ConfigParse(f"[sim] n_sim must be at least the run order N = {N}, "
                               f"got {n_sim}")
+
+
+def _require_alpha_order(reduced: ReducedPlant, N: int):
+    """ConfigParse naming [plant] q_c when N, the first order the run
+    decides, has no optimal alpha: lambda_(N+1) + q_c + delta <= 0 there
+    (certificate.optimal_alpha).  Later orders have a larger lambda_(N+1)."""
+    try:
+        cert_mod.optimal_alpha(reduced, N)
+    except ValueError:
+        c = reduced.q_c + reduced.delta
+        lam = float(reduced.spectrum.lambdas[N])
+        raise err.ConfigParse(
+            f"[plant] q_c = {reduced.q_c:g} gives q_c + delta = {c:.6g} <= -lambda_(N+1) = "
+            f"{-lam:.6g} at N = {N}, the first order the run decides: no alpha > 1 "
+            f"maximises k(alpha)/alpha there; a [design] N with lambda_(N+1) > "
+            f"-(q_c + delta) = {-c:.6g} can be decided") from None
 
 
 def solve(config: dict) -> RunRecord:
@@ -305,12 +333,16 @@ def solve(config: dict) -> RunRecord:
     certificate = search_margins = None
     if design_cfg["N"] is None:
         N = min(n_max, reduced.N0 + 2)  # simulated when no order certifies
+        if n_max > reduced.N0:
+            _require_alpha_order(reduced, reduced.N0 + 1)
         try:
             N, certificate = cert_mod.minimal_N(reduced, gains, N_max=n_max)
         except err.NoFeasibleN as exc:
             search_margins = exc.margins
     else:
         N = design_cfg["N"]
+        if N > reduced.N0:
+            _require_alpha_order(reduced, N)
         certificate, record = cert_mod.certify_order(reduced, gains, N)
         if certificate is None:
             search_margins = {N: record}

@@ -221,6 +221,28 @@ def _growth_log(E: np.ndarray, step_norm: float, steps: int) -> float:
     return math.inf
 
 
+def _require_bounded_growth(E: np.ndarray, steps: int):
+    """StepRejected unless the states of `steps` products with E stay below
+    exp(_OVERFLOW_LOG) times the initial one.
+
+    The guard is first tried on sqrt(|E|_1 |E|_inf), which is at least
+    |E|_2 and costs O(n^2); it is raised by n u, u the unit roundoff, for
+    the rounding of both norms, so that it passes only where |E|_2 as
+    svdvals computes it passes too.  Only when it fails are |E|_2 and
+    _growth_log computed, and they decide.
+    """
+    finite = bool(np.all(np.isfinite(E)))
+    if finite:
+        bound = math.sqrt(float(np.linalg.norm(E, 1)) * float(np.linalg.norm(E, np.inf)))
+        bound *= 1.0 + E.shape[0] * np.finfo(float).eps
+        if steps * math.log(max(bound, 1.0)) <= _OVERFLOW_LOG:
+            return
+    step_norm = float(svdvals(E)[0]) if finite else math.inf
+    if not finite or _growth_log(E, step_norm, steps) > _OVERFLOW_LOG:
+        raise StepRejected(
+            f"one-step norm {step_norm:.3e} over {steps} steps would overflow")
+
+
 def _exponential(A: np.ndarray, dt: float) -> np.ndarray:
     """exp(A dt): expm of A dt / 2^s with s the least such that its 1-norm is at
     most _THETA13, then s squarings by gemm, on scipy's BLAS like expm's Pade
@@ -318,11 +340,7 @@ def run(reduced: ReducedPlant, gains: GainSet, N: int, config: SimConfig) -> Sim
     times = step_times(config.T, config.dt)
     steps = times.size - 1
     E = _exponential(A_cl, config.dt)
-    finite = bool(np.all(np.isfinite(E)))
-    step_norm = float(svdvals(E)[0]) if finite else math.inf
-    if not finite or _growth_log(E, step_norm, steps) > _OVERFLOW_LOG:
-        raise StepRejected(
-            f"one-step norm {step_norm:.3e} over {steps} steps would overflow")
+    _require_bounded_growth(E, steps)
 
     # linear outputs: X, v (the generator's first row) and zeta; quadratic
     # weights: the tail's sum w^2 and sum lambda w^2

@@ -85,6 +85,20 @@ class ClosedLoopMatrices:
         full.setflags(write=False)
         return full
 
+    def prefix(self, N: int) -> ClosedLoopMatrices:
+        """The model at order N <= self.N: the first N - N0 rows of d, v and
+        F3c.  assemble_closed_loop builds each row from its own mode alone, so
+        this is, bit for bit, the model it builds at N on the same reduction."""
+        if N < self.N0 + 1:
+            raise OrderTooSmall(f"N must be >= N0+1 = {self.N0 + 1}, got {N}")
+        if N > self.N:
+            raise InsufficientModes(f"model has order {self.N}, need {N}")
+        if N == self.N:
+            return self
+        n3 = N - self.N0
+        return ClosedLoopMatrices(N=N, N0=self.N0, Fc=self.Fc, d=self.d[:n3], u=self.u,
+                                  v=self.v[:n3], F3c=self.F3c[:n3], Gc=self.Gc)
+
     @functools.cached_property
     def F(self) -> np.ndarray:
         m, (i3, i4) = self.m, _blocks(self.N0, self.N)[2:]

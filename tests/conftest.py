@@ -3,9 +3,10 @@ test references: the a-priori eigenvalue band, the Galerkin pencil with the
 Shen basis as a dense matrix and its solve by bisection and inverse
 iteration, the modes' slopes and what follows from them (phi_n'(1), the flux
 consistency residual, the field energy), the bounded weight's second moment
-int x^2 c, the dense Lyapunov solve of the full F, the SDPA export's
-Theta1 coefficients by unit points, the constructive Lyapunov-P search and
-the closed-loop generator in physical coordinates."""
+int x^2 c, the dense Lyapunov solve of the full F, the block Lyapunov solve
+and the norm sweep order by order, the SDPA export's Theta1 coefficients by
+unit points, the constructive Lyapunov-P search and the closed-loop
+generator in physical coordinates."""
 
 import math
 from dataclasses import dataclass
@@ -14,8 +15,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
+from scipy.linalg.lapack import ztrsyl
 
 import specstab as ss
+from specstab._blas import gemm
+from specstab.certificate import _shifted_solves
 from specstab.synthesis import state_layout
 
 # one profile for every property test: reproducible draws, no example
@@ -191,6 +195,51 @@ def dense_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
     n = F.shape[0]
     P = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(n)).T, -np.eye(n))
     return 0.5 * (P + P.T)
+
+
+def per_order_lyapunov(model: ss.ClosedLoopMatrices, delta: float) -> np.ndarray:
+    """Reference: the block solve of lyapunov_solve on this model alone, with
+    its own Schur form of Ac' and its own per-mode blocks (no residual check)."""
+    m, n3, dim = model.m, model.N - model.N0, model.dim
+    Ac = model.Fc + delta * np.eye(m)
+    e = model.d + delta
+    F3c, u, v = model.F3c, model.u, model.v
+    T, Q = scipy.linalg.schur(Ac.T, output="complex")
+    Qr = np.hstack([Q.real, -Q.imag])
+    esum = e[:, None] + e
+    p33 = -0.5 / e
+    P3c = _shifted_solves(Qr, T, e, (-p33[:, None] * F3c).T).T
+    FP3c = gemm(F3c.T, P3c)
+    Qh = Q.conj().T
+    Y, scale, _ = ztrsyl(T, T, Qh @ (-np.eye(m) - FP3c - FP3c.T) @ Q, tranb="C")
+    Pcc = (Q @ Y @ Qh).real / scale
+    Pcc = 0.5 * (Pcc + Pcc.T)
+    P34 = np.outer(-(P3c @ u), v) / esum
+    Pc4 = _shifted_solves(Qr, T, e, -gemm(F3c.T, P34) - np.outer(Pcc @ u, v))
+    vg = np.outer(v, u @ Pc4)
+    P44 = np.diag(p33) - (vg + vg.T) / esum
+    c, i3, i4 = slice(0, m), slice(m, m + n3), slice(m + n3, dim)
+    P = np.zeros((dim, dim))
+    P[c, c] = Pcc
+    P[i3, c], P[c, i3] = P3c, P3c.T
+    P[i3, i3] = np.diag(p33)
+    P[i3, i4], P[i4, i3] = P34, P34.T
+    P[c, i4], P[i4, c] = Pc4, Pc4.T
+    P[i4, i4] = P44
+    return P
+
+
+def per_order_norm_sweep(plant: ss.PlantSpec, spectrum: ss.Spectrum, N_list) -> np.ndarray:
+    """Reference: lyapunov_norm_sweep order by order, a closed loop assembled
+    at each N and solved by per_order_lyapunov, its largest eigenvalue by
+    scipy's eigvalsh."""
+    reduced = ss.reduce(plant, spectrum, max(N_list))
+    gains = ss.design_gains(reduced)
+    return np.array([
+        scipy.linalg.eigvalsh(
+            per_order_lyapunov(ss.assemble_closed_loop(reduced, gains, N), reduced.delta),
+            subset_by_index=[2 * N, 2 * N], check_finite=False)[0]
+        for N in N_list])
 
 
 def sdpa_theta1_coefficients(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant,

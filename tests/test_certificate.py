@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -14,7 +16,7 @@ from specstab.errors import InsufficientModes, NoFeasibleN, NotHurwitzShifted, O
 from specstab.sdpa import read_sdpa
 
 from conftest import (constructive_certificate, dense_lyapunov, exact_search,
-                      verified_free_p_certificate)
+                      per_order_lyapunov, per_order_norm_sweep, verified_free_p_certificate)
 
 
 def zero_gains(N0):
@@ -79,12 +81,19 @@ def test_lyapunov_matches_kronecker_reference(dirichlet_pipeline, neumann_pipeli
                 (red.plant.measurement.kind, N)
 
 
-def test_lyapunov_matches_dense_reference_at_large_order():
-    # left trace at q_c = 10, N = 200: |P| is about 1e4 and the full F is 401-square
+@pytest.fixture(scope="module")
+def left_trace_q10_201():
+    """Left trace at q_c = 10 on a 201-mode reduction, and its gains."""
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
                          measurement=ss.MeasurementSpec.dirichlet(), delta=0.5)
     red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 202, 2000), 201)
-    model = ss.assemble_closed_loop(red, ss.design_gains(red), 200)
+    return red, ss.design_gains(red)
+
+
+def test_lyapunov_matches_dense_reference_at_large_order(left_trace_q10_201):
+    # left trace at q_c = 10, N = 200: |P| is about 1e4 and the full F is 401-square
+    red, gains = left_trace_q10_201
+    model = ss.assemble_closed_loop(red, gains, 200)
     P_ref = dense_lyapunov(model.F, red.delta)
     P = ss.lyapunov_solve(model, red.delta)
     assert np.linalg.norm(P - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
@@ -120,6 +129,46 @@ def test_lyapunov_backward_error_rejects_a_wrong_p(dirichlet_pipeline, monkeypat
     monkeypatch.setattr(ss.certificate, "trsyl", perturbed)
     with pytest.raises(NotHurwitzShifted, match="backward-error bound"):
         ss.lyapunov_solve(model, 0.5)
+    # the sweep checks each order's residual as well
+    with pytest.raises(NotHurwitzShifted, match="backward-error bound"):
+        ss.lyapunov_norm_sweep(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, (2, 3))
+
+
+@pytest.mark.parametrize("N", [2, 10, 40, 200])
+def test_lyapunov_solve_equals_the_per_order_route(left_trace_q10_201, N):
+    # bit for bit the block solve with its own Schur form and blocks at N
+    red, gains = left_trace_q10_201
+    model = ss.assemble_closed_loop(red, gains, N)
+    assert ss.lyapunov_solve(model, red.delta).tobytes() == \
+        per_order_lyapunov(model, red.delta).tobytes()
+
+
+def test_prefix_solve_equals_the_solve_of_the_assembled_order(left_trace_q10_201):
+    # order N read from the blocks of the model at 200 is the solve at N,
+    # at 1 and 3 rows too, where BLAS and numpy take other kernels
+    red, gains = left_trace_q10_201
+    solve = ss.certificate._lyapunov_solver(ss.assemble_closed_loop(red, gains, 200), red.delta)
+    for N in (2, 3, 4, 10, 40, 199):
+        model = ss.assemble_closed_loop(red, gains, N)
+        assert solve(N).tobytes() == ss.lyapunov_solve(model, red.delta).tobytes(), N
+
+
+@pytest.mark.parametrize("n", [21, 65, 109, 169, 401])
+def test_largest_eigenvalue_has_the_bits_of_eigvalsh(n):
+    # at 65, 109 and 169, dsyevr with f2py's default workspace differs from
+    # eigvalsh in the last bits: the workspace must be the one eigvalsh queries
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n))
+    P = X @ X.T + np.diag(rng.uniform(0.0, 1e4, n))
+    expected = scipy.linalg.eigvalsh(P, subset_by_index=[n - 1, n - 1], check_finite=False)
+    assert ss.certificate._largest_eigenvalue(P).tobytes() == expected.tobytes()
+
+
+def test_largest_eigenvalue_raises_when_lapack_fails(monkeypatch):
+    monkeypatch.setattr(ss.certificate, "dsyevr",
+                        lambda a, **kwargs: (np.zeros(a.shape[0]), None, 0, None, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+        ss.certificate._largest_eigenvalue(np.eye(3))
 
 
 @pytest.mark.parametrize("stage", ["lyapunov_solve", "certify_order"])
@@ -768,9 +817,50 @@ def test_lyapunov_norm_sweep_bounded(pipeline_name, request):
     pipe = request.getfixturevalue(pipeline_name)
     norms = ss.lyapunov_norm_sweep(pipe.plant, pipe.spectrum, N_list=range(2, 13))
     assert norms.max() / norms.min() < 5.0
+    assert norms.tobytes() == per_order_norm_sweep(pipe.plant, pipe.spectrum,
+                                                   range(2, 13)).tobytes()
 
 
-def test_lyapunov_norm_sweep_zero_gains_rejected(dirichlet_pipeline):
+@pytest.mark.parametrize("n_modes, N_list", [(51, (10, 20, 30, 40)), (51, tuple(range(2, 13))),
+                                             (402, tuple(range(2, 199, 7)))],
+                         ids=["10-40", "2-12", "2-198"])
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet", "bounded"])
+def test_lyapunov_norm_sweep_equals_the_per_order_route(kind, n_modes, N_list):
+    # one model, one Schur form and shared per-mode blocks give, bit for bit,
+    # the norms of a model assembled and solved at each order
+    measurement = ss.MeasurementSpec.bounded(lambda x: np.ones_like(np.asarray(x, dtype=float))) \
+        if kind == "bounded" else ss.MeasurementSpec(kind)
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=measurement, delta=0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, n_modes)
+    norms = ss.lyapunov_norm_sweep(plant, spectrum, N_list=N_list)
+    assert norms.tobytes() == per_order_norm_sweep(plant, spectrum, N_list).tobytes()
+
+
+def test_lyapunov_norm_sweep_factors_one_model_once(monkeypatch):
+    # one closed loop at max(N_list) and one Schur form of its core serve
+    # every order
+    calls = {"schur": 0, "assemble_closed_loop": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(ss.certificate, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ss.certificate, name, counted)
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
+                         measurement=ss.MeasurementSpec.neumann(), delta=0.5)
+    spectrum = ss.analytic_spectrum(plant.boundary, 51)
+    assert ss.lyapunov_norm_sweep(plant, spectrum, N_list=(10, 20, 30, 40)).shape == (4,)
+    assert calls == {"schur": 1, "assemble_closed_loop": 1}
+
+
+def test_lyapunov_norm_sweep_order_below_n0_plus_one(dirichlet_pipeline):
+    pipe = dirichlet_pipeline
+    N0 = pipe.reduced.N0
+    with pytest.raises(OrderTooSmall, match=re.escape(f"N must be >= N0+1 = {N0 + 1}, got {N0}")):
+        ss.lyapunov_norm_sweep(pipe.plant, pipe.spectrum, N_list=(N0 + 3, N0, N0 + 5))
+
+
+def test_lyapunov_norm_sweep_zero_gains_rejected(dirichlet_pipeline, monkeypatch):
     # zero gains leave the input integrator at eigenvalue 0, so F + delta*I
     # cannot be Hurwitz and lyapunov_solve, the sweep's step at every order,
     # must refuse rather than fabricate P
@@ -779,6 +869,9 @@ def test_lyapunov_norm_sweep_zero_gains_rejected(dirichlet_pipeline):
         model = ss.assemble_closed_loop(red, zero_gains(red.N0), N)
         with pytest.raises(NotHurwitzShifted):
             ss.lyapunov_solve(model, red.delta)
+    monkeypatch.setattr(ss.certificate, "design_gains", lambda reduced: zero_gains(reduced.N0))
+    with pytest.raises(NotHurwitzShifted, match="spectral abscissa"):
+        ss.lyapunov_norm_sweep(dirichlet_pipeline.plant, dirichlet_pipeline.spectrum, (2, 3))
 
 
 def test_lyapunov_diagonal_norm_constant_in_order():

@@ -400,15 +400,42 @@ def test_memory_guard_counts_the_galerkin_peak(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # n_sim = n_max = 0: the closed loop is counted at side 1, 4 * 8 bytes
-    config = {"sim": {"n_sim": 0}, "design": {"N": None, "n_max": 0}}
+    # n_sim = n_max = 0: the closed loop is counted at side 1, 4 * 8 bytes,
+    # and T = dt at 2 steps of 8 doubles and the time column's 32 bytes
+    config = {"sim": {"n_sim": 0, "T": 1.0, "dt": 1.0}, "design": {"N": None, "n_max": 0}}
     physical = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(cli.os, "sysconf", lambda name: physical.get(name, physical["pages"]))
-    physical["pages"] = 32 + peak - 1
+    physical["pages"] = 32 + 192 + peak - 1
     with pytest.raises(ConfigParse):
         cli._require_memory(config, 201, coeffs)
-    physical["pages"] = 32 + 2 * peak
+    physical["pages"] = 32 + 192 + 2 * peak
     cli._require_memory(config, 201, coeffs)
+
+
+def test_memory_guard_counts_the_run_series(monkeypatch):
+    # 1001 steps of n_max = 4: the SimResult's 2N + 8 = 16 doubles a step and
+    # the time column's 32 bytes, beside the closed loop of side 5
+    config = {"sim": {"n_sim": 0, "T": 1.0, "dt": 0.001}, "design": {"N": None, "n_max": 4}}
+    need = 4 * 8 * 5 ** 2 + 1001 * (16 * 8 + 32)
+    physical = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: physical.get(name, physical["pages"]))
+    physical["pages"] = need - 1
+    with pytest.raises(ConfigParse, match=r"\[sim\] T = 1.0 and \[sim\] dt = 0.001 set 1001 "
+                                          r"steps"):
+        cli._require_memory(config, 5, None)
+    physical["pages"] = need
+    cli._require_memory(config, 5, None)
+
+
+@pytest.mark.parametrize("keys", [{"T": "1e12"}, {"dt": "1e-300"}], ids=["T", "dt"])
+def test_horizon_beyond_memory_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys, keys):
+    # round(T / dt) + 1 steps of the run's series: 1e15 steps (7 PiB for the
+    # time column's doubles alone) and 3e300 steps
+    refuse_spectra(monkeypatch)
+    cfg = preset_config(tmp_path, "dirichlet-example", **keys)
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    err = capsys.readouterr().err
+    assert "[sim] T = " in err and "and [sim] dt = " in err and "physical memory" in err
 
 
 def test_unverified_feasible_orders_are_named(tmp_path, monkeypatch, capsys):
@@ -611,6 +638,35 @@ def test_long_horizon_fits_the_decay_before_eta_underflows(tmp_path):
         assert rep["certificate_feasible"] and (out / "eta.csv").exists()
         assert rep["simulation"]["eta_end"] == 0.0
         assert rep["simulation"]["fitted_decay_rate"] >= rep["plant"]["delta"]
+
+
+@pytest.mark.parametrize("source", ["dirichlet-example", "bounded"])
+def test_q_c_with_no_optimal_alpha_at_the_first_order_exits_3(tmp_path, capsys, source):
+    # q_c + delta = -99.5 <= -lambda_3 = -61.685 at N = 2, the search's first
+    # order: no alpha > 1 maximises k(alpha)/alpha there
+    cfg = preset_config(tmp_path, source, q_c=-100) if source in cli.PRESETS \
+        else write_config(tmp_path, q_c=-100)
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
+        == ERROR_EXIT_CODES[ConfigParse] == 3
+    err = capsys.readouterr().err
+    assert "[plant] q_c = -100 gives q_c + delta = -99.5 <= -lambda_(N+1) = -61.685 at N = 2" \
+        in err
+    assert "a [design] N with lambda_(N+1) > -(q_c + delta) = 99.5 can be decided" in err
+
+
+def test_q_c_with_no_optimal_alpha_decides_an_order_past_it(tmp_path, capsys):
+    # lambda_4 = (3.5 pi)^2 = 120.9 > 99.5, so the fixed order N = 3 is
+    # decided, with an exact margin, and the run goes on past the check
+    cfg = preset_config(tmp_path, "dirichlet-example", q_c=-100, N=3)
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
+        != ERROR_EXIT_CODES[ConfigParse]
+    assert "[plant] q_c" not in capsys.readouterr().err
+    config = parse_config(cfg)
+    plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), -100.0,
+                         ss.MeasurementSpec.dirichlet(), config["design"]["delta"])
+    reduced = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
+    record = ss.certificate.certify_order(reduced, ss.design_gains(reduced), 3)[1]
+    assert math.isfinite(record["margin"]) and record["alpha"] > 1.0
 
 
 @pytest.mark.parametrize("q_c", [0, 3, 10, 20])

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvals, expm
+from scipy.linalg import eigvals, expm, svdvals
 
 import specstab as ss
 from specstab.errors import (
@@ -12,7 +12,7 @@ from specstab.errors import (
     OrderTooSmall,
     StepRejected,
 )
-from specstab import cli
+from specstab import cli, simulate
 from specstab.simulate import _OVERFLOW_LOG, _THETA13, _exponential, _growth_log, _propagate
 from specstab.synthesis import state_layout
 
@@ -410,6 +410,47 @@ def test_growth_bound_covers_every_power_of_a_stable_non_normal_step(seed):
         worst = max(worst, float(np.linalg.norm(power, 2)))
     assert np.log(worst) <= growth * (1 + 1e-12) + 1e-12
     assert growth < _OVERFLOW_LOG
+
+
+def counted_svdvals(monkeypatch) -> list:
+    """The shapes of every matrix simulate hands to svdvals."""
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "svdvals", counted)
+    return shapes
+
+
+def test_step_guard_skips_the_svd_when_the_cheap_bound_passes(dirichlet_pipeline, monkeypatch):
+    # the dirichlet example: 3000 steps log sqrt(|E|_1 |E|_inf) = 65 <= 600
+    shapes = counted_svdvals(monkeypatch)
+    pipe = dirichlet_pipeline
+    ss.run(pipe.reduced, pipe.gains, 2, ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=50))
+    assert shapes == []
+
+
+def test_step_guard_decides_on_the_two_norm_when_the_cheap_bound_fails(dirichlet_pipeline,
+                                                                         monkeypatch):
+    # E = Q D, Q the reflection I - (2/n) 1 1' and D = diag(0.5..0.9), is
+    # non-normal with |E|_2 = 0.9, but its 1- and inf-norms exceed 2, so
+    # sqrt(|E|_1 |E|_inf) fails over 3000 steps; svdvals then decides, and
+    # the loop still runs
+    N, N_sim = 2, 50
+    n = 1 + N_sim + N
+    E = (np.eye(n) - (2.0 / n) * np.ones((n, n))) @ np.diag(np.linspace(0.5, 0.9, n))
+    assert not np.allclose(E @ E.T, E.T @ E)
+    assert np.linalg.norm(E, 2) == pytest.approx(0.9, rel=1e-12)
+    cheap = np.sqrt(np.linalg.norm(E, 1) * np.linalg.norm(E, np.inf))
+    assert 3000 * np.log(cheap) > _OVERFLOW_LOG
+    shapes = counted_svdvals(monkeypatch)
+    monkeypatch.setattr(simulate, "_exponential", lambda A, dt: E)
+    pipe = dirichlet_pipeline
+    res = ss.run(pipe.reduced, pipe.gains, N, ss.SimConfig(z0=[1.0, 0.0, 1.0], N_sim=N_sim))
+    assert shapes == [(n, n)]
+    assert res.times.size == 3001 and np.all(np.isfinite(res.eta))
 
 
 def test_growth_bound_rejects_a_growing_step():

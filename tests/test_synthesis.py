@@ -196,6 +196,21 @@ def test_order_too_small(dirichlet_pipeline):
                                 dirichlet_pipeline.reduced.N0)
 
 
+def test_prefix_is_the_model_assembled_at_that_order(dirichlet_pipeline):
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    top = ss.assemble_closed_loop(red, gains, 12)
+    assert top.prefix(12) is top
+    for N in (2, 3, 7):
+        sub, assembled = top.prefix(N), ss.assemble_closed_loop(red, gains, N)
+        assert (sub.N, sub.N0) == (assembled.N, assembled.N0)
+        for name in ("Fc", "d", "u", "v", "F3c", "Gc", "F", "G", "Lcal"):
+            assert getattr(sub, name).tobytes() == getattr(assembled, name).tobytes(), name
+    with pytest.raises(OrderTooSmall, match=r"N must be >= N0\+1 = 2, got 1"):
+        top.prefix(1)
+    with pytest.raises(InsufficientModes):
+        top.prefix(13)
+
+
 def test_order_beyond_reduction(dirichlet_pipeline):
     with pytest.raises(InsufficientModes):
         ss.assemble_closed_loop(dirichlet_pipeline.reduced, dirichlet_pipeline.gains, 51)
