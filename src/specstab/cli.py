@@ -405,11 +405,19 @@ _FIELD_STRIDE = 40
 _ROWS_PER_WRITE = 4096
 
 
+def _create(path: Path):
+    """`path` opened for writing as a new file.  An old entry there is
+    unlinked first, so a rerun neither truncates an old file in place nor
+    writes through a link."""
+    path.unlink(missing_ok=True)
+    return path.open("xb")
+
+
 def _write_rows(path: Path, header: bytes, count: int, columns):
     """A CSV of `count` rows after `header`, written _ROWS_PER_WRITE rows at
     a time: columns(start, stop) gives each field's g17 rows for rows
     start..stop-1, and a row is their bytes joined by commas, zeros dropped."""
-    with path.open("wb") as out:
+    with _create(path) as out:
         out.write(header)
         for start in range(0, count, _ROWS_PER_WRITE):
             fields = columns(start, min(start + _ROWS_PER_WRITE, count))
@@ -472,6 +480,8 @@ def _write_csvs(record: RunRecord, out: Path):
               "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}
     if record.lyapunov is not None:
         series["lyapunov"] = record.lyapunov.V
+    else:  # no certificate: no V, and no stale lyapunov.csv of an earlier run
+        (out / "lyapunov.csv").unlink(missing_ok=True)
     for name, values in series.items():
         _write_series(out / f"{name}.csv", times, values)
     snap = result.snapshot_steps
@@ -536,9 +546,10 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
             cert_mod.export_sdpa(model, record.reduced, alpha, export_sdpa_path)
             say(f"  SDPA export (N = {record.N}, alpha = {alpha:.6g}) -> {export_sdpa_path}")
         try:
+            (out / "report.json").unlink(missing_ok=True)  # a failed CSV write leaves no report
             _write_csvs(record, out)
-            (out / "report.json").write_text(_to_json(_report(record)) + "\n",
-                                             encoding="utf-8")
+            with _create(out / "report.json") as report:
+                report.write((_to_json(_report(record)) + "\n").encode("utf-8"))
         except OSError as exc:
             raise err.IoFailure(f"cannot write to output directory {out}: {exc}") from exc
         say(f"  report -> {out / 'report.json'}")

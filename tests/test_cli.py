@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -789,6 +790,65 @@ def test_run_csvs_past_one_chunk_match_a_per_line_writer(tmp_path):
     assert_run_csvs_match_a_per_line_writer(record, tmp_path)
 
 
+# ---------------------------------------------------------------- reruns
+
+def outputs(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("stale", ["longer", "symlink", "dangling"])
+def test_rerun_replaces_stale_outputs_and_links(tmp_path, dirichlet_preset_run, stale):
+    # every output name holds a stale file longer than the run's, or a link to
+    # one, or a link to nothing: the rerun leaves a fresh run's regular files
+    # and never writes through a link
+    expected = outputs(dirichlet_preset_run[1])
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    old = {name: b"stale\n" * (len(text) // 6 + 100) for name, text in expected.items()}
+    for name, text in old.items():
+        if stale == "longer":
+            (out / name).write_bytes(text)
+        else:
+            if stale == "symlink":
+                (elsewhere / name).write_bytes(text)
+            (out / name).symlink_to(elsewhere / name)
+    assert run_scenario("dirichlet-example", out_dir=out, quiet=True) == 0
+    assert outputs(out) == expected
+    assert all(path.is_file() and not path.is_symlink() for path in out.iterdir())
+    assert outputs(elsewhere) == ({} if stale != "symlink" else old)
+
+
+def test_rerun_leaves_hard_links_to_old_outputs_their_bytes(tmp_path):
+    # each output is created as a new file, so a hard link made to an old
+    # one keeps the old bytes
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    assert run_scenario("dirichlet-example", out_dir=out, quiet=True) == 0
+    old = outputs(out)
+    kept.mkdir()
+    for name in old:
+        os.link(out / name, kept / name)
+    cfg = preset_config(tmp_path, "dirichlet-example", T=2)
+    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 0
+    new = outputs(out)
+    assert sorted(new) == sorted(old) and all(new[name] != old[name] for name in old)
+    assert outputs(kept) == old
+
+
+def test_uncertified_rerun_removes_a_stale_lyapunov_csv(tmp_path):
+    # the left-flux example at q_c = 3 certifies no order N <= 10, so it has
+    # no V: the dirichlet run's lyapunov.csv must not outlive it
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_scenario("dirichlet-example", out_dir=out, quiet=True) == 0
+    assert (out / "lyapunov.csv").is_file()
+    cfg = preset_config(tmp_path, "neumann-example", q_c=3)
+    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 2
+    assert run_scenario(str(cfg), out_dir=fresh, quiet=True) == 2
+    assert load_report(out)["certificate_feasible"] is False
+    assert "lyapunov.csv" not in outputs(fresh)
+    assert outputs(out) == outputs(fresh)
+
+
 # ---------------------------------------------------------------- errors & codes
 
 def test_missing_file_is_config_parse(tmp_path):
@@ -860,6 +920,19 @@ def test_unusable_output_directory_is_io_failure(tmp_path, capsys, out):
         == ERROR_EXIT_CODES[IoFailure] == 16
     err = capsys.readouterr().err
     assert err.startswith("error[IoFailure]") and str(target) in err
+
+
+def test_failed_output_stage_leaves_no_report(tmp_path, capsys):
+    # an old run's report.json next to a directory named u.csv: the CSVs
+    # cannot be written, and no report is left to describe other CSVs
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    (out / "u.csv").unlink()
+    (out / "u.csv").mkdir()
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) \
+        == ERROR_EXIT_CODES[IoFailure] == 16
+    assert capsys.readouterr().err.startswith("error[IoFailure]")
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("value", ["Auto", "AUTO"])
