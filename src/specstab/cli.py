@@ -11,6 +11,7 @@ deterministic report.json with floats printed at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -413,39 +414,46 @@ def _create(path: Path):
     return path.open("xb")
 
 
-def _write_rows(path: Path, header: bytes, count: int, columns):
-    """A CSV of `count` rows after `header`, written _ROWS_PER_WRITE rows at
-    a time: columns(start, stop) gives each field's g17 rows for rows
-    start..stop-1, and a row is their bytes joined by commas, zeros dropped."""
-    with _create(path) as out:
-        out.write(header)
+def _write_rows(paths: list[Path], header: bytes, keys, values: list):
+    """CSVs that share their leading columns, one row per value after
+    `header`, written _ROWS_PER_WRITE rows at a time: keys(start, stop) gives
+    those columns' g17 rows for rows start..stop-1, and paths[i] ends each row
+    with values[i]'s.  A row is its fields' bytes joined by commas, zeros
+    dropped.  The key columns, commas and newlines are laid once per chunk for
+    all the files, and each file's values are formatted into the last slot."""
+    count = len(values[0])
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(_create(path)) for path in paths]
+        for out in outs:
+            out.write(header)
         for start in range(0, count, _ROWS_PER_WRITE):
-            fields = columns(start, min(start + _ROWS_PER_WRITE, count))
-            text = np.empty((len(fields[0]), len(fields), WIDTH + 1), dtype=np.uint8)
+            stop = min(start + _ROWS_PER_WRITE, count)
+            fields = keys(start, stop)
+            text = np.empty((stop - start, len(fields) + 1, WIDTH + 1), dtype=np.uint8)
             for j, field in enumerate(fields):
                 text[:, j, :WIDTH] = field
             text[:, :, WIDTH] = ord(",")
             text[:, -1, WIDTH] = ord("\n")
-            out.write(text[text != 0])
+            for out, value in zip(outs, values):
+                text[:, -1, :WIDTH] = g17(value[start:stop])
+                out.write(text[text != 0])
 
 
-def _write_series(path: Path, times: np.ndarray, values: np.ndarray):
-    """`t,value` rows; times is the time column's g17 text, formatted once per run."""
-    text = g17(values)
-    _write_rows(path, b"t,value\n", len(text),
-                lambda start, stop: (times[start:stop], text[start:stop]))
+def _write_series(paths: list[Path], times: np.ndarray, series: list):
+    """`t,value` CSVs, paths[i] holding series[i]; times is the shared time
+    column's g17 text, formatted once per run."""
+    _write_rows(paths, b"t,value\n", lambda start, stop: (times[start:stop],), series)
 
 
-def _write_field(path: Path, x: np.ndarray, times: np.ndarray, fields: np.ndarray):
-    """`x,t,value` rows, one snapshot time per row of fields; x and times
-    are g17 text, and one g17 call formats every snapshot."""
-    text = g17(fields)
+def _write_field(paths: list[Path], x: np.ndarray, times: np.ndarray, fields: list):
+    """`x,t,value` CSVs, paths[i] holding fields[i] with one snapshot time per
+    row; x and times are the shared columns' g17 text."""
 
-    def columns(start, stop):
+    def keys(start, stop):
         snapshot, point = np.divmod(np.arange(start, stop), len(x))
-        return x[point], times[snapshot], text[start:stop]
+        return x[point], times[snapshot]
 
-    _write_rows(path, b"x,t,value\n", len(text), columns)
+    _write_rows(paths, b"x,t,value\n", keys, [field.ravel() for field in fields])
 
 
 def _progress(record: RunRecord) -> list[str]:
@@ -482,13 +490,12 @@ def _write_csvs(record: RunRecord, out: Path):
         series["lyapunov"] = record.lyapunov.V
     else:  # no certificate: no V, and no stale lyapunov.csv of an earlier run
         (out / "lyapunov.csv").unlink(missing_ok=True)
-    for name, values in series.items():
-        _write_series(out / f"{name}.csv", times, values)
+    _write_series([out / f"{name}.csv" for name in series], times, list(series.values()))
     snap = result.snapshot_steps
     _, z_field, error_field = result.fields(snap, _FIELD_STRIDE)
     x = g17(record.reduced.spectrum.grid[::_FIELD_STRIDE])
-    _write_field(out / "state_field.csv", x, times[snap], z_field)
-    _write_field(out / "error_field.csv", x, times[snap], error_field)
+    _write_field([out / "state_field.csv", out / "error_field.csv"], x, times[snap],
+                 [z_field, error_field])
 
 
 def _report(record: RunRecord) -> dict:

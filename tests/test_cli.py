@@ -711,14 +711,17 @@ def test_csv_writers_match_per_line_formatting(tmp_path):
     t = np.concatenate([special, rng.normal(size=7) * 10.0 ** rng.integers(-20, 20, 7)])
     values = rng.permutation(t) * -1.0
     assert t.size % 2 == 1
-    cli._write_series(tmp_path / "s.csv", g17(t), values)
+    # two files share the time column, laid once per chunk
+    cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], g17(t), [values, values[::-1]])
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
+    assert (tmp_path / "r.csv").read_bytes() == reference_series(t, values[::-1]).encode()
     x = np.array([0.0, 0.025, 1 / 3, 1.0, 5e-324])
     fields = rng.normal(size=(3, x.size)) * [[1e300], [-0.0], [1e-310]]
     steps = [0, 5, 16]
-    cli._write_field(tmp_path / "f.csv", g17(x), g17(t[steps]), fields)
-    expected = reference_field(x, t[steps], fields).encode()
-    assert (tmp_path / "f.csv").read_bytes() == expected
+    cli._write_field([tmp_path / "f.csv", tmp_path / "g.csv"], g17(x), g17(t[steps]),
+                     [fields, -fields])
+    for name, field in (("f.csv", fields), ("g.csv", -fields)):
+        assert (tmp_path / name).read_bytes() == reference_field(x, t[steps], field).encode()
 
 
 def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
@@ -726,8 +729,9 @@ def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
     t = np.linspace(0.0, 1.6, 17)
     values = np.random.default_rng(5).normal(size=t.size)
-    cli._write_series(tmp_path / "s.csv", g17(t), values)
+    cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], g17(t), [values, -values])
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
+    assert (tmp_path / "r.csv").read_bytes() == reference_series(t, -values).encode()
 
 
 #: doubles whose %.17g text is special: signed zeros, subnormals, the ends of
@@ -753,10 +757,14 @@ def test_csv_writers_match_per_line_formatting_on_any_doubles(tmp_path_factory, 
     out = tmp_path_factory.mktemp("writers")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
-        cli._write_series(out / "s.csv", g17(t), values)
-        cli._write_field(out / "f.csv", g17(x), g17(t[steps]), fields)
+        cli._write_series([out / "s.csv", out / "r.csv"], g17(t), [values, t])
+        cli._write_field([out / "f.csv", out / "g.csv"], g17(x), g17(t[steps]),
+                         [fields, fields[::-1]])
     assert (out / "s.csv").read_bytes() == reference_series(t, values).encode()
+    assert (out / "r.csv").read_bytes() == reference_series(t, t).encode()
     assert (out / "f.csv").read_bytes() == reference_field(x, t[steps], fields).encode()
+    assert (out / "g.csv").read_bytes() == \
+        reference_field(x, t[steps], fields[::-1]).encode()
 
 
 def assert_run_csvs_match_a_per_line_writer(record, tmp_path):
