@@ -24,6 +24,7 @@ import numpy as np
 
 from . import certificate as cert_mod
 from . import errors as err
+from ._files import create
 from ._g17 import WIDTH, g17
 from .certificate import Certificate
 from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
@@ -224,6 +225,18 @@ class RunRecord:
     lyapunov: LyapunovTrace | None
 
 
+def _step_bytes(N: int) -> int:
+    """The bytes a run at order N holds per step at its peak: the
+    SimResult's 2N + 8 doubles (times, X, v, zeta and its four other series),
+    and the larger of two transients that never meet.  simulate.run squares
+    the N modes of the certificate state before it forms eta, and fit_decay
+    holds six doubles a sample of its window: the log series, the two-column
+    design matrix and lstsq's copies of both.  V, the Lyapunov series, and
+    every other transient of a run or of the CSV writers stay within those
+    (one chunk of rows at a time)."""
+    return 8 * (2 * N + 8 + max(N, 6))
+
+
 def _require_memory(config: dict, n_modes: int, coeffs: CoefficientPair | None):
     """ConfigParse, naming the keys that size the larger part, unless the
     run's largest arrays fit in physical memory.
@@ -231,11 +244,9 @@ def _require_memory(config: dict, n_modes: int, coeffs: CoefficientPair | None):
     They are counted as four dense matrices of the closed loop's side
     1 + n_sim + N (A_cl, and A_cl dt, E and expm's work while it runs), the
     Galerkin solve's peak (sturm_liouville.galerkin_bytes) of n_modes of
-    coeffs, and the run's per-step series: round(T / dt) + 1 steps of the
-    SimResult's 2N + 8 doubles (times, X, v, zeta and its four other series)
-    and of the time column's WIDTH bytes of text.  N is the largest order
-    the run can take, [design] N or else n_max, and coeffs is None when the
-    spectrum is the closed form.
+    coeffs, and round(T / dt) + 1 steps of _step_bytes(N).  N is the
+    largest order the run can take, [design] N or else n_max, and coeffs is
+    None when the spectrum is the closed form.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -247,7 +258,7 @@ def _require_memory(config: dict, n_modes: int, coeffs: CoefficientPair | None):
     matrices = 8 * 4 * (1 + n_sim + N) ** 2 + \
         (0 if coeffs is None else galerkin_bytes(coeffs, n_modes))
     steps = round(T / dt) + 1 if math.isfinite(T / dt) else math.inf
-    series = steps * (8 * (2 * N + 8) + WIDTH)
+    series = steps * _step_bytes(N)
     need = matrices + series
     if need > physical:
         if series > matrices:
@@ -322,6 +333,7 @@ def solve(config: dict) -> RunRecord:
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 2:
         raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
                               f"the decay-fit window [min(1, T/2), T], got {T}")
+    del times  # the run makes its own: no second copy lives through it
     # the field CSVs report at the points of the spectrum's grid
     spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
         solve_spectrum(coeffs, plant.boundary, n_modes, max(2000, 40 * n_modes))
@@ -406,24 +418,31 @@ _FIELD_STRIDE = 40
 _ROWS_PER_WRITE = 4096
 
 
-def _create(path: Path):
-    """`path` opened for writing as a new file.  An old entry there is
-    unlinked first, so a rerun neither truncates an old file in place nor
-    writes through a link."""
-    path.unlink(missing_ok=True)
-    return path.open("xb")
+class _Sqrt:
+    """The square roots of an array, taken one slice at a time, so that a
+    writer holds them for one chunk only."""
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return np.sqrt(self._values[rows])
 
 
 def _write_rows(paths: list[Path], header: bytes, keys, values: list):
     """CSVs that share their leading columns, one row per value after
     `header`, written _ROWS_PER_WRITE rows at a time: keys(start, stop) gives
     those columns' g17 rows for rows start..stop-1, and paths[i] ends each row
-    with values[i]'s.  A row is its fields' bytes joined by commas, zeros
-    dropped.  The key columns, commas and newlines are laid once per chunk for
-    all the files, and each file's values are formatted into the last slot."""
+    with values[i]'s (anything that len() counts and a slice of which gives
+    doubles).  A row is its fields' bytes joined by commas, zeros dropped.
+    The key columns, commas and newlines are laid once per chunk for all the
+    files, and each file's values are formatted into the last slot."""
     count = len(values[0])
     with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(_create(path)) for path in paths]
+        outs = [stack.enter_context(create(path)) for path in paths]
         for out in outs:
             out.write(header)
         for start in range(0, count, _ROWS_PER_WRITE):
@@ -440,14 +459,16 @@ def _write_rows(paths: list[Path], header: bytes, keys, values: list):
 
 
 def _write_series(paths: list[Path], times: np.ndarray, series: list):
-    """`t,value` CSVs, paths[i] holding series[i]; times is the shared time
-    column's g17 text, formatted once per run."""
-    _write_rows(paths, b"t,value\n", lambda start, stop: (times[start:stop],), series)
+    """`t,value` CSVs, paths[i] holding series[i]; the shared time column is
+    formatted one chunk at a time, so that no run's worth of text is held."""
+    _write_rows(paths, b"t,value\n", lambda start, stop: (g17(times[start:stop]),), series)
 
 
 def _write_field(paths: list[Path], x: np.ndarray, times: np.ndarray, fields: list):
     """`x,t,value` CSVs, paths[i] holding fields[i] with one snapshot time per
-    row; x and times are the shared columns' g17 text."""
+    row; the shared columns x and times, one value per grid point and per
+    snapshot, are formatted once."""
+    x, times = g17(x), g17(times)
 
     def keys(start, stop):
         snapshot, point = np.divmod(np.arange(start, stop), len(x))
@@ -483,18 +504,18 @@ def _progress(record: RunRecord) -> list[str]:
 
 def _write_csvs(record: RunRecord, out: Path):
     result = record.sim
-    times = g17(result.times)  # the time column, formatted once per run
     series = {"u": result.u, "v": result.v, "eta": result.eta, "zeta": result.zeta,
-              "l2_norm": np.sqrt(result.l2_sq), "energy": result.energy_sq}
+              "l2_norm": _Sqrt(result.l2_sq), "energy": result.energy_sq}
     if record.lyapunov is not None:
         series["lyapunov"] = record.lyapunov.V
     else:  # no certificate: no V, and no stale lyapunov.csv of an earlier run
         (out / "lyapunov.csv").unlink(missing_ok=True)
-    _write_series([out / f"{name}.csv" for name in series], times, list(series.values()))
+    _write_series([out / f"{name}.csv" for name in series], result.times,
+                  list(series.values()))
     snap = result.snapshot_steps
     _, z_field, error_field = result.fields(snap, _FIELD_STRIDE)
-    x = g17(record.reduced.spectrum.grid[::_FIELD_STRIDE])
-    _write_field([out / "state_field.csv", out / "error_field.csv"], x, times[snap],
+    _write_field([out / "state_field.csv", out / "error_field.csv"],
+                 record.reduced.spectrum.grid[::_FIELD_STRIDE], result.times[snap],
                  [z_field, error_field])
 
 
@@ -555,7 +576,7 @@ def run_scenario(name_or_path: str, n_max: int | None = None,
         try:
             (out / "report.json").unlink(missing_ok=True)  # a failed CSV write leaves no report
             _write_csvs(record, out)
-            with _create(out / "report.json") as report:
+            with create(out / "report.json") as report:
                 report.write((_to_json(_report(record)) + "\n").encode("utf-8"))
         except OSError as exc:
             raise err.IoFailure(f"cannot write to output directory {out}: {exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._files import create
 from .errors import IoFailure
 
 
@@ -34,6 +35,8 @@ class SdpaProblem:
         mat[(block, i, j)] = mat.get((block, i, j), 0.0) + value
 
     def write(self, path):
+        """Write the problem to `path` as a new file (_files.create): an old
+        entry there is unlinked, never truncated in place or written through."""
         lines = [f"{self.m_dim}", f"{len(self.block_sizes)}",
                  " ".join(str(s) for s in self.block_sizes),
                  " ".join("0" for _ in range(self.m_dim))]
@@ -42,8 +45,8 @@ class SdpaProblem:
                 if v != 0.0:
                     lines.append(f"{k} {block} {i} {j} {v:.17g}")
         try:
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            with create(path) as fh:
+                fh.write(("\n".join(lines) + "\n").encode())
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
 

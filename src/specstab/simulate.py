@@ -35,6 +35,7 @@ the points of the spectrum's grid.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ from .synthesis import GainSet, assemble_closed_loop, state_layout
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
 _SNAPSHOTS = 61        # a run stores the full state at about this many steps
 _THETA13 = 4.25  # 1-norm up to which scipy's expm does not square (see _exponential)
+_CHUNK_ROWS = 4096  # steps whose transients are formed at once, as in the CSV writers
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,12 @@ def compatibility_defect(z0, kind: str) -> str | None:
     elif abs(z0[0]) > tol:
         return f"z0(0) = {z0[0]:.3e} violates the pinned-at-0 compatibility"
     return None
+
+
+def _chunks(count: int):
+    """Slices of rows 0..count-1, _CHUNK_ROWS at a time."""
+    return (slice(start, min(start + _CHUNK_ROWS, count))
+            for start in range(0, count, _CHUNK_ROWS))
 
 
 def step_times(T: float, dt: float) -> np.ndarray:
@@ -356,11 +364,24 @@ def run(reduced: ReducedPlant, gains: GainSet, N: int, config: SimConfig) -> Sim
     stride = max(1, (steps + 1) // _SNAPSHOTS)
     lin, quad, states = _propagate(E, state, steps, linear, quadratic, stride)
     X, (l2_sq, tail_energy_sq) = lin[:, :n_x], quad.T
-    w_sq = np.square(_modes(X, reduced, N)[0])
+    # the squares of w_n = e_n + what_n, n <= N, formed once and in place,
+    # column by column into a C-ordered array as _modes lays them out: the
+    # product with lam reads that layout, and its bits depend on it
+    w_sq = np.empty((steps + 1, N))
+    for n in range(N):
+        np.divide(X[:, error[n]], scale[n], out=w_sq[:, n])
+        w_sq[:, n] += X[:, what[n]]
+    np.square(w_sq, out=w_sq)
     l2_sq += w_sq.sum(axis=1)
-    energy_sq = w_sq @ lam[:N] + tail_energy_sq
-    eta = np.sqrt(np.square(X[:, 0]) + np.square(X[:, what]).sum(axis=1)
-                  + l2_sq + energy_sq)
+    energy_sq = w_sq @ lam[:N]
+    energy_sq += tail_energy_sq
+    del w_sq
+    eta = np.empty(steps + 1)
+    for rows in _chunks(steps + 1):
+        x = X[rows]
+        eta[rows] = (np.square(x[:, 0]) + np.square(x[:, what]).sum(axis=1)
+                     + l2_sq[rows] + energy_sq[rows])
+    np.sqrt(eta, out=eta)
     return SimResult(times=times, X=X, v=lin[:, n_x],
                      zeta=lin[:, n_x + 1], l2_sq=l2_sq, energy_sq=energy_sq, eta=eta,
                      tail_energy_sq=tail_energy_sq,
@@ -389,11 +410,14 @@ def lyapunov_trace(result: SimResult, certificate: Certificate) -> LyapunovTrace
     if certificate.N != result.N:
         raise OrderMismatch(f"certificate is for N = {certificate.N}, run used N = {result.N}")
     V = np.einsum("ki,ij,kj->k", result.X, certificate.P, result.X)
-    V = V + certificate.gamma * result.tail_energy_sq
-    delta = result.reduced.delta
-    weighted = V * np.exp(2.0 * delta * result.times)
-    max_inc = float(np.max(np.diff(weighted))) if V.size > 1 else 0.0
-    return LyapunovTrace(V=V, max_increment=max_inc)
+    for rows in _chunks(V.size):
+        V[rows] += certificate.gamma * result.tail_energy_sq[rows]
+    # the increments of V e^(2 delta t), each chunk's reaching the row after it
+    delta, tops = result.reduced.delta, []
+    for rows in _chunks(V.size - 1):
+        span = slice(rows.start, rows.stop + 1)
+        tops.append(np.max(np.diff(V[span] * np.exp(2.0 * delta * result.times[span]))))
+    return LyapunovTrace(V=V, max_increment=float(np.max(tops)) if tops else 0.0)
 
 
 def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]) -> float:
@@ -402,6 +426,15 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
     A series that reaches 0 in the window, as eta underflows on a long
     horizon, is fitted on the window's samples before its first nonpositive
     one; NonPositiveSeries when fewer than 2 samples come before it.
+
+    The fit is numpy.polyfit's of degree 1, operation for operation, so the
+    rate keeps polyfit's bits: the design matrix [t, 1] is scaled by its
+    columns' norms, summed row by row as polyfit's (lhs * lhs).sum(axis=0)
+    sums them, and lstsq solves it with rcond = n eps.  Only here the matrix
+    is filled and the logarithm taken in place: the window holds at most
+    four doubles a sample (the times, the log series and the matrix) before
+    lstsq, and three during it, beside lstsq's own copies of the matrix and
+    the series.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -411,11 +444,22 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
         raise ValueError(f"window [{ta}, {tb}] contains no samples")
     t, y = times[mask], series[mask]
     nonpositive = np.flatnonzero(y <= 0)
+    n = y.size
     if nonpositive.size:
         if nonpositive[0] < 2:
             raise NonPositiveSeries("series must be strictly positive on the first 2 samples "
                                     "of the fit window")
-        t, y = t[:nonpositive[0]], y[:nonpositive[0]]
-    slope = np.polyfit(t, np.log(y), 1)[0]
-    return float(-slope)
-
+        n = int(nonpositive[0])
+    lhs = np.empty((n, 2))
+    lhs[:, 0] = t[:n]
+    lhs[:, 1] = 1.0
+    del t
+    y = np.log(y[:n], out=y[:n])
+    squares = np.square(lhs[:, 0])
+    scale = np.sqrt([np.add.accumulate(squares, out=squares)[-1], float(n)])
+    del squares
+    lhs /= scale
+    slope, _, rank, _ = np.linalg.lstsq(lhs, y, n * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return float(-(slope[0] / scale[0]))

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import specstab as ss
 from specstab import cli, homogenize
-from specstab._g17 import g17
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, IoFailure,
                              StepRejected)
@@ -402,22 +401,24 @@ def test_memory_guard_counts_the_galerkin_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     # n_sim = n_max = 0: the closed loop is counted at side 1, 4 * 8 bytes,
-    # and T = dt at 2 steps of 8 doubles and the time column's 32 bytes
+    # and T = dt at 2 steps of 8 + 6 doubles (cli._step_bytes(0))
     config = {"sim": {"n_sim": 0, "T": 1.0, "dt": 1.0}, "design": {"N": None, "n_max": 0}}
     physical = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(cli.os, "sysconf", lambda name: physical.get(name, physical["pages"]))
-    physical["pages"] = 32 + 192 + peak - 1
+    physical["pages"] = 32 + 224 + peak - 1
     with pytest.raises(ConfigParse):
         cli._require_memory(config, 201, coeffs)
-    physical["pages"] = 32 + 192 + 2 * peak
+    physical["pages"] = 32 + 224 + 2 * peak
     cli._require_memory(config, 201, coeffs)
 
 
 def test_memory_guard_counts_the_run_series(monkeypatch):
     # 1001 steps of n_max = 4: the SimResult's 2N + 8 = 16 doubles a step and
-    # the time column's 32 bytes, beside the closed loop of side 5
+    # the larger transient, fit_decay's six doubles (N = 4 squared modes in
+    # run are fewer), beside the closed loop of side 5
     config = {"sim": {"n_sim": 0, "T": 1.0, "dt": 0.001}, "design": {"N": None, "n_max": 4}}
-    need = 4 * 8 * 5 ** 2 + 1001 * (16 * 8 + 32)
+    need = 4 * 8 * 5 ** 2 + 1001 * (16 + 6) * 8
+    assert cli._step_bytes(4) == (16 + 6) * 8 and cli._step_bytes(9) == (26 + 9) * 8
     physical = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(cli.os, "sysconf", lambda name: physical.get(name, physical["pages"]))
     physical["pages"] = need - 1
@@ -426,6 +427,33 @@ def test_memory_guard_counts_the_run_series(monkeypatch):
         cli._require_memory(config, 5, None)
     physical["pages"] = need
     cli._require_memory(config, 5, None)
+
+
+def test_run_and_writers_hold_no_more_a_step_than_the_memory_guard_counts(tmp_path):
+    # dirichlet-example at [design] N = 2, T = 10 and T = 40: per step, the
+    # traced peak of solve grows by at most _require_memory's count, and that
+    # of the CSV writers by less than one double past the run's series and V
+    import tracemalloc
+    peaks = []
+    for T in (10, 40):
+        config = parse_config(preset_config(tmp_path, "dirichlet-example", N=2, T=T))
+        cli._write_csvs(cli.solve(config), tmp_path)  # caches outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            record = cli.solve(config)
+            solve_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            cli._write_csvs(record, tmp_path)
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        peaks.append((record.sim.times.size, solve_peak, write_peak))
+    (steps10, solve10, write10), (steps40, solve40, write40) = peaks
+    assert steps40 - steps10 == 30000
+    assert (solve40 - solve10) / 30000 <= cli._step_bytes(2)
+    assert (write40 - write10) / 30000 <= cli._step_bytes(2)
+    assert (write40 - write10) / 30000 < 8 * (2 * 2 + 9 + 1)
 
 
 @pytest.mark.parametrize("keys", [{"T": "1e12"}, {"dt": "1e-300"}], ids=["T", "dt"])
@@ -712,14 +740,13 @@ def test_csv_writers_match_per_line_formatting(tmp_path):
     values = rng.permutation(t) * -1.0
     assert t.size % 2 == 1
     # two files share the time column, laid once per chunk
-    cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], g17(t), [values, values[::-1]])
+    cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], t, [values, values[::-1]])
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
     assert (tmp_path / "r.csv").read_bytes() == reference_series(t, values[::-1]).encode()
     x = np.array([0.0, 0.025, 1 / 3, 1.0, 5e-324])
     fields = rng.normal(size=(3, x.size)) * [[1e300], [-0.0], [1e-310]]
     steps = [0, 5, 16]
-    cli._write_field([tmp_path / "f.csv", tmp_path / "g.csv"], g17(x), g17(t[steps]),
-                     [fields, -fields])
+    cli._write_field([tmp_path / "f.csv", tmp_path / "g.csv"], x, t[steps], [fields, -fields])
     for name, field in (("f.csv", fields), ("g.csv", -fields)):
         assert (tmp_path / name).read_bytes() == reference_field(x, t[steps], field).encode()
 
@@ -729,7 +756,7 @@ def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
     t = np.linspace(0.0, 1.6, 17)
     values = np.random.default_rng(5).normal(size=t.size)
-    cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], g17(t), [values, -values])
+    cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], t, [values, -values])
     assert (tmp_path / "s.csv").read_bytes() == reference_series(t, values).encode()
     assert (tmp_path / "r.csv").read_bytes() == reference_series(t, -values).encode()
 
@@ -757,9 +784,8 @@ def test_csv_writers_match_per_line_formatting_on_any_doubles(tmp_path_factory, 
     out = tmp_path_factory.mktemp("writers")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
-        cli._write_series([out / "s.csv", out / "r.csv"], g17(t), [values, t])
-        cli._write_field([out / "f.csv", out / "g.csv"], g17(x), g17(t[steps]),
-                         [fields, fields[::-1]])
+        cli._write_series([out / "s.csv", out / "r.csv"], t, [values, t])
+        cli._write_field([out / "f.csv", out / "g.csv"], x, t[steps], [fields, fields[::-1]])
     assert (out / "s.csv").read_bytes() == reference_series(t, values).encode()
     assert (out / "r.csv").read_bytes() == reference_series(t, t).encode()
     assert (out / "f.csv").read_bytes() == reference_field(x, t[steps], fields).encode()
@@ -804,12 +830,21 @@ def outputs(out):
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
+@pytest.fixture(scope="module")
+def dirichlet_export_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("preset-d-sdpa")
+    assert run_scenario("dirichlet-example", out_dir=out, quiet=True,
+                        export_sdpa_path=out / "problem.dat-s") == 0
+    return out
+
+
 @pytest.mark.parametrize("stale", ["longer", "symlink", "dangling"])
-def test_rerun_replaces_stale_outputs_and_links(tmp_path, dirichlet_preset_run, stale):
-    # every output name holds a stale file longer than the run's, or a link to
-    # one, or a link to nothing: the rerun leaves a fresh run's regular files
-    # and never writes through a link
-    expected = outputs(dirichlet_preset_run[1])
+def test_rerun_replaces_stale_outputs_and_links(tmp_path, dirichlet_export_run, stale):
+    # every output name, the SDPA export's included, holds a stale file longer
+    # than the run's, or a link to one, or a link to nothing: the rerun leaves
+    # a fresh run's regular files and never writes through a link
+    expected = outputs(dirichlet_export_run)
+    assert "problem.dat-s" in expected
     out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
     out.mkdir()
     elsewhere.mkdir()
@@ -821,7 +856,8 @@ def test_rerun_replaces_stale_outputs_and_links(tmp_path, dirichlet_preset_run, 
             if stale == "symlink":
                 (elsewhere / name).write_bytes(text)
             (out / name).symlink_to(elsewhere / name)
-    assert run_scenario("dirichlet-example", out_dir=out, quiet=True) == 0
+    assert run_scenario("dirichlet-example", out_dir=out, quiet=True,
+                        export_sdpa_path=out / "problem.dat-s") == 0
     assert outputs(out) == expected
     assert all(path.is_file() and not path.is_symlink() for path in out.iterdir())
     assert outputs(elsewhere) == ({} if stale != "symlink" else old)
@@ -829,16 +865,20 @@ def test_rerun_replaces_stale_outputs_and_links(tmp_path, dirichlet_preset_run, 
 
 def test_rerun_leaves_hard_links_to_old_outputs_their_bytes(tmp_path):
     # each output is created as a new file, so a hard link made to an old
-    # one keeps the old bytes
+    # one keeps the old bytes; the SDPA export at q_c = 4 differs from the
+    # one at the preset's q_c = 3
     out, kept = tmp_path / "out", tmp_path / "kept"
-    assert run_scenario("dirichlet-example", out_dir=out, quiet=True) == 0
+    export = out / "problem.dat-s"
+    assert run_scenario("dirichlet-example", out_dir=out, quiet=True,
+                        export_sdpa_path=export) == 0
     old = outputs(out)
     kept.mkdir()
     for name in old:
         os.link(out / name, kept / name)
-    cfg = preset_config(tmp_path, "dirichlet-example", T=2)
-    assert run_scenario(str(cfg), out_dir=out, quiet=True) == 0
+    cfg = preset_config(tmp_path, "dirichlet-example", T=2, q_c=4)
+    assert run_scenario(str(cfg), out_dir=out, quiet=True, export_sdpa_path=export) == 0
     new = outputs(out)
+    assert "problem.dat-s" in new
     assert sorted(new) == sorted(old) and all(new[name] != old[name] for name in old)
     assert outputs(kept) == old
 

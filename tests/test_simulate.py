@@ -585,6 +585,37 @@ def test_fit_decay_stops_at_the_first_zero():
         ss.fit_decay(t, y, (5.9, 10.0))
 
 
+@pytest.mark.parametrize("zero_at", [None, 3000], ids=["positive", "underflow"])
+def test_fit_decay_keeps_the_bits_of_polyfit(zero_at):
+    # fit_decay builds np.polyfit's scaled degree-1 fit in place: the same
+    # rate to the bit, also on a series that reaches 0 inside the window
+    rng = np.random.default_rng(7)
+    t = np.arange(9001) * 1e-3
+    y = np.exp(-0.9 * t) * (1.0 + 0.05 * rng.random(t.size))
+    if zero_at is not None:
+        y[zero_at:] = 0.0
+    inside = (t >= 1.0) & (t <= 9.0)
+    tw, yw = t[inside], y[inside]
+    n = np.flatnonzero(yw <= 0)[0] if zero_at is not None else yw.size
+    assert ss.fit_decay(t, y, (1.0, 9.0)) == -np.polyfit(tw[:n], np.log(yw[:n]), 1)[0]
+
+
+def test_run_series_keep_the_bits_of_the_whole_run_expressions(dirichlet_pipeline):
+    # run squares the modes once, column by column, and forms eta one chunk
+    # of rows at a time: energy_sq and eta equal, bit for bit, the whole-run
+    # expressions through _modes, over more than one chunk
+    pipe, N = dirichlet_pipeline, 3
+    _, res = dirichlet_run(pipe, N=N, T=5.0)
+    assert res.times.size > simulate._CHUNK_ROWS
+    w_sq = np.square(simulate._modes(res.X, pipe.reduced, N)[0])
+    lam = pipe.reduced.spectrum.lambdas[:N]
+    assert np.array_equal(res.energy_sq, w_sq @ lam + res.tail_energy_sq)
+    what = state_layout(pipe.reduced, N)[0]
+    eta = np.sqrt(np.square(res.X[:, 0]) + np.square(res.X[:, what]).sum(axis=1)
+                  + res.l2_sq + res.energy_sq)
+    assert np.array_equal(res.eta, eta)
+
+
 # ---------------------------------------------------------------- lyapunov trace
 
 def test_lyapunov_trace_monotone_dirichlet(dirichlet_pipeline):
@@ -596,6 +627,21 @@ def test_lyapunov_trace_monotone_dirichlet(dirichlet_pipeline):
     trace = ss.lyapunov_trace(res, cert)
     assert trace.V[0] > 0
     assert trace.max_increment <= 1e-6 * trace.V[0]
+
+
+def test_lyapunov_trace_keeps_the_bits_of_the_whole_run_expressions(dirichlet_pipeline):
+    # V and its largest weighted increment, formed one chunk of rows at a
+    # time, equal the whole-run expressions bit for bit
+    pipe = dirichlet_pipeline
+    model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
+    cert = constructive_certificate(model, pipe.reduced, 2.0)
+    _, res = dirichlet_run(pipe, N=8, T=5.0)
+    assert res.times.size > simulate._CHUNK_ROWS
+    trace = ss.lyapunov_trace(res, cert)
+    V = np.einsum("ki,ij,kj->k", res.X, cert.P, res.X) + cert.gamma * res.tail_energy_sq
+    assert np.array_equal(trace.V, V)
+    weighted = V * np.exp(2.0 * pipe.reduced.delta * res.times)
+    assert trace.max_increment == np.max(np.diff(weighted))
 
 
 def test_lyapunov_trace_monotone_neumann_free_p(neumann_pipeline):
