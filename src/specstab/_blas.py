@@ -1,13 +1,18 @@
 """Matrix products on scipy's BLAS.
 
 numpy and scipy each bundle their own OpenBLAS, and each library has its own
-thread pool.  scipy's LAPACK (eigh, expm's Pade step, svdvals, eigvals) runs
-on scipy's pool.  A threaded numpy product between two such calls wakes the
-other pool, whose workers then spin for a while after the product ends and
-compete for the same cores.  So every matrix product whose sides grow with
-the mode count is taken here, on scipy's pool.  Products with a small fixed
-side and matrix-vector products stay on numpy's @: OpenBLAS does not thread
-them at these sizes, and this wrapper costs more than they do.
+thread pool and its own pages of code.  The package runs on scipy's: every
+LAPACK call is scipy's (its eigh, expm, schur, svdvals and eigvals, and the
+drivers that _lapack calls in place of numpy.linalg), and so is every matrix
+product whose sides grow with the mode count, taken here by dgemm.  A
+threaded numpy product between two LAPACK calls would wake the other pool,
+whose workers then spin for a while after the product ends and compete for
+the same cores.  Products with a small fixed side and matrix-vector products
+stay on numpy's @: OpenBLAS does not thread them at these sizes, this
+wrapper costs more than they do, and moving them would change how their
+sums are rounded.  So numpy's OpenBLAS serves those small products alone,
+and a run faults in none of its LAPACK code unless scipy itself calls
+numpy.linalg, as solve_continuous_are does (numpy.linalg.cond).
 """
 
 from __future__ import annotations

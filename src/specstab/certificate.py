@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, solve_continuous_are
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork, ztrsyl as trsyl
 
+from . import _lapack
 from ._blas import gemm
+from ._lapack import ztrsyl as trsyl
 from .errors import (DimensionMismatch, InsufficientModes, NoFeasibleN, NotHurwitzShifted,
                      OrderTooSmall)
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
@@ -227,20 +228,6 @@ def lyapunov_solve(model: ClosedLoopMatrices, delta: float) -> np.ndarray:
     return _lyapunov_solver(model, delta)(model.N)
 
 
-def _largest_eigenvalue(P: np.ndarray) -> float:
-    """The largest eigenvalue of symmetric P from its lower triangle, by one
-    LAPACK dsyevr call with the arguments and workspace that
-    eigvalsh(P, subset_by_index=[n - 1, n - 1]) passes, so with its bits, but
-    without its validation; LinAlgError unless dsyevr reports success."""
-    n = P.shape[0]
-    lwork, liwork, _ = dsyevr_lwork(n, lower=1)
-    w, _, _, _, info = dsyevr(P, compute_v=0, range="I", lower=1, il=n, iu=n,
-                              lwork=int(lwork), liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
-    return w[0]
-
-
 def _tail_factor(reduced: ReducedPlant, N: int) -> float:
     """Coefficient of beta in Theta2 at order N for the relevant measurement kind."""
     lam_next = float(reduced.spectrum.lambdas[N])
@@ -290,9 +277,9 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     T1[:n, n] = T1[n, :n] = P @ model.Lcal
     T1[n, n] = -beta
     T1 = 0.5 * (T1 + T1.T)
-    theta1_max = float(np.linalg.eigvalsh(T1)[-1])
+    theta1_max = float(_lapack.eigvalsh(T1)[-1])
     theta2, theta3 = _theta_scalars(reduced, model.N, alpha, beta, gamma)
-    p_min = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
+    p_min = float(_lapack.eigvalsh(0.5 * (P + P.T))[0])
     tol1 = _FEAS_TOL * max(1.0, float(np.max(np.abs(T1))))
     lam_next = float(reduced.spectrum.lambdas[model.N])
     scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(reduced, model.N))
@@ -360,7 +347,7 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     raises the lower bound.  Returns an upper bound, 2e-10 relative above
     a gain the system attains, and 0 for b = 0.
     """
-    ev = np.linalg.eigvals(A)
+    ev = _lapack.eigvals(A)
     abscissa = float(np.max(ev.real))
     if abscissa >= 0:
         raise NotHurwitzShifted(
@@ -370,13 +357,13 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     eye = np.eye(A.shape[0])
 
     def gain(w: float) -> float:
-        x = np.linalg.solve(1j * w * eye - A, b)
+        x = _lapack.solve(1j * w * eye - A, b)
         return float(np.real(np.conj(x) @ Q @ x))
 
     lower = max(gain(w) for w in np.append(0.0, np.abs(ev)))
     for _ in range(50):
         g = (1.0 + 2e-10) * lower
-        ev = np.linalg.eigvals(np.block([[A, np.outer(b, b) / g], [-Q, -A.T]]))
+        ev = _lapack.eigvals(np.block([[A, np.outer(b, b) / g], [-Q, -A.T]]))
         w = np.sort(np.abs(ev.imag[np.abs(ev.real) <= 1e-8 * np.max(np.abs(ev))]))
         best = max(gain(m) for m in np.append(0.0, 0.5 * (w[:-1] + w[1:])))
         if best <= lower:
@@ -545,7 +532,7 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
     reduced = reduce(plant, spectrum, max(N_list))
     gains = design_gains(reduced)
     solve = _lyapunov_solver(assemble_closed_loop(reduced, gains, max(N_list)), reduced.delta)
-    return np.array([_largest_eigenvalue(solve(N)) for N in N_list])
+    return np.array([_lapack.largest_eigenvalue(solve(N)) for N in N_list])
 
 
 def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,

@@ -198,7 +198,7 @@ def _values(name_or_path) -> dict[str, dict[str, str]]:
         return _read(PRESETS[name_or_path], name_or_path)
     try:
         text = Path(name_or_path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise err.ConfigParse(f"cannot read config {name_or_path}: {exc}") from exc
     return _read(text, name_or_path)
 

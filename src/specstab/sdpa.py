@@ -52,24 +52,49 @@ class SdpaProblem:
 
 
 def read_sdpa(path) -> SdpaProblem:
-    """Parse a .dat-s file written by SdpaProblem.write (comments tolerated)."""
+    """Parse a .dat-s file written by SdpaProblem.write (comments tolerated);
+    IoFailure naming the file, and the line, if it cannot be parsed."""
     try:
         with open(path) as fh:
             raw = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    rows = [ln for ln in raw if ln and not ln.startswith(("*", '"'))]
-    m_dim = int(rows[0])
-    n_block = int(rows[1])
-    sizes = [int(tok) for tok in rows[2].replace(",", " ").replace("{", " ")
-             .replace("}", " ").replace("(", " ").replace(")", " ").split()]
+    rows = [(number, ln) for number, ln in enumerate(raw, 1)
+            if ln and not ln.startswith(("*", '"'))]
+    if len(rows) < 4:
+        raise IoFailure(f"{path}: {len(rows)} of the 4 header rows (m, block count, "
+                        f"block sizes, objective) before the end at line {len(raw)}")
+
+    def parsed(index: int, convert, what: str):
+        number, ln = rows[index]
+        try:
+            return convert(ln)
+        except ValueError:
+            raise IoFailure(f"{path}, line {number}: {what}, got {ln!r}") from None
+
+    m_dim = parsed(0, int, "m must be an integer")
+    n_block = parsed(1, int, "the block count must be an integer")
+    sizes = parsed(2, lambda ln: [int(tok) for tok in ln.replace(",", " ").replace("{", " ")
+                                  .replace("}", " ").replace("(", " ").replace(")", " ").split()],
+                   "block sizes must be integers")
     if len(sizes) != n_block:
-        raise IoFailure(f"block size row has {len(sizes)} entries, expected {n_block}")
-    objective = [float(tok) for tok in rows[3].replace(",", " ").split()]
+        raise IoFailure(f"{path}, line {rows[2][0]}: block size row has {len(sizes)} entries, "
+                        f"expected {n_block}")
+    objective = parsed(3, lambda ln: [float(tok) for tok in ln.replace(",", " ").split()],
+                       "objective entries must be numbers")
     if len(objective) != m_dim:
-        raise IoFailure(f"objective row has {len(objective)} entries, expected {m_dim}")
+        raise IoFailure(f"{path}, line {rows[3][0]}: objective row has {len(objective)} "
+                        f"entries, expected {m_dim}")
     prob = SdpaProblem(m_dim=m_dim, block_sizes=sizes)
-    for ln in rows[4:]:
-        k, block, i, j, v = ln.split()
-        prob.add(int(k), int(block), int(i), int(j), float(v))
+    for index in range(4, len(rows)):
+        k, block, i, j, v = parsed(index, _entry, "an entry must be 'k block i j value'")
+        prob.add(k, block, i, j, v)
     return prob
+
+
+def _entry(line: str) -> tuple[int, int, int, int, float]:
+    fields = line.split()
+    if len(fields) != 5:
+        raise ValueError(line)
+    k, block, i, j, v = fields
+    return int(k), int(block), int(i), int(j), float(v)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals, expm, svdvals
 
+from . import _lapack
 from ._blas import gemm
 from .certificate import Certificate
 from .errors import CertificateRequired, NonPositiveSeries, OrderMismatch, StepRejected
@@ -431,10 +432,10 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
     rate keeps polyfit's bits: the design matrix [t, 1] is scaled by its
     columns' norms, summed row by row as polyfit's (lhs * lhs).sum(axis=0)
     sums them, and lstsq solves it with rcond = n eps.  Only here the matrix
-    is filled and the logarithm taken in place: the window holds at most
-    four doubles a sample (the times, the log series and the matrix) before
-    lstsq, and three during it, beside lstsq's own copies of the matrix and
-    the series.
+    is filled and the logarithm taken in place, and lstsq works in the
+    Fortran-ordered matrix and the log series themselves: the window holds
+    at most four doubles a sample (the times, the log series and the matrix)
+    before lstsq, and three during it.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -450,7 +451,7 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
             raise NonPositiveSeries("series must be strictly positive on the first 2 samples "
                                     "of the fit window")
         n = int(nonpositive[0])
-    lhs = np.empty((n, 2))
+    lhs = np.empty((n, 2), order="F")
     lhs[:, 0] = t[:n]
     lhs[:, 1] = 1.0
     del t
@@ -459,7 +460,7 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
     scale = np.sqrt([np.add.accumulate(squares, out=squares)[-1], float(n)])
     del squares
     lhs /= scale
-    slope, _, rank, _ = np.linalg.lstsq(lhs, y, n * np.finfo(float).eps)
+    slope, rank = _lapack.lstsq(lhs, y, n * np.finfo(float).eps, overwrite=True)
     if rank != 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     return float(-(slope[0] / scale[0]))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, eigh, eigvalsh_tridiagonal, solve_triangular
-from scipy.linalg.lapack import dsygst
 
 from ._blas import gemm
+from ._lapack import dsygst
 from .errors import NonPositiveDiffusion
 
 NEUMANN_DIRICHLET = "neumann-dirichlet"

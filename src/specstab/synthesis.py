@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import InsufficientModes, OrderTooSmall, UncontrollablePair, UnobservablePair
 from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
 
@@ -147,15 +148,15 @@ def place_controller(A1: np.ndarray, B1: np.ndarray, poles) -> np.ndarray:
     for j in range(n):
         ctrb[:, j] = v
         v = A @ v
-    sv = np.linalg.svd(ctrb, compute_uv=False)
+    sv = _lapack.svdvals(ctrb)
     if not sv[-1] > _RANK_RTOL * sv[0] or sv[0] == 0.0:
         raise UncontrollablePair(
             f"controllability matrix rank-deficient "
             f"(sigma_min = {sv[-1]:.2e}, sigma_max = {sv[0]:.2e})")
     e_last = np.zeros(n)
     e_last[-1] = 1.0
-    K = -e_last @ np.linalg.solve(ctrb, _char_poly_matrix(A, poles))
-    achieved = np.sort(np.linalg.eigvals(A + np.outer(b, K)).real)
+    K = -e_last @ _lapack.solve(ctrb, _char_poly_matrix(A, poles))
+    achieved = np.sort(_lapack.eigvals(A + np.outer(b, K)).real)
     wanted = np.sort(poles)
     scale = max(1.0, float(np.max(np.abs(wanted))))
     if np.max(np.abs(achieved - wanted)) > 1e-8 * scale:

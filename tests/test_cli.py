@@ -904,6 +904,13 @@ def test_missing_file_is_config_parse(tmp_path):
     assert code == ERROR_EXIT_CODES[ConfigParse] == 3
 
 
+def test_config_that_is_not_utf8_is_config_parse(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff")
+    assert main(["run", str(bad), "--quiet"]) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert f"cannot read config {bad}" in capsys.readouterr().err
+
+
 def test_malformed_line_raises_config_parse(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[plant]\np 1\n")

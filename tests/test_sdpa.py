@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specstab as ss
+from specstab.errors import IoFailure
 from specstab.sdpa import SdpaProblem, read_sdpa
 
 from conftest import sdpa_theta1_coefficients, verified_free_p_certificate
@@ -35,6 +36,32 @@ def test_export_round_trip_byte_identical(dirichlet_pipeline, tmp_path):
     export(dirichlet_pipeline, 3, path=p1)
     read_sdpa(p1).write(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "0 of the 4 header rows"),
+    ("* only a comment\n\n", "0 of the 4 header rows"),
+    ("2\n1\n2\n", "3 of the 4 header rows"),
+    ("2\n1\n2\n0 0\n1 1 1 1 2.5\n0 1 1 2\n", "line 6: an entry"),
+    ("2\n1\n2\n0 0\n1 1 1 1 2.5 7\n", "line 5: an entry"),
+    ("2\n1\n2\n0 0\n1 1 one 1 2.5\n", "line 5: an entry"),
+    ("two\n1\n2\n0 0\n", "line 1: m must be an integer"),
+    ("2\n1\n2 3\n0 0\n", "line 3: block size row has 2 entries"),
+    ("2\n1\n2\n0\n", "line 4: objective row has 1 entries"),
+])
+def test_read_sdpa_names_the_file_and_line_it_cannot_parse(tmp_path, text, where):
+    path = tmp_path / "bad.dat-s"
+    path.write_text(text)
+    with pytest.raises(IoFailure) as raised:
+        read_sdpa(path)
+    assert str(path) in str(raised.value) and where in str(raised.value)
+
+
+def test_read_sdpa_refuses_a_file_that_is_not_text(tmp_path):
+    path = tmp_path / "binary.dat-s"
+    path.write_bytes(b"2\n\xff\n")
+    with pytest.raises(IoFailure, match="cannot read"):
+        read_sdpa(path)
 
 
 def test_export_values_survive_parsing(dirichlet_pipeline, tmp_path):
