@@ -12,7 +12,7 @@ stay on numpy's @: OpenBLAS does not thread them at these sizes, this
 wrapper costs more than they do, and moving them would change how their
 sums are rounded.  So numpy's OpenBLAS serves those small products alone,
 and a run faults in none of its LAPACK code unless scipy itself calls
-numpy.linalg, as solve_continuous_are does (numpy.linalg.cond).
+numpy.linalg, as solve_continuous_are does (its svd and cond).
 """
 
 from __future__ import annotations

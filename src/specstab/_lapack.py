@@ -6,9 +6,9 @@ a run touches numpy's copy only for products on numpy's @, and does not
 fault in the pages of numpy's LAPACK code.  Each routine makes the LAPACK
 call that its numpy.linalg counterpart makes, on the workspace that
 LAPACK's own query returns, and so returns numpy's bits; it raises
-LinAlgError where numpy does.  Inputs are not written: f2py copies each
-operand into the Fortran-ordered array LAPACK overwrites, unless lstsq is
-told that its operands are scratch.
+LinAlgError where numpy does.  Only lstsq writes into its operands; the
+other routines leave theirs as they are, because f2py copies each into the
+Fortran-ordered array LAPACK overwrites.
 
 The bits are numpy's at the sizes a run gives each routine.  numpy 2.4 and
 scipy 1.17 bundle different OpenBLAS releases (0.3.31 and 0.3.30), and
@@ -28,10 +28,6 @@ from scipy.linalg.lapack import (dgeev, dgeev_lwork, dgelsd, dgelsd_lwork, dgesd
                                  dgesdd_lwork, dgesv, dsyevd, dsyevd_lwork, dsyevr,
                                  dsyevr_lwork, dsygst, zgesv, ztrsyl)
 
-__all__ = ["LinAlgError", "dsygst", "eigvals", "eigvalsh", "largest_eigenvalue", "lstsq",
-           "solve", "svdvals", "ztrsyl"]
-
-
 def _check(info: int, message: str) -> None:
     if info != 0:
         raise LinAlgError(f"{message} (info = {info})")
@@ -40,7 +36,6 @@ def _check(info: int, message: str) -> None:
 def eigvals(a: np.ndarray) -> np.ndarray:
     """numpy.linalg.eigvals of a real square matrix, by dgeev without vectors:
     a real array when every imaginary part is 0, else a complex one."""
-    a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise LinAlgError("Array must not contain infs or NaNs")
     work, _ = dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)
@@ -101,21 +96,16 @@ def svdvals(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def lstsq(a: np.ndarray, b: np.ndarray, rcond: float,
-          overwrite: bool = False) -> tuple[np.ndarray, int]:
+def lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, int]:
     """The solution and the effective rank of numpy.linalg.lstsq(a, b, rcond)
     for an m x n matrix a with m >= n, by dgelsd.
 
-    With overwrite, dgelsd works in a and b themselves, without copies, when
-    a is Fortran-ordered and b contiguous float64 arrays; both are garbage
-    afterwards.
+    a and b are scratch: dgelsd works in them without copies when a is
+    Fortran-ordered and b a contiguous float64 array, and leaves them garbage.
     """
     m, n = a.shape
-    if m < n:
-        raise ValueError(f"lstsq needs at least as many rows as columns, got {a.shape}")
     nrhs = 1 if b.ndim == 1 else b.shape[1]
     work, iwork, _ = dgelsd_lwork(m, n, nrhs, rcond)
-    x, _, rank, info = dgelsd(a, b, int(work), iwork, rcond,
-                              overwrite_a=overwrite, overwrite_b=overwrite)
+    x, _, rank, info = dgelsd(a, b, int(work), iwork, rcond, overwrite_a=1, overwrite_b=1)
     _check(info, "SVD did not converge in Linear Least Squares")
     return x[:n], int(rank)

@@ -460,7 +460,7 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
     scale = np.sqrt([np.add.accumulate(squares, out=squares)[-1], float(n)])
     del squares
     lhs /= scale
-    slope, rank = _lapack.lstsq(lhs, y, n * np.finfo(float).eps, overwrite=True)
+    slope, rank = _lapack.lstsq(lhs, y, n * np.finfo(float).eps)
     if rank != 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     return float(-(slope[0] / scale[0]))

@@ -110,11 +110,9 @@ def test_lstsq_has_the_bits_of_numpy(m):
         y = rng.standard_normal(m) - 0.5 * a[:, 0]
         rcond = m * np.finfo(float).eps
         x, _, rank, _ = np.linalg.lstsq(a, y, rcond)
-        got, got_rank = _lapack.lstsq(a, y, rcond)
-        assert same_bits(got, x) and got_rank == rank
-        a_f, y_f = np.asfortranarray(a), y.copy()
-        got, got_rank = _lapack.lstsq(a_f, y_f, rcond, overwrite=True)
-        assert same_bits(got, x) and got_rank == rank
+        for scratch in (a.copy(), np.asfortranarray(a)):  # copied by f2py, or worked in
+            got, got_rank = _lapack.lstsq(scratch, y.copy(), rcond)
+            assert same_bits(got, x) and got_rank == rank
 
 
 def test_lstsq_reports_the_rank_numpy_reports():
@@ -122,8 +120,6 @@ def test_lstsq_reports_the_rank_numpy_reports():
     x, _, rank, _ = np.linalg.lstsq(a, np.arange(5.0), 5 * np.finfo(float).eps)
     got, got_rank = _lapack.lstsq(a, np.arange(5.0), 5 * np.finfo(float).eps)
     assert got_rank == rank == 1 and same_bits(got, x)
-    with pytest.raises(ValueError, match="at least as many rows"):
-        _lapack.lstsq(np.ones((1, 2)), np.ones(1), 1e-15)
 
 
 def failing(n_out):
@@ -260,7 +256,7 @@ def test_guard_catches_a_numpy_lapack_call(numpy_lapack_forbidden):
 def test_the_pipeline_runs_without_numpy_lapack(numpy_lapack_forbidden, monkeypatch):
     # the lyap-highorder sweep, the design, verify_certificate, free_p_certificate
     # on an infeasible order and up to the Riccati solve on a feasible one, and
-    # fit_decay; scipy's solve_continuous_are calls numpy.linalg.cond itself,
+    # fit_decay; scipy's solve_continuous_are calls numpy's svd and cond itself,
     # so no point here reaches it
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), q_c=10.0,
                          measurement=ss.MeasurementSpec.neumann(), delta=0.5)
