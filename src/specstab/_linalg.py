@@ -1,32 +1,81 @@
-"""The package's LAPACK calls, all on scipy's library.
+"""The package's BLAS and LAPACK calls, all on scipy's library.
 
-numpy and scipy each bundle an OpenBLAS (see _blas).  The package's dense
-eigenvalue, solve, SVD and least-squares calls are made here, on scipy's, so
-a run touches numpy's copy only for products on numpy's @, and does not
-fault in the pages of numpy's LAPACK code.  Each routine makes the LAPACK
-call that its numpy.linalg counterpart makes, on the workspace that
-LAPACK's own query returns, and so returns numpy's bits; it raises
-LinAlgError where numpy does.  Only lstsq writes into its operands; the
-other routines leave theirs as they are, because f2py copies each into the
-Fortran-ordered array LAPACK overwrites.
+numpy and scipy each bundle their own OpenBLAS, and each library has its own
+thread pool and its own pages of code.  The package runs on scipy's: every
+LAPACK call is scipy's (scipy.linalg's eigh, expm, schur and the rest, and
+the drivers called here), and so is every matrix product whose sides grow
+with the mode count, taken here by dgemm.  A threaded numpy product between
+two LAPACK calls would wake the other pool, whose workers then spin for a
+while after the product ends and compete for the same cores.  Products with
+a small fixed side and matrix-vector products stay on numpy's @: OpenBLAS
+does not thread them at these sizes, gemm costs more than they do, and
+moving them would change how their sums are rounded.  So numpy's OpenBLAS
+serves those small products alone, and a run faults in none of its LAPACK
+code unless scipy itself calls numpy.linalg, as solve_continuous_are does
+(its svd and cond).
+
+This is the one module that imports scipy.linalg.blas or scipy.linalg.lapack.
+The others call the routines here in place of numpy.linalg (beyond norm and
+LinAlgError) and of scipy.linalg's eigvals, eigvalsh, solve, svdvals and
+lstsq; tests/test_lapack.py pins both rules.
+
+Each eigenvalue, solve, SVD and least-squares routine makes the LAPACK call
+that its numpy.linalg counterpart makes, on the workspace that LAPACK's own
+query returns, and so returns numpy's bits; it raises LinAlgError where numpy
+does.  scipy.linalg's eigvals and svdvals make the same dgeev and dgesdd
+calls.  Only lstsq writes into its operands; the other routines leave theirs
+as they are, because f2py copies each into the Fortran-ordered array LAPACK
+overwrites.
 
 The bits are numpy's at the sizes a run gives each routine.  numpy 2.4 and
 scipy 1.17 bundle different OpenBLAS releases (0.3.31 and 0.3.30), and
 beyond those sizes their kernels can round differently: real LU solves from
 order 6 (see solve), and, with more than one BLAS thread on 2 cores,
 complex solves from order about 100 and dgeev from about 150.
-
-The remaining drivers the package calls, dsygst and ztrsyl, are imported
-from here too, so that this is the one module that names LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import (dgeev, dgeev_lwork, dgelsd, dgelsd_lwork, dgesdd,
                                  dgesdd_lwork, dgesv, dsyevd, dsyevd_lwork, dsyevr,
                                  dsyevr_lwork, dsygst, zgesv, ztrsyl)
+
+
+def _fortran(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """A Fortran-ordered array and the dgemm transpose flag that reads x from
+    it, without a copy when x is C- or Fortran-contiguous."""
+    if x.flags.f_contiguous:
+        return x, 0
+    if x.flags.c_contiguous:
+        return x.T, 1
+    return np.asfortranarray(x), 0
+
+
+def gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b of 2-D float arrays as a C-ordered array, written into out if given.
+
+    The C-ordered product is the Fortran-ordered b.T @ a.T, which is how
+    numpy's @ hands it to BLAS as well.  out must be a writable C-contiguous
+    float64 array of the product's shape, or ValueError is raised: f2py
+    would silently write a copy of any other, and would write into a
+    read-only one.
+    """
+    shape = (a.shape[0], b.shape[1])
+    if out is not None and (out.shape != shape or not out.flags.writeable):
+        raise ValueError(f"out must be a writable array of shape {shape}")
+    bt, trans_b = _fortran(b.T)
+    at, trans_a = _fortran(a.T)
+    c = None if out is None else out.T
+    product = dgemm(1.0, bt, at, c=c, trans_a=trans_b, trans_b=trans_a, overwrite_c=1)
+    if out is None:
+        return product.T
+    if product is not c:
+        raise ValueError("out must be a C-contiguous float64 array")
+    return out
+
 
 def _check(info: int, message: str) -> None:
     if info != 0:

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur, solve_continuous_are
 
-from . import _lapack
-from ._blas import gemm
-from ._lapack import ztrsyl as trsyl
+from . import _linalg
+from ._linalg import gemm, ztrsyl as trsyl
 from .errors import (DimensionMismatch, InsufficientModes, NoFeasibleN, NotHurwitzShifted,
                      OrderTooSmall)
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
@@ -277,9 +276,9 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     T1[:n, n] = T1[n, :n] = P @ model.Lcal
     T1[n, n] = -beta
     T1 = 0.5 * (T1 + T1.T)
-    theta1_max = float(_lapack.eigvalsh(T1)[-1])
+    theta1_max = float(_linalg.eigvalsh(T1)[-1])
     theta2, theta3 = _theta_scalars(reduced, model.N, alpha, beta, gamma)
-    p_min = float(_lapack.eigvalsh(0.5 * (P + P.T))[0])
+    p_min = float(_linalg.eigvalsh(0.5 * (P + P.T))[0])
     tol1 = _FEAS_TOL * max(1.0, float(np.max(np.abs(T1))))
     lam_next = float(reduced.spectrum.lambdas[model.N])
     scale2 = max(1.0, 2 * gamma * (1 + lam_next), beta * _tail_factor(reduced, model.N))
@@ -347,7 +346,7 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     raises the lower bound.  Returns an upper bound, 2e-10 relative above
     a gain the system attains, and 0 for b = 0.
     """
-    ev = _lapack.eigvals(A)
+    ev = _linalg.eigvals(A)
     abscissa = float(np.max(ev.real))
     if abscissa >= 0:
         raise NotHurwitzShifted(
@@ -357,13 +356,13 @@ def _hinf_norm_sq(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> float:
     eye = np.eye(A.shape[0])
 
     def gain(w: float) -> float:
-        x = _lapack.solve(1j * w * eye - A, b)
+        x = _linalg.solve(1j * w * eye - A, b)
         return float(np.real(np.conj(x) @ Q @ x))
 
     lower = max(gain(w) for w in np.append(0.0, np.abs(ev)))
     for _ in range(50):
         g = (1.0 + 2e-10) * lower
-        ev = _lapack.eigvals(np.block([[A, np.outer(b, b) / g], [-Q, -A.T]]))
+        ev = _linalg.eigvals(np.block([[A, np.outer(b, b) / g], [-Q, -A.T]]))
         w = np.sort(np.abs(ev.imag[np.abs(ev.real) <= 1e-8 * np.max(np.abs(ev))]))
         best = max(gain(m) for m in np.append(0.0, 0.5 * (w[:-1] + w[1:])))
         if best <= lower:
@@ -532,7 +531,7 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
     reduced = reduce(plant, spectrum, max(N_list))
     gains = design_gains(reduced)
     solve = _lyapunov_solver(assemble_closed_loop(reduced, gains, max(N_list)), reduced.delta)
-    return np.array([_lapack.largest_eigenvalue(solve(N)) for N in N_list])
+    return np.array([_linalg.largest_eigenvalue(solve(N)) for N in N_list])
 
 
 def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,

@@ -29,8 +29,8 @@ from ._g17 import WIDTH, g17
 from .certificate import Certificate
 from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
                          ReducedPlant, reduce as reduce_plant)
-from .simulate import (LyapunovTrace, SimConfig, SimResult, compatibility_defect, fit_decay,
-                       lyapunov_trace, run as run_sim, step_times)
+from .simulate import (LyapunovTrace, SimConfig, SimResult, _chunks, compatibility_defect,
+                       fit_decay, lyapunov_trace, run as run_sim, step_times)
 from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_bytes, solve_spectrum
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
@@ -413,10 +413,6 @@ def _to_json(obj, indent: int = 0) -> str:
 #: the field CSVs hold every _FIELD_STRIDE-th point of the spectrum's grid
 _FIELD_STRIDE = 40
 
-#: rows formatted and written per chunk by the CSV writers, which bounds the
-#: text they hold at once
-_ROWS_PER_WRITE = 4096
-
 
 class _Sqrt:
     """The square roots of an array, taken one slice at a time, so that a
@@ -425,36 +421,33 @@ class _Sqrt:
     def __init__(self, values: np.ndarray):
         self._values = values
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def __getitem__(self, rows) -> np.ndarray:
         return np.sqrt(self._values[rows])
 
 
 def _write_rows(paths: list[Path], header: bytes, keys, values: list):
     """CSVs that share their leading columns, one row per value after
-    `header`, written _ROWS_PER_WRITE rows at a time: keys(start, stop) gives
-    those columns' g17 rows for rows start..stop-1, and paths[i] ends each row
-    with values[i]'s (anything that len() counts and a slice of which gives
-    doubles).  A row is its fields' bytes joined by commas, zeros dropped.
-    The key columns, commas and newlines are laid once per chunk for all the
-    files, and each file's values are formatted into the last slot."""
-    count = len(values[0])
+    `header`, written one simulate._chunks slice of rows at a time, which
+    bounds the text held at once: keys(start, stop) gives those columns' g17
+    rows for rows start..stop-1, and paths[i] ends each row with values[i]'s
+    (values[0] an array, the others anything a slice of which gives doubles).
+    A row is its fields' bytes joined by commas, zeros dropped.  The key columns,
+    commas and newlines are laid once per chunk for all the files, and each
+    file's values are formatted into the last slot."""
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(create(path)) for path in paths]
         for out in outs:
             out.write(header)
-        for start in range(0, count, _ROWS_PER_WRITE):
-            stop = min(start + _ROWS_PER_WRITE, count)
-            fields = keys(start, stop)
-            text = np.empty((stop - start, len(fields) + 1, WIDTH + 1), dtype=np.uint8)
+        for rows in _chunks(len(values[0])):
+            fields = keys(rows.start, rows.stop)
+            text = np.empty((rows.stop - rows.start, len(fields) + 1, WIDTH + 1),
+                            dtype=np.uint8)
             for j, field in enumerate(fields):
                 text[:, j, :WIDTH] = field
             text[:, :, WIDTH] = ord(",")
             text[:, -1, WIDTH] = ord("\n")
             for out, value in zip(outs, values):
-                text[:, -1, :WIDTH] = g17(value[start:stop])
+                text[:, -1, :WIDTH] = g17(value[rows])
                 out.write(text[text != 0])
 
 

@@ -9,13 +9,9 @@ and then all blocks advance together as one (blocks x dim) slab by matrix
 products with E, so a run takes about sqrt(steps) matrix-matrix and
 sqrt(steps) matrix-vector products in place of steps matrix-vector ones.
 
-All of a run's thread-sized work is on scipy's BLAS (see _blas): the Pade
-step is expm's, the squarings, E^b and the slab products are scipy's dgemm,
-and the norms are scipy's svdvals.  numpy bundles another OpenBLAS, and a
-run that switched between the two thread pools would leave one pool's
-workers spinning while the other works.  Products with a small fixed side
-(the slab's reductions, the matrix-vector products) stay on numpy's @,
-which does not thread them at these sizes.
+A run's thread-sized work is on scipy's library, by the rule in _linalg: the
+Pade step is expm's, and the squarings, E^b, the slab products, the norms
+and the spectrum are _linalg's.
 
 The trajectory of the tail is never stored.  Each slab is reduced as it is
 produced: one product with a fixed matrix of linear outputs (X, v and zeta)
@@ -39,10 +35,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals, expm, svdvals
+from scipy.linalg import expm
 
-from . import _lapack
-from ._blas import gemm
+from ._linalg import eigvals, gemm, lstsq, svdvals
 from .certificate import Certificate
 from .errors import CertificateRequired, NonPositiveSeries, OrderMismatch, StepRejected
 from .homogenize import BOUNDED, DIRICHLET_AT_0, ReducedPlant
@@ -52,7 +47,7 @@ from .synthesis import GainSet, assemble_closed_loop, state_layout
 _OVERFLOW_LOG = 600.0  # log of the largest propagated amplification allowed
 _SNAPSHOTS = 61        # a run stores the full state at about this many steps
 _THETA13 = 4.25  # 1-norm up to which scipy's expm does not square (see _exponential)
-_CHUNK_ROWS = 4096  # steps whose transients are formed at once, as in the CSV writers
+_CHUNK_ROWS = 4096  # rows formed at once, of a run's transients and of the CSV writers' text
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,8 @@ def _require_bounded_growth(E: np.ndarray, steps: int):
 
 def _exponential(A: np.ndarray, dt: float) -> np.ndarray:
     """exp(A dt): expm of A dt / 2^s with s the least such that its 1-norm is at
-    most _THETA13, then s squarings by gemm, on scipy's BLAS like expm's Pade
-    step.  expm's own squarings would be numpy's @.
+    most _THETA13, then s squarings by gemm.  expm's own squarings would be
+    numpy's @ (see _linalg).
 
     scipy's expm is Al-Mohy & Higham's algorithm (SIAM J. Matrix Anal. Appl.
     31(3), 2009).  At degree 13 it squares ceil(log2(eta / 4.25)) + ell
@@ -296,10 +291,8 @@ def _propagate(E: np.ndarray, x0: np.ndarray, steps: int, linear: np.ndarray,
     reductions go to row r of each block in (blocks, b, .) buffers, so the
     reshaped buffers are in step order; the rows past x_steps are cut off.
 
-    E^b and each next slab, the thread-sized products, are gemm's, on the
-    pool that expm and svdvals use; the next slab is written in place, and
-    gemm raises rather than leave it unwritten.  The reductions have 2N + 3
-    and 2 columns and stay on numpy's @.
+    E^b and each next slab are gemm's (see _linalg); the next slab is written
+    in place, and gemm raises rather than leave it unwritten.
     """
     b = math.isqrt(max(steps - 1, 0)) + 1
     n_blocks = steps // b + 1
@@ -460,7 +453,7 @@ def fit_decay(times: np.ndarray, series: np.ndarray, window: tuple[float, float]
     scale = np.sqrt([np.add.accumulate(squares, out=squares)[-1], float(n)])
     del squares
     lhs /= scale
-    slope, rank = _lapack.lstsq(lhs, y, n * np.finfo(float).eps)
+    slope, rank = lstsq(lhs, y, n * np.finfo(float).eps)
     if rank != 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     return float(-(slope[0] / scale[0]))

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, eigh, eigvalsh_tridiagonal, solve_triangular
 
-from ._blas import gemm
-from ._lapack import dsygst
+from ._linalg import dsygst, gemm
 from .errors import NonPositiveDiffusion
 
 NEUMANN_DIRICHLET = "neumann-dirichlet"
@@ -442,10 +441,7 @@ def _galerkin(coeffs: CoefficientPair, bspec: BoundarySpec, n_modes: int, M: int
     sum of c_n L_n'(-1) would multiply the coefficients' rounding by n^2.
 
     The matrix products (S, B, the Gram matrix and the values at the nodes)
-    are _blas.gemm, on scipy's BLAS, which eigh runs on too: numpy bundles
-    another OpenBLAS, and a threaded product there would leave its worker
-    spinning through the eigensolve.  The matrix-vector products stay on
-    numpy's @, which does not thread them at these sizes.
+    are gemm's, on the library that eigh runs on (see _linalg).
     """
     x, w, t = _gauss(_rule_size(coeffs, M))
     a, b = _shen_diagonals(bspec, M)

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
-from scipy.linalg.lapack import ztrsyl
 
 import specstab as ss
-from specstab._blas import gemm
+from specstab._linalg import gemm, ztrsyl
 from specstab.certificate import _shifted_solves
 from specstab.synthesis import state_layout
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specstab._blas import gemm
+from specstab._linalg import gemm
 
 SHAPES = [(1, 1, 1), (3, 5, 2), (53, 53, 53), (174, 203, 203), (201, 434, 436)]
 

@@ -161,14 +161,14 @@ def test_largest_eigenvalue_has_the_bits_of_eigvalsh(n):
     X = rng.standard_normal((n, n))
     P = X @ X.T + np.diag(rng.uniform(0.0, 1e4, n))
     expected = scipy.linalg.eigvalsh(P, subset_by_index=[n - 1, n - 1], check_finite=False)
-    assert ss._lapack.largest_eigenvalue(P).tobytes() == expected.tobytes()
+    assert ss._linalg.largest_eigenvalue(P).tobytes() == expected.tobytes()
 
 
 def test_largest_eigenvalue_raises_when_lapack_fails(monkeypatch):
-    monkeypatch.setattr(ss._lapack, "dsyevr",
+    monkeypatch.setattr(ss._linalg, "dsyevr",
                         lambda a, **kwargs: (np.zeros(a.shape[0]), None, 0, None, 2))
     with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
-        ss._lapack.largest_eigenvalue(np.eye(3))
+        ss._linalg.largest_eigenvalue(np.eye(3))
 
 
 @pytest.mark.parametrize("stage", ["lyapunov_solve", "certify_order"])
@@ -191,7 +191,7 @@ def test_large_order_touches_no_dense_matrix_beyond_the_core(stage, monkeypatch)
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for module in (ss.certificate, ss._lapack, scipy.linalg):
+    for module in (ss.certificate, ss._linalg, scipy.linalg):
         for name in ("eigvals", "schur", "trsyl", "solve_continuous_lyapunov",
                      "solve_continuous_are"):
             if hasattr(module, name):
@@ -695,6 +695,12 @@ def test_minimal_n_bounded(bounded_pipeline):
     assert not constructive_certificate(model, red, ss.optimal_alpha(red, 2)).feasible
 
 
+def test_minimal_n_below_the_first_order_raises(dirichlet_pipeline):
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    with pytest.raises(OrderTooSmall, match=f"N_max = {red.N0} < N0\\+1 = {red.N0 + 1}"):
+        ss.minimal_N(red, gains, N_max=red.N0)
+
+
 def test_minimal_n_reports_margins_when_exhausted():
     # left trace at q_c = 10: alpha h^2 / k is about 3.65e5 at N = 2, so no P
     # certifies N <= 4 at any alpha
@@ -985,4 +991,18 @@ def test_export_order_too_small_before_writing(dirichlet_pipeline, tmp_path):
     with pytest.raises(OrderTooSmall):
         model = ss.assemble_closed_loop(red, gains, red.N0)
         ss.export_sdpa(model, red, 2.0, target)
+    assert not target.exists()
+
+
+def test_export_refuses_a_low_order_and_alpha_at_most_1(dirichlet_pipeline, tmp_path):
+    # export_sdpa's own checks, which assemble_closed_loop cannot reach: a
+    # model below N0 + 1 and alpha <= 1 raise, and nothing is written
+    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
+    model = ss.assemble_closed_loop(red, gains, red.N0 + 1)
+    target = tmp_path / "export.dat-s"
+    with pytest.raises(OrderTooSmall, match=f"N must be >= N0\\+1 = {red.N0 + 1}, got {red.N0}"):
+        ss.export_sdpa(dataclasses.replace(model, N=red.N0), red, 2.0, target)
+    for alpha in (1.0, 0.5):
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            ss.export_sdpa(model, red, alpha, target)
     assert not target.exists()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specstab as ss
-from specstab import cli, homogenize
+from specstab import cli, homogenize, simulate
 from specstab.cli import ERROR_EXIT_CODES, main, parse_config, run_scenario
 from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, IoFailure,
                              StepRejected)
@@ -370,6 +370,17 @@ def test_variable_coefficients_through_solve_spectrum(tmp_path):
     assert "report.json" in written and "state_field.csv" in written
     for name in written:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_bounded_measurement_without_c_exits_3(tmp_path, capsys):
+    text = BOUNDED_CONFIG.format(out=tmp_path / "out")
+    assert text.count("\nc = 1\n") == 1
+    cfg = tmp_path / "no-c.cfg"
+    cfg.write_text(text.replace("\nc = 1\n", "\n"))
+    with pytest.raises(ConfigParse, match="bounded measurement requires key 'c' in \\[plant\\]"):
+        cli.solve(parse_config(cfg))
+    assert run_scenario(str(cfg), quiet=True) == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert "requires key 'c'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, named", [("n_sim", 100000, "[sim] n_sim"),
@@ -753,7 +764,7 @@ def test_csv_writers_match_per_line_formatting(tmp_path):
 
 def test_series_writer_chunks_match_one_pass(tmp_path, monkeypatch):
     # 17 rows written 4 at a time: four full chunks and one single row
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 4)
     t = np.linspace(0.0, 1.6, 17)
     values = np.random.default_rng(5).normal(size=t.size)
     cli._write_series([tmp_path / "s.csv", tmp_path / "r.csv"], t, [values, -values])
@@ -783,7 +794,7 @@ def test_csv_writers_match_per_line_formatting_on_any_doubles(tmp_path_factory, 
                       dtype=float).reshape(len(steps), x.size)
     out = tmp_path_factory.mktemp("writers")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        patch.setattr(simulate, "_CHUNK_ROWS", rows_per_write)
         cli._write_series([out / "s.csv", out / "r.csv"], t, [values, t])
         cli._write_field([out / "f.csv", out / "g.csv"], x, t[steps], [fields, fields[::-1]])
     assert (out / "s.csv").read_bytes() == reference_series(t, values).encode()
@@ -816,11 +827,11 @@ def test_run_csvs_match_a_per_line_writer(tmp_path):
 
 
 def test_run_csvs_past_one_chunk_match_a_per_line_writer(tmp_path):
-    # 5,001 rows: one full chunk of the real _ROWS_PER_WRITE, then a partial one
+    # 5,001 rows: one full chunk of the real _CHUNK_ROWS, then a partial one
     config = parse_config("dirichlet-example")
     config["sim"]["T"] = 5.0
     record = cli.solve(config)
-    assert cli._ROWS_PER_WRITE < record.sim.times.size == 5001 < 2 * cli._ROWS_PER_WRITE
+    assert simulate._CHUNK_ROWS < record.sim.times.size == 5001 < 2 * simulate._CHUNK_ROWS
     assert_run_csvs_match_a_per_line_writer(record, tmp_path)
 
 

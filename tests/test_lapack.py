@@ -1,14 +1,15 @@
 """The package's LAPACK calls on scipy's library: numpy.linalg's bits and
-errors, and no numpy.linalg call left in the package."""
+errors, and the guard that keeps every BLAS and LAPACK call in _linalg."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specstab as ss
-from specstab import _lapack
+from specstab import _linalg
 
 SRC = Path(ss.__file__).resolve().parent
 
@@ -30,13 +31,13 @@ def test_eigvals_has_the_bits_of_numpy(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n))
     for M in (A, np.triu(A), A - A.T):  # complex, real and imaginary spectra
-        assert same_bits(_lapack.eigvals(M), np.linalg.eigvals(M)), n
+        assert same_bits(_linalg.eigvals(M), np.linalg.eigvals(M)), n
 
 
 def test_eigvals_is_real_when_every_imaginary_part_is_0():
-    assert _lapack.eigvals(np.diag([3.0, -1.0])).dtype == np.float64
+    assert _linalg.eigvals(np.diag([3.0, -1.0])).dtype == np.float64
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.array_equal(np.sort_complex(_lapack.eigvals(rotation)), [-1j, 1j])
+    assert np.array_equal(np.sort_complex(_linalg.eigvals(rotation)), [-1j, 1j])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -46,7 +47,7 @@ def test_eigvals_refuses_non_finite_input_as_numpy_does(bad):
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         np.linalg.eigvals(A)
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-        _lapack.eigvals(A)
+        _linalg.eigvals(A)
 
 
 @pytest.mark.parametrize("n", SQUARE)
@@ -54,10 +55,10 @@ def test_eigvalsh_has_the_bits_of_numpy_from_the_lower_triangle(n):
     rng = np.random.default_rng(100 + n)
     A = rng.standard_normal((n, n))
     S = A + A.T
-    assert same_bits(_lapack.eigvalsh(S), np.linalg.eigvalsh(S))
+    assert same_bits(_linalg.eigvalsh(S), np.linalg.eigvalsh(S))
     # the strict upper triangle is never read, as numpy's UPLO = "L"
     lower = np.tril(S) + np.triu(rng.standard_normal((n, n)), 1)
-    assert same_bits(_lapack.eigvalsh(lower), np.linalg.eigvalsh(S))
+    assert same_bits(_linalg.eigvalsh(lower), np.linalg.eigvalsh(S))
 
 
 @pytest.mark.parametrize("n", PLACEMENT)
@@ -66,8 +67,8 @@ def test_real_solve_has_the_bits_of_numpy_at_the_placement_orders(n):
     for _ in range(20):
         A = rng.standard_normal((n, n))
         b, B = rng.standard_normal(n), rng.standard_normal((n, n))
-        assert same_bits(_lapack.solve(A, b), np.linalg.solve(A, b))
-        assert same_bits(_lapack.solve(A, B), np.linalg.solve(A, B))
+        assert same_bits(_linalg.solve(A, b), np.linalg.solve(A, b))
+        assert same_bits(_linalg.solve(A, B), np.linalg.solve(A, B))
 
 
 @pytest.mark.parametrize("n", SQUARE)
@@ -77,15 +78,15 @@ def test_complex_solve_has_the_bits_of_numpy(n):
     A, b = rng.standard_normal((n, n)), rng.standard_normal(n)
     for w in (0.0, 0.3, 17.0):
         Z = 1j * w * np.eye(n) - A
-        assert same_bits(_lapack.solve(Z, b), np.linalg.solve(Z, b)), w
+        assert same_bits(_linalg.solve(Z, b), np.linalg.solve(Z, b)), w
 
 
 def test_solve_leaves_its_operands_unchanged():
     rng = np.random.default_rng(4)
     A, b = rng.standard_normal((4, 4)), rng.standard_normal(4)
     A0, b0 = A.copy(), b.copy()
-    _lapack.solve(A, b)
-    _lapack.solve(1j * np.eye(4) - A, b)
+    _linalg.solve(A, b)
+    _linalg.solve(1j * np.eye(4) - A, b)
     assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
 
@@ -95,7 +96,7 @@ def test_svdvals_has_the_bits_of_numpy(n):
     A = rng.standard_normal((n, n))
     ctrb = np.vander(rng.uniform(-3.0, 3.0, n), increasing=True)  # Krylov-like, ill-conditioned
     for M in (A, ctrb):
-        assert same_bits(_lapack.svdvals(M), np.linalg.svd(M, compute_uv=False))
+        assert same_bits(_linalg.svdvals(M), np.linalg.svd(M, compute_uv=False))
 
 
 @pytest.mark.parametrize("m", [2, 3, 10, 1001, 30001])
@@ -111,14 +112,24 @@ def test_lstsq_has_the_bits_of_numpy(m):
         rcond = m * np.finfo(float).eps
         x, _, rank, _ = np.linalg.lstsq(a, y, rcond)
         for scratch in (a.copy(), np.asfortranarray(a)):  # copied by f2py, or worked in
-            got, got_rank = _lapack.lstsq(scratch, y.copy(), rcond)
+            got, got_rank = _linalg.lstsq(scratch, y.copy(), rcond)
             assert same_bits(got, x) and got_rank == rank
+
+
+@pytest.mark.parametrize("n", [5, 53, 103, 203])
+def test_eigvals_and_svdvals_have_the_bits_of_scipy(n):
+    # simulate's abscissa of A_cl, of side 2N + 1 + N_sim - N, and its step
+    # norms: scipy.linalg makes the same dgeev and dgesdd calls
+    rng = np.random.default_rng(600 + n)
+    A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+    assert same_bits(_linalg.eigvals(A).real, scipy.linalg.eigvals(A).real)
+    assert same_bits(_linalg.svdvals(A), scipy.linalg.svdvals(A))
 
 
 def test_lstsq_reports_the_rank_numpy_reports():
     a = np.ones((5, 2))
     x, _, rank, _ = np.linalg.lstsq(a, np.arange(5.0), 5 * np.finfo(float).eps)
-    got, got_rank = _lapack.lstsq(a, np.arange(5.0), 5 * np.finfo(float).eps)
+    got, got_rank = _linalg.lstsq(a, np.arange(5.0), 5 * np.finfo(float).eps)
     assert got_rank == rank == 1 and same_bits(got, x)
 
 
@@ -128,16 +139,16 @@ def failing(n_out):
 
 
 @pytest.mark.parametrize("driver, n_out, call", [
-    ("dgeev", 5, lambda: _lapack.eigvals(np.eye(2))),
-    ("dsyevd", 3, lambda: _lapack.eigvalsh(np.eye(2))),
-    ("dsyevr", 5, lambda: _lapack.largest_eigenvalue(np.eye(2))),
-    ("dgesv", 4, lambda: _lapack.solve(np.eye(2), np.ones(2))),
-    ("zgesv", 4, lambda: _lapack.solve(1j * np.eye(2), np.ones(2))),
-    ("dgesdd", 4, lambda: _lapack.svdvals(np.eye(2))),
-    ("dgelsd", 4, lambda: _lapack.lstsq(np.eye(2), np.ones(2), 1e-15)),
+    ("dgeev", 5, lambda: _linalg.eigvals(np.eye(2))),
+    ("dsyevd", 3, lambda: _linalg.eigvalsh(np.eye(2))),
+    ("dsyevr", 5, lambda: _linalg.largest_eigenvalue(np.eye(2))),
+    ("dgesv", 4, lambda: _linalg.solve(np.eye(2), np.ones(2))),
+    ("zgesv", 4, lambda: _linalg.solve(1j * np.eye(2), np.ones(2))),
+    ("dgesdd", 4, lambda: _linalg.svdvals(np.eye(2))),
+    ("dgelsd", 4, lambda: _linalg.lstsq(np.eye(2), np.ones(2), 1e-15)),
 ])
 def test_routine_raises_when_lapack_reports_failure(monkeypatch, driver, n_out, call):
-    monkeypatch.setattr(_lapack, driver, failing(n_out))
+    monkeypatch.setattr(_linalg, driver, failing(n_out))
     with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
         call()
 
@@ -147,13 +158,17 @@ def test_singular_solve_raises_as_numpy_does():
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         np.linalg.solve(singular, np.ones(2))
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        _lapack.solve(singular, np.ones(2))
+        _linalg.solve(singular, np.ones(2))
 
 
 # ---------------------------------------------------------------- the guard
 
 #: what the package may still use of numpy.linalg: no LAPACK call among them
 NUMPY_LINALG_ALLOWED = {"norm", "LinAlgError"}
+#: scipy.linalg's ways to a BLAS or LAPACK routine by name, for _linalg alone
+SCIPY_DRIVERS = {"blas", "lapack", "get_blas_funcs", "get_lapack_funcs"}
+#: the scipy.linalg routines that _linalg stands in for
+SCIPY_REPLACED = {"eigvals", "eigvalsh", "solve", "svdvals", "lstsq"}
 
 
 def _dotted(node):
@@ -185,6 +200,36 @@ def _linalg_uses(tree):
                     yield node.lineno, alias.name, None
 
 
+def _scipy_linalg_uses(tree):
+    """(line, name) for every scipy.linalg name a module imports or reads,
+    through any alias of scipy or of scipy.linalg; blas and lapack for an
+    import of those modules."""
+    names = {"scipy.linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "scipy" and alias.asname:
+                    names.add(f"{alias.asname}.linalg")
+                elif alias.name == "scipy.linalg" and alias.asname:
+                    names.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == "linalg")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _dotted(node.value) in names:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module in ("scipy.linalg.blas",
+                                                                 "scipy.linalg.lapack"):
+            yield node.lineno, node.module.rsplit(".", 1)[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in ("scipy.linalg.blas", "scipy.linalg.lapack"):
+                    yield node.lineno, alias.name.rsplit(".", 1)[1]
+
+
 def _norm_order(call):
     order = call.args[1] if len(call.args) > 1 else next(
         (kw.value for kw in call.keywords if kw.arg == "ord"), None)
@@ -193,34 +238,71 @@ def _norm_order(call):
     return _dotted(order) if order is not None else None
 
 
+def violations(name, text):
+    """(rule, where) for each break of the package's three linear-algebra
+    rules in the source text of module `name`: numpy.linalg only for norm of
+    order 1 or inf and LinAlgError; BLAS and LAPACK imported by _linalg
+    alone; no call of a scipy.linalg routine that _linalg stands in for."""
+    tree = ast.parse(text)
+    found = []
+    for line, what, call in _linalg_uses(tree):
+        where = f"{name}:{line} {what}"
+        if what not in NUMPY_LINALG_ALLOWED:
+            found.append(("numpy.linalg", where))
+        elif what == "norm" and (call is None or _norm_order(call) not in (1, "np.inf")):
+            found.append(("numpy.linalg", f"{where} (ord must be 1 or np.inf)"))
+    for line, what in _scipy_linalg_uses(tree):
+        if what in SCIPY_DRIVERS and name != "_linalg.py":
+            found.append(("blas and lapack", f"{name}:{line} {what}"))
+        elif what in SCIPY_REPLACED:
+            found.append(("replaced", f"{name}:{line} {what}"))
+    return found
+
+
+def package_violations(rule):
+    return [where for path in sorted(SRC.glob("*.py"))
+            for broken, where in violations(path.name, path.read_text()) if broken == rule]
+
+
 def test_no_module_calls_numpy_linalg_beyond_norm_and_linalg_error():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for line, name, call in _linalg_uses(ast.parse(path.read_text())):
-            where = f"{path.name}:{line} {name}"
-            if name not in NUMPY_LINALG_ALLOWED:
-                found.append(where)
-            elif name == "norm" and (call is None or _norm_order(call) not in (1, "np.inf")):
-                found.append(f"{where} (ord must be 1 or np.inf)")
+    found = package_violations("numpy.linalg")
     assert not found, found
 
 
-def test_only_the_lapack_module_names_lapack_drivers():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "_lapack.py":
-            continue
-        text = path.read_text()
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom) and node.module in ("scipy.linalg.lapack",
-                                                                   "scipy.linalg"):
-                names = {alias.name for alias in node.names}
-                if node.module == "scipy.linalg.lapack" or names & {"lapack",
-                                                                   "get_lapack_funcs"}:
-                    found.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Attribute) and node.attr == "lapack":
-                found.append(f"{path.name}:{node.lineno}")
+def test_only_the_linalg_module_imports_blas_or_lapack():
+    found = package_violations("blas and lapack")
     assert not found, found
+    tree = ast.parse((SRC / "_linalg.py").read_text())
+    assert {"blas", "lapack"} <= {what for _, what in _scipy_linalg_uses(tree)}
+
+
+def test_no_module_calls_the_scipy_linalg_routines_that_linalg_replaces():
+    found = package_violations("replaced")
+    assert not found, found
+
+
+@pytest.mark.parametrize("rule, planted", [
+    ("numpy.linalg", "np.linalg.eigvals(a)"),
+    ("numpy.linalg", "np.linalg.norm(a, 2)"),
+    ("numpy.linalg", "from numpy.linalg import svd"),
+    ("numpy.linalg", "from numpy import linalg"),
+    ("blas and lapack", "from scipy.linalg.lapack import dgeev"),
+    ("blas and lapack", "from scipy.linalg import blas"),
+    ("blas and lapack", "import scipy.linalg.lapack"),
+    ("blas and lapack", "from scipy.linalg import get_lapack_funcs"),
+    ("blas and lapack", "import scipy as sp\nsp.linalg.blas.dgemm"),
+    ("replaced", "from scipy.linalg import eigvals"),
+    ("replaced", "import scipy.linalg\nscipy.linalg.svdvals(a)"),
+    ("replaced", "from scipy import linalg as la\nla.solve(a, b)"),
+    ("replaced", "import scipy.linalg as sla\nsla.lstsq(a, b)"),
+    ("replaced", "from scipy.linalg import eigvalsh as eigenvalues"),
+])
+def test_the_guard_finds_a_planted_violation(rule, planted):
+    text = (SRC / "simulate.py").read_text()
+    assert not violations("simulate.py", text)
+    assert [broken for broken, _ in violations("simulate.py", f"{text}\n{planted}\n")] == [rule]
+    if rule == "blas and lapack":  # where _linalg may import them
+        assert not violations("_linalg.py", planted)
 
 
 @pytest.fixture

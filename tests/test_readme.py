@@ -1,6 +1,7 @@
 """The README's examples run as written: each python block in a fresh
 namespace, and each Quick start preset line through the CLI.  Its list of
-SimResult's fields names exactly the dataclass fields."""
+SimResult's fields names exactly the dataclass fields, and its Layout names
+exactly the package's module files."""
 
 import dataclasses
 import json
@@ -12,7 +13,8 @@ import pytest
 from specstab import cli
 from specstab.simulate import SimResult
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 TEXT = README.read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
 QUICK_START = TEXT.split("## Quick start", 1)[1].split("```")[1]
@@ -26,6 +28,12 @@ def test_readme_lists_exactly_the_sim_result_fields():
     assert bullets.startswith("- ")
     named = set(re.findall(r"`([A-Za-z_]\w*)`", bullets))
     assert named == {field.name for field in dataclasses.fields(SimResult)}
+
+
+def test_readme_layout_names_every_module_file():
+    layout = TEXT.split("## Layout", 1)[1]
+    named = set(re.findall(r"^- `src/specstab/(\w+\.py)`", layout, re.MULTILINE))
+    assert named == {path.name for path in (ROOT / "src" / "specstab").glob("*.py")}
 
 
 def test_readme_has_the_library_and_cli_examples():

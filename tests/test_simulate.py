@@ -585,6 +585,17 @@ def test_fit_decay_stops_at_the_first_zero():
         ss.fit_decay(t, y, (5.9, 10.0))
 
 
+def test_fit_decay_warns_when_the_fit_has_rank_1():
+    # two window samples one rounding step apart: the scaled design [t, 1]
+    # has rank 1 at rcond = 2 eps, and fit_decay warns as polyfit does
+    t = np.array([1.0, np.nextafter(1.0, 2.0)])
+    y = np.array([1.0, 0.5])
+    with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+        rate = ss.fit_decay(t, y, (1.0, 2.0))
+    with pytest.warns(np.exceptions.RankWarning):
+        assert rate == -np.polyfit(t, np.log(y), 1)[0]
+
+
 @pytest.mark.parametrize("zero_at", [None, 3000], ids=["positive", "underflow"])
 def test_fit_decay_keeps_the_bits_of_polyfit(zero_at):
     # fit_decay builds np.polyfit's scaled degree-1 fit in place: the same
@@ -669,6 +680,16 @@ def test_lyapunov_trace_requires_feasible_certificate(dirichlet_pipeline):
     _, res = dirichlet_run(pipe, N=2, T=0.1)
     with pytest.raises(CertificateRequired):
         ss.lyapunov_trace(res, infeasible)
+
+
+def test_lyapunov_trace_refuses_a_certificate_of_another_order(dirichlet_pipeline):
+    pipe = dirichlet_pipeline
+    model = ss.assemble_closed_loop(pipe.reduced, pipe.gains, 8)
+    cert = constructive_certificate(model, pipe.reduced, 2.0)
+    assert cert.feasible
+    _, res = dirichlet_run(pipe, N=3, T=0.1)
+    with pytest.raises(OrderMismatch, match="certificate is for N = 8, run used N = 3"):
+        ss.lyapunov_trace(res, cert)
 
 
 def test_lyapunov_trace_flags_corrupted_p(dirichlet_pipeline):

@@ -48,6 +48,11 @@ def test_place_controller_uncontrollable():
         ss.place_controller(np.diag([1.0, 1.0]), np.array([1.0, 0.0]), [-1.0, -2.0])
 
 
+def test_place_controller_needs_one_pole_per_state():
+    with pytest.raises(ValueError, match="need 2 poles, got 1"):
+        ss.place_controller(np.diag([1.0, 2.0]), np.array([1.0, 1.0]), [-1.0])
+
+
 def test_place_observer_scalar():
     L = ss.place_observer(np.array([[0.0]]), np.array([1.0]), [-1.0])
     assert L == pytest.approx([1.0], abs=1e-12)
