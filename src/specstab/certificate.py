@@ -41,7 +41,8 @@ from .errors import (DimensionMismatch, InsufficientModes, NoFeasibleN, NotHurwi
 from .homogenize import BOUNDED, NEUMANN_AT_0, ReducedPlant, reduce
 from .sdpa import SdpaProblem
 from .sturm_liouville import Spectrum
-from .synthesis import ClosedLoopMatrices, GainSet, assemble_closed_loop, design_gains
+from .synthesis import (ClosedLoopMatrices, GainSet, _blocks, assemble_closed_loop,
+                        design_gains)
 
 #: absolute feasibility tolerance, scaled by each quantity's magnitude
 _FEAS_TOL = 1e-9
@@ -125,9 +126,9 @@ def _lyapunov_solver(model: ClosedLoopMatrices, delta: float):
     complex Schur form of Ac' with [Re Q, -Im Q] and the core's spectral
     abscissa, and the elementwise per-mode blocks e = d + delta,
     p33 = -1/(2e) and e_n + e_k.  Order N reads the first N - N0 rows of
-    them, as of d, v and F3c (ClosedLoopMatrices.prefix).  One Schur form
-    serves every shift and right-hand side (Bartels & Stewart, CACM 15,
-    1972; Golub, Nash & Van Loan, IEEE TAC 24, 1979).
+    them and of v and F3c itself, and refuses N < N0 + 1 as the model does.
+    One Schur form serves every shift and right-hand side (Bartels &
+    Stewart, CACM 15, 1972; Golub, Nash & Van Loan, IEEE TAC 24, 1979).
 
     Every order keeps the bits of lyapunov_solve on the model assembled at
     N.  So P3c, like every block that is not elementwise, is solved per
@@ -147,8 +148,10 @@ def _lyapunov_solver(model: ClosedLoopMatrices, delta: float):
     esum = e[:, None] + e
 
     def solve(N: int) -> np.ndarray:
-        sub = model.prefix(N)
-        n3, dim, F3c, v = N - model.N0, sub.dim, sub.F3c, sub.v
+        if N < model.N0 + 1:
+            raise OrderTooSmall(f"N must be >= N0+1 = {model.N0 + 1}, got {N}")
+        n3, dim = N - model.N0, 2 * N + 1
+        F3c, v = model.F3c[:n3], model.v[:n3]
         e_n, p33_n, esum_n = e[:n3], p33[:n3], esum[:n3, :n3]
         abscissa = float(max(core_abscissa, np.max(e_n)))
         if abscissa >= 0:
@@ -166,7 +169,7 @@ def _lyapunov_solver(model: ClosedLoopMatrices, delta: float):
         vg = np.outer(v, u @ Pc4)
         P44 = np.diag(p33_n) - (vg + vg.T) / esum_n
 
-        c, i3, i4 = slice(0, m), slice(m, m + n3), slice(m + n3, dim)
+        c, (i3, i4) = slice(0, m), _blocks(model.N0, N)[2:]
         P = np.zeros((dim, dim))
         P[c, c] = Pcc
         P[i3, c], P[c, i3] = P3c, P3c.T
@@ -520,7 +523,7 @@ def lyapunov_norm_sweep(plant, spectrum: Spectrum, N_list=None) -> np.ndarray:
     One reduction at max(N_list) serves every order, with the package pole
     rule's gains on it, and so does one closed loop assembled there: its
     core's Schur form and its elementwise per-mode blocks are computed once
-    (_lyapunov_solver), and each order solves from their prefixes, with its
+    (_lyapunov_solver), and each order solves from their first rows, with its
     own Hurwitz test and residual bound, to the bits of lyapunov_solve on
     the closed loop assembled at that order.  With fixed gains the coupling
     blocks have N-independent norm bounds, so the sequence should stay
@@ -550,8 +553,6 @@ def export_sdpa(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: float,
     -2 F_sr, -2 F_rs and -((F_rr + F_ss) + 2 delta).  Only those two rows'
     nonzeros are written, each bit for bit the entry of the dense products.
     """
-    if model.N < model.N0 + 1:
-        raise OrderTooSmall(f"N must be >= N0+1 = {model.N0 + 1}, got {model.N}")
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     n = model.dim

@@ -27,11 +27,12 @@ from . import errors as err
 from ._files import create
 from ._g17 import WIDTH, g17
 from .certificate import Certificate
-from .homogenize import (BOUNDED, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec, PlantSpec,
-                         ReducedPlant, reduce as reduce_plant)
+from .homogenize import (BOUNDED, DEFAULT_EPS, DIRICHLET_AT_0, NEUMANN_AT_0, MeasurementSpec,
+                         PlantSpec, ReducedPlant, reduce as reduce_plant)
 from .simulate import (LyapunovTrace, SimConfig, SimResult, _chunks, compatibility_defect,
                        fit_decay, lyapunov_trace, run as run_sim, step_times)
-from .sturm_liouville import CoefficientPair, analytic_spectrum, galerkin_bytes, solve_spectrum
+from .sturm_liouville import (DEFAULT_GRID_SIZE, CoefficientPair, analytic_spectrum,
+                              galerkin_bytes, solve_spectrum)
 from .synthesis import GainSet, assemble_closed_loop, design_gains
 
 EXIT_OK = 0
@@ -135,11 +136,11 @@ _KEYS = {
                               _REQUIRED),
               "c": (_NUMBERS, None)},
     "design": {"delta": (_POSITIVE, _REQUIRED), "N": (_INTEGER.or_auto(), "auto"),
-               "n_max": (_COUNT, "10"), "eps": (_NUMBER, "0.125"),
+               "n_max": (_COUNT, "10"), "eps": (_NUMBER, str(DEFAULT_EPS)),
                "controller_poles": (_NUMBERS.or_auto(), "auto"),
                "observer_poles": (_NUMBERS.or_auto(), "auto")},
-    "sim": {"n_sim": (_COUNT, "50"), "dt": (_POSITIVE, "0.001"), "T": (_POSITIVE, "3.0"),
-            "z0": (_NUMBERS, _REQUIRED)},
+    "sim": {"n_sim": (_COUNT, str(SimConfig.N_sim)), "dt": (_POSITIVE, str(SimConfig.dt)),
+            "T": (_POSITIVE, str(SimConfig.T)), "z0": (_NUMBERS, _REQUIRED)},
     "output": {"dir": (_TEXT, "specstab-out")},
 }
 
@@ -336,7 +337,7 @@ def solve(config: dict) -> RunRecord:
     del times  # the run makes its own: no second copy lives through it
     # the field CSVs report at the points of the spectrum's grid
     spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
-        solve_spectrum(coeffs, plant.boundary, n_modes, max(2000, 40 * n_modes))
+        solve_spectrum(coeffs, plant.boundary, n_modes, max(DEFAULT_GRID_SIZE, 40 * n_modes))
 
     # one reduction serves the simulation (n_sim modes) and every order up to n_max
     reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=design_cfg["eps"])

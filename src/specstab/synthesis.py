@@ -56,6 +56,11 @@ class ClosedLoopMatrices:
     costs O(N m) to build.  F, G and Lcal are built from the blocks on first
     read, for the consumers that need them dense (verify_certificate,
     assemble_sim, export_sdpa).
+
+    Row n of d, v and F3c is built from mode N0 + n alone, so a lower order
+    N' reads the first N' - N0 rows itself (certificate._lyapunov_solver).
+    A model of order N < N0 + 1 is refused with OrderTooSmall, also when
+    made by dataclasses.replace.
     """
 
     N: int
@@ -68,6 +73,8 @@ class ClosedLoopMatrices:
     Gc: np.ndarray
 
     def __post_init__(self):
+        if self.N < self.N0 + 1:
+            raise OrderTooSmall(f"N must be >= N0+1 = {self.N0 + 1}, got {self.N}")
         for name in ("Fc", "d", "u", "v", "F3c", "Gc"):
             getattr(self, name).setflags(write=False)
 
@@ -85,20 +92,6 @@ class ClosedLoopMatrices:
         full[(slice(0, self.m),) * core.ndim] = core
         full.setflags(write=False)
         return full
-
-    def prefix(self, N: int) -> ClosedLoopMatrices:
-        """The model at order N <= self.N: the first N - N0 rows of d, v and
-        F3c.  assemble_closed_loop builds each row from its own mode alone, so
-        this is, bit for bit, the model it builds at N on the same reduction."""
-        if N < self.N0 + 1:
-            raise OrderTooSmall(f"N must be >= N0+1 = {self.N0 + 1}, got {N}")
-        if N > self.N:
-            raise InsufficientModes(f"model has order {self.N}, need {N}")
-        if N == self.N:
-            return self
-        n3 = N - self.N0
-        return ClosedLoopMatrices(N=N, N0=self.N0, Fc=self.Fc, d=self.d[:n3], u=self.u,
-                                  v=self.v[:n3], F3c=self.F3c[:n3], Gc=self.Gc)
 
     @functools.cached_property
     def F(self) -> np.ndarray:

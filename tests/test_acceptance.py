@@ -11,8 +11,8 @@ import pytest
 import specstab as ss
 from specstab.sdpa import read_sdpa
 
-from conftest import (exact_search, flux_residual, mode_slopes, slopes_at_1, validate_bounds,
-                      verified_free_p_certificate)
+from conftest import (exact_search, flux_residual, mode_slopes, slopes_at_1, theta1,
+                      validate_bounds, verified_free_p_certificate)
 
 ND = ss.BoundarySpec(ss.NEUMANN_DIRICHLET)
 DD = ss.BoundarySpec(ss.DIRICHLET_DIRICHLET)
@@ -267,11 +267,8 @@ def test_criterion_10_property_suites(dirichlet_pipeline, neumann_pipeline,
         (np.eye(n), 1.0, 1.0),
         (ss.lyapunov_solve(model, 0.5), 50.0, 0.02),
     ]:
-        S = model.F.T @ P + P @ model.F + red.delta * 2 * P + 2.0 * gamma * model.G
-        T1 = np.zeros((n + 1, n + 1))
-        T1[:n, :n] = S
-        T1[:n, n] = T1[n, :n] = P @ model.Lcal
-        T1[n, n] = -beta
+        T1 = theta1(model, red, P, 2.0, beta, gamma)
+        S = T1[:n, :n]
         m_full = float(np.linalg.eigvalsh(0.5 * (T1 + T1.T))[-1])
         PL = P @ model.Lcal
         m_schur = float(np.linalg.eigvalsh(S + np.outer(PL, PL) / beta)[-1])

@@ -16,7 +16,8 @@ from specstab.errors import InsufficientModes, NoFeasibleN, NotHurwitzShifted, O
 from specstab.sdpa import read_sdpa
 
 from conftest import (constructive_certificate, dense_lyapunov, exact_search,
-                      per_order_lyapunov, per_order_norm_sweep, verified_free_p_certificate)
+                      per_order_lyapunov, per_order_norm_sweep, theta1,
+                      verified_free_p_certificate)
 
 
 def zero_gains(N0):
@@ -143,8 +144,8 @@ def test_lyapunov_solve_equals_the_per_order_route(left_trace_q10_201, N):
         per_order_lyapunov(model, red.delta).tobytes()
 
 
-def test_prefix_solve_equals_the_solve_of_the_assembled_order(left_trace_q10_201):
-    # order N read from the blocks of the model at 200 is the solve at N,
+def test_sweep_solve_equals_the_solve_of_the_assembled_order(left_trace_q10_201):
+    # order N read from the first rows of the model at 200 is the solve at N,
     # at 1 and 3 rows too, where BLAS and numpy take other kernels
     red, gains = left_trace_q10_201
     solve = ss.certificate._lyapunov_solver(ss.assemble_closed_loop(red, gains, 200), red.delta)
@@ -216,7 +217,7 @@ def test_verify_limit_structure_small_beta_gamma(dirichlet_pipeline):
     model = ss.assemble_closed_loop(red, gains, 3)
     P = ss.lyapunov_solve(model, red.delta)
     alpha, gamma = 2.0, 1e-9
-    top = model.F.T @ P + P @ model.F + 2 * red.delta * P + alpha * gamma * model.G
+    top = theta1(model, red, P, alpha, 0.0, gamma)[:-1, :-1]
     g = red.a_norm2 + red.b_norm2 * float(gains.K @ gains.K)  # |G| <= g
     assert np.linalg.eigvalsh(top)[-1] <= -1.0 + alpha * gamma * g + 1e-9
     # beta large relative to gamma: the tail term flips Theta2 positive
@@ -234,8 +235,7 @@ def test_verify_rejects_theta1_at_its_crossing(dirichlet_pipeline):
     cert = constructive_certificate(model, red, 2.0)
     assert cert.feasible
     n = model.dim
-    S = model.F.T @ cert.P + cert.P @ model.F + 2 * red.delta * cert.P \
-        + cert.alpha * cert.gamma * model.G
+    S = theta1(model, red, cert.P, cert.alpha, cert.beta, cert.gamma)[:n, :n]
     v = cert.P @ model.Lcal
     beta_cross = float(v @ np.linalg.solve(-S, v))
     assert beta_cross == pytest.approx(43.0774, rel=1e-5)
@@ -911,12 +911,8 @@ def test_schur_complement_sign_equivalence(dirichlet_pipeline):
     free_p = verified_free_p_certificate(dirichlet_pipeline, 3)
     samples.append((free_p.P, free_p.beta, free_p.gamma))
     for P, beta, gamma in samples:
-        alpha = 2.0
-        S = model.F.T @ P + P @ model.F + 2 * red.delta * P + alpha * gamma * model.G
-        T1 = np.zeros((n + 1, n + 1))
-        T1[:n, :n] = S
-        T1[:n, n] = T1[n, :n] = P @ model.Lcal
-        T1[n, n] = -beta
+        T1 = theta1(model, red, P, 2.0, beta, gamma)
+        S = T1[:n, :n]
         m_full = np.linalg.eigvalsh(0.5 * (T1 + T1.T))[-1]
         PL = P @ model.Lcal
         schur = S + np.outer(PL, PL) / beta
@@ -985,18 +981,10 @@ def test_certificate_round_trip(dirichlet_pipeline):
     assert again.theta2 == pytest.approx(cert.theta2, abs=1e-12)
 
 
-def test_export_order_too_small_before_writing(dirichlet_pipeline, tmp_path):
-    red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
-    target = tmp_path / "export.dat-s"
-    with pytest.raises(OrderTooSmall):
-        model = ss.assemble_closed_loop(red, gains, red.N0)
-        ss.export_sdpa(model, red, 2.0, target)
-    assert not target.exists()
-
-
 def test_export_refuses_a_low_order_and_alpha_at_most_1(dirichlet_pipeline, tmp_path):
-    # export_sdpa's own checks, which assemble_closed_loop cannot reach: a
-    # model below N0 + 1 and alpha <= 1 raise, and nothing is written
+    # a model below N0 + 1 cannot be made, not even by dataclasses.replace:
+    # ClosedLoopMatrices refuses it before export_sdpa runs; alpha <= 1 is
+    # export_sdpa's own check; nothing is written
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, red.N0 + 1)
     target = tmp_path / "export.dat-s"

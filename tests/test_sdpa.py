@@ -5,7 +5,7 @@ import specstab as ss
 from specstab.errors import IoFailure
 from specstab.sdpa import SdpaProblem, read_sdpa
 
-from conftest import sdpa_theta1_coefficients, verified_free_p_certificate
+from conftest import sdpa_theta1_coefficients, theta1, verified_free_p_certificate
 
 
 def export(pipeline, N, alpha=2.0, path=None):
@@ -166,11 +166,7 @@ def test_export_encodes_theta_blocks(which, N, request, tmp_path):
     x = np.append(P[np.triu_indices(n)], [beta, gamma])
     blocks = _materialize(prob, x)
     # block 1 == -Theta1
-    delta = pipeline.reduced.delta
-    T1 = np.zeros((n + 1, n + 1))
-    T1[:n, :n] = model.F.T @ P + P @ model.F + 2 * delta * P + cert.alpha * gamma * model.G
-    T1[:n, n] = T1[n, :n] = P @ model.Lcal
-    T1[n, n] = -beta
+    T1 = theta1(model, pipeline.reduced, P, cert.alpha, beta, gamma)
     assert np.max(np.abs(blocks[0] - (-T1))) < 1e-9 * max(1.0, np.max(np.abs(T1)))
     # block 2 == P - mu I
     assert np.max(np.abs(blocks[1] - (P - 1e-6 * np.eye(n)))) < 1e-12 * np.max(np.abs(P))
@@ -201,38 +197,10 @@ def test_entry_format_17_digits(dirichlet_pipeline, tmp_path):
                for tok in data)
 
 
-def test_exported_problem_solvable_by_external_sdp(dirichlet_pipeline,
-                                                   neumann_pipeline, tmp_path):
-    # fidelity path: an interior-point solver run on the exported file finds
-    # the free-P feasibility the original report claims at N = 3 / N = 2
-    cp = pytest.importorskip("cvxpy")
-    for pipeline, N in ((dirichlet_pipeline, 3), (neumann_pipeline, 2)):
-        path = tmp_path / f"solve{N}.dat-s"
-        export(pipeline, N, path=path)
-        prob = read_sdpa(path)
-        x = cp.Variable(prob.m_dim)
-        cons = []
-        for b, size in enumerate(prob.block_sizes, start=1):
-            dim = abs(size)
-            expr = -_constant_block(prob, b, dim)
-            for k, mat in prob.entries.items():
-                if k == 0:
-                    continue
-                coef = _coef_block(mat, b, dim)
-                if coef is not None:
-                    expr = expr + x[k - 1] * coef
-            cons.append(expr >> 1e-7 * np.eye(dim) if dim > 1 else expr >= 1e-7)
-        problem = cp.Problem(cp.Minimize(0), cons)
-        problem.solve(solver="CLARABEL")
-        assert problem.status in ("optimal", "optimal_inaccurate"), \
-            f"external solve failed at N={N}: {problem.status}"
-
-
 @pytest.mark.parametrize("which, N", [("dirichlet_pipeline", 3), ("neumann_pipeline", 2)])
 def test_exported_problem_solved_in_repository(which, N, request, tmp_path):
-    # in-repo counterpart of the external solve: the free-P certificate
-    # exists at these orders, and its point, scaled up, satisfies every
-    # block of the parsed exported file
+    # the free-P certificate exists at these orders, and its point, scaled
+    # up, satisfies every block of the parsed exported file
     pipeline = request.getfixturevalue(which)
     path = tmp_path / f"solve{N}.dat-s"
     model = export(pipeline, N, path=path)
@@ -259,25 +227,3 @@ def test_free_p_infeasible_reports_finite_margins(neumann_pipeline, N):
     cert, margin = ss.free_p_certificate(model, neumann_pipeline.reduced, alpha)
     assert cert is None
     assert margin == pytest.approx(ratio - 1.0, abs=5e-3)
-
-
-def _constant_block(prob, b, dim):
-    M = np.zeros((dim, dim))
-    for (bb, i, j), v in prob.entries.get(0, {}).items():
-        if bb == b:
-            M[i - 1, j - 1] += v
-            if i != j:
-                M[j - 1, i - 1] += v
-    return M
-
-
-def _coef_block(mat, b, dim):
-    M = np.zeros((dim, dim))
-    hit = False
-    for (bb, i, j), v in mat.items():
-        if bb == b:
-            hit = True
-            M[i - 1, j - 1] += v
-            if i != j:
-                M[j - 1, i - 1] += v
-    return M if hit else None

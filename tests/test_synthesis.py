@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -201,19 +204,17 @@ def test_order_too_small(dirichlet_pipeline):
                                 dirichlet_pipeline.reduced.N0)
 
 
-def test_prefix_is_the_model_assembled_at_that_order(dirichlet_pipeline):
+def test_closed_loop_matrices_refuse_order_n0(dirichlet_pipeline):
+    # no model of an order below N0 + 1 exists: the constructor and
+    # dataclasses.replace both raise, with assemble_closed_loop's message
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
-    top = ss.assemble_closed_loop(red, gains, 12)
-    assert top.prefix(12) is top
-    for N in (2, 3, 7):
-        sub, assembled = top.prefix(N), ss.assemble_closed_loop(red, gains, N)
-        assert (sub.N, sub.N0) == (assembled.N, assembled.N0)
-        for name in ("Fc", "d", "u", "v", "F3c", "Gc", "F", "G", "Lcal"):
-            assert getattr(sub, name).tobytes() == getattr(assembled, name).tobytes(), name
-    with pytest.raises(OrderTooSmall, match=r"N must be >= N0\+1 = 2, got 1"):
-        top.prefix(1)
-    with pytest.raises(InsufficientModes):
-        top.prefix(13)
+    model = ss.assemble_closed_loop(red, gains, red.N0 + 1)
+    blocks = {name: getattr(model, name) for name in ("Fc", "d", "u", "v", "F3c", "Gc")}
+    message = re.escape(f"N must be >= N0+1 = {red.N0 + 1}, got {red.N0}")
+    with pytest.raises(OrderTooSmall, match=message):
+        ss.ClosedLoopMatrices(N=red.N0, N0=red.N0, **blocks)
+    with pytest.raises(OrderTooSmall, match=message):
+        dataclasses.replace(model, N=red.N0)
 
 
 def test_order_beyond_reduction(dirichlet_pipeline):
