@@ -50,6 +50,9 @@ _FEAS_TOL = 1e-9
 #: c in lyapunov_solve's backward-error bound |R|_F <= c n u |A|_F |P|_F
 _LYAP_BACKWARD_C = 10.0
 
+#: minimal_N's default N_max, and a run's default [design] n_max
+DEFAULT_N_MAX = 10
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -275,7 +278,8 @@ def verify_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     if reduced.n_coef < model.N or reduced.spectrum.n_modes < model.N + 1:
         raise DimensionMismatch("reduced plant does not cover the model order")
     T1 = np.empty((n + 1, n + 1))
-    T1[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * reduced.delta * P + alpha * gamma * model.G
+    T1[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * reduced.delta * P
+    T1[:model.m, :model.m] += alpha * gamma * model.Gc  # G is Gc on the core, zero elsewhere
     T1[:n, n] = T1[n, :n] = P @ model.Lcal
     T1[n, n] = -beta
     T1 = 0.5 * (T1 + T1.T)
@@ -395,8 +399,10 @@ def _riccati_point(model: ClosedLoopMatrices, reduced: ReducedPlant, alpha: floa
     k1 = 0.5 * (ah2 + k)
     h2_full = _hinf_norm_sq(A, eye, model.Lcal)
     e = 0.5 * (k1 - ah2) / h2_full if h2_full > 0.0 else 1.0  # Lcal = 0: any e > 0
+    weight = e * eye
+    weight[:model.m, :model.m] += alpha * model.Gc  # alpha G + e I
     try:
-        X = solve_continuous_are(A, model.Lcal[:, None], alpha * model.G + e * eye, [[-k1]])
+        X = solve_continuous_are(A, model.Lcal[:, None], weight, [[-k1]])
     except np.linalg.LinAlgError:  # no stabilising solution at rounding level
         return None
     cert = verify_certificate(model, reduced, 0.5 * (X + X.T), alpha, math.sqrt(k1 * k), 1.0)
@@ -440,24 +446,6 @@ def free_p_certificate(model: ClosedLoopMatrices, reduced: ReducedPlant,
     return (None if k is None else _riccati_point(model, reduced, alpha, h2, k)), margin
 
 
-def certify_order(reduced: ReducedPlant, gains: GainSet,
-                  N: int) -> tuple[Certificate | None, dict]:
-    """Free-P certificate at order N and alpha = optimal_alpha, and its record.
-
-    The closed loop is assembled from the first N modes of reduced with the
-    given gains and decided by free_p_certificate at alpha*, which reads the
-    model's core and lambda_(N+1) alone unless the order certifies.  Returns the
-    verified Certificate, or None, and the record {"margin", "alpha"}: the
-    exact margin alpha h^2 / k - 1 at alpha*, negative iff the LMI is
-    feasible.  Since alpha* minimises that ratio, a margin >= 0 proves that
-    no P certifies this N at any alpha.
-    """
-    model = assemble_closed_loop(reduced, gains, N)
-    alpha = optimal_alpha(reduced, N)
-    cert, margin = free_p_certificate(model, reduced, alpha)
-    return cert, {"margin": margin, "alpha": alpha}
-
-
 def _orders(Ns: list[int]) -> str:
     """Ascending orders as runs: [2, 3, 4, 7] reads "2..4, 7"."""
     runs = [[Ns[0], Ns[0]]]
@@ -483,17 +471,19 @@ def _unverified(margins: dict) -> str:
             f"(smallest {margins[best]['margin']:.3g} at N = {best})")
 
 
-def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = 10):
+def minimal_N(reduced: ReducedPlant, gains: GainSet, N_max: int = DEFAULT_N_MAX):
     """Smallest N <= N_max with a verified free-P certificate.
 
     Every N from N0+1 up is decided on the same reduction, exactly as
-    certify_order decides it (monotonicity in N is not assumed); reduced
-    must carry at least N_max modes.  The core's Hurwitz test and h^2 run
-    once, so each order's verdict is a scalar test in lambda_(N+1); an
-    order's closed loop is assembled only for the point of an order decided
+    free_p_certificate decides it at alpha* = optimal_alpha on the closed
+    loop assembled at N (monotonicity in N is not assumed); reduced must
+    carry at least N_max modes.  The core's Hurwitz test and h^2 run once,
+    so each order's verdict is a scalar test in lambda_(N+1); an order's
+    closed loop is assembled only for the point of an order decided
     feasible.  Returns (N, Certificate).  Raises NoFeasibleN carrying each
-    N's record; a margin >= 0 at alpha* proves that no P certifies that N at
-    any alpha.
+    N's record {"margin", "alpha"}: the exact margin alpha* h^2 / k - 1,
+    negative iff the LMI is feasible.  Since alpha* minimises that ratio, a
+    margin >= 0 proves that no P certifies that N at any alpha.
     """
     N0 = reduced.N0
     if N_max < N0 + 1:

@@ -136,7 +136,7 @@ _KEYS = {
                               _REQUIRED),
               "c": (_NUMBERS, None)},
     "design": {"delta": (_POSITIVE, _REQUIRED), "N": (_INTEGER.or_auto(), "auto"),
-               "n_max": (_COUNT, "10"), "eps": (_NUMBER, str(DEFAULT_EPS)),
+               "n_max": (_COUNT, str(cert_mod.DEFAULT_N_MAX)), "eps": (_NUMBER, str(DEFAULT_EPS)),
                "controller_poles": (_NUMBERS.or_auto(), "auto"),
                "observer_poles": (_NUMBERS.or_auto(), "auto")},
     "sim": {"n_sim": (_COUNT, str(SimConfig.N_sim)), "dt": (_POSITIVE, str(SimConfig.dt)),
@@ -280,12 +280,13 @@ def _require_sim_order(n_sim: int, N: int):
                               f"got {n_sim}")
 
 
-def _require_alpha_order(reduced: ReducedPlant, N: int):
-    """ConfigParse naming [plant] q_c when N, the first order the run
-    decides, has no optimal alpha: lambda_(N+1) + q_c + delta <= 0 there
-    (certificate.optimal_alpha).  Later orders have a larger lambda_(N+1)."""
+def _require_alpha_order(reduced: ReducedPlant, N: int) -> float:
+    """The optimal alpha of N, the first order the run decides, or a
+    ConfigParse naming [plant] q_c when it has none: lambda_(N+1) + q_c +
+    delta <= 0 there (certificate.optimal_alpha).  Later orders have a
+    larger lambda_(N+1)."""
     try:
-        cert_mod.optimal_alpha(reduced, N)
+        return cert_mod.optimal_alpha(reduced, N)
     except ValueError:
         c = reduced.q_c + reduced.delta
         lam = float(reduced.spectrum.lambdas[N])
@@ -335,12 +336,21 @@ def solve(config: dict) -> RunRecord:
         raise err.ConfigParse(f"[sim] T must be long enough for 2 steps of dt = {dt} in "
                               f"the decay-fit window [min(1, T/2), T], got {T}")
     del times  # the run makes its own: no second copy lives through it
+    for key in ("controller_poles", "observer_poles"):
+        wrong = [p for p in design_cfg[key] or () if not p < -plant.delta]
+        if wrong:
+            raise err.ConfigParse(f"[design] {key} must all be < -delta = {-plant.delta:g}, "
+                                  f"got {', '.join(f'{p:g}' for p in wrong)}")
     # the field CSVs report at the points of the spectrum's grid
     spectrum = analytic_spectrum(plant.boundary, n_modes) if laplacian else \
         solve_spectrum(coeffs, plant.boundary, n_modes, max(DEFAULT_GRID_SIZE, 40 * n_modes))
 
     # one reduction serves the simulation (n_sim modes) and every order up to n_max
     reduced = reduce_plant(plant, spectrum, n_modes - 1, eps=design_cfg["eps"])
+    for key, count in (("controller_poles", reduced.N0 + 1), ("observer_poles", reduced.N0)):
+        if design_cfg[key] is not None and len(design_cfg[key]) != count:
+            raise err.ConfigParse(f"[design] {key}: the number of poles must be {count} at "
+                                  f"N0 = {reduced.N0}, got {len(design_cfg[key])}")
     gains = design_gains(reduced, controller_poles=design_cfg["controller_poles"],
                          observer_poles=design_cfg["observer_poles"])
 
@@ -355,11 +365,11 @@ def solve(config: dict) -> RunRecord:
             search_margins = exc.margins
     else:
         N = design_cfg["N"]
-        if N > reduced.N0:
-            _require_alpha_order(reduced, N)
-        certificate, record = cert_mod.certify_order(reduced, gains, N)
+        model = assemble_closed_loop(reduced, gains, N)  # OrderTooSmall below N0 + 1
+        alpha = _require_alpha_order(reduced, N)
+        certificate, margin = cert_mod.free_p_certificate(model, reduced, alpha)
         if certificate is None:
-            search_margins = {N: record}
+            search_margins = {N: {"margin": margin, "alpha": alpha}}
 
     _require_sim_order(n_sim, N)
     try:

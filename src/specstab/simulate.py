@@ -164,7 +164,7 @@ def assemble_sim(reduced: ReducedPlant, gains: GainSet, N: int, N_sim: int) -> n
     n, tail = model.dim, slice(N, N_sim)
     A = np.zeros((1 + N_sim + N, 1 + N_sim + N))
     A[:n, :n] = model.F
-    A[:n, n:] = np.outer(model.Lcal, reduced.out_coef[tail])
+    A[:model.m, n:] = np.outer(model.u, reduced.out_coef[tail])  # Lcal is u on the core
     A[n:, : reduced.N0 + 1] = np.outer(reduced.b_coef[tail], gains.K)
     A[n:, 0] += reduced.a_coef[tail]
     A[n:, n:] = np.diag(-reduced.spectrum.lambdas[tail] + reduced.q_c)

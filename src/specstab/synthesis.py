@@ -42,7 +42,7 @@ class GainSet:
 @dataclass(frozen=True)
 class ClosedLoopMatrices:
     """The certificate dynamics X' = F X + Lcal * zeta at observer order N, and
-    G, held as their blocks.
+    the core of G, held as their blocks.
 
     X's blocks (state_layout) are the core c = i1 u i2 (W_a-hat and the first
     N0 errors, m = 2 N0 + 1 states), i3 (the estimates beyond N0) and i4 (the
@@ -53,9 +53,10 @@ class ClosedLoopMatrices:
 
     and zero elsewhere; Lcal is u on c and G is Gc on c, both zero elsewhere.
     Every block but F3c (N - N0 by m) is m-square or a vector, so a model
-    costs O(N m) to build.  F, G and Lcal are built from the blocks on first
-    read, for the consumers that need them dense (verify_certificate,
-    assemble_sim, export_sdpa).
+    costs O(N m) to build.  F and Lcal are built from the blocks on first
+    read, for the consumers that read them dense: verify_certificate,
+    _riccati_point and export_sdpa read both, assemble_sim reads F.  G is
+    not formed: verify_certificate and _riccati_point add Gc on c.
 
     Row n of d, v and F3c is built from mode N0 + n alone, so a lower order
     N' reads the first N' - N0 rows itself (certificate._lyapunov_solver).
@@ -86,13 +87,6 @@ class ClosedLoopMatrices:
     def dim(self) -> int:
         return 2 * self.N + 1
 
-    def _padded(self, core: np.ndarray) -> np.ndarray:
-        """A vector or square matrix over X that holds core on c, zero elsewhere."""
-        full = np.zeros((self.dim,) * core.ndim)
-        full[(slice(0, self.m),) * core.ndim] = core
-        full.setflags(write=False)
-        return full
-
     @functools.cached_property
     def F(self) -> np.ndarray:
         m, (i3, i4) = self.m, _blocks(self.N0, self.N)[2:]
@@ -105,12 +99,11 @@ class ClosedLoopMatrices:
         return F
 
     @functools.cached_property
-    def G(self) -> np.ndarray:
-        return self._padded(self.Gc)
-
-    @functools.cached_property
     def Lcal(self) -> np.ndarray:
-        return self._padded(self.u)
+        Lcal = np.zeros(self.dim)
+        Lcal[:self.m] = self.u
+        Lcal.setflags(write=False)
+        return Lcal
 
 
 def _char_poly_matrix(A: np.ndarray, poles) -> np.ndarray:

@@ -241,14 +241,22 @@ def per_order_norm_sweep(plant: ss.PlantSpec, spectrum: ss.Spectrum, N_list) -> 
         for N in N_list])
 
 
+def dense_G(model: ss.ClosedLoopMatrices) -> np.ndarray:
+    """Reference: G over X, the model's Gc on the core c and zero elsewhere."""
+    G = np.zeros((model.dim, model.dim))
+    G[:model.m, :model.m] = model.Gc
+    return G
+
+
 def theta1(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.ndarray,
            alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Reference: the dense Theta1 = [[F'P + PF + 2 delta P + alpha gamma G, P Lcal],
-    [Lcal' P, -beta]], formed as verify_certificate forms it before taking its
-    symmetric part."""
+    [Lcal' P, -beta]], with the dense G of dense_G, in verify_certificate's
+    order of operations before it takes the symmetric part."""
     n = model.dim
     T = np.empty((n + 1, n + 1))
-    T[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * reduced.delta * P + alpha * gamma * model.G
+    T[:n, :n] = model.F.T @ P + P @ model.F + 2.0 * reduced.delta * P + \
+        alpha * gamma * dense_G(model)
     T[:n, n] = T[n, :n] = P @ model.Lcal
     T[n, n] = -beta
     return T
@@ -289,7 +297,7 @@ def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.n
     (gamma*, beta = h(gamma*)).
     """
     v = P @ model.Lcal
-    g, U = np.linalg.eigh(model.G)
+    g, U = np.linalg.eigh(dense_G(model))
     g = np.clip(g, 0.0, None)
     v2, c = float(v @ v), (U.T @ v) ** 2
     k = ss.certificate._beta_slope(reduced, model.N, alpha)
@@ -324,6 +332,18 @@ def exact_search(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant, P: np.n
     if h_star == 0.0:  # Lcal = 0: Theta1 asks only beta >= 0, so phi's sign decides
         return cert, -math.inf if phi > 0.0 else math.inf
     return cert, -phi / h_star
+
+
+def decide_order(reduced: ss.ReducedPlant, gains: ss.GainSet,
+                 N: int) -> tuple[ss.Certificate | None, dict]:
+    """Reference: order N decided alone, as a run with a fixed [design] N
+    decides it: free_p_certificate at alpha* = optimal_alpha on the closed
+    loop assembled at N.  Returns the verified Certificate, or None, and the
+    record {"margin", "alpha"} that minimal_N keeps for each order."""
+    alpha = ss.optimal_alpha(reduced, N)
+    cert, margin = ss.free_p_certificate(ss.assemble_closed_loop(reduced, gains, N), reduced,
+                                         alpha)
+    return cert, {"margin": margin, "alpha": alpha}
 
 
 def constructive_certificate(model: ss.ClosedLoopMatrices, reduced: ss.ReducedPlant,

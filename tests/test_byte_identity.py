@@ -1,7 +1,8 @@
 """tools/byte_identity.py: its inputs are the benchmark's and the tests', and
-one run of it on this tree writes every output of the five inputs."""
+one run of it on this tree writes every output of the six inputs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -46,9 +47,15 @@ def test_one_run_writes_every_output(tool, tmp_path, monkeypatch, capsys):
     codes = (tmp_path / "exit_codes.txt").read_text()
     assert codes == capsys.readouterr().out == ("dirichlet-example 0\nneumann-example 0\n"
                                                 "varcoef-fine 0\nbounded-small 0\n"
-                                                "dirichlet-qc10 2\n")
+                                                "dirichlet-qc10 2\n"
+                                                "dirichlet-qc10-N5 2\n")
     for name in ("dirichlet-example", "neumann-example", "varcoef-fine", "bounded-small"):
         assert {"report.json", "problem.dat-s", "u.csv", "lyapunov.csv",
                 "state_field.csv"} <= {p.name for p in (tmp_path / name).iterdir()}, name
-    assert not (tmp_path / "dirichlet-qc10" / "lyapunov.csv").exists()
-    assert (tmp_path / "dirichlet-qc10" / "problem.dat-s").exists()
+    for name in ("dirichlet-qc10", "dirichlet-qc10-N5"):
+        assert not (tmp_path / name / "lyapunov.csv").exists()
+        assert (tmp_path / name / "problem.dat-s").exists()
+    # the fixed order's run decides N = 5 alone, and records that one order
+    report = json.loads((tmp_path / "dirichlet-qc10-N5" / "report.json").read_text())
+    assert list(report["search_margins"]) == ["5"]
+    assert report["search_margins"]["5"]["margin"] > 0

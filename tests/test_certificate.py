@@ -15,8 +15,8 @@ import specstab as ss
 from specstab.errors import InsufficientModes, NoFeasibleN, NotHurwitzShifted, OrderTooSmall
 from specstab.sdpa import read_sdpa
 
-from conftest import (constructive_certificate, dense_lyapunov, exact_search,
-                      per_order_lyapunov, per_order_norm_sweep, theta1,
+from conftest import (constructive_certificate, decide_order, dense_G, dense_lyapunov,
+                      exact_search, per_order_lyapunov, per_order_norm_sweep, theta1,
                       verified_free_p_certificate)
 
 
@@ -172,7 +172,7 @@ def test_largest_eigenvalue_raises_when_lapack_fails(monkeypatch):
         ss._linalg.largest_eigenvalue(np.eye(3))
 
 
-@pytest.mark.parametrize("stage", ["lyapunov_solve", "certify_order"])
+@pytest.mark.parametrize("stage", ["lyapunov_solve", "free_p_certificate"])
 def test_large_order_touches_no_dense_matrix_beyond_the_core(stage, monkeypatch):
     # left trace at q_c = 10 on an 801-mode reduction, N = 200: every dense
     # eigenvalue, Schur, Sylvester, Lyapunov or Riccati routine sees at most
@@ -201,7 +201,7 @@ def test_large_order_touches_no_dense_matrix_beyond_the_core(stage, monkeypatch)
         ss.lyapunov_solve(ss.assemble_closed_loop(red, gains, 200), red.delta)
         assert sizes and all(size <= m for _, size in sizes), sizes
     else:
-        cert, record = ss.certificate.certify_order(red, gains, 200)
+        cert, record = decide_order(red, gains, 200)
         assert cert is None and record["margin"] > 0
         assert sizes and all(size <= (2 * m if name == "eigvals" else m)
                              for name, size in sizes), sizes
@@ -299,7 +299,7 @@ def test_search_at_n0_plus_one_reports_margins(dirichlet_pipeline):
 def test_search_propagates_not_hurwitz(dirichlet_pipeline):
     red = dirichlet_pipeline.reduced
     with pytest.raises(NotHurwitzShifted):
-        ss.certificate.certify_order(red, zero_gains(red.N0), 3)
+        ss.minimal_N(red, zero_gains(red.N0), N_max=3)
 
 
 def _optimal_alpha_cases(pipelines):
@@ -365,12 +365,13 @@ def _scan_finds_feasible(model, red, alpha):
     P = ss.lyapunov_solve(model, red.delta)
     n = model.dim
     # Theta1's top-left block -I + alpha gamma G must stay negative definite
-    gamma_max = 1.0 / (alpha * np.linalg.eigvalsh(model.G)[-1])
+    G = dense_G(model)
+    gamma_max = 1.0 / (alpha * np.linalg.eigvalsh(G)[-1])
     gamma, beta = (a.ravel() for a in np.meshgrid(gamma_max * np.logspace(-4, -1e-4, 40),
                                                   np.logspace(-1, 4, 80)))
     T1 = np.zeros((gamma.size, n + 1, n + 1))
     T1[:, :n, :n] = model.F.T @ P + P @ model.F + 2 * red.delta * P
-    T1[:, :n, :n] += alpha * gamma[:, None, None] * model.G
+    T1[:, :n, :n] += alpha * gamma[:, None, None] * G
     T1[:, :n, n] = T1[:, n, :n] = P @ model.Lcal
     T1[:, n, n] = -beta
     theta2, theta3 = ss.certificate._theta_scalars(red, model.N, alpha, beta, gamma)
@@ -495,7 +496,7 @@ def test_free_p_takes_h2_from_the_observable_block(request, monkeypatch, fixture
             ss.free_p_certificate(model, red, alpha)
         h2 = norm.value.args[0]
         decided.add(h2)
-        full = hinf(model.F + red.delta * np.eye(model.dim), model.G, model.Lcal)
+        full = hinf(model.F + red.delta * np.eye(model.dim), dense_G(model), model.Lcal)
         assert abs(h2 - full) <= (1e-13 if gains_from == "default" else 2e-10) * full
     assert len(decided) == 1
 
@@ -510,7 +511,7 @@ def test_dirichlet_margins_at_large_order(N, margin):
     margins = []
     for n_modes in (202, 802):
         red = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, n_modes, 2000), n_modes - 1)
-        cert, record = ss.certificate.certify_order(red, ss.design_gains(red), N)
+        cert, record = decide_order(red, ss.design_gains(red), N)
         assert cert is None
         margins.append(record["margin"])
     assert margins[0] == pytest.approx(margin, rel=1e-12)
@@ -679,7 +680,7 @@ def test_minimal_n_dirichlet_five_proved_infeasible(dirichlet_pipeline, alpha):
     _, margin_star = exact_search(model, red, P, star)
     _, margin = exact_search(model, red, P, alpha)
     assert 0 < margin_star <= margin
-    cert, record = ss.certificate.certify_order(red, gains, 5)
+    cert, record = decide_order(red, gains, 5)
     assert cert is not None and cert.feasible
     assert record == {"margin": record["margin"], "alpha": star}
     assert record["margin"] < 0
@@ -727,14 +728,14 @@ def _left_trace_q10(n_modes):
 
 
 def test_minimal_n_records_equal_every_order_decided_alone():
-    # one h^2 decides the whole search: its records are certify_order's at
-    # every order up to 1253, bit for bit (N = 1254, the first feasible
-    # order, would build an hour-long point)
+    # one h^2 decides the whole search: its records are those of each order
+    # decided alone, at every order up to 1253, bit for bit (N = 1254, the
+    # first feasible order, would build an hour-long point)
     red, gains = _left_trace_q10(1301)
     with pytest.raises(NoFeasibleN) as exc:
         ss.minimal_N(red, gains, N_max=1253)
     margins = exc.value.margins
-    alone = {N: ss.certificate.certify_order(red, gains, N)[1] for N in range(2, 1254)}
+    alone = {N: decide_order(red, gains, N)[1] for N in range(2, 1254)}
     assert repr(margins) == repr(alone)
     assert margins[1253]["margin"] == 9.300244334942143e-05
     assert "smallest 9.3e-05 at N = 1253" in str(exc.value)

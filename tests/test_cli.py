@@ -16,6 +16,8 @@ from specstab.errors import (ConfigParse, DecayUnreachable, InsufficientModes, I
                              StepRejected)
 from specstab.sdpa import read_sdpa
 
+from conftest import decide_order
+
 BOUNDED_CONFIG = """
 [scenario]
 name = bounded-small
@@ -155,7 +157,7 @@ def test_dirichlet_certificate_is_proved_on_the_run_model(dirichlet_preset_run,
     _, out = dirichlet_preset_run
     cert = ss.Certificate.from_dict(load_report(out)["certificate"])
     reduced, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
-    assert cert.to_dict() == ss.certificate.certify_order(reduced, gains, cert.N)[0].to_dict()
+    assert cert.to_dict() == decide_order(reduced, gains, cert.N)[0].to_dict()
     model = ss.assemble_closed_loop(reduced, gains, cert.N)
     assert ss.verify_certificate(model, reduced, cert.P, cert.alpha, cert.beta,
                                  cert.gamma).feasible
@@ -174,7 +176,7 @@ def test_neumann_margins_are_computed_on_the_run_model(tmp_path):
     gains = ss.design_gains(reduced)
     assert sorted(margins, key=int) == [str(N) for N in range(reduced.N0 + 1, 11)]
     for N, record in margins.items():
-        assert record == ss.certificate.certify_order(reduced, gains, int(N))[1]
+        assert record == decide_order(reduced, gains, int(N))[1]
         assert record["margin"] > 0
 
 
@@ -496,10 +498,12 @@ def test_unverified_feasible_orders_are_named(tmp_path, monkeypatch, capsys):
 
 
 def preset_config(tmp_path, preset, **keys):
-    """A preset as a config file, with q_c, N, n_sim, z0, T or dt set in its section."""
+    """A preset as a config file, with q_c, N, a pole list, n_sim, z0, T or dt set
+    in its section."""
     text = cli.PRESETS[preset]
     for key, value in keys.items():
-        section = {"q_c": "[plant]", "N": "[design]", "n_sim": "[sim]", "z0": "[sim]",
+        section = {"q_c": "[plant]", "N": "[design]", "controller_poles": "[design]",
+                   "observer_poles": "[design]", "n_sim": "[sim]", "z0": "[sim]",
                    "T": "[sim]", "dt": "[sim]"}[key]
         lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
         text = "\n".join(lines).replace(section, f"{section}\n{key} = {value}")
@@ -586,6 +590,57 @@ def refuse_spectra(monkeypatch):
 
     for name in ("analytic_spectrum", "solve_spectrum"):
         monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("key, poles, wrong", [("controller_poles", "0.1, -2", "0.1"),
+                                              ("observer_poles", "-0.5", "-0.5")],
+                         ids=["controller", "observer"])
+def test_pole_not_left_of_minus_delta_exits_3_before_the_spectrum(tmp_path, monkeypatch, capsys,
+                                                                  key, poles, wrong):
+    refuse_spectra(monkeypatch)
+    cfg = preset_config(tmp_path, "dirichlet-example", **{key: poles})
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
+        == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert f"[design] {key} must all be < -delta = -0.5, got {wrong}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, poles, count", [("controller_poles", "-1", 2),
+                                               ("observer_poles", "-2, -3", 1)],
+                         ids=["controller", "observer"])
+def test_pole_list_of_the_wrong_length_exits_3_before_the_design(tmp_path, monkeypatch, capsys,
+                                                                 key, poles, count):
+    # the dirichlet example has N0 = 1: N0 + 1 controller poles, N0 observer poles
+    def refuse(*args, **kwargs):
+        raise AssertionError("gains designed")
+
+    monkeypatch.setattr(cli, "design_gains", refuse)
+    cfg = preset_config(tmp_path, "dirichlet-example", **{key: poles})
+    assert run_scenario(str(cfg), out_dir=tmp_path / "out", quiet=True) \
+        == ERROR_EXIT_CODES[ConfigParse] == 3
+    assert f"[design] {key}: the number of poles must be {count} at N0 = 1, got " \
+        f"{len(poles.split(','))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_fixed_order_reproduces_the_search_at_its_order(tmp_path, preset):
+    # both presets certify at N* = 2: a run fixed at N = 2 decides that order
+    # on its own route and writes every output of the searching run, byte
+    # for byte
+    outs = []
+    for name, keys in (("auto", {}), ("fixed", {"N": 2})):
+        (tmp_path / name).mkdir()
+        cfg = preset_config(tmp_path / name, preset, **keys)
+        out = tmp_path / name / "out"
+        assert run_scenario(str(cfg), out_dir=out, export_sdpa_path=out / "problem.dat-s",
+                            quiet=True) == 0
+        outs.append(out)
+    assert load_report(outs[0])["N_star"] == 2
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert {"report.json", "problem.dat-s", "u.csv"} <= set(names)
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("preset", ["dirichlet-example", "varcoef"])
@@ -705,7 +760,7 @@ def test_q_c_with_no_optimal_alpha_decides_an_order_past_it(tmp_path, capsys):
     plant = ss.PlantSpec(ss.CoefficientPair.constant(1.0, 0.0), -100.0,
                          ss.MeasurementSpec.dirichlet(), config["design"]["delta"])
     reduced = ss.reduce(plant, ss.analytic_spectrum(plant.boundary, 51), 50)
-    record = ss.certificate.certify_order(reduced, ss.design_gains(reduced), 3)[1]
+    record = decide_order(reduced, ss.design_gains(reduced), 3)[1]
     assert math.isfinite(record["margin"]) and record["alpha"] > 1.0
 
 
@@ -725,7 +780,7 @@ def test_presets_across_q_c_certify_or_prove_no_order(tmp_path, preset, q_c):
     record = cli.solve(parse_config(cfg))
     assert record.N == report["N_star"]
     for N in range(record.reduced.N0 + 1, record.N):
-        margin = ss.certificate.certify_order(record.reduced, record.gains, N)[1]["margin"]
+        margin = decide_order(record.reduced, record.gains, N)[1]["margin"]
         assert margin >= 0
 
 

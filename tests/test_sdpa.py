@@ -5,7 +5,7 @@ import specstab as ss
 from specstab.errors import IoFailure
 from specstab.sdpa import SdpaProblem, read_sdpa
 
-from conftest import sdpa_theta1_coefficients, theta1, verified_free_p_certificate
+from conftest import dense_G, sdpa_theta1_coefficients, theta1, verified_free_p_certificate
 
 
 def export(pipeline, N, alpha=2.0, path=None):
@@ -70,7 +70,7 @@ def test_export_values_survive_parsing(dirichlet_pipeline, tmp_path):
     prob = read_sdpa(path)
     # gamma's block-1 coefficient is -alpha*G on the upper triangle, exactly
     k_gamma = prob.m_dim
-    G = model.G
+    G = dense_G(model)
     for (block, i, j), v in prob.entries[k_gamma].items():
         if block == 1:
             assert v == -2.0 * G[i - 1, j - 1]

@@ -7,6 +7,8 @@ import pytest
 import specstab as ss
 from specstab.errors import InsufficientModes, OrderTooSmall, UncontrollablePair, UnobservablePair
 
+from conftest import dense_G
+
 SQ2 = np.sqrt(2.0)
 
 # gains reported for the two constant-coefficient examples
@@ -147,10 +149,11 @@ def test_g_matrix_is_psd_and_dominated(dirichlet_pipeline):
     red, gains = dirichlet_pipeline.reduced, dirichlet_pipeline.gains
     model = ss.assemble_closed_loop(red, gains, 5)
     g = red.a_norm2 + red.b_norm2 * float(gains.K @ gains.K)  # bounds G = |a|^2 ee' + |b|^2 KK'
-    eigs = np.linalg.eigvalsh(model.G)
+    G = dense_G(model)
+    eigs = np.linalg.eigvalsh(G)
     scale = max(1.0, g)
     assert eigs[0] >= -1e-12 * scale
-    gap = np.linalg.eigvalsh(g * np.eye(model.dim) - model.G)
+    gap = np.linalg.eigvalsh(g * np.eye(model.dim) - G)
     assert gap[0] >= -1e-12 * scale
 
 

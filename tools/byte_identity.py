@@ -1,4 +1,4 @@
-"""Run the five byte-identity inputs through one checkout and keep every output.
+"""Run the six byte-identity inputs through one checkout and keep every output.
 
     python tools/byte_identity.py CHECKOUT OUTDIR
 
@@ -64,12 +64,16 @@ def inputs(presets: dict) -> dict[str, tuple[str, int | None]]:
     dirichlet_10, hits = re.subn(r"(?m)^q_c\s*=.*$", "q_c = 10", presets["dirichlet-example"])
     if hits != 1:
         raise ValueError("the dirichlet-example preset must hold exactly one q_c line")
+    fixed_5, hits = re.subn(r"(?m)^\[design\]$", "[design]\nN = 5", dirichlet_10)
+    if hits != 1:
+        raise ValueError("the dirichlet-example preset must hold exactly one [design] line")
     return {
         "dirichlet-example": ("dirichlet-example", None),
         "neumann-example": ("neumann-example", None),
         "varcoef-fine": (varcoef_fine_config(), None),
         "bounded-small": (BOUNDED_CONFIG, None),
         "dirichlet-qc10": (dirichlet_10, 40),
+        "dirichlet-qc10-N5": (fixed_5, None),  # a fixed order: no search
     }
 
 
